@@ -116,9 +116,9 @@ def cmd_check(args, out) -> int:
         ok = morse.check_exactness(I, C, args.char)
         print(f"exact={ok} char={args.char}", file=out)
     else:
-        ok = morse.check_minimal(C)
+        ok = morse.check_minimal_over(C, args.char)
         agrees = morse.syntactic_minimality(I, matching)
-        print(f"minimal={ok} syntactic={agrees}", file=out)
+        print(f"minimal={ok} char={args.char} syntactic={agrees}", file=out)
     return 0 if ok else 2
 
 
@@ -143,6 +143,8 @@ def cmd_compare(args, out) -> int:
 def cmd_split(args, out) -> int:
     I = load_ideal(args.ideal, args.force)
     points = [args.at] if args.at is not None else list(range(1, I.r))
+    if not points:
+        raise ValueError("one generator has no split point; --scan needs two or more")
     all_ok = True
     reports = []
     for s in points:
@@ -204,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--char", type=int, default=0, help="field characteristic")
-        sp.add_argument("--seed", type=int, default=ideals.DEFAULT_SEED)
         if method:
             sp.add_argument("--method", choices=METHODS, default="pruned")
 

@@ -5,9 +5,11 @@ Grammar::
     ring x1 x2 x3
     gens x1*x2, x2*x3
 
-Monomial tokens look like ``x1^2*x3``; the caret exponent is optional and
-``*`` separates factors.  Unit generators and negative or oversized exponents
-are rejected at parse time.
+Statements are separated by newlines or ``;``: exactly one ``ring`` line and
+then one ``gens`` line, each keyword a whole word.  Monomial tokens look like
+``x1^2*x3``; the caret exponent is optional and ``*`` separates factors.
+Unit generators, negative or oversized exponents, and any statement after
+the ``gens`` line are rejected at parse time with their line and column.
 """
 from __future__ import annotations
 
@@ -29,29 +31,61 @@ class ParseError(ValueError):
 _FACTOR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
 
+def _statements(text: str) -> list[tuple[int, int, str]]:
+    """The nonblank statements, separated by newlines or ';', as (line, col,
+    text): the 1-based position of each statement's first character."""
+    out = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        start = 0
+        for part in raw.split(";"):
+            body = part.strip()
+            if body:
+                out.append((ln, start + len(part) - len(part.lstrip()) + 1, body))
+            start += len(part) + 1
+    return out
+
+
+def _keyword(stmt: tuple[int, int, str], word: str) -> tuple[str, int] | None:
+    """The rest of the statement and its column if the statement starts with
+    the keyword as a whole word; None otherwise."""
+    _, col, body = stmt
+    head = body.split(None, 1)[0]
+    if head != word:
+        return None
+    rest = body[len(word):]
+    return rest, col + len(word)
+
+
 def parse_ideal(text: str) -> MonomialIdeal:
-    lines: list[tuple[int, str]] = []
-    for ln, raw in enumerate(text.replace(";", "\n").splitlines(), start=1):
-        if raw.strip():
-            lines.append((ln, raw))
-    if not lines or not lines[0][1].strip().startswith("ring"):
-        raise ParseError("expected a 'ring <var> ...' line", 1, 1)
-    ring_ln, ring_raw = lines[0]
-    variables = tuple(ring_raw.strip().split()[1:])
+    """Parse the two-statement grammar; every statement must be consumed."""
+    stmts = _statements(text)
+    ring = _keyword(stmts[0], "ring") if stmts else None
+    if ring is None:
+        ln, col = stmts[0][:2] if stmts else (1, 1)
+        raise ParseError("expected a 'ring <var> ...' line", ln, col)
+    ring_ln, ring_col = stmts[0][:2]
+    variables = tuple(ring[0].split())
     if not variables:
-        raise ParseError("ring line declares no variables", ring_ln, len("ring") + 1)
+        raise ParseError("ring line declares no variables", ring_ln, ring[1])
     if len(set(variables)) != len(variables):
-        raise ParseError("duplicate variable name", ring_ln, 1)
+        raise ParseError("duplicate variable name", ring_ln, ring_col)
     var_index = {v: i for i, v in enumerate(variables)}
 
-    if len(lines) < 2 or not lines[1][1].strip().startswith("gens"):
-        raise ParseError("expected a 'gens <mono>, ...' line", ring_ln + 1, 1)
-    gens_ln, gens_raw = lines[1]
-    body = gens_raw.strip()[len("gens"):]
+    gens = _keyword(stmts[1], "gens") if len(stmts) > 1 else None
+    if gens is None:
+        ln, col = stmts[1][:2] if len(stmts) > 1 else (ring_ln + 1, 1)
+        raise ParseError("expected a 'gens <mono>, ...' line", ln, col)
+    if len(stmts) > 2:
+        ln, col, body = stmts[2]
+        if _keyword(stmts[2], "gens"):
+            raise ParseError(f"second gens line {body!r}", ln, col)
+        raise ParseError(f"trailing text after the gens line: {body!r}", ln, col)
+    gens_ln = stmts[1][0]
+    body, start = gens
     generators = []
-    col = gens_raw.find(body) + 1
     for token in body.split(","):
         tok = token.strip()
+        col = start + len(token) - len(token.lstrip())
         if not tok:
             raise ParseError("empty generator", gens_ln, col)
         exps = [0] * len(variables)
@@ -73,7 +107,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
         if mono.is_unit:
             raise ParseError(f"unit generator {tok!r}", gens_ln, col)
         generators.append(mono)
-        col += len(token) + 1
+        start += len(token) + 1
     return MonomialIdeal(variables, tuple(generators))
 
 

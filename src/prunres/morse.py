@@ -8,9 +8,10 @@ sparsely as (row, col) -> (coefficient, degree-ratio exponents).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import linalg
-from .monomials import Monomial, MonomialIdeal, monomial_str
+from .monomials import Monomial, MonomialIdeal, divides, monomial_str
 from .pruning import Matching, verify_matching
 from .taylor import TaylorComplex, facets
 
@@ -111,24 +112,14 @@ def morse_differential(
     # Flow successors within one dimension: cell -> [(next_cell, weight)].
     def flow_out(cell: int) -> list[tuple[int, int]]:
         up = partner_up[cell]
-        sign_up = -_incidence_cached(up, cell)
+        # -[up : cell], where [up : cell] is -1 when an odd number of
+        # members of up lie below the removed one (taylor.incidence)
+        sign_up = 1 if (up & ((up ^ cell) - 1)).bit_count() % 2 else -1
         out = []
         for facet, sign in facets(up):
             if facet != cell:
                 out.append((facet, sign_up * sign))
         return out
-
-    incid: dict[tuple[int, int], int] = {}
-
-    def _incidence_cached(mask: int, sub: int) -> int:
-        key = (mask, sub)
-        hit = incid.get(key)
-        if hit is None:
-            removed = mask & ~sub
-            below = mask & (removed - 1)
-            hit = -1 if below.bit_count() % 2 else 1
-            incid[key] = hit
-        return hit
 
     # Topological order of matched-lower cells per dimension, shared by all
     # columns of that dimension.
@@ -206,108 +197,163 @@ def morse_differential(
 
 def check_d_squared(C: ChainComplex) -> bool:
     """Exact polynomial check that consecutive differentials compose to zero."""
+    return _d_squared_vanishes(C, 0)
+
+
+def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
+    """d_{i-1} d_i = 0 for every i, with coefficients read mod char (char 0:
+    over the integers)."""
     if C.diffs is None:
         raise ValueError("differentials not set")
-    for i in range(2, C.length):
-        lo = C.diff(i - 1)  # F_{i-1} -> F_{i-2}
-        hi = C.diff(i)  # F_i -> F_{i-1}
+    # by_col[col]: the entries (row, coeff, exps) of one differential's column
+    lo_by_col: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+    for i in range(1, C.length):
         by_col: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-        for (row, col), (coeff, exps) in hi.items():
+        for (row, col), (coeff, exps) in C.diff(i).items():
             by_col.setdefault(col, []).append((row, coeff, exps))
-        lo_by_col: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-        for (row, col), (coeff, exps) in lo.items():
-            lo_by_col.setdefault(col, []).append((row, coeff, exps))
-        for col, terms in by_col.items():
+        for terms in by_col.values():
             acc: dict[tuple[int, tuple[int, ...]], int] = {}
             for mid, c1, e1 in terms:
                 for row, c2, e2 in lo_by_col.get(mid, ()):
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    key = (row, exps)
+                    key = (row, tuple(map(add, e1, e2)))
                     acc[key] = acc.get(key, 0) + c1 * c2
-            if any(v != 0 for v in acc.values()):
+            if any(v % char if char else v for v in acc.values()):
                 return False
+        lo_by_col = by_col
     return True
 
 
-def _strand_ranks(
-    C: ChainComplex, alpha: tuple[int, ...], char: int, in_ideal: bool
-) -> bool:
-    """Exactness of the alpha-strand: homology zero in degrees >= 1 and the
-    degree-0 cokernel 0 or 1 according to whether x^alpha lies in the ideal."""
-    present: list[list[int]] = []
-    index: list[dict[int, int]] = []
-    for level in C.degrees:
-        keep = [
-            k
-            for k, exps in enumerate(level)
-            if all(e <= a for e, a in zip(exps, alpha))
-        ]
-        present.append(keep)
-        index.append({k: pos for pos, k in enumerate(keep)})
+def _threshold_masks(
+    level: tuple[tuple[int, ...], ...], nvars: int, top: int
+) -> list[list[int]]:
+    """masks[k][t]: bitmask of the cells of one level whose k-th exponent is
+    at most t, for 0 <= t <= top.  The cells of the level that divide x^alpha
+    are then the AND over k of masks[k][alpha[k]]."""
+    masks = []
+    for k in range(nvars):
+        at = [0] * (top + 1)
+        for idx, exps in enumerate(level):
+            at[exps[k]] |= 1 << idx
+        acc = 0
+        for t in range(top + 1):
+            acc |= at[t]
+            at[t] = acc
+        masks.append(at)
+    return masks
 
-    sizes = [len(p) for p in present]
-    ranks = [0] * (C.length + 1)
-    for i in range(1, C.length):
-        if not present[i]:
-            continue
-        rows: dict[int, dict[int, int]] = {}
-        keep_cols = index[i]
-        keep_rows = index[i - 1]
-        for (row, col), (coeff, _) in C.diff(i).items():
-            if col in keep_cols and row in keep_rows:
-                rows.setdefault(keep_cols[col], {})[keep_rows[row]] = coeff
-        ranks[i] = linalg.rank(list(rows.values()), char)
 
-    for i in range(1, C.length):
-        h = sizes[i] - ranks[i] - ranks[i + 1]
-        if h != 0:
-            return False
-    coker = sizes[0] - ranks[1]
-    return coker == (0 if in_ideal else 1)
+def _cells_dividing(masks: list[list[int]], n: int, alpha: tuple[int, ...]) -> int:
+    """Bitmask of the n cells of a level, with threshold masks `masks`, whose
+    degree divides x^alpha."""
+    bits = (1 << n) - 1
+    for k, a in enumerate(alpha):
+        bits &= masks[k][a]
+    return bits
+
+
+def _members(bits: int) -> list[int]:
+    """Positions of the set bits, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     """True iff the complex is a resolution of the quotient over the given field.
 
-    Strands are checked at every distinct lcm-lattice multidegree; between
-    lattice degrees the strands do not change.
+    The differentials must compose to zero over the field: the rank counts
+    below read homology only for a complex, and without this check a
+    corrupted top differential would pass.  Strands are checked at every
+    distinct lcm-lattice multidegree; between lattice degrees the strands do
+    not change.  The alpha-strand is exact when its homology is zero in
+    degrees >= 1 and its degree-0 cokernel is 0 or 1 according to whether
+    x^alpha lies in the ideal.
+
+    One strand index is built per call: per-variable threshold masks give
+    the cells of each strand with a few big-int ANDs, and each differential
+    is grouped by column once.  A column is sound when every entry's row is
+    a cell of the level below whose degree divides the column's; a strand
+    holding a sound column holds all its rows, so only columns that are not
+    sound (a corrupted complex) are filtered row by row.
     """
     linalg.check_characteristic(char)
-    if C.diffs is None:
-        raise ValueError("differentials not set")
+    if not _d_squared_vanishes(C, char):
+        return False
     tc = TaylorComplex(I)
-    lattice = {tc.exponents(mask) for mask in tc.faces()}
-    gens = [g.exponents for g in I.generators]
-    for alpha in sorted(lattice):
-        in_ideal = any(all(e <= a for e, a in zip(g, alpha)) for g in gens)
-        if not _strand_ranks(C, alpha, char, in_ideal):
+    lattice = sorted({tc.exponents(mask) for mask in tc.faces()})
+    top = max(
+        (e for degs in (lattice, *C.degrees) for exps in degs for e in exps),
+        default=0,
+    )
+    masks = [_threshold_masks(level, I.nvars, top) for level in C.degrees]
+
+    # columns[i][col]: (entries of d_i in that column as {row: coeff}, sound)
+    columns: list[list[tuple[dict[int, int], bool]]] = [[]]
+    for i in range(1, C.length):
+        here, n_below = C.degrees[i], len(C.degrees[i - 1])
+        by_col: list[dict[int, int]] = [{} for _ in here]
+        for (row, col), (coeff, _) in C.diff(i).items():
+            if 0 <= col < len(here):
+                by_col[col][row] = coeff
+        level = []
+        for col, entries in enumerate(by_col):
+            below = _cells_dividing(masks[i - 1], n_below, here[col])
+            sound = all(row >= 0 and below >> row & 1 for row in entries)
+            level.append((entries, sound))
+        columns.append(level)
+
+    sizes = [0] * (C.length + 1)
+    ranks = [0] * (C.length + 1)
+    for alpha in lattice:
+        present = [
+            _cells_dividing(level_masks, len(level), alpha)
+            for level, level_masks in zip(C.degrees, masks)
+        ]
+        for i in range(1, C.length):
+            cols = _members(present[i])
+            sizes[i] = len(cols)
+            if not cols:
+                ranks[i] = 0
+                continue
+            rows = []
+            for col in cols:
+                entries, sound = columns[i][col]
+                if not sound:
+                    entries = {
+                        row: v
+                        for row, v in entries.items()
+                        if row >= 0 and present[i - 1] >> row & 1
+                    }
+                if entries:
+                    rows.append(entries)
+            ranks[i] = linalg.rank(rows, char)
+        if any(sizes[i] - ranks[i] - ranks[i + 1] for i in range(1, C.length)):
+            return False
+        x_alpha = Monomial(alpha)
+        in_ideal = any(divides(g, x_alpha) for g in I.generators)
+        if present[0].bit_count() - ranks[1] != (0 if in_ideal else 1):
             return False
     return True
 
 
 def check_minimal(C: ChainComplex) -> bool:
     """No differential entry is a nonzero integer times the unit monomial."""
-    if C.diffs is None:
-        raise ValueError("differentials not set")
-    for d in C.diffs:
-        for coeff, exps in d.values():
-            if coeff != 0 and all(e == 0 for e in exps):
-                return False
-    return True
+    return check_minimal_over(C, 0)
 
 
 def check_minimal_over(C: ChainComplex, char: int) -> bool:
-    """Minimality over a specific field: unit entries vanishing mod p do not count."""
+    """Minimality over a specific field: unit entries vanishing mod p do not
+    count; char 0 counts every nonzero unit entry."""
     linalg.check_characteristic(char)
     if C.diffs is None:
         raise ValueError("differentials not set")
     for d in C.diffs:
         for coeff, exps in d.values():
-            if all(e == 0 for e in exps):
-                if char == 0 and coeff != 0:
-                    return False
-                if char != 0 and coeff % char != 0:
-                    return False
+            if all(e == 0 for e in exps) and (coeff % char if char else coeff):
+                return False
     return True
 
 

@@ -47,6 +47,35 @@ class TestParseIdeal:
         with pytest.raises(ParseError):
             parse_ideal("gens x")
 
+    def test_second_gens_line_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_ideal("ring x y; gens x*y; gens y")
+        assert (err.value.line, err.value.col) == (1, 21)
+        assert "second gens line" in str(err.value)
+
+    def test_trailing_line_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_ideal("ring x y\ngens x*y\n  x^2\n")
+        assert (err.value.line, err.value.col) == (3, 3)
+        assert "trailing text" in str(err.value)
+
+    def test_ring_keyword_is_a_whole_word(self):
+        with pytest.raises(ParseError) as err:
+            parse_ideal("ringo x; gens x")
+        assert (err.value.line, err.value.col) == (1, 1)
+
+    def test_gens_keyword_is_a_whole_word(self):
+        with pytest.raises(ParseError) as err:
+            parse_ideal("ring x\ngensx")
+        assert (err.value.line, err.value.col) == (2, 1)
+
+    def test_columns_count_from_the_real_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_ideal("ring x y;  gens x, x*q")
+        assert (err.value.line, err.value.col) == (1, 20)
+        I = parse_ideal("  ring x y ;  gens  x , y^3 ;\n\n")
+        assert I.generator_strs() == ["x", "y^3"]
+
 
 class TestBuiltins:
     def test_path5(self, capsys):
@@ -109,6 +138,16 @@ class TestCommands:
         )
         assert code == 2
 
+    def test_check_minimal_honours_char(self, capsys):
+        # rp2's pruned differential has a +-2 unit entry: not minimal over Q
+        # or F_3, minimal over F_2 (see test_rp2_known_discrepancy)
+        for char, code_expected in (("0", 2), ("2", 0), ("3", 2)):
+            code, out, _ = run(
+                capsys, "check", "minimal", "--ideal", "rp2", "--char", char
+            )
+            assert code == code_expected
+            assert f"minimal={code_expected == 0} char={char}" in out
+
     def test_check_rejects_nu(self, capsys):
         code, _, err = run(capsys, "check", "exact", "--ideal", "path:5", "--method", "nu")
         assert code == 1
@@ -170,6 +209,18 @@ class TestCommands:
         )
         payload = json.loads(out)
         assert [entry["s"] for entry in payload] == [1, 2]
+
+    def test_split_scan_one_generator(self, capsys):
+        code, out, err = run(capsys, "split", "--scan", "--ideal", "ring x; gens x")
+        assert code == 1
+        assert out == ""
+        assert "one generator has no split point" in err
+
+    def test_seed_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "--ideal", "path:3", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "betti", "--ideal", "ring x; gens x*q")

@@ -1,5 +1,6 @@
 import pytest
 
+from prunres import linalg
 from prunres.betti import betti_of_complex, tor_betti
 from prunres.ideals import parse_ideal
 
@@ -164,6 +165,209 @@ class TestExactness:
             diffs.append(d)
         broken = ChainComplex(C.variables, tuple(cells), tuple(degrees), tuple(diffs))
         assert not check_exactness(path5, broken, 0)
+
+
+def _reference_strand_ranks(C, alpha, char, in_ideal):
+    """The strand test as check_exactness ran it before its strand index:
+    every strand re-filters every cell and rescans every differential."""
+    present = []
+    index = []
+    for level in C.degrees:
+        keep = [
+            k
+            for k, exps in enumerate(level)
+            if all(e <= a for e, a in zip(exps, alpha))
+        ]
+        present.append(keep)
+        index.append({k: pos for pos, k in enumerate(keep)})
+
+    sizes = [len(p) for p in present]
+    ranks = [0] * (C.length + 1)
+    for i in range(1, C.length):
+        if not present[i]:
+            continue
+        rows = {}
+        keep_cols = index[i]
+        keep_rows = index[i - 1]
+        for (row, col), (coeff, _) in C.diff(i).items():
+            if col in keep_cols and row in keep_rows:
+                rows.setdefault(keep_cols[col], {})[keep_rows[row]] = coeff
+        ranks[i] = linalg.rank(list(rows.values()), char)
+
+    for i in range(1, C.length):
+        h = sizes[i] - ranks[i] - ranks[i + 1]
+        if h != 0:
+            return False
+    coker = sizes[0] - ranks[1]
+    return coker == (0 if in_ideal else 1)
+
+
+def _reference_exactness(I, C, char):
+    tc = TaylorComplex(I)
+    lattice = {tc.exponents(mask) for mask in tc.faces()}
+    gens = [g.exponents for g in I.generators]
+    for alpha in sorted(lattice):
+        in_ideal = any(all(e <= a for e, a in zip(g, alpha)) for g in gens)
+        if not _reference_strand_ranks(C, alpha, char, in_ideal):
+            return False
+    return True
+
+
+def _with_diffs(C, diffs):
+    return ChainComplex(C.variables, C.cells, C.degrees, tuple(diffs))
+
+
+def _corruptions(C):
+    """(name, complex, chars): for each differential, one entry deleted, one
+    sign flipped, and its first column doubled; for each level above 0, the
+    degree of its first cell raised in the first variable."""
+    for i in range(1, C.length):
+        key = min(C.diff(i))
+        diffs = [dict(d) for d in C.diffs]
+        del diffs[i - 1][key]
+        yield f"delete d{i}{key}", _with_diffs(C, diffs), (0,)
+        diffs = [dict(d) for d in C.diffs]
+        coeff, exps = diffs[i - 1][key]
+        diffs[i - 1][key] = (-coeff, exps)
+        yield f"flip d{i}{key}", _with_diffs(C, diffs), (0,)
+        diffs = [dict(d) for d in C.diffs]
+        for (row, col), (coeff, exps) in C.diff(i).items():
+            if col == 0:
+                diffs[i - 1][(row, col)] = (2 * coeff, exps)
+        # d*d = 0 survives only when the doubled column is the top one
+        yield f"double d{i} column 0", _with_diffs(C, diffs), (0, 2)
+        degrees = list(C.degrees)
+        first = degrees[i][0]
+        degrees[i] = ((first[0] + 1, *first[1:]), *degrees[i][1:])
+        raised = ChainComplex(C.variables, C.cells, tuple(degrees), C.diffs)
+        yield f"raise degree of F{i}[0]", raised, (0, 2)
+
+
+def _traced(monkeypatch, fn, *args):
+    """The result of fn(*args) and its linalg.rank calls, each as (char,
+    sorted row lengths, rank): the same matrix up to the order and the
+    labels of its rows and columns."""
+    calls = []
+    real = linalg.rank
+
+    def recording(rows, char):
+        r = real(rows, char)
+        calls.append((char, sorted(len(row) for row in rows), r))
+        return r
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "rank", recording)
+        return fn(*args), calls
+
+
+class TestExactnessAgainstStrandLoop:
+    """check_exactness against the per-strand loop it replaced: the same
+    verdict and the same rank calls on the same strand matrices."""
+
+    METHODS = (prune_taylor, prune_simplicial, prune_lyubeznik)
+
+    def _same(self, monkeypatch, I, C, char):
+        got, calls = _traced(monkeypatch, check_exactness, I, C, char)
+        expected, ref_calls = _traced(monkeypatch, _reference_exactness, I, C, char)
+        assert got == expected
+        assert calls == ref_calls
+        return got
+
+    def test_corpus40(self, corpus40, monkeypatch):
+        for I in corpus40:
+            for method in self.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                for char in (0, 2):
+                    assert self._same(monkeypatch, I, C, char)
+
+    def test_builtins(self, builtins, monkeypatch):
+        for name, I in builtins.items():
+            for method in self.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                for char in (0, 2):
+                    assert self._same(monkeypatch, I, C, char), (name, char)
+
+    def test_corrupted_corpus40(self, corpus40, monkeypatch):
+        # The strand loop does not look at d*d, which check_exactness now
+        # requires first; over Q check_d_squared is that condition.  Where
+        # d*d = 0 still holds, both make the same rank calls.  Doubling a
+        # column keeps d*d = 0 over Z, so it is compared at char 2 too; a
+        # raised degree leaves every entry alone and so exercises the row
+        # filter of columns that are not sound.
+        compared = 0
+        for I in corpus40[:20]:
+            for method in self.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                for name, B, chars in _corruptions(C):
+                    if not check_d_squared(B):
+                        assert not check_exactness(I, B, 0), name
+                        continue
+                    for char in chars:
+                        self._same(monkeypatch, I, B, char)
+                        compared += 1
+        assert compared > 100
+
+
+@pytest.fixture(scope="module")
+def lyubeznik_4_1(builtins):
+    I = builtins["example-4-1"]
+    return I, morse_differential(I, prune_lyubeznik(I), validate=False)
+
+
+class TestExactnessMutations:
+    """One-entry corruptions of the Lyubeznik complex of example-4-1
+    (differentials d_1 .. d_10) must be caught."""
+
+    @pytest.mark.parametrize("i", range(1, 11))
+    def test_deleted_entry(self, lyubeznik_4_1, i):
+        I, C = lyubeznik_4_1
+        assert C.length == 11
+        diffs = [dict(d) for d in C.diffs]
+        del diffs[i - 1][min(C.diff(i))]
+        assert not check_exactness(I, _with_diffs(C, diffs), 0)
+
+    @pytest.mark.parametrize("i", [1, 5, 10])
+    def test_flipped_sign(self, lyubeznik_4_1, i):
+        # at char 2 a sign flip is no change at all, so only char 0 is asked
+        I, C = lyubeznik_4_1
+        diffs = [dict(d) for d in C.diffs]
+        key = min(C.diff(i))
+        coeff, exps = diffs[i - 1][key]
+        diffs[i - 1][key] = (-coeff, exps)
+        assert not check_exactness(I, _with_diffs(C, diffs), 0)
+
+    def test_top_differential_without_d_squared(self, lyubeznik_4_1):
+        # Deleting an entry of the top differential keeps it injective, so
+        # every strand's rank count still balances; only d*d != 0 shows that
+        # the result is no complex.  The strand loop alone misses it.
+        I, C = lyubeznik_4_1
+        diffs = [dict(d) for d in C.diffs]
+        del diffs[-1][min(C.diff(10))]
+        broken = _with_diffs(C, diffs)
+        assert not check_d_squared(broken)
+        assert _reference_exactness(I, broken, 0)
+        assert not check_exactness(I, broken, 0)
+
+    def test_doubled_top_column(self, lyubeznik_4_1):
+        # A basis change over Q, but a zero column over F_2: only the
+        # strand ranks can tell
+        I, C = lyubeznik_4_1
+        diffs = [dict(d) for d in C.diffs]
+        for (row, col), (coeff, exps) in C.diff(10).items():
+            if col == 0:
+                diffs[-1][(row, col)] = (2 * coeff, exps)
+        doubled = _with_diffs(C, diffs)
+        assert check_d_squared(doubled)
+        assert check_exactness(I, doubled, 0)
+        assert not check_exactness(I, doubled, 2)
+
+    def test_raised_cell_degree(self, lyubeznik_4_1):
+        I, C = lyubeznik_4_1
+        degrees = list(C.degrees)
+        first = degrees[5][0]
+        degrees[5] = ((first[0] + 1, *first[1:]), *degrees[5][1:])
+        raised = ChainComplex(C.variables, C.cells, tuple(degrees), C.diffs)
+        assert not check_exactness(I, raised, 0)
 
 
 class TestMinimality:
