@@ -7,6 +7,7 @@ sparsely as (row, col) -> (coefficient, degree-ratio exponents).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add
 
@@ -224,31 +225,27 @@ def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
 
 
 def _threshold_masks(
-    level: tuple[tuple[int, ...], ...], nvars: int, top: int
+    level: tuple[tuple[int, ...], ...], values: list[list[int]]
 ) -> list[list[int]]:
-    """masks[k][t]: bitmask of the cells of one level whose k-th exponent is
-    at most t, for 0 <= t <= top.  The cells of the level that divide x^alpha
-    are then the AND over k of masks[k][alpha[k]]."""
+    """masks[k][j]: bitmask of the cells of one level whose k-th exponent is
+    at most values[k][j], the j-th smallest k-th exponent of the lattice.  The
+    masks are sized by the lattice, not by the exponents; a cell whose k-th
+    exponent exceeds every lattice value is in none of them.  The cells of
+    the level that divide x^alpha are then the AND over k of
+    masks[k][rank of alpha[k]]."""
     masks = []
-    for k in range(nvars):
-        at = [0] * (top + 1)
+    for k, vals in enumerate(values):
+        at = [0] * len(vals)
         for idx, exps in enumerate(level):
-            at[exps[k]] |= 1 << idx
+            j = bisect_left(vals, exps[k])
+            if j < len(vals):
+                at[j] |= 1 << idx
         acc = 0
-        for t in range(top + 1):
-            acc |= at[t]
-            at[t] = acc
+        for j, bits in enumerate(at):
+            acc |= bits
+            at[j] = acc
         masks.append(at)
     return masks
-
-
-def _cells_dividing(masks: list[list[int]], n: int, alpha: tuple[int, ...]) -> int:
-    """Bitmask of the n cells of a level, with threshold masks `masks`, whose
-    degree divides x^alpha."""
-    bits = (1 << n) - 1
-    for k, a in enumerate(alpha):
-        bits &= masks[k][a]
-    return bits
 
 
 def _members(bits: int) -> list[int]:
@@ -284,40 +281,44 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
         return False
     tc = TaylorComplex(I)
     lattice = sorted({tc.exponents(mask) for mask in tc.faces()})
-    top = max(
-        (e for degs in (lattice, *C.degrees) for exps in degs for e in exps),
-        default=0,
-    )
-    masks = [_threshold_masks(level, I.nvars, top) for level in C.degrees]
+    values = [sorted(set(column)) for column in zip(*lattice)]
+    rank_of = [{v: j for j, v in enumerate(vals)} for vals in values]
+    masks = [_threshold_masks(level, values) for level in C.degrees]
 
     # columns[i][col]: (entries of d_i in that column as {row: coeff}, sound)
     columns: list[list[tuple[dict[int, int], bool]]] = [[]]
     for i in range(1, C.length):
-        here, n_below = C.degrees[i], len(C.degrees[i - 1])
+        here, lower = C.degrees[i], C.degrees[i - 1]
         by_col: list[dict[int, int]] = [{} for _ in here]
         for (row, col), (coeff, _) in C.diff(i).items():
             if 0 <= col < len(here):
                 by_col[col][row] = coeff
-        level = []
-        for col, entries in enumerate(by_col):
-            below = _cells_dividing(masks[i - 1], n_below, here[col])
-            sound = all(row >= 0 and below >> row & 1 for row in entries)
-            level.append((entries, sound))
-        columns.append(level)
+        columns.append([
+            (entries, all(
+                0 <= row < len(lower)
+                and all(e <= c for e, c in zip(lower[row], here[col]))
+                for row in entries
+            ))
+            for col, entries in enumerate(by_col)
+        ])
 
     sizes = [0] * (C.length + 1)
     ranks = [0] * (C.length + 1)
     for alpha in lattice:
-        present = [
-            _cells_dividing(level_masks, len(level), alpha)
-            for level, level_masks in zip(C.degrees, masks)
-        ]
+        at = [rank_of[k][a] for k, a in enumerate(alpha)]
+        present = []
+        for level, level_masks in zip(C.degrees, masks):
+            bits = (1 << len(level)) - 1
+            for k_masks, j in zip(level_masks, at):
+                bits &= k_masks[j]
+            present.append(bits)
         for i in range(1, C.length):
             cols = _members(present[i])
             sizes[i] = len(cols)
             if not cols:
                 ranks[i] = 0
                 continue
+            below = present[i - 1]
             rows = []
             for col in cols:
                 entries, sound = columns[i][col]
@@ -325,7 +326,7 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
                     entries = {
                         row: v
                         for row, v in entries.items()
-                        if row >= 0 and present[i - 1] >> row & 1
+                        if row >= 0 and below >> row & 1
                     }
                 if entries:
                     rows.append(entries)

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from prunres import linalg
 from prunres.betti import betti_of_complex, tor_betti
 from prunres.ideals import parse_ideal
+from prunres.monomials import MAX_EXPONENT
 
 from prunres.morse import (
     ChainComplex,
@@ -144,6 +147,25 @@ class TestExactness:
             C = morse_differential(I, empty_matching(I), validate=False)
             for char in (0, 2):
                 assert check_exactness(I, C, char)
+
+    def test_exponents_near_max(self):
+        # The strand index is sized by the lcm lattice, not by the exponent
+        # values, so exponents the parser accepts cost no more than small ones
+        I = parse_ideal(
+            f"ring x y z; gens x^{MAX_EXPONENT - 1}*y, y^{MAX_EXPONENT}*z, z^5*x"
+        )
+        start = time.perf_counter()
+        for method in (prune_taylor, prune_lyubeznik):
+            C = morse_differential(I, method(I))
+            assert check_exactness(I, C, 0) and check_exactness(I, C, 2)
+            # a cell whose x-exponent is above every lattice value lies in
+            # no strand
+            degrees = list(C.degrees)
+            first = degrees[1][0]
+            degrees[1] = ((MAX_EXPONENT, *first[1:]), *degrees[1][1:])
+            raised = ChainComplex(C.variables, C.cells, tuple(degrees), C.diffs)
+            assert not check_exactness(I, raised, 0)
+        assert time.perf_counter() - start < 5
 
     def test_deleted_row_detected(self, path5):
         C = morse_differential(path5, prune_taylor(path5))
