@@ -83,37 +83,52 @@ def tor_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
     """
     linalg.check_characteristic(char)
     tc = TaylorComplex(I)
-    classes: dict[tuple[int, ...], list[int]] = {}
+    deg = tc.degree
+    classes: dict[int, list[int]] = {}
     for mask in tc.faces():
-        classes.setdefault(tc.exponents(mask), []).append(mask)
+        classes.setdefault(deg(mask), []).append(mask)
 
     multi: dict[tuple[int, tuple[int, ...]], int] = {}
-    for alpha, masks in classes.items():
+    for alpha_deg, masks in classes.items():
+        alpha = tc.decode(alpha_deg)
         by_h: dict[int, list[int]] = {}
         for m in masks:
             by_h.setdefault(m.bit_count(), []).append(m)
-        for level in by_h.values():
-            level.sort()
-        top = max(by_h)
-        ranks: dict[int, int] = {}
-        for h in range(1, top + 1):
-            cols = by_h.get(h, [])
-            row_index = {m: k for k, m in enumerate(by_h.get(h - 1, []))}
-            if not cols or not row_index:
-                ranks[h] = 0
-                continue
-            rows: dict[int, dict[int, int]] = {}
-            for ci, mask in enumerate(cols):
-                for facet, sign in facets(mask):
-                    if facet in row_index:
-                        rows.setdefault(ci, {})[row_index[facet]] = sign
-            ranks[h] = linalg.rank(list(rows.values()), char)
-        for h in range(top + 1):
-            n = len(by_h.get(h, []))
-            beta = n - ranks.get(h, 0) - ranks.get(h + 1, 0)
+        for h, beta in _homology_ranks(by_h, 0, char).items():
             if beta:
                 multi[(h, alpha)] = beta
     return BettiTable(I.variables, multi)
+
+
+def _homology_ranks(
+    levels: dict[int, list[int]], first: int, char: int
+) -> dict[int, int]:
+    """Homology ranks of the complex spanned by `levels` (faces keyed by
+    degree, from `first` up; the simplicial boundary lowers the degree by
+    one and keeps only faces present in the level below), per degree.
+
+    Sorts each level in place, then ranks the boundary matrices in order of
+    increasing degree through `linalg.rank`, skipping empty ones.
+    """
+    for level in levels.values():
+        level.sort()
+    top = max(levels)
+    ranks: dict[int, int] = {}
+    for h in range(first + 1, top + 1):
+        cols = levels.get(h, [])
+        row_index = {m: k for k, m in enumerate(levels.get(h - 1, []))}
+        if not cols or not row_index:
+            continue
+        rows: dict[int, dict[int, int]] = {}
+        for ci, mask in enumerate(cols):
+            for facet, sign in facets(mask):
+                if facet in row_index:
+                    rows.setdefault(ci, {})[row_index[facet]] = sign
+        ranks[h] = linalg.rank(list(rows.values()), char)
+    return {
+        h: len(levels.get(h, [])) - ranks.get(h, 0) - ranks.get(h + 1, 0)
+        for h in range(first, top + 1)
+    }
 
 
 class SquarefreeRequiredError(ValueError):
@@ -138,13 +153,15 @@ def hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
     ]
 
     tc = TaylorComplex(I)
-    lattice = {tc.exponents(mask) for mask in tc.faces()}
+    lattice = sorted(
+        tc.decode(d) for d in {tc.degree(mask) for mask in tc.faces()}
+    )
 
     def is_face(vmask: int) -> bool:
         return not any(gm & ~vmask == 0 for gm in gen_masks)
 
     multi: dict[tuple[int, tuple[int, ...]], int] = {}
-    for alpha in sorted(lattice):
+    for alpha in lattice:
         support = sum(1 << i for i, e in enumerate(alpha) if e)
         size = bin(support).count("1")
         faces_by_dim: dict[int, list[int]] = {}
@@ -155,27 +172,9 @@ def hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
             if sub == 0:
                 break
             sub = (sub - 1) & support
-        for level in faces_by_dim.values():
-            level.sort()
         if not faces_by_dim:
             continue
-        top = max(faces_by_dim)
-        ranks: dict[int, int] = {}
-        for d in range(top + 1):
-            cols = faces_by_dim.get(d, [])
-            row_index = {m: k for k, m in enumerate(faces_by_dim.get(d - 1, []))}
-            if not cols or not row_index:
-                ranks[d] = 0
-                continue
-            rows: dict[int, dict[int, int]] = {}
-            for ci, mask in enumerate(cols):
-                for facet, sign in facets(mask):
-                    if facet in row_index:
-                        rows.setdefault(ci, {})[row_index[facet]] = sign
-            ranks[d] = linalg.rank(list(rows.values()), char)
-        for d in range(-1, top + 1):
-            nd = len(faces_by_dim.get(d, []))
-            h = nd - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        for d, h in _homology_ranks(faces_by_dim, -1, char).items():
             if h:
                 i = size - d - 1
                 multi[(i, alpha)] = multi.get((i, alpha), 0) + h

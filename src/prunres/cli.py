@@ -197,24 +197,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, method=True):
+    def common(sp, method=False, trace=False, fmt=False, char=False):
+        """--ideal and --force, plus the flags that the subcommand reads."""
         sp.add_argument("--ideal", required=True, help="builtin, file, or inline text")
         sp.add_argument("--force", action="store_true", help="lift the generator cap")
-        sp.add_argument("--trace", action="store_true", help="print prune log lines")
-        sp.add_argument(
-            "--dump-complex", action="store_true", help="print cells and entries"
-        )
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--char", type=int, default=0, help="field characteristic")
         if method:
             sp.add_argument("--method", choices=METHODS, default="pruned")
+        if trace:
+            sp.add_argument(
+                "--trace", action="store_true", help="print prune log lines"
+            )
+            sp.add_argument(
+                "--dump-complex", action="store_true", help="print cells and entries"
+            )
+        if fmt:
+            sp.add_argument("--format", choices=("text", "json"), default="text")
+        if char:
+            sp.add_argument("--char", type=int, default=0, help="field characteristic")
 
     sp = sub.add_parser("betti", help="Betti diagram of a chosen resolution")
-    common(sp)
+    common(sp, method=True, trace=True, fmt=True)
     sp.set_defaults(func=cmd_betti)
 
     sp = sub.add_parser("true-betti", help="true Betti numbers from an oracle")
-    common(sp, method=False)
+    common(sp, fmt=True, char=True)
     sp.add_argument("--oracle", choices=("tor", "hochster"), default="tor")
     sp.set_defaults(func=cmd_true_betti)
 
@@ -222,15 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "what", choices=("matching", "dsquared", "exact", "minimal")
     )
-    common(sp)
+    common(sp, method=True, trace=True, char=True)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("compare", help="all methods side by side vs the oracle")
-    common(sp, method=False)
+    common(sp, char=True)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("split", help="pruned Betti splitting report")
-    common(sp, method=False)
+    common(sp, fmt=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--at", type=int, help="split after this many generators")
     group.add_argument("--scan", action="store_true", help="try every split point")

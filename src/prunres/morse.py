@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 from . import linalg
-from .monomials import Monomial, MonomialIdeal, divides, monomial_str
-from .pruning import Matching, verify_matching
+from .monomials import Monomial, MonomialIdeal, monomial_str
+from .pruning import Matching, _verify_matching
 from .taylor import TaylorComplex, facets
 
 
@@ -59,8 +59,15 @@ class ChainComplex:
         return lines
 
 
-def _critical_by_degree(I: MonomialIdeal, matching: Matching):
-    tc = TaylorComplex(I)
+def _critical_complex(
+    tc: TaylorComplex, matching: Matching, validate: bool
+) -> ChainComplex:
+    """critical_complex on a degree table built by the caller."""
+    I = tc.ideal
+    if validate:
+        report = _verify_matching(tc, I.r, matching)
+        if not report.all_ok:
+            raise InvalidMatchingError(f"rejected matching: {report}")
     survivors = sorted(matching.survivors())
     buckets: dict[int, list[int]] = {}
     for mask in survivors:
@@ -70,19 +77,14 @@ def _critical_by_degree(I: MonomialIdeal, matching: Matching):
     degrees = tuple(
         tuple(tc.exponents(m) for m in level) for level in cells
     )
-    return tc, cells, degrees
+    return ChainComplex(I.variables, cells, degrees)
 
 
 def critical_complex(
     I: MonomialIdeal, matching: Matching, validate: bool = True
 ) -> ChainComplex:
     """Basis of the reduced complex: critical cells ordered canonically per degree."""
-    if validate:
-        report = verify_matching(I.r, matching, I)
-        if not report.all_ok:
-            raise InvalidMatchingError(f"rejected matching: {report}")
-    _, cells, degrees = _critical_by_degree(I, matching)
-    return ChainComplex(I.variables, cells, degrees)
+    return _critical_complex(TaylorComplex(I), matching, validate)
 
 
 def morse_differential(
@@ -98,8 +100,9 @@ def morse_differential(
     plain incidence sign.  The monomial part of every entry is forced by the
     degree difference of its endpoints.
     """
-    base = critical_complex(I, matching, validate=validate)
     tc = TaylorComplex(I)
+    deg = tc.degree
+    base = _critical_complex(tc, matching, validate)
 
     partner_up: dict[int, int] = {}
     for sigma, j in matching.edges:
@@ -176,20 +179,21 @@ def morse_differential(
                     continue
                 for nxt, w in flow_out(c):
                     coeffs[nxt] = coeffs.get(nxt, 0) + val * w
-            sig_exp = tc.exponents(sigma)
+            sig_deg = deg(sigma)
+            sig_exp = tc.decode(sig_deg)
             for cell, val in coeffs.items():
                 if not val:
                     continue
                 hit = critical_index.get(cell)
                 if hit is None:
                     continue  # matched-upper cells absorb nothing
-                deg, row = hit
-                if deg != i - 1:
+                h, row = hit
+                if h != i - 1:
                     raise InvalidMatchingError("flow escaped its dimension")
-                cell_exp = tc.exponents(cell)
-                ratio = tuple(a - b for a, b in zip(sig_exp, cell_exp))
-                if any(e < 0 for e in ratio):
+                cell_deg = deg(cell)
+                if cell_deg & ~sig_deg:
                     raise InvalidMatchingError("non-divisible differential entry")
+                ratio = tuple(map(sub, sig_exp, tc.decode(cell_deg)))
                 entries[(row, col)] = (val, ratio)
         diffs.append(entries)
 
@@ -280,8 +284,10 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     if not _d_squared_vanishes(C, char):
         return False
     tc = TaylorComplex(I)
-    lattice = sorted({tc.exponents(mask) for mask in tc.faces()})
-    values = [sorted(set(column)) for column in zip(*lattice)]
+    lattice = sorted(
+        (tc.decode(d), d) for d in {tc.degree(mask) for mask in tc.faces()}
+    )
+    values = [sorted(set(column)) for column in zip(*(a for a, _ in lattice))]
     rank_of = [{v: j for j, v in enumerate(vals)} for vals in values]
     masks = [_threshold_masks(level, values) for level in C.degrees]
 
@@ -304,7 +310,7 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
 
     sizes = [0] * (C.length + 1)
     ranks = [0] * (C.length + 1)
-    for alpha in lattice:
+    for alpha, alpha_deg in lattice:
         at = [rank_of[k][a] for k, a in enumerate(alpha)]
         present = []
         for level, level_masks in zip(C.degrees, masks):
@@ -333,8 +339,7 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
             ranks[i] = linalg.rank(rows, char)
         if any(sizes[i] - ranks[i] - ranks[i + 1] for i in range(1, C.length)):
             return False
-        x_alpha = Monomial(alpha)
-        in_ideal = any(divides(g, x_alpha) for g in I.generators)
+        in_ideal = any(g & ~alpha_deg == 0 for g in tc.gen_degrees)
         if present[0].bit_count() - ranks[1] != (0 if in_ideal else 1):
             return False
     return True
@@ -365,14 +370,14 @@ def syntactic_minimality(I: MonomialIdeal, matching: Matching) -> bool:
     of the naive differential; pairs whose upper cell was matched away do not
     count against minimality.
     """
-    tc = TaylorComplex(I)
+    deg = TaylorComplex(I).degree
     alive = matching.survivors()
     for sigma in alive:
-        exps = tc.exponents(sigma)
+        d = deg(sigma)
         for j in range(I.r):
             if sigma & (1 << j):
                 continue
             tau = sigma | (1 << j)
-            if tau in alive and tc.exponents(tau) == exps:
+            if tau in alive and deg(tau) == d:
                 return False
     return True

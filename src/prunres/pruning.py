@@ -92,6 +92,12 @@ def _sweep(
     return pruned
 
 
+def _same_degree(tc: TaylorComplex) -> Callable[[int, int], bool]:
+    """The plain pruning condition: both faces have the same lcm degree."""
+    deg = tc.degree
+    return lambda s, t: deg(s) == deg(t)
+
+
 def prune_with(
     I: MonomialIdeal,
     eligible: Callable[[int, int], bool] | None = None,
@@ -102,11 +108,15 @@ def prune_with(
     `eligible(sigma, j)` filters candidate edges before the homogeneity test;
     passing None gives the plain pruned matching.
     """
-    tc = TaylorComplex(I)
+    return _prune_with(TaylorComplex(I), eligible, kind)
+
+
+def _prune_with(
+    tc: TaylorComplex, eligible: Callable[[int, int], bool] | None, kind: str
+) -> Matching:
     alive = set(tc.faces())
-    same_degree = lambda s, t: tc.exponents(s) == tc.exponents(t)
-    steps = _sweep(tc, alive, eligible, same_degree, 1)
-    return Matching(I.r, tuple((t.sigma, t.j) for t in steps), tuple(steps), kind)
+    steps = _sweep(tc, alive, eligible, _same_degree(tc), 1)
+    return Matching(tc.r, tuple((t.sigma, t.j) for t in steps), tuple(steps), kind)
 
 
 def prune_taylor(I: MonomialIdeal) -> Matching:
@@ -124,14 +134,13 @@ def prune_lyubeznik(I: MonomialIdeal) -> Matching:
     it is what pairs every face with an unrooted tail against its partner.
     """
     tc = TaylorComplex(I)
-    gens = [g.exponents for g in I.generators]
+    deg, gens = tc.degree, tc.gen_degrees
 
     def eligible(sigma: int, j: int) -> bool:
         high = sigma & ~((1 << (j + 1)) - 1)
-        tail = tc.exponents(high)
-        return all(a <= b for a, b in zip(gens[j], tail))
+        return gens[j] & ~deg(high) == 0
 
-    return prune_with(I, eligible, kind="lyubeznik")
+    return _prune_with(tc, eligible, "lyubeznik")
 
 
 def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
@@ -142,7 +151,7 @@ def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
     an oracle for prune_lyubeznik.
     """
     tc = TaylorComplex(I)
-    gens = I.generators
+    gens = tc.gen_degrees
     out = set()
     for mask in tc.faces():
         idx = indices_of(mask)
@@ -151,9 +160,9 @@ def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
             tail = 0
             for i in idx[t:]:
                 tail |= 1 << i
-            tail_deg = tc.multidegree(tail)
+            tail_deg = tc.degree(tail)
             for j in range(idx[t]):
-                if all(a <= b for a, b in zip(gens[j].exponents, tail_deg.exponents)):
+                if gens[j] & ~tail_deg == 0:
                     ok = False
                     break
             if not ok:
@@ -173,9 +182,7 @@ def nu_prune(I: MonomialIdeal) -> Matching:
     """
     tc = TaylorComplex(I)
     alive = set(tc.faces())
-    first = _sweep(
-        tc, alive, None, lambda s, t: tc.exponents(s) == tc.exponents(t), 1
-    )
+    first = _sweep(tc, alive, None, _same_degree(tc), 1)
     shift = lambda s, t: s != 0 and tc.total_degree(s) == tc.total_degree(t) - 1
     second = _sweep(tc, alive, None, shift, 2)
     steps = tuple(first + second)
@@ -187,7 +194,7 @@ def nu_prune(I: MonomialIdeal) -> Matching:
 def _simplicial_candidates(tc: TaylorComplex, alive: set[int]) -> list[TraceStep]:
     """Virtual plain-pruning sweep on `alive` (not mutated)."""
     pool = set(alive)
-    return _sweep(tc, pool, None, lambda s, t: tc.exponents(s) == tc.exponents(t), 1)
+    return _sweep(tc, pool, None, _same_degree(tc), 1)
 
 
 def _strict_superfaces(mask: int, r: int) -> Iterable[int]:
@@ -311,7 +318,10 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
     the matched arrows reversed; this also covers degree-shift matchings
     where the per-multidegree shortcut would not apply.
     """
-    tc = TaylorComplex(I)
+    return _verify_matching(TaylorComplex(I), r, matching)
+
+
+def _verify_matching(tc: TaylorComplex, r: int, matching: Matching) -> MatchingReport:
     seen: set[int] = set()
     is_matching = True
     for sigma, j in matching.edges:
@@ -325,9 +335,9 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
         seen.add(sigma)
         seen.add(tau)
 
+    deg = tc.degree
     is_homogeneous = all(
-        tc.exponents(sigma) == tc.exponents(sigma | (1 << j))
-        for sigma, j in matching.edges
+        deg(sigma) == deg(sigma | (1 << j)) for sigma, j in matching.edges
     )
 
     reversed_up = {}  # lower cell -> upper cell for matched edges

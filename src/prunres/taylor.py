@@ -3,10 +3,22 @@
 A face is a subset of {0..r-1} stored as an int bitmask; bit k corresponds to
 generator k, so the canonical face order (characteristic vector read with the
 first generator least significant) is plain integer order.
+
+Multidegrees are int bitmasks too, in a rank-compressed polarization.  For
+each variable, take the distinct nonzero exponents v_1 < ... < v_m it has
+among the generators; the variable owns m bits, and the t-th is set when
+the exponent is at least v_t.  Every lcm degree is the lcm of some
+generators, so its exponents are among those values, and the encoding is
+exact on the lcm lattice: lcm is `|`, "a divides b" is `a & ~b == 0`, and
+equal degree is `==`.  It needs at most r bits per variable, however large
+the exponents.  Plain polarization would spend one bit per unit of
+exponent, 2**31 bits for `x^(2**31 - 1)`.  The exponent vectors appear only
+at the output boundary, decoded through a memo sized by the lattice.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import bisect_right
+from typing import Callable, Iterable
 
 from .monomials import Monomial, MonomialIdeal, lcm, one
 
@@ -89,46 +101,71 @@ def facets(mask: int) -> list[tuple[int, int]]:
 
 
 class TaylorComplex:
-    """Multidegree cache over all 2^r faces of the full simplex.
+    """The degree table over all 2^r faces of the full simplex.
 
-    Degrees are stored fully precomputed for r <= PRECOMPUTE_CAP and memoized
-    lazily above that.  Read-only after construction.
+    `degree(mask)` is a face's lcm degree as an int bitmask, in the
+    rank-compressed encoding of the module docstring, and `gen_degrees[j]`
+    is the degree of generator j.  `decode`, `exponents(mask)` and
+    `multidegree(mask)` give exponent vectors.  Degrees are fully
+    precomputed for r <= precompute_cap and memoized lazily above that.
+    Read-only after construction, apart from the memos.
     """
 
     def __init__(self, I: MonomialIdeal, precompute_cap: int = PRECOMPUTE_CAP):
         self.ideal = I
         self.r = I.r
-        self._gen_exps = [g.exponents for g in I.generators]
-        self._nvars = I.nvars
+        # values[k]: the distinct nonzero k-th exponents of the generators,
+        # ascending; variable k owns one bit per value, from offsets[k] up.
+        values = [
+            sorted({g.exponents[k] for g in I.generators} - {0})
+            for k in range(I.nvars)
+        ]
+        offsets = [0]
+        for vals in values:
+            offsets.append(offsets[-1] + len(vals))
+        self._segments = [
+            (off, (1 << len(vals)) - 1, (0, *vals))
+            for off, vals in zip(offsets, values)
+        ]
+        self.gen_degrees = [
+            sum(
+                ((1 << bisect_right(vals, e)) - 1) << off
+                for e, vals, off in zip(g.exponents, values, offsets)
+            )
+            for g in I.generators
+        ]
+        self._decoded: dict[int, tuple[int, ...]] = {}
         if I.r <= precompute_cap:
-            self._degrees: list[tuple[int, ...]] | None = self._precompute()
-            self._cache: dict[int, tuple[int, ...]] = {}
+            table = [0]
+            for g in self.gen_degrees:
+                table += [d | g for d in table]
+            self.degree: Callable[[int], int] = table.__getitem__
         else:
-            self._degrees = None
-            self._cache = {0: (0,) * self._nvars}
+            self._cache = {0: 0}
+            self.degree = self._lazy_degree
 
-    def _precompute(self) -> list[tuple[int, ...]]:
-        n = self._nvars
-        degs = [(0,) * n] * (1 << self.r)
-        for mask in range(1, 1 << self.r):
-            low = mask & (mask - 1)
-            i = (mask & -mask).bit_length() - 1
-            prev = degs[low]
-            gen = self._gen_exps[i]
-            degs[mask] = tuple(max(a, b) for a, b in zip(prev, gen))
-        return degs
-
-    def exponents(self, mask: int) -> tuple[int, ...]:
-        if self._degrees is not None:
-            return self._degrees[mask]
+    def _lazy_degree(self, mask: int) -> int:
         hit = self._cache.get(mask)
         if hit is None:
             low = mask & (mask - 1)
             i = (mask & -mask).bit_length() - 1
-            prev = self.exponents(low)
-            hit = tuple(max(a, b) for a, b in zip(prev, self._gen_exps[i]))
+            hit = self._lazy_degree(low) | self.gen_degrees[i]
             self._cache[mask] = hit
         return hit
+
+    def decode(self, deg: int) -> tuple[int, ...]:
+        """The exponent vector of a degree bitmask."""
+        hit = self._decoded.get(deg)
+        if hit is None:
+            hit = tuple(
+                vals[((deg >> off) & seg).bit_count()]
+                for off, seg, vals in self._segments
+            )
+            self._decoded[deg] = hit
+        return hit
+
+    def exponents(self, mask: int) -> tuple[int, ...]:
+        return self.decode(self.degree(mask))
 
     def multidegree(self, mask: int) -> Monomial:
         return Monomial(self.exponents(mask))

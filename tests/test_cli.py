@@ -222,6 +222,29 @@ class TestCommands:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "true-betti --ideal path:3 --trace",
+            "true-betti --ideal path:3 --dump-complex",
+            "betti --ideal path:3 --char 7",
+            "compare --ideal path:3 --dump-complex",
+            "compare --ideal path:3 --trace",
+            "compare --ideal path:3 --format json",
+            "split --ideal path:3 --at 1 --char 3",
+            "split --ideal path:3 --at 1 --trace",
+            "check exact --ideal path:3 --format json",
+        ],
+    )
+    def test_unread_flag_rejected(self, capsys, line):
+        # a flag the subcommand would ignore is refused like an unknown one
+        argv = line.split()
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "betti", "--ideal", "ring x; gens x*q")
         assert code == 1

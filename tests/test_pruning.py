@@ -1,10 +1,11 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
-from prunres.betti import betti_of_complex
+from prunres import betti, morse, pruning
+from prunres.betti import betti_of_complex, tor_betti
 from prunres.ideals import (
     cycle_ideal,
     pad_with_redundant,
@@ -13,7 +14,7 @@ from prunres.ideals import (
     random_corpus,
 )
 from prunres.monomials import MonomialIdeal
-from prunres.morse import critical_complex
+from prunres.morse import critical_complex, morse_differential
 from prunres.pruning import (
     Matching,
     empty_matching,
@@ -28,7 +29,8 @@ from prunres.pruning import (
     verify_matching,
     render_trace,
 )
-from prunres.taylor import TaylorComplex
+from prunres.taylor import PRECOMPUTE_CAP, TaylorComplex
+from test_taylor import TupleTaylorComplex
 
 
 def vec(mask, r):
@@ -329,3 +331,89 @@ def test_trace_rendering(path5):
 def test_empty_matching_is_taylor(path5):
     m = empty_matching(path5)
     assert m.survivors() == frozenset(range(16))
+
+
+def _tuple_lyubeznik(I):
+    # prune_lyubeznik as it read on the tuple table
+    tc = TupleTaylorComplex(I)
+    gens = [g.exponents for g in I.generators]
+
+    def eligible(sigma, j):
+        high = sigma & ~((1 << (j + 1)) - 1)
+        tail = tc.exponents(high)
+        return all(a <= b for a, b in zip(gens[j], tail))
+
+    return prune_with(I, eligible, kind="lyubeznik")
+
+
+class PolarizedTupleTable(TupleTaylorComplex):
+    """The tuple table with degree bitmasks in plain polarization, one bit
+    per unit of exponent read off its tuples: an encoding independent of
+    the rank-compressed one, for the code that reads `degree` and `decode`."""
+
+    def __init__(self, I, precompute_cap=PRECOMPUTE_CAP):
+        super().__init__(I, precompute_cap)
+        widths = [
+            max((g[k] for g in self._gen_exps), default=0) for k in range(I.nvars)
+        ]
+        self._offsets = list(accumulate([0] + widths[:-1]))
+        self._tuples = {}
+
+    def degree(self, mask):
+        exps = self.exponents(mask)
+        deg = sum(((1 << e) - 1) << off for e, off in zip(exps, self._offsets))
+        self._tuples[deg] = exps
+        return deg
+
+    def decode(self, deg):
+        return self._tuples[deg]
+
+
+class TestAgainstTupleTable:
+    """Same matchings, complexes and Betti tables as on the tuple table.
+
+    The five sweeps run as they did on the tuple table: pruning's own code
+    with the degree test on exponent tuples, and the Lyubeznik eligibility
+    test as it read then.  The Morse complexes and Tor tables run on the
+    tuple table's degrees in plain polarization."""
+
+    @staticmethod
+    def _sweeps(I, lyubeznik):
+        out = [prune_taylor(I), prune_simplicial(I), lyubeznik(I), nu_prune(I)]
+        for s in range(1, I.r):
+            J = MonomialIdeal(I.variables, I.generators[:s])
+            K = MonomialIdeal(I.variables, I.generators[s:])
+            if J.r * K.r <= 10:
+                out.append(partial_prune_intersection(J, K))
+        return out
+
+    @staticmethod
+    def _resolutions(I, matchings):
+        complexes = [morse_differential(I, m) for m in matchings[:3]]
+        return complexes, tor_betti(I)
+
+    def _check(self, I, monkeypatch):
+        matchings = self._sweeps(I, prune_lyubeznik)
+        got = self._resolutions(I, matchings)
+        with monkeypatch.context() as mp:
+            mp.setattr(pruning, "TaylorComplex", TupleTaylorComplex)
+            mp.setattr(
+                pruning,
+                "_same_degree",
+                lambda tc: lambda s, t: tc.exponents(s) == tc.exponents(t),
+            )
+            ref = self._sweeps(I, _tuple_lyubeznik)
+            for mod in (pruning, morse, betti):
+                mp.setattr(mod, "TaylorComplex", PolarizedTupleTable)
+            want = self._resolutions(I, ref)
+        assert [m.edges for m in matchings] == [m.edges for m in ref]
+        assert [m.trace for m in matchings] == [m.trace for m in ref]
+        assert got == want
+
+    def test_corpus200(self, corpus200, monkeypatch):
+        for I in corpus200:
+            self._check(I, monkeypatch)
+
+    def test_builtins(self, builtins, monkeypatch):
+        for I in builtins.values():
+            self._check(I, monkeypatch)

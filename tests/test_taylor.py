@@ -1,12 +1,14 @@
 from math import comb
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunres.ideals import path_ideal
-from prunres.monomials import divides, ideal, monomial_str
+from prunres.ideals import cycle_ideal, path_ideal
+from prunres.monomials import Monomial, MonomialIdeal, divides, ideal, monomial_str
 from prunres.taylor import (
+    PRECOMPUTE_CAP,
     FaceError,
     IncidenceError,
     TaylorComplex,
@@ -16,6 +18,64 @@ from prunres.taylor import (
     incidence,
     mask_of,
 )
+
+
+# The degree table as it was before degrees became bitmasks: exponent tuples
+# built by max over zip.  Kept verbatim (only renamed) as the reference for
+# the bitmask table here and for the sweeps, complexes and tables in
+# test_pruning.py.
+class TupleTaylorComplex:
+    """Multidegree cache over all 2^r faces of the full simplex.
+
+    Degrees are stored fully precomputed for r <= PRECOMPUTE_CAP and memoized
+    lazily above that.  Read-only after construction.
+    """
+
+    def __init__(self, I: MonomialIdeal, precompute_cap: int = PRECOMPUTE_CAP):
+        self.ideal = I
+        self.r = I.r
+        self._gen_exps = [g.exponents for g in I.generators]
+        self._nvars = I.nvars
+        if I.r <= precompute_cap:
+            self._degrees: list[tuple[int, ...]] | None = self._precompute()
+            self._cache: dict[int, tuple[int, ...]] = {}
+        else:
+            self._degrees = None
+            self._cache = {0: (0,) * self._nvars}
+
+    def _precompute(self) -> list[tuple[int, ...]]:
+        n = self._nvars
+        degs = [(0,) * n] * (1 << self.r)
+        for mask in range(1, 1 << self.r):
+            low = mask & (mask - 1)
+            i = (mask & -mask).bit_length() - 1
+            prev = degs[low]
+            gen = self._gen_exps[i]
+            degs[mask] = tuple(max(a, b) for a, b in zip(prev, gen))
+        return degs
+
+    def exponents(self, mask: int) -> tuple[int, ...]:
+        if self._degrees is not None:
+            return self._degrees[mask]
+        hit = self._cache.get(mask)
+        if hit is None:
+            low = mask & (mask - 1)
+            i = (mask & -mask).bit_length() - 1
+            prev = self.exponents(low)
+            hit = tuple(max(a, b) for a, b in zip(prev, self._gen_exps[i]))
+            self._cache[mask] = hit
+        return hit
+
+    def multidegree(self, mask: int) -> Monomial:
+        return Monomial(self.exponents(mask))
+
+    def total_degree(self, mask: int) -> int:
+        return sum(self.exponents(mask))
+
+    def faces(self) -> range:
+        return range(1 << self.r)
+
+
 
 
 def test_face_multidegree_path5(path5):
@@ -117,3 +177,79 @@ def test_lazy_and_precomputed_agree(rows):
 def test_mask_of_roundtrip():
     assert mask_of({0, 2, 5}) == 0b100101
     assert mask_of(37) == 37
+
+
+def _assert_same_table(I):
+    # same exponents for every face, eager and lazy; and lcm, divisibility
+    # and equality of the bitmask degrees agree with the exponent tuples
+    ref = TupleTaylorComplex(I)
+    for tc in (TaylorComplex(I), TaylorComplex(I, precompute_cap=0)):
+        for mask in tc.faces():
+            assert tc.exponents(mask) == ref.exponents(mask)
+            assert tc.decode(tc.degree(mask)) == ref.exponents(mask)
+            assert tc.multidegree(mask) == ref.multidegree(mask)
+            assert tc.total_degree(mask) == ref.total_degree(mask)
+
+
+wide_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.sampled_from([0, 0, 1, 2, 3, 7, 2**31 - 1]), min_size=n, max_size=n
+        ).map(tuple).filter(any),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_rows)
+def test_same_table_as_tuple_table(rows):
+    I = ideal([f"x{k}" for k in range(len(rows[0]))], rows)
+    _assert_same_table(I)
+    ref, tc = TupleTaylorComplex(I), TaylorComplex(I)
+    faces = list(tc.faces())
+    for a in faces:
+        da, ta = tc.degree(a), ref.exponents(a)
+        for b in faces:
+            db, tb = tc.degree(b), ref.exponents(b)
+            assert (da | db == tc.degree(a | b)) and tc.decode(da | db) == tuple(
+                map(max, ta, tb)
+            )
+            assert (da & ~db == 0) == all(x <= y for x, y in zip(ta, tb))
+            assert (da == db) == (ta == tb)
+
+
+def test_same_table_as_tuple_table_corpus(corpus200, builtins):
+    for I in list(corpus200) + list(builtins.values()):
+        _assert_same_table(I)
+
+
+def test_lazy_table_above_the_cap():
+    I = cycle_ideal(PRECOMPUTE_CAP + 1)
+    tc, ref = TaylorComplex(I), TupleTaylorComplex(I)
+    for mask in (0, 1, 0b101, (1 << I.r) - 1, 0xAAAAA, 1 << I.r - 1):
+        assert tc.exponents(mask) == ref.exponents(mask)
+
+
+def test_exponents_near_max():
+    # two bits per variable however large the exponents: plain polarization
+    # would need 2**31 - 1 bits for x^(2**31 - 1)
+    big = 2**31 - 1
+    I = MonomialIdeal(
+        ("x", "y", "z"),
+        (
+            Monomial((big, 0, 1)),
+            Monomial((big - 1, big, 0)),
+            Monomial((0, big - 1, big)),
+            Monomial((1, 1, 1)),
+        ),
+    )
+    t0 = perf_counter()
+    tc = TaylorComplex(I)
+    full = tc.degree((1 << I.r) - 1)
+    assert perf_counter() - t0 < 0.1
+    # x: {1, 2**31 - 2, 2**31 - 1}; y: {1, 2**31 - 2, 2**31 - 1}; z: {1, 2**31 - 1}
+    assert full == (1 << 8) - 1
+    assert tc.exponents((1 << I.r) - 1) == (big, big, big)
+    _assert_same_table(I)
