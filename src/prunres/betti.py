@@ -182,21 +182,30 @@ def hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
 
 
 def render_betti(T: BettiTable) -> str:
-    """Macaulay2-style diagram: header, total row, rows of beta_{i,i+j}."""
+    """Macaulay2-style diagram: header, total row, rows of beta_{i,i+j}.
+
+    Only rows holding an entry are built: a single empty row between them
+    prints as dots, a run of two or more as one `...` line, so the size of
+    the diagram follows its entries, not the largest j - i.
+    """
     graded = {k: v for k, v in T.graded().items() if v}
     ncols = max((i for i, _ in graded), default=0) + 1
-    nrows = max((j - i for i, j in graded), default=0) + 1
     totals = [0] * ncols
-    grid = [["."] * ncols for _ in range(nrows)]
+    grid: dict[int, list[str]] = {}
     for (i, j), c in graded.items():
-        if c:
-            grid[j - i][i] = str(c)
-            totals[i] += c
+        grid.setdefault(j - i, ["."] * ncols)[i] = str(c)
+        totals[i] += c
 
     header = [""] + [str(i) for i in range(ncols)]
     rows = [header, ["total:"] + [str(t) for t in totals]]
-    for rix in range(nrows):
-        rows.append([f"{rix}:"] + grid[rix])
+    nxt = min(0, min(grid, default=0))
+    for rix in sorted(grid) or [0]:
+        if rix - nxt == 1:
+            rows.append([f"{nxt}:"] + ["."] * ncols)
+        elif rix - nxt > 1:
+            rows.append(["..."] + [""] * ncols)
+        rows.append([f"{rix}:"] + grid.get(rix, ["."] * ncols))
+        nxt = rix + 1
     widths = [max(len(row[c]) for row in rows) for c in range(ncols + 1)]
     lines = []
     for row in rows:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, sub
+from itertools import chain
+from operator import itemgetter, mul, sub
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
@@ -207,23 +208,75 @@ def check_d_squared(C: ChainComplex) -> bool:
 
 def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
     """d_{i-1} d_i = 0 for every i, with coefficients read mod char (char 0:
-    over the integers)."""
+    over the integers).
+
+    A product term of d_{i-1} d_i is keyed by its row and the sum of its two
+    exponent vectors.  Both go into one int, so each term costs one int
+    addition and one dict update.  Once per call, every distinct exponent
+    vector e is packed with a fixed field of `width` bits per variable:
+
+        pack(e) = sum((e[k] + bound) << (low + k * width))
+
+    where `bound` is the largest absolute exponent among all entries.  A
+    field holds e[k] + bound in [0, 2 * bound], so in the sum of two packed
+    vectors it holds e1[k] + e2[k] + 2 * bound in [0, 4 * bound].  `width`
+    is the bit length of 4 * bound, so that stays below 2**width and never
+    carries into the next field: the fields of a sum read back the exact
+    exponent sums, and packing is injective on sums of two vectors.  The low
+    `low` bits hold the row of a term of the lower differential, less the
+    smallest row, added once per entry, so a product key is
+    pack(e1) + (pack(e2) + row).  Two terms share a key exactly when they
+    share row and exponent sum, for any entries, homogeneous or not.
+
+    Raises ValueError naming (i, row, col) for an entry of d_i whose
+    exponent vector does not have one exponent per variable.
+    """
     if C.diffs is None:
         raise ValueError("differentials not set")
-    # by_col[col]: the entries (row, coeff, exps) of one differential's column
-    lo_by_col: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-    for i in range(1, C.length):
-        by_col: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-        for (row, col), (coeff, exps) in C.diff(i).items():
-            by_col.setdefault(col, []).append((row, coeff, exps))
-        for terms in by_col.values():
-            acc: dict[tuple[int, tuple[int, ...]], int] = {}
-            for mid, c1, e1 in terms:
-                for row, c2, e2 in lo_by_col.get(mid, ()):
-                    key = (row, tuple(map(add, e1, e2)))
-                    acc[key] = acc.get(key, 0) + c1 * c2
-            if any(v % char if char else v for v in acc.values()):
-                return False
+    diffs = C.diffs[: max(C.length - 1, 0)]
+    n = len(C.variables)
+    vectors = {exps for d in diffs for _, exps in d.values()}
+    if {*map(len, vectors)} - {n}:
+        for i, d in enumerate(diffs, 1):
+            for (row, col), (_, exps) in d.items():
+                if len(exps) != n:
+                    raise ValueError(
+                        f"entry (i, row, col) = {(i, row, col)} of d_{i} has "
+                        f"{len(exps)} exponents for {n} variables"
+                    )
+    if len(diffs) < 2:
+        return True
+    bound = max(map(abs, chain.from_iterable(vectors)), default=0)
+    width = (4 * bound).bit_length()
+    # rows of the lower differentials, the first of each (row, col) key
+    rmin = min(map(itemgetter(0), chain.from_iterable(diffs[:-1])), default=0)
+    rmax = max(map(itemgetter(0), chain.from_iterable(diffs[:-1])), default=0)
+    low = (rmax - rmin).bit_length()
+    weights = [1 << (low + k * width) for k in range(n)]
+    offset = bound * sum(weights)
+    packed = {e: sum(map(mul, e, weights)) + offset for e in vectors}
+
+    # by_col[col]: (row, coeff, pack, pack + row) for the entries of one
+    # column; d_i reads the first three, and d_{i-1} the last two
+    lo_by_col: dict[int, list[tuple[int, int, int, int]]] = {}
+    for d in diffs:
+        by_col: dict[int, list[tuple[int, int, int, int]]] = {}
+        for (row, col), (coeff, exps) in d.items():
+            p = packed[exps]
+            by_col.setdefault(col, []).append((row, coeff, p, p + row - rmin))
+        if lo_by_col:
+            for terms in by_col.values():
+                acc: dict[int, int] = {}
+                get = acc.get
+                for mid, c1, p1, _ in terms:
+                    for _, c2, _, q2 in lo_by_col.get(mid, ()):
+                        key = p1 + q2
+                        acc[key] = get(key, 0) + c1 * c2
+                if char:
+                    if any(v % char for v in acc.values()):
+                        return False
+                elif any(acc.values()):
+                    return False
         lo_by_col = by_col
     return True
 

@@ -39,12 +39,6 @@ def split_parts(I: MonomialIdeal, s: int) -> tuple[MonomialIdeal, MonomialIdeal]
     return J, K
 
 
-def intersection_ideal(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
-    """Pairwise-lcm generating set of the intersection, grid order, possibly
-    non-minimal; downstream pruning tolerates redundancy."""
-    return intersection_generators(J, K)
-
-
 def _pruned_table(I: MonomialIdeal) -> BettiTable:
     return betti_of_complex(critical_complex(I, prune_taylor(I), validate=False))
 
@@ -86,7 +80,7 @@ def check_pruned_splitting(I: MonomialIdeal, s: int) -> SplitReport:
     grid_matches_minimal = None
     if ok:
         J, K = split_parts(I, s)
-        JK = intersection_ideal(J, K)
+        JK = intersection_generators(J, K)
         t_i = _pruned_table(I)
         t_j = _pruned_table(J)
         t_k = _pruned_table(K)

@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from prunres.betti import (
@@ -37,6 +43,31 @@ total: 1 10 27 27 9
 2:     . 10 15 18 9
 3:     .  . 12  9 .
 """
+
+# beta_{i,j} of an ideal whose degree shifts j - i reach 2**31 + 4: only the
+# rows with entries are printed, runs of empty rows as one "..." line
+HUGE_SHIFTS_IDEAL = (
+    "ring x y z; gens x^2147483647*y, y^2147483646*z, x*z^5, x^3*y^3"
+)
+HUGE_SHIFTS_DIAGRAM = """
+            0 1 2 3
+     total: 1 4 5 2
+         0: 1 . . .
+        ...
+         5: . 2 . .
+        ...
+         9: . . 1 .
+        ...
+2147483646: . 1 . .
+2147483647: . 1 . .
+2147483648: . . 2 .
+2147483649: . . . .
+2147483650: . . 1 .
+2147483651: . . 1 1
+2147483652: . . . 1
+"""
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def normalized(text):
@@ -138,6 +169,29 @@ class TestRender:
         I = MonomialIdeal(("x",), ())
         T = betti_of_complex(critical_complex(I, empty_matching(I)))
         assert normalized(render_betti(T)) == ["0", "total:", "1", "0:", "1"]
+
+    def test_huge_degree_shifts_under_memory_limit(self):
+        # One row per degree shift would be 2**31 rows; the child process
+        # gets 1 GiB of address space, far below that
+        limit = 1 << 30
+        code = (
+            "from prunres.betti import render_betti, tor_betti\n"
+            "from prunres.ideals import parse_ideal\n"
+            f"print(render_betti(tor_betti(parse_ideal({HUGE_SHIFTS_IDEAL!r}))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert normalized(proc.stdout) == normalized(HUGE_SHIFTS_DIAGRAM)
 
     def test_json_dict(self, path5):
         T = betti_of_complex(critical_complex(path5, prune_taylor(path5)))

@@ -1,14 +1,16 @@
 import time
+from operator import add
 
 import pytest
 
 from prunres import linalg
 from prunres.betti import betti_of_complex, tor_betti
-from prunres.ideals import parse_ideal
+from prunres.ideals import cycle_ideal, parse_ideal
 from prunres.monomials import MAX_EXPONENT
 
 from prunres.morse import (
     ChainComplex,
+    _d_squared_vanishes,
     InvalidMatchingError,
     check_d_squared,
     check_exactness,
@@ -128,6 +130,34 @@ class TestDSquared:
         diffs[1][(row, col)] = (-coeff, exps)
         broken = ChainComplex(C.variables, C.cells, C.degrees, tuple(diffs))
         assert not check_d_squared(broken)
+
+    @staticmethod
+    def _two_variable(d2_exps):
+        # F0 <- F1 (two cells) <- F2 (one cell) over x, y; the two terms of
+        # d1 d2 cancel exactly when d2's vectors are cut to their length
+        return ChainComplex(
+            ("x", "y"),
+            ((0,), (1, 2), (3,)),
+            (((0, 0),), ((0, 1), (0, 2)), ((1, 2),)),
+            (
+                {(0, 0): (1, (0, 1)), (0, 1): (1, (0, 2))},
+                {(0, 0): (1, d2_exps), (1, 0): (-1, d2_exps)},
+            ),
+        )
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 0)])
+    def test_exponent_vector_of_wrong_length_rejected(self, exps):
+        C = self._two_variable(exps)
+        with pytest.raises(ValueError, match=r"\(2, 0, 0\)"):
+            check_d_squared(C)
+        with pytest.raises(ValueError, match=r"\(2, 0, 0\)"):
+            check_exactness(parse_ideal("ring x y; gens y, y^2"), C, 2)
+        # a single differential has no products, and is checked all the same
+        d1 = ChainComplex(
+            C.variables, C.cells[:2], C.degrees[:2], ({(0, 1): (1, exps)},)
+        )
+        with pytest.raises(ValueError, match=r"\(1, 0, 1\)"):
+            check_d_squared(d1)
 
 
 class TestExactness:
@@ -328,6 +358,202 @@ class TestExactnessAgainstStrandLoop:
                         self._same(monkeypatch, I, B, char)
                         compared += 1
         assert compared > 100
+
+
+def _tuple_key_d_squared(C: ChainComplex, char: int) -> bool:
+    """morse._d_squared_vanishes as it was with exponent-tuple keys
+    (verbatim), the reference for the packed-key version."""
+    if C.diffs is None:
+        raise ValueError("differentials not set")
+    # by_col[col]: the entries (row, coeff, exps) of one differential's column
+    lo_by_col: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+    for i in range(1, C.length):
+        by_col: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+        for (row, col), (coeff, exps) in C.diff(i).items():
+            by_col.setdefault(col, []).append((row, coeff, exps))
+        for terms in by_col.values():
+            acc: dict[tuple[int, tuple[int, ...]], int] = {}
+            for mid, c1, e1 in terms:
+                for row, c2, e2 in lo_by_col.get(mid, ()):
+                    key = (row, tuple(map(add, e1, e2)))
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            if any(v % char if char else v for v in acc.values()):
+                return False
+        lo_by_col = by_col
+    return True
+
+
+def _with_entry(C, i, key, exps):
+    """C with the monomial of entry `key` of d_i replaced by `exps`."""
+    diffs = [dict(d) for d in C.diffs]
+    diffs[i - 1][key] = (diffs[i - 1][key][0], tuple(exps))
+    return _with_diffs(C, diffs)
+
+
+def _monomial_corruptions(C):
+    """(name, complex): for each differential, one exponent of one entry
+    raised, the monomials of two entries in one column swapped, and one
+    exponent made negative.  Coefficients stay as they are."""
+    for i in range(1, C.length):
+        key = min(C.diff(i))
+        coeff, exps = C.diff(i)[key]
+        k = max(range(len(exps)), key=lambda v: exps[v])
+        raised = list(exps)
+        raised[k] += 1
+        yield f"raise x{k} of d{i}{key}", _with_entry(C, i, key, raised)
+        negative = list(exps)
+        negative[k] = -negative[k] - 1
+        yield f"negate x{k} of d{i}{key}", _with_entry(C, i, key, negative)
+        by_col = {}
+        for row, col in sorted(C.diff(i)):
+            by_col.setdefault(col, []).append((row, col))
+        pair = next((keys[:2] for keys in by_col.values() if len(keys) > 1), None)
+        if pair is not None:
+            a, b = pair
+            diffs = [dict(d) for d in C.diffs]
+            (ca, ea), (cb, eb) = diffs[i - 1][a], diffs[i - 1][b]
+            diffs[i - 1][a], diffs[i - 1][b] = (ca, eb), (cb, ea)
+            yield f"swap monomials of d{i}{a} and d{i}{b}", _with_diffs(C, diffs)
+
+
+def _row_corruptions(C):
+    """(name, complex): for each differential below the top one, its first
+    entry moved to the next row (a row index may fall outside its level),
+    once as it is and once with its first exponent lowered by one, which
+    in a packed key sits right above the row."""
+    for i in range(1, C.length - 1):
+        d = C.diff(i)
+        key = next(((r, c) for r, c in sorted(d) if (r + 1, c) not in d), None)
+        if key is None:
+            continue
+        row, col = key
+        coeff, exps = d[key]
+        for name, moved in (
+            ("", exps),
+            (", first exponent lowered", (exps[0] - 1, *exps[1:])),
+        ):
+            diffs = [dict(d) for d in C.diffs]
+            del diffs[i - 1][key]
+            diffs[i - 1][(row + 1, col)] = (coeff, moved)
+            yield f"move d{i}{key} to row {row + 1}{name}", _with_diffs(C, diffs)
+
+
+def _top_variable_corruptions(C):
+    """(name, complex): for each differential, the exponent of the last
+    variable, the highest field of a packed key, of one entry moved up,
+    down, below zero and to either end of the parser's range."""
+    for i in range(1, C.length):
+        key = min(C.diff(i))
+        exps = C.diff(i)[key][1]
+        top = exps[-1]
+        for value in (top + 1, top - 1, -top - 1, MAX_EXPONENT, -MAX_EXPONENT):
+            yield (
+                f"top exponent {value} in d{i}{key}",
+                _with_entry(C, i, key, (*exps[:-1], value)),
+            )
+
+
+def _carry_pair(nvars, k, bound):
+    """F0 <- F1 (two cells) <- F2 (one cell) whose two terms of d1 d2 differ
+    by +2**(width - 1) in variable k and by -1 in variable k + 1, with
+    width the bit length of 4 * bound and every exponent in [-bound, bound].
+    The exponent sums are distinct, so d*d != 0; a field one bit narrower
+    would carry that difference into the next field and cancel it."""
+    width = (4 * bound).bit_length()
+    upper = [0] * nvars
+    lower = [0] * nvars
+    upper[k] = lower[k] = bound
+    low_sum = 2 * bound - 2 ** (width - 1)
+    b_upper = [0] * nvars
+    b_lower = [0] * nvars
+    b_upper[k] = low_sum // 2
+    b_lower[k] = low_sum - low_sum // 2
+    b_upper[k + 1] = 1
+    variables = tuple(f"x{v}" for v in range(nvars))
+    zero = (0,) * nvars
+    return ChainComplex(
+        variables,
+        ((0,), (1, 2), (3,)),
+        ((zero,), (zero, zero), (zero,)),
+        (
+            {(0, 0): (1, tuple(lower)), (0, 1): (1, tuple(b_lower))},
+            {(0, 0): (1, tuple(upper)), (1, 0): (-1, tuple(b_upper))},
+        ),
+    )
+
+
+class TestDSquaredAgainstTupleKeys:
+    """check_d_squared on packed integer keys against the tuple-key loop it
+    replaced: the same verdict at chars 0, 2, 3 and 5."""
+
+    METHODS = (prune_taylor, prune_simplicial, prune_lyubeznik)
+    CHARS = (0, 2, 3, 5)
+
+    def _same(self, C, name=""):
+        """The reference verdict at char 0, once both agree at every char."""
+        expected = [_tuple_key_d_squared(C, char) for char in self.CHARS]
+        got = [_d_squared_vanishes(C, char) for char in self.CHARS]
+        assert got == expected, name
+        return expected[0]
+
+    def _all(self, C):
+        """C and its corruptions: the entry, monomial-only and row ones;
+        returns how many of them the reference judges d*d != 0 at char 0."""
+        assert self._same(C)
+        caught = 0
+        for name, B, _ in _corruptions(C):
+            caught += not self._same(B, name)
+        for name, B in (*_monomial_corruptions(C), *_row_corruptions(C)):
+            caught += not self._same(B, name)
+        return caught
+
+    def test_corpus200(self, corpus200):
+        caught = 0
+        for I in corpus200:
+            for method in self.METHODS:
+                caught += self._all(morse_differential(I, method(I), validate=False))
+        assert caught > 5000
+
+    # The reference re-runs every level below a corrupted one, so the
+    # corruptions of example-4-1 (r = 11) and cycle:10..12 would take about
+    # 100 s; those complexes are compared as they are.
+    LARGE = ("example-4-1",)
+
+    def test_builtins(self, builtins):
+        for name, I in builtins.items():
+            for method in self.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                if name in self.LARGE:
+                    assert self._same(C), name
+                else:
+                    assert self._all(C), name
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycles(self, n):
+        I = cycle_ideal(n)
+        for method in self.METHODS:
+            C = morse_differential(I, method(I), validate=False)
+            assert self._same(C) if n >= 10 else self._all(C)
+
+    def test_exponents_near_max(self):
+        I = parse_ideal(
+            f"ring x y z; gens x^{MAX_EXPONENT - 1}*y, y^{MAX_EXPONENT}*z, z^5*x"
+        )
+        caught = 0
+        for method in (empty_matching, *self.METHODS):
+            C = morse_differential(I, method(I), validate=False)
+            assert max(
+                max(exps) for d in C.diffs for _, exps in d.values()
+            ) == MAX_EXPONENT
+            caught += self._all(C)
+            for name, B in _top_variable_corruptions(C):
+                caught += not self._same(B, name)
+        assert caught > 100
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, MAX_EXPONENT - 1, MAX_EXPONENT])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_no_carry_between_fields(self, k, bound):
+        assert not self._same(_carry_pair(3, k, bound))
 
 
 @pytest.fixture(scope="module")

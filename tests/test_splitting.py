@@ -3,7 +3,7 @@ import pytest
 from prunres.ideals import cycle_ideal, parse_ideal, path_ideal
 from prunres.monomials import MonomialIdeal, minimal_generators, monomial_str
 from prunres.morse import check_minimal, morse_differential
-from prunres.pruning import prune_taylor
+from prunres.pruning import intersection_generators, prune_taylor
 from prunres.splitting import (
     X_J,
     X_K,
@@ -11,7 +11,6 @@ from prunres.splitting import (
     check_last_generator,
     check_pruned_splitting,
     classify_regions,
-    intersection_ideal,
     split_parts,
 )
 
@@ -34,14 +33,14 @@ class TestIntersectionIdeal:
     def test_path_with_last_edge(self):
         J = parse_ideal("ring x1 x2 x3 x4 x5\ngens x1*x2, x2*x3, x3*x4")
         K = parse_ideal("ring x1 x2 x3 x4 x5\ngens x4*x5")
-        JK = intersection_ideal(J, K)
+        JK = intersection_generators(J, K)
         assert JK.generator_strs() == ["x1*x2*x4*x5", "x2*x3*x4*x5", "x3*x4*x5"]
 
     def test_npath_minimal_generators_shape(self):
         for n in (6, 7):
             I = path_ideal(n)
             J, K = split_parts(I, I.r - 1)
-            mg = minimal_generators(intersection_ideal(J, K))
+            mg = minimal_generators(intersection_generators(J, K))
             names = mg.generator_strs()
             expected = [
                 f"x{i}*x{i + 1}*x{n - 1}*x{n}" for i in range(1, n - 3)
@@ -51,13 +50,13 @@ class TestIntersectionIdeal:
     def test_principal_parts(self):
         J = parse_ideal("ring x y\ngens x")
         K = parse_ideal("ring x y\ngens y")
-        assert intersection_ideal(J, K).generator_strs() == ["x*y"]
+        assert intersection_generators(J, K).generator_strs() == ["x*y"]
 
     def test_mismatched_rings_rejected(self):
         J = parse_ideal("ring x\ngens x")
         K = parse_ideal("ring y\ngens y")
         with pytest.raises(ValueError):
-            intersection_ideal(J, K)
+            intersection_generators(J, K)
 
 
 class TestPrunedSplitting:
@@ -91,7 +90,7 @@ class TestPrunedSplitting:
         rep = check_pruned_splitting(path5, 3)
         assert rep.is_pruned_splitting and rep.residuals_zero
         J, K = split_parts(path5, 3)
-        JK = intersection_ideal(J, K)
+        JK = intersection_generators(J, K)
         for part in (path5, J, K, JK):
             C = morse_differential(part, prune_taylor(part), validate=False)
             assert check_minimal(C)
