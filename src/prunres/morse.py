@@ -14,7 +14,7 @@ from operator import itemgetter, mul, sub
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
-from .pruning import Matching, _verify_matching
+from .pruning import Matching, _flow_graph, _topological_order, _verify_matching
 from .taylor import TaylorComplex, facets
 
 
@@ -94,94 +94,69 @@ def morse_differential(
     """Reduced differential via gradient-flow accumulation.
 
     The coefficient of critical sigma' in d(sigma) sums the weights of all
-    gradient paths from the facets of sigma down to sigma'.  Instead of
-    enumerating paths, each dimension's flow graph (cell -> facets of its
-    match partner) is walked once in topological order, pushing coefficient
-    sums; reversed arrows contribute -[partner : cell] and direct arrows the
-    plain incidence sign.  The monomial part of every entry is forced by the
-    degree difference of its endpoints.
+    gradient paths from the facets of sigma down to sigma'.  A gradient path
+    is a V-path: cell -> another facet of the cell's match partner, with
+    weight -[partner : cell] * [partner : facet] (`pruning._flow_graph`).
+    The flow graph is built once, on the matched-lower cells reachable from
+    the facets of critical cells, and sorted topologically; a cycle raises
+    InvalidMatchingError.  Each column then walks only the cells it reaches:
+    an int of pending topological positions within the facet dimension,
+    lowest set bit first, so each cell is popped after all its predecessors
+    have pushed their coefficient sums into it.  The monomial part of every
+    entry is forced by the degree difference of its endpoints, memoized per
+    pair of degrees.
     """
     tc = TaylorComplex(I)
-    deg = tc.degree
+    deg, decode = tc.degree, tc.decode
     base = _critical_complex(tc, matching, validate)
 
-    partner_up: dict[int, int] = {}
     for sigma, j in matching.edges:
-        partner_up[sigma] = sigma | (1 << j)
-    matched_lower = set(partner_up)
+        if sigma >> j & 1:
+            raise InvalidMatchingError(f"edge {(sigma, j)} is not a facet pair")
     critical_index: dict[int, tuple[int, int]] = {}
     for i, level in enumerate(base.cells):
         for col, mask in enumerate(level):
             critical_index[mask] = (i, col)
 
-    # Flow successors within one dimension: cell -> [(next_cell, weight)].
-    def flow_out(cell: int) -> list[tuple[int, int]]:
-        up = partner_up[cell]
-        # -[up : cell], where [up : cell] is -1 when an odd number of
-        # members of up lie below the removed one (taylor.incidence)
-        sign_up = 1 if (up & ((up ^ cell) - 1)).bit_count() % 2 else -1
-        out = []
-        for facet, sign in facets(up):
-            if facet != cell:
-                out.append((facet, sign_up * sign))
-        return out
+    roots = {f for level in base.cells[1:] for mask in level for f, _ in facets(mask)}
+    succ = _flow_graph(matching.edges, roots)
+    order = _topological_order(succ)
+    if order is None:
+        raise InvalidMatchingError("cycle detected in gradient flow")
+    by_dim: dict[int, list[int]] = {}
+    for cell in order:
+        by_dim.setdefault(cell.bit_count(), []).append(cell)
+    pos = {cell: p for cells in by_dim.values() for p, cell in enumerate(cells)}
 
-    # Topological order of matched-lower cells per dimension, shared by all
-    # columns of that dimension.
-    def topo_for_dim(dim_cells: set[int]) -> list[int]:
-        nodes = [c for c in dim_cells if c in matched_lower]
-        node_set = set(nodes)
-        indeg = {c: 0 for c in nodes}
-        succ: dict[int, list[int]] = {c: [] for c in nodes}
-        for c in nodes:
-            for nxt, _ in flow_out(c):
-                if nxt in node_set:
-                    succ[c].append(nxt)
-                    indeg[nxt] += 1
-        order = []
-        stack = [c for c in nodes if indeg[c] == 0]
-        while stack:
-            c = stack.pop()
-            order.append(c)
-            for nxt in succ[c]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    stack.append(nxt)
-        if len(order) != len(nodes):
-            raise InvalidMatchingError("cycle detected in gradient flow")
-        return order
-
+    ratios: dict[int, dict[int, tuple[int, ...]]] = {}
     diffs: list[dict[tuple[int, int], Entry]] = []
     for i in range(1, base.length):
         entries: dict[tuple[int, int], Entry] = {}
-        level_dim_cells: set[int] = set()
-        for mask in base.cells[i]:
-            for facet, _ in facets(mask):
-                level_dim_cells.add(facet)
-        for cell in list(level_dim_cells):
-            if cell in matched_lower:
-                stack = [cell]
-                while stack:
-                    c = stack.pop()
-                    for nxt, _ in flow_out(c):
-                        if nxt not in level_dim_cells:
-                            level_dim_cells.add(nxt)
-                            if nxt in matched_lower:
-                                stack.append(nxt)
-        order = topo_for_dim(level_dim_cells)
-
+        order_i = by_dim.get(i - 1, [])
         for col, sigma in enumerate(base.cells[i]):
             coeffs: dict[int, int] = {}
+            pending = 0
             for facet, sign in facets(sigma):
-                coeffs[facet] = coeffs.get(facet, 0) + sign
-            for c in order:
-                val = coeffs.pop(c, 0)
+                coeffs[facet] = sign
+                p = pos.get(facet)
+                if p is not None:
+                    pending |= 1 << p
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                c = order_i[low.bit_length() - 1]
+                val = coeffs.pop(c)
                 if not val:
                     continue
-                for nxt, w in flow_out(c):
+                for nxt, w in succ[c]:
                     coeffs[nxt] = coeffs.get(nxt, 0) + val * w
+                    p = pos.get(nxt)
+                    if p is not None:
+                        pending |= 1 << p
             sig_deg = deg(sigma)
-            sig_exp = tc.decode(sig_deg)
+            memo = ratios.get(sig_deg)
+            if memo is None:
+                memo = ratios[sig_deg] = {}
             for cell, val in coeffs.items():
                 if not val:
                     continue
@@ -192,9 +167,12 @@ def morse_differential(
                 if h != i - 1:
                     raise InvalidMatchingError("flow escaped its dimension")
                 cell_deg = deg(cell)
-                if cell_deg & ~sig_deg:
-                    raise InvalidMatchingError("non-divisible differential entry")
-                ratio = tuple(map(sub, sig_exp, tc.decode(cell_deg)))
+                ratio = memo.get(cell_deg)
+                if ratio is None:
+                    if cell_deg & ~sig_deg:
+                        raise InvalidMatchingError("non-divisible differential entry")
+                    ratio = tuple(map(sub, decode(sig_deg), decode(cell_deg)))
+                    memo[cell_deg] = ratio
                 entries[(row, col)] = (val, ratio)
         diffs.append(entries)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .monomials import MonomialIdeal, lcm, monomial_str
-from .taylor import TaylorComplex, indices_of
+from .taylor import TaylorComplex, facets, indices_of
 
 
 @dataclass(frozen=True)
@@ -312,26 +312,43 @@ def partial_prune_intersection(J: MonomialIdeal, K: MonomialIdeal) -> Matching:
 
 
 def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingReport:
-    """Check the matching, homogeneity and acyclicity properties directly.
+    """Check that the edges form a homogeneous acyclic matching on the Taylor
+    complex of I.
 
-    Acyclicity is decided by a topological sort of the full face graph with
-    the matched arrows reversed; this also covers degree-shift matchings
-    where the per-multidegree shortcut would not apply.
+    `is_matching`: every edge (sigma, j) joins a face of the complex to the
+    face sigma + e_j, no face lies on two edges, and `matching.r == I.r`.  An
+    edge outside the complex (sigma < 0, sigma >= 2^r or j outside
+    range(r)) makes all three verdicts False before any degree is read.
+
+    `is_homogeneous`: both ends of every edge have the same lcm degree.
+
+    `is_acyclic`: no closed V-path (Forman; Chari).  A V-path runs from a
+    matched-lower face sigma to its partner sigma + e_j and down to another
+    facet of that partner, so the matching is acyclic exactly when the flow
+    graph of `_flow_graph` has a topological order.  The test reads no
+    degrees, so it covers degree-shift and partial matchings alike.
+    Acyclicity is defined for matchings only: when the edges are not
+    vertex-disjoint, `is_acyclic` is False.
+
+    `r` must equal `I.r` (ValueError otherwise); it is read only for that.
     """
     return _verify_matching(TaylorComplex(I), r, matching)
 
 
 def _verify_matching(tc: TaylorComplex, r: int, matching: Matching) -> MatchingReport:
+    if r != tc.r:
+        raise ValueError(f"r = {r} but the ideal has {tc.r} generators")
+    if any(
+        sigma < 0 or sigma >> r or not 0 <= j < r for sigma, j in matching.edges
+    ):
+        return MatchingReport(False, False, False)
+
     seen: set[int] = set()
-    is_matching = True
+    is_matching = matching.r == r
     for sigma, j in matching.edges:
-        if sigma & (1 << j):
-            is_matching = False
-            break
         tau = sigma | (1 << j)
-        if sigma in seen or tau in seen:
+        if sigma == tau or sigma in seen or tau in seen:
             is_matching = False
-            break
         seen.add(sigma)
         seen.add(tau)
 
@@ -339,35 +356,66 @@ def _verify_matching(tc: TaylorComplex, r: int, matching: Matching) -> MatchingR
     is_homogeneous = all(
         deg(sigma) == deg(sigma | (1 << j)) for sigma, j in matching.edges
     )
-
-    reversed_up = {}  # lower cell -> upper cell for matched edges
-    for sigma, j in matching.edges:
-        reversed_up[sigma] = sigma | (1 << j)
-
-    n = 1 << r
-    indeg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for mask in range(1, n):
-        for i in indices_of(mask):
-            sub = mask & ~(1 << i)
-            if reversed_up.get(sub) == mask:
-                adj[sub].append(mask)
-                indeg[mask] += 1
-            else:
-                adj[mask].append(sub)
-                indeg[sub] += 1
-    queue = [m for m in range(n) if indeg[m] == 0]
-    seen_count = 0
-    while queue:
-        node = queue.pop()
-        seen_count += 1
-        for nxt in adj[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    is_acyclic = seen_count == n
-
+    is_acyclic = (
+        is_matching and _topological_order(_flow_graph(matching.edges)) is not None
+    )
     return MatchingReport(is_matching, is_homogeneous, is_acyclic)
+
+
+def _flow_graph(
+    edges: Iterable[tuple[int, int]], roots: Iterable[int] | None = None
+) -> dict[int, list[tuple[int, int]]]:
+    """The gradient-flow graph of matched edges (sigma, j): sigma -> [(f,
+    weight)] for every facet f != sigma of up = sigma + e_j, with weight
+    -[up : sigma] * [up : f], both signs from `facets`.  Its paths are the
+    V-paths of the matching.
+
+    With `roots`, only the matched-lower faces reachable from the roots are
+    nodes; otherwise every matched-lower face is.  No edge may have j in
+    sigma.
+    """
+    partner_up = {sigma: sigma | (1 << j) for sigma, j in edges}
+    succ: dict[int, list[tuple[int, int]]] = {}
+    if roots is None:
+        stack = list(partner_up)
+    else:
+        stack = [c for c in roots if c in partner_up]
+    while stack:
+        cell = stack.pop()
+        if cell in succ:
+            continue
+        arcs = facets(partner_up[cell])
+        if (cell, 1) in arcs:  # [up : sigma] = 1: weights -[up : f]
+            arcs.remove((cell, 1))
+            arcs = [(f, -s) for f, s in arcs]
+        else:  # [up : sigma] = -1: weights [up : f]
+            arcs.remove((cell, -1))
+        succ[cell] = arcs
+        if roots is not None:
+            stack += [f for f, _ in arcs if f in partner_up and f not in succ]
+    return succ
+
+
+def _topological_order(succ: dict[int, list[tuple[int, int]]]) -> list[int] | None:
+    """Kahn's sort of the nodes of a flow graph (arcs to non-nodes are
+    ignored); None when the graph has a cycle."""
+    indeg = dict.fromkeys(succ, 0)
+    for arcs in succ.values():
+        for f, _ in arcs:
+            if f in indeg:
+                indeg[f] += 1
+    stack = [c for c, n in indeg.items() if not n]
+    order = []
+    while stack:
+        cell = stack.pop()
+        order.append(cell)
+        for f, _ in succ[cell]:
+            n = indeg.get(f)
+            if n is not None:
+                indeg[f] = n - 1
+                if n == 1:
+                    stack.append(f)
+    return order if len(order) == len(succ) else None
 
 
 def render_trace(matching: Matching, I: MonomialIdeal) -> list[str]:

@@ -93,10 +93,16 @@ def edge_targets(sigma: int | Iterable[int], r: int) -> list[int]:
 
 
 def facets(mask: int) -> list[tuple[int, int]]:
-    """(facet, sign) pairs for the simplicial boundary of a face."""
+    """(facet, sign) pairs for the simplicial boundary of a face, removing
+    its members in increasing order; the sign is `incidence(mask, facet)`."""
     out = []
-    for pos, i in enumerate(indices_of(mask)):
-        out.append((mask & ~(1 << i), -1 if pos % 2 else 1))
+    sign = 1
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out.append((mask ^ low, sign))
+        rest ^= low
+        sign = -sign
     return out
 
 

@@ -53,6 +53,18 @@ class TestCriticalComplex:
 
 
 class TestMorseDifferential:
+    def test_closed_v_path_rejected(self):
+        I = parse_ideal("ring x\ngens x, x, x")
+        cyclic = Matching(3, ((0b001, 1), (0b010, 2), (0b100, 0)), ())
+        with pytest.raises(InvalidMatchingError):
+            morse_differential(I, cyclic, validate=True)
+
+    def test_edge_inside_its_face_rejected(self):
+        # (sigma, j) with j in sigma pairs a face with itself
+        I = parse_ideal("ring x y\ngens x, y")
+        with pytest.raises(InvalidMatchingError):
+            morse_differential(I, Matching(2, ((1, 0),), ()), validate=False)
+
     def test_empty_matching_is_taylor_boundary(self, path5):
         C = morse_differential(path5, empty_matching(path5))
         tc = TaylorComplex(path5)

@@ -279,12 +279,47 @@ class TestVerifyMatching:
         bad = Matching(2, ((0, 0), (0, 1)), ())
         rep = verify_matching(2, bad, I)
         assert not rep.is_matching
+        # acyclicity is defined for matchings only
+        assert not rep.is_acyclic
 
     def test_inhomogeneous_detected(self):
         I = parse_ideal("ring x y\ngens x, y")
         bad = Matching(2, ((0b01, 1),), ())  # {x} -> {x,y} shifts degree
         rep = verify_matching(2, bad, I)
         assert rep.is_matching and not rep.is_homogeneous
+
+    def test_closed_v_path_is_cyclic(self):
+        # {0} -> {0,1} -> {1} -> {1,2} -> {2} -> {0,2} -> {0}, through
+        # homogeneous edges, since the three generators are equal
+        I = parse_ideal("ring x\ngens x, x, x")
+        cyclic = Matching(3, ((0b001, 1), (0b010, 2), (0b100, 0)), ())
+        rep = verify_matching(3, cyclic, I)
+        assert rep.is_matching and rep.is_homogeneous
+        assert not rep.is_acyclic and not rep.all_ok
+
+    @pytest.mark.parametrize(
+        "edge", [(4, 0), (0, 5), (0, 2), (-1, 0), (-4, 1), (0, -1), (8, 1)]
+    )
+    def test_edge_outside_the_complex(self, edge):
+        I = parse_ideal("ring x y\ngens x, y")
+        bad = Matching(2, (edge,), ())
+        rep = verify_matching(2, bad, I)
+        assert (rep.is_matching, rep.is_homogeneous, rep.is_acyclic) == (False,) * 3
+        with pytest.raises(morse.InvalidMatchingError):
+            critical_complex(I, bad)
+
+    def test_matching_on_another_complex(self):
+        I = parse_ideal("ring x y\ngens x, y")
+        other = Matching(3, (), ())
+        rep = verify_matching(2, other, I)
+        assert not rep.is_matching and not rep.all_ok
+        with pytest.raises(morse.InvalidMatchingError):
+            critical_complex(I, other)
+
+    def test_r_argument_checked(self):
+        I = parse_ideal("ring x y\ngens x, y")
+        with pytest.raises(ValueError):
+            verify_matching(3, empty_matching(I), I)
 
     def test_produced_matchings_all_ok(self, corpus40, builtins):
         for I in list(corpus40) + list(builtins.values()):
