@@ -145,6 +145,15 @@ def cmd_split(args, out) -> int:
     points = [args.at] if args.at is not None else list(range(1, I.r))
     if not points:
         raise ValueError("one generator has no split point; --scan needs two or more")
+    # J cap K is generated by the s * (r - s) pairwise lcms, and its Taylor
+    # complex is built in full, so the cap on the input guards it too
+    for s in points:
+        grid = s * (I.r - s)
+        if grid > GENERATOR_CAP and not args.force:
+            raise ValueError(
+                f"refusing split point s={s}: the intersection grid has {grid}"
+                f" generators (2^{grid} faces); pass --force to override"
+            )
     all_ok = True
     reports = []
     for s in points:

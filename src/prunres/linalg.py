@@ -1,10 +1,19 @@
 """Exact sparse rank computations over Q and over prime fields.
 
-Matrices arrive as lists of sparse rows ({column: value}).  Both kernels
-reduce one row at a time against a dict from column to pivot row, so each
-row costs only its own eliminations.  Over Q the elimination stays in
-integers: rows are combined as pivot*row - entry*pivot_row and re-normalized
-by their gcd, so no floating point or fractions appear.
+Matrices arrive as lists of sparse rows ({column: value}) with non-negative
+integer columns.  Three kernels reduce one row at a time against a dict of
+pivot rows keyed by leading column, largest column first, so each row costs
+only its own eliminations:
+
+- `rank_rational` over Q stays in integers: rows are combined as
+  pivot*row - entry*pivot_row and re-normalized by their gcd, so no floating
+  point or fractions appear;
+- `rank_mod` over F_p keeps dict rows with entries reduced mod p;
+- `rank_f2` over F_2 packs each row into one int, bit c set when the entry
+  at column c is odd, so an elimination step is one XOR and the leading
+  column is the bit length.
+
+`rank(rows, char)` picks the kernel for a characteristic.
 """
 from __future__ import annotations
 
@@ -81,6 +90,29 @@ def rank_mod(rows: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
+def rank_f2(rows: list[dict[int, int]]) -> int:
+    """Rank over F_2, on rows packed into ints.
+
+    A packed row's leading column is its bit length, which keys the pivot
+    dict; XOR with that pivot clears the leading bit and leaves only lower
+    ones, so the leading column only falls, as in the dict kernels.
+    """
+    pivots: dict[int, int] = {}
+    get = pivots.get
+    for src in rows:
+        x = 0
+        for c, v in src.items():
+            x |= (v & 1) << c
+        while x:
+            lead = x.bit_length()
+            p = get(lead)
+            if p is None:
+                pivots[lead] = x
+                break
+            x ^= p
+    return len(pivots)
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -105,4 +137,10 @@ def check_characteristic(char: int) -> int:
 
 
 def rank(rows: list[dict[int, int]], char: int) -> int:
-    return rank_rational(rows) if char == 0 else rank_mod(rows, char)
+    """Rank of the rows over Q (char 0) or F_char: `rank_rational` at char 0,
+    `rank_f2` at char 2 and `rank_mod` at any other prime."""
+    if char == 0:
+        return rank_rational(rows)
+    if char == 2:
+        return rank_f2(rows)
+    return rank_mod(rows, char)

@@ -1,9 +1,17 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from prunres.cli import main
 from prunres.ideals import ParseError, parse_ideal
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -215,6 +223,31 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert "one generator has no split point" in err
+
+    @pytest.mark.parametrize("point", [["--at", "5"], ["--scan"]])
+    def test_split_grid_over_the_cap(self, point):
+        # s = 5 of the 10-cycle builds J cap K from a 25-generator grid, 2^25
+        # faces (s = 4 and 6 give 24, within the cap).  Every requested point
+        # is checked before any work, so the child process needs neither time
+        # nor its 1 GiB of address space, and --scan reports no point first.
+        limit = 1 << 30
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "prunres.cli", "split", *point,
+             "--ideal", "cycle:10"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        assert proc.stdout == ""
+        assert "s=5" in proc.stderr and "25 generators" in proc.stderr
+        assert "--force" in proc.stderr
 
     def test_seed_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,8 @@
 `_rescan_rank_rational` and `_rescan_rank_mod` are verbatim copies of the
 previous `linalg` kernels: at every pivot they rescan all remaining rows for
 the shortest one (over Q, preferring a +-1 entry).  The new kernels must give
-the same rank on every matrix.
+the same rank on every matrix, and the packed F_2 kernel `rank_f2` the same
+rank as `_rescan_rank_mod(rows, 2)`.
 """
 from math import gcd
 
@@ -115,11 +116,20 @@ def _combine(a, r, b, t):
     return out
 
 
+# Columns on both sides of the 64-bit word boundary and past 1,000, so that
+# packed F_2 rows span several machine words.
+wide_rows = st.dictionaries(
+    st.sampled_from([0, 1, 2, 62, 63, 64, 65, 127, 128, 999, 1000, 1001, 4097]),
+    entries,
+    max_size=6,
+)
+
+
 @st.composite
-def matrices(draw):
+def matrices(draw, row_strategy=sparse_rows):
     """Rows with empty rows, duplicate rows and integer combinations of two
     rows mixed in, so that most matrices are rank-deficient."""
-    rows = draw(st.lists(sparse_rows, max_size=8))
+    rows = draw(st.lists(row_strategy, max_size=8))
     if rows:
         k = st.integers(0, len(rows) - 1)
         for _ in range(draw(st.integers(0, 2))):
@@ -138,6 +148,35 @@ def test_same_rank_as_rescan_kernel(rows, char):
     before = [dict(r) for r in rows]
     assert linalg.rank(rows, char) == _rescan_rank(rows, char)
     assert rows == before  # the input is not modified
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(matrices(), matrices(wide_rows)))
+def test_f2_same_rank_as_rescan_kernel(rows):
+    before = [dict(r) for r in rows]
+    assert linalg.rank_f2(rows) == _rescan_rank_mod(rows, 2)
+    assert rows == before  # the input is not modified
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([], 0),
+        ([{}, {}], 0),
+        ([{64: 1}, {63: 1}, {63: 1, 64: 1}], 2),  # across the word boundary
+        ([{0: 1, 64: 1, 1000: 1}, {1000: 1}, {0: 1, 64: 1}], 2),
+        ([{1000: 1, 1001: 1}, {1001: 1, 5000: 1}, {1000: 1, 5000: 1}], 2),
+        ([{0: -1, 3: -3}, {0: 1, 3: 1}], 1),  # odd negative entries are 1
+        ([{0: -1, 3: -3}, {0: 1, 3: 2}], 2),
+        ([{0: 2, 1: -4}, {5: 6}, {}], 0),  # even entries vanish
+        ([{0: 2, 1: 1}, {0: 4, 1: 3}], 1),
+        ([{2: 1, 7: 1}, {2: 1, 7: 1}, {2: 3, 7: -1}], 1),  # duplicates
+    ],
+)
+def test_f2_known_ranks(rows, expected):
+    assert linalg.rank_f2(rows) == expected
+    assert linalg.rank(rows, 2) == expected
+    assert _rescan_rank_mod(rows, 2) == expected
 
 
 @pytest.mark.parametrize(
