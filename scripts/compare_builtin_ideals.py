@@ -43,7 +43,7 @@ def main() -> int:
             mark = " MINIMAL" if table.same_entries(oracle) else ""
             print(f"   {name:<11}{table.totals()}{mark}")
         pruned = morse_differential(I, prune_taylor(I), validate=False)
-        print(f"   pruned differential minimal: {check_minimal(pruned)}")
+        print(f"   pruned differential minimal: {check_minimal(pruned, args.char)}")
         print(render_betti(betti_of_complex(pruned)))
         print()
     return 0

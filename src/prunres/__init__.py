@@ -42,7 +42,6 @@ from .pruning import (
     prune_lyubeznik,
     prune_simplicial,
     prune_taylor,
-    prune_with,
     verify_matching,
 )
 from .splitting import (
@@ -50,7 +49,7 @@ from .splitting import (
     check_pruned_splitting,
     classify_regions,
 )
-from .taylor import TaylorComplex, edge_targets, face_multidegree, incidence
+from .taylor import TaylorComplex
 
 __all__ = [
     "BettiTable",
@@ -71,12 +70,9 @@ __all__ = [
     "cycle_ideal",
     "divides",
     "edge_ideal",
-    "edge_targets",
     "empty_matching",
     "example_4_1_ideal",
-    "face_multidegree",
     "hochster_betti",
-    "incidence",
     "lcm",
     "lyubeznik_direct",
     "minimal_generators",
@@ -89,7 +85,6 @@ __all__ = [
     "prune_lyubeznik",
     "prune_simplicial",
     "prune_taylor",
-    "prune_with",
     "render_betti",
     "rp2_ideal",
     "syntactic_minimality",

@@ -16,8 +16,14 @@ from .monomials import Monomial, MonomialIdeal, monomial_str
 
 GENERATOR_CAP = 24
 
-METHODS = ("taylor", "pruned", "simplicial", "lyubeznik", "nu")
-CHECKABLE_METHODS = ("taylor", "pruned", "simplicial", "lyubeznik")
+SWEEPS = {
+    "taylor": pruning.empty_matching,
+    "pruned": pruning.prune_taylor,
+    "simplicial": pruning.prune_simplicial,
+    "lyubeznik": pruning.prune_lyubeznik,
+    "nu": pruning.nu_prune,
+}
+METHODS = tuple(SWEEPS)
 
 
 def load_ideal(spec: str, force: bool = False) -> MonomialIdeal:
@@ -36,20 +42,6 @@ def load_ideal(spec: str, force: bool = False) -> MonomialIdeal:
     return I
 
 
-def matching_for(I: MonomialIdeal, method: str) -> pruning.Matching:
-    if method == "taylor":
-        return pruning.empty_matching(I)
-    if method == "pruned":
-        return pruning.prune_taylor(I)
-    if method == "simplicial":
-        return pruning.prune_simplicial(I)
-    if method == "lyubeznik":
-        return pruning.prune_lyubeznik(I)
-    if method == "nu":
-        return pruning.nu_prune(I)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _emit_trace(I: MonomialIdeal, matching: pruning.Matching, out) -> None:
     for line in pruning.render_trace(matching, I):
         print(line, file=out)
@@ -62,7 +54,7 @@ def _emit_complex(C: morse.ChainComplex, out) -> None:
 
 def cmd_betti(args, out) -> int:
     I = load_ideal(args.ideal, args.force)
-    matching = matching_for(I, args.method)
+    matching = SWEEPS[args.method](I)
     if args.trace:
         _emit_trace(I, matching, out)
     if args.dump_complex:
@@ -95,7 +87,7 @@ def cmd_true_betti(args, out) -> int:
 
 def cmd_check(args, out) -> int:
     I = load_ideal(args.ideal, args.force)
-    matching = matching_for(I, args.method)
+    matching = SWEEPS[args.method](I)
     if args.trace:
         _emit_trace(I, matching, out)
     if args.what == "matching":
@@ -116,7 +108,7 @@ def cmd_check(args, out) -> int:
         ok = morse.check_exactness(I, C, args.char)
         print(f"exact={ok} char={args.char}", file=out)
     else:
-        ok = morse.check_minimal_over(C, args.char)
+        ok = morse.check_minimal(C, args.char)
         agrees = morse.syntactic_minimality(I, matching)
         print(f"minimal={ok} char={args.char} syntactic={agrees}", file=out)
     return 0 if ok else 2
@@ -127,7 +119,7 @@ def cmd_compare(args, out) -> int:
     oracle = betti_mod.tor_betti(I, args.char)
     print(f"oracle (char {args.char}): totals {oracle.totals()}", file=out)
     for method in METHODS:
-        matching = matching_for(I, method)
+        matching = SWEEPS[method](I)
         C = morse.critical_complex(I, matching, validate=False)
         table = betti_mod.betti_of_complex(C)
         flags = []
@@ -257,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "check" and args.what == "matching" and args.dump_complex:
+        parser.error("check matching builds no complex: --dump-complex is unread")
     if getattr(args, "method", None) == "nu" and args.command == "check":
         print("check does not accept the nu approximation", file=sys.stderr)
         return 1

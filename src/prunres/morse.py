@@ -404,14 +404,10 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     return True
 
 
-def check_minimal(C: ChainComplex) -> bool:
-    """No differential entry is a nonzero integer times the unit monomial."""
-    return check_minimal_over(C, 0)
-
-
-def check_minimal_over(C: ChainComplex, char: int) -> bool:
-    """Minimality over a specific field: unit entries vanishing mod p do not
-    count; char 0 counts every nonzero unit entry."""
+def check_minimal(C: ChainComplex, char: int = 0) -> bool:
+    """No differential entry is a unit monomial with a coefficient nonzero
+    over the field: char 0 counts every nonzero unit entry, char p only
+    those not divisible by p."""
     linalg.check_characteristic(char)
     if C.diffs is None:
         raise ValueError("differentials not set")

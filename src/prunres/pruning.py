@@ -1,9 +1,10 @@
 """Matching-producing pruning sweeps over the Taylor complex, plus validation.
 
-All sweeps share the same skeleton: for step j = 1..r, scan the faces sigma
-with sigma_j = 0 in canonical order and prune the edge sigma -> sigma+e_j when
-both endpoints are still unmatched and the step's degree condition holds.
-Pruning an edge removes both endpoints from the survivor pool immediately.
+All sweeps share the same skeleton: for step j = 1..r, prune the edge
+sigma -> sigma+e_j, sigma_j = 0, when both endpoints are still unmatched and
+the step's degree condition holds.  Pruning an edge removes both endpoints
+from the survivor pool immediately.  Each step's edges are recorded in
+canonical order of sigma.
 """
 from __future__ import annotations
 
@@ -15,39 +16,27 @@ from .taylor import TaylorComplex, facets, indices_of
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One pruned edge: at step `step` (1-based) the edge sigma -> sigma+e_j."""
-
-    step: int
-    sigma: int
-    j: int  # 0-based direction, step == j + 1 within its sweep
-    sweep: int = 1
-
-
-@dataclass(frozen=True)
 class Matching:
-    """A set of pruned edges (sigma, j), sigma -> sigma + e_j, with provenance."""
+    """Pruned edges (sigma, j), sigma -> sigma + e_j, in pruning order: by
+    sweep, then by step, then by sigma.  Edge (sigma, j) was pruned at step
+    j + 1 of its sweep.
+
+    `sweeps[k]` is how many edges sweep k + 1 pruned, so the edges of one
+    sweep are a slice of `edges` and `sum(sweeps) == len(edges)`.
+    `prune_simplicial` repeats its sweep until one prunes nothing and lists
+    only the sweeps before that one; a matching not built by sweeps has no
+    sweeps.
+    """
 
     r: int
     edges: tuple[tuple[int, int], ...]
-    trace: tuple[TraceStep, ...]
     kind: str = "pruned"
-    sweeps: int = 1  # productive sweeps used (fixpoint algorithms only)
-
-    @property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    def matched_cells(self) -> frozenset[int]:
-        cells: set[int] = set()
-        for sigma, j in self.edges:
-            cells.add(sigma)
-            cells.add(sigma | (1 << j))
-        return frozenset(cells)
+    sweeps: tuple[int, ...] = ()
 
     def survivors(self) -> frozenset[int]:
-        dead = self.matched_cells()
-        return frozenset(m for m in range(1 << self.r) if m not in dead)
+        dead = {sigma for sigma, _ in self.edges}
+        dead.update(sigma | (1 << j) for sigma, j in self.edges)
+        return frozenset(range(1 << self.r)) - dead
 
 
 @dataclass(frozen=True)
@@ -62,7 +51,7 @@ class MatchingReport:
 
 
 def empty_matching(I: MonomialIdeal) -> Matching:
-    return Matching(I.r, (), (), kind="taylor")
+    return Matching(I.r, (), kind="taylor")
 
 
 def _sweep(
@@ -70,15 +59,19 @@ def _sweep(
     alive: set[int],
     eligible: Callable[[int, int], bool] | None,
     condition: Callable[[int, int], bool],
-    sweep_no: int,
-) -> list[TraceStep]:
-    """One full r-step sweep on the surviving faces; mutates `alive`."""
-    r = tc.r
-    pruned: list[TraceStep] = []
-    for j in range(r):
+) -> list[tuple[int, int]]:
+    """One full r-step sweep on the surviving faces; mutates `alive`.
+
+    Within step j a lower end has bit j clear and an upper end has it set,
+    so pruning one edge never removes another candidate's end: the step's
+    edges do not depend on the scan order, and only they are sorted.
+    """
+    pruned: list[tuple[int, int]] = []
+    for j in range(tc.r):
         bit = 1 << j
-        for sigma in sorted(alive):
-            if sigma & bit or sigma not in alive:
+        lower = []
+        for sigma in list(alive):
+            if sigma & bit:
                 continue
             tau = sigma | bit
             if tau not in alive:
@@ -88,7 +81,9 @@ def _sweep(
             if condition(sigma, tau):
                 alive.discard(sigma)
                 alive.discard(tau)
-                pruned.append(TraceStep(j + 1, sigma, j, sweep_no))
+                lower.append(sigma)
+        lower.sort()
+        pruned += [(sigma, j) for sigma in lower]
     return pruned
 
 
@@ -98,31 +93,19 @@ def _same_degree(tc: TaylorComplex) -> Callable[[int, int], bool]:
     return lambda s, t: deg(s) == deg(t)
 
 
-def prune_with(
-    I: MonomialIdeal,
-    eligible: Callable[[int, int], bool] | None = None,
-    kind: str = "custom",
-) -> Matching:
-    """Single pruning sweep with an optional per-edge eligibility predicate.
-
-    `eligible(sigma, j)` filters candidate edges before the homogeneity test;
-    passing None gives the plain pruned matching.
-    """
-    return _prune_with(TaylorComplex(I), eligible, kind)
-
-
 def _prune_with(
     tc: TaylorComplex, eligible: Callable[[int, int], bool] | None, kind: str
 ) -> Matching:
-    alive = set(tc.faces())
-    steps = _sweep(tc, alive, eligible, _same_degree(tc), 1)
-    return Matching(tc.r, tuple((t.sigma, t.j) for t in steps), tuple(steps), kind)
+    """One pruning sweep; `eligible(sigma, j)` filters candidate edges before
+    the homogeneity test, and None gives the plain pruned matching."""
+    edges = _sweep(tc, set(tc.faces()), eligible, _same_degree(tc))
+    return Matching(tc.r, tuple(edges), kind, (len(edges),))
 
 
 def prune_taylor(I: MonomialIdeal) -> Matching:
     """The pruned matching: step j prunes every surviving homogeneous edge
     sigma -> sigma+e_j."""
-    return prune_with(I, None, kind="pruned")
+    return _prune_with(TaylorComplex(I), None, "pruned")
 
 
 def prune_lyubeznik(I: MonomialIdeal) -> Matching:
@@ -182,19 +165,12 @@ def nu_prune(I: MonomialIdeal) -> Matching:
     """
     tc = TaylorComplex(I)
     alive = set(tc.faces())
-    first = _sweep(tc, alive, None, _same_degree(tc), 1)
+    first = _sweep(tc, alive, None, _same_degree(tc))
     shift = lambda s, t: s != 0 and tc.total_degree(s) == tc.total_degree(t) - 1
-    second = _sweep(tc, alive, None, shift, 2)
-    steps = tuple(first + second)
+    second = _sweep(tc, alive, None, shift)
     return Matching(
-        I.r, tuple((t.sigma, t.j) for t in steps), steps, kind="nu-approximation"
+        I.r, tuple(first + second), "nu-approximation", (len(first), len(second))
     )
-
-
-def _simplicial_candidates(tc: TaylorComplex, alive: set[int]) -> list[TraceStep]:
-    """Virtual plain-pruning sweep on `alive` (not mutated)."""
-    pool = set(alive)
-    return _sweep(tc, pool, None, _same_degree(tc), 1)
 
 
 def _strict_superfaces(mask: int, r: int) -> Iterable[int]:
@@ -221,47 +197,39 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
     tc = TaylorComplex(I)
     r = I.r
     alive = set(tc.faces())
-    all_steps: list[TraceStep] = []
-    productive = 0
+    edges: list[tuple[int, int]] = []
+    sweeps: list[int] = []
     for sweep_no in range(1, (1 << r) + 2):
         if sweep_no == (1 << r) + 1:
             raise RuntimeError("simplicial pruning failed to reach a fixpoint")
-        candidates = _simplicial_candidates(tc, alive)
-        kept = list(candidates)
+        kept = _sweep(tc, set(alive), None, _same_degree(tc))
         while True:
             killed_at: dict[int, int] = {}  # cell -> step when it dies this sweep
-            for t in kept:
-                killed_at[t.sigma] = t.step
-                killed_at[t.sigma | (1 << t.j)] = t.step
-            ok: list[TraceStep] = []
-            for t in kept:
-                partner = t.sigma | (1 << t.j)
+            for sigma, j in kept:
+                killed_at[sigma] = killed_at[sigma | (1 << j)] = j + 1
+            ok: list[tuple[int, int]] = []
+            for sigma, j in kept:
+                partner = sigma | (1 << j)
                 good = True
-                for sup in _strict_superfaces(t.sigma, r):
+                for sup in _strict_superfaces(sigma, r):
                     if sup == partner or sup not in alive:
                         continue
-                    if killed_at.get(sup, 1 << 30) > t.step:
+                    if killed_at.get(sup, 1 << 30) > j + 1:
                         good = False
                         break
                 if good:
-                    ok.append(t)
+                    ok.append((sigma, j))
             if len(ok) == len(kept):
                 break
             kept = ok
         if not kept:
             break
-        productive += 1
-        for t in kept:
-            alive.discard(t.sigma)
-            alive.discard(t.sigma | (1 << t.j))
-            all_steps.append(TraceStep(t.step, t.sigma, t.j, sweep_no))
-    return Matching(
-        r,
-        tuple((t.sigma, t.j) for t in all_steps),
-        tuple(all_steps),
-        kind="simplicial",
-        sweeps=max(productive, 1),
-    )
+        sweeps.append(len(kept))
+        for sigma, j in kept:
+            alive.discard(sigma)
+            alive.discard(sigma | (1 << j))
+        edges += kept
+    return Matching(r, tuple(edges), "simplicial", tuple(sweeps))
 
 
 def intersection_generators(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
@@ -305,10 +273,8 @@ def partial_prune_intersection(J: MonomialIdeal, K: MonomialIdeal) -> Matching:
     alive = set(tc.faces())
     condition = lambda sigma, tau: True
     eligible = lambda sigma, j: involved(sigma) & pair_masks[j] == pair_masks[j]
-    steps = _sweep(tc, alive, eligible, condition, 1)
-    return Matching(
-        grid.r, tuple((st.sigma, st.j) for st in steps), tuple(steps), kind="partial"
-    )
+    edges = _sweep(tc, alive, eligible, condition)
+    return Matching(grid.r, tuple(edges), "partial", (len(edges),))
 
 
 def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingReport:
@@ -426,8 +392,8 @@ def render_trace(matching: Matching, I: MonomialIdeal) -> list[str]:
     """
     tc = TaylorComplex(I)
     lines = []
-    for t in matching.trace:
-        vec = "".join("1" if t.sigma & (1 << k) else "0" for k in range(matching.r))
-        deg = monomial_str(tc.multidegree(t.sigma), I.variables)
-        lines.append(f"step={t.step} sigma={vec} j={t.step} deg={deg}")
+    for sigma, j in matching.edges:
+        vec = "".join("1" if sigma & (1 << k) else "0" for k in range(matching.r))
+        deg = monomial_str(tc.multidegree(sigma), I.variables)
+        lines.append(f"step={j + 1} sigma={vec} j={j + 1} deg={deg}")
     return lines

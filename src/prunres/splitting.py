@@ -111,5 +111,4 @@ def check_last_generator(I: MonomialIdeal) -> bool:
     the sufficient condition for splitting off the last generator."""
     if I.r < 2:
         raise ValueError("need at least two generators")
-    matching = prune_taylor(I)
-    return all(t.step != I.r for t in matching.trace)
+    return all(j != I.r - 1 for _, j in prune_taylor(I).edges)

@@ -18,31 +18,11 @@ at the output boundary, decoded through a memo sized by the lattice.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable
+from typing import Callable
 
-from .monomials import Monomial, MonomialIdeal, lcm, one
+from .monomials import Monomial, MonomialIdeal
 
 PRECOMPUTE_CAP = 20
-
-
-class FaceError(ValueError):
-    """A face index lies outside the generator range."""
-
-
-class IncidenceError(ValueError):
-    """The two faces are not a codimension-1 inclusion pair."""
-
-
-def mask_of(sigma: int | Iterable[int], r: int | None = None) -> int:
-    """Normalize a face given as a bitmask or an iterable of 0-based indices."""
-    if isinstance(sigma, int):
-        return sigma
-    mask = 0
-    for i in sigma:
-        if i < 0 or (r is not None and i >= r):
-            raise FaceError(f"generator index {i} out of range")
-        mask |= 1 << i
-    return mask
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
@@ -56,45 +36,15 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def face_dim(mask: int) -> int:
-    return mask.bit_count() - 1
-
-
-def face_multidegree(I: MonomialIdeal, sigma: int | Iterable[int]) -> Monomial:
-    """lcm of the generators indexed by sigma; the empty face has degree 1."""
-    mask = mask_of(sigma, I.r)
-    if mask >> I.r:
-        raise FaceError(f"face {bin(mask)} exceeds {I.r} generators")
-    deg = one(I.nvars)
-    for i in indices_of(mask):
-        deg = lcm(deg, I.generators[i])
-    return deg
-
-
-def incidence(sigma: int | Iterable[int], tau: int | Iterable[int]) -> int:
-    """Boundary sign [sigma : tau] for tau = sigma minus one element.
-
-    The sign is (-1)^k where the removed index is the (k+1)-th smallest
-    member of sigma.  Any consistent convention works; this one is pinned by
-    the d*d = 0 property test.
-    """
-    s, t = mask_of(sigma), mask_of(tau)
-    removed = s & ~t
-    if (t & ~s) or removed.bit_count() != 1:
-        raise IncidenceError(f"{bin(s)} / {bin(t)} is not a codimension-1 pair")
-    below = s & (removed - 1)
-    return -1 if below.bit_count() % 2 else 1
-
-
-def edge_targets(sigma: int | Iterable[int], r: int) -> list[int]:
-    """All supersets of sigma with exactly one more element, in increasing j."""
-    mask = mask_of(sigma, r)
-    return [mask | (1 << j) for j in range(r) if not mask & (1 << j)]
-
-
 def facets(mask: int) -> list[tuple[int, int]]:
     """(facet, sign) pairs for the simplicial boundary of a face, removing
-    its members in increasing order; the sign is `incidence(mask, facet)`."""
+    its members in increasing order.
+
+    The sign [mask : facet] is (-1)^k when the removed member is the
+    (k+1)-th smallest of the face.  Any consistent convention works; this
+    one is pinned by the d*d = 0 tests, and the gradient-flow weights read
+    it from here.
+    """
     out = []
     sign = 1
     rest = mask

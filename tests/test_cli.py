@@ -133,6 +133,28 @@ class TestCommands:
         assert code == 0
         assert "exact=True" in out
 
+    def test_simplicial_trace_golden(self, capsys):
+        # two sweeps on the 5-cycle: steps 1 and 4, then step 2
+        code, out, _ = run(
+            capsys, "betti", "--ideal", "cycle:5", "--method", "simplicial", "--trace"
+        )
+        assert code == 0
+        assert out == (
+            "step=1 sigma=01001 j=1 deg=x1*x2*x3*x5\n"
+            "step=1 sigma=01101 j=1 deg=x1*x2*x3*x4*x5\n"
+            "step=1 sigma=01011 j=1 deg=x1*x2*x3*x4*x5\n"
+            "step=1 sigma=01111 j=1 deg=x1*x2*x3*x4*x5\n"
+            "step=4 sigma=00101 j=4 deg=x1*x3*x4*x5\n"
+            "step=4 sigma=10101 j=4 deg=x1*x2*x3*x4*x5\n"
+            "step=2 sigma=10100 j=2 deg=x1*x2*x3*x4\n"
+            "step=2 sigma=10110 j=2 deg=x1*x2*x3*x4*x5\n"
+            "       0 1 2 3\n"
+            "total: 1 5 7 3\n"
+            "    0: 1 . . .\n"
+            "    1: . 5 5 2\n"
+            "    2: . . 2 1\n"
+        )
+
     def test_check_matching(self, capsys):
         code, out, _ = run(capsys, "check", "matching", "--ideal", "cycle:5")
         assert code == 0
@@ -249,6 +271,22 @@ class TestCommands:
         assert "s=5" in proc.stderr and "25 generators" in proc.stderr
         assert "--force" in proc.stderr
 
+    def test_compare_script_minimality_honours_char(self):
+        # rp2's pruned differential has a +-2 unit entry: MINIMAL in the
+        # table at char 2, and the minimality line must agree
+        script = SRC.parent / "scripts" / "compare_builtin_ideals.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--char", "2"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        rp2 = proc.stdout.split("== rp2")[1].split("==")[0].splitlines()
+        assert any(l.split()[:1] == ["pruned"] and "MINIMAL" in l for l in rp2)
+        assert "   pruned differential minimal: True" in rp2
+
     def test_seed_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["betti", "--ideal", "path:3", "--seed", "1"])
@@ -267,6 +305,7 @@ class TestCommands:
             "split --ideal path:3 --at 1 --char 3",
             "split --ideal path:3 --at 1 --trace",
             "check exact --ideal path:3 --format json",
+            "check matching --ideal rp2 --dump-complex",
         ],
     )
     def test_unread_flag_rejected(self, capsys, line):

@@ -116,7 +116,7 @@ def old_morse_differential(
     def flow_out(cell: int) -> list[tuple[int, int]]:
         up = partner_up[cell]
         # -[up : cell], where [up : cell] is -1 when an odd number of
-        # members of up lie below the removed one (taylor.incidence)
+        # members of up lie below the removed one (taylor.facets)
         sign_up = 1 if (up & ((up ^ cell) - 1)).bit_count() % 2 else -1
         out = []
         for facet, sign in facets(up):
@@ -240,7 +240,7 @@ def random_matchings(I, count, rng):
             if sigma not in used and tau not in used:
                 used |= {sigma, tau}
                 kept.append((sigma, j))
-        out.append(Matching(I.r, tuple(kept), (), kind="random"))
+        out.append(Matching(I.r, tuple(kept), "random"))
     return out
 
 

@@ -17,7 +17,6 @@ from prunres.morse import (
     check_d_squared,
     check_exactness,
     check_minimal,
-    check_minimal_over,
     critical_complex,
     morse_differential,
     syntactic_minimality,
@@ -49,7 +48,7 @@ class TestCriticalComplex:
 
     def test_invalid_matching_rejected(self):
         I = parse_ideal("ring x y\ngens x, y")
-        bad = Matching(2, ((0, 0), (0, 1)), ())
+        bad = Matching(2, ((0, 0), (0, 1)))
         with pytest.raises(InvalidMatchingError):
             critical_complex(I, bad)
 
@@ -57,7 +56,7 @@ class TestCriticalComplex:
 class TestMorseDifferential:
     def test_closed_v_path_rejected(self):
         I = parse_ideal("ring x\ngens x, x, x")
-        cyclic = Matching(3, ((0b001, 1), (0b010, 2), (0b100, 0)), ())
+        cyclic = Matching(3, ((0b001, 1), (0b010, 2), (0b100, 0)))
         with pytest.raises(InvalidMatchingError):
             morse_differential(I, cyclic, validate=True)
 
@@ -65,7 +64,7 @@ class TestMorseDifferential:
         # (sigma, j) with j in sigma pairs a face with itself
         I = parse_ideal("ring x y\ngens x, y")
         with pytest.raises(InvalidMatchingError):
-            morse_differential(I, Matching(2, ((1, 0),), ()), validate=False)
+            morse_differential(I, Matching(2, ((1, 0),)), validate=False)
 
     def test_empty_matching_is_taylor_boundary(self, path5):
         C = morse_differential(path5, empty_matching(path5))
@@ -773,8 +772,8 @@ class TestMinimality:
         C = morse_differential(rp2, m, validate=False)
         assert syntactic_minimality(rp2, m)
         assert not check_minimal(C)
-        assert not check_minimal_over(C, 0)
-        assert check_minimal_over(C, 2)
+        assert not check_minimal(C, 0)
+        assert check_minimal(C, 2)
 
     def test_minimal_implies_tor_equality(self, corpus40):
         for I in corpus40[:15]:

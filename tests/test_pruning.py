@@ -25,7 +25,6 @@ from prunres.pruning import (
     prune_lyubeznik,
     prune_simplicial,
     prune_taylor,
-    prune_with,
     verify_matching,
     render_trace,
 )
@@ -94,20 +93,33 @@ class TestPruneTaylor:
         ideals = [cycle_ideal(n) for n in range(3, 11)]
         ideals += [path_ideal(n) for n in range(2, 9)] + list(corpus40[:20])
         for I in ideals:
-            assert prune_taylor(I).edge_set == self._step_rule(I)
+            assert set(prune_taylor(I).edges) == self._step_rule(I)
 
     def test_step_candidates_disjoint(self, corpus40):
         # within one step all pruned edges are pairwise vertex-disjoint
         for I in corpus40[:20]:
             m = prune_taylor(I)
             per_step = {}
-            for t in m.trace:
-                per_step.setdefault(t.step, []).append(t)
-            for steps in per_step.values():
+            for sigma, j in m.edges:
+                per_step.setdefault(j, []).append(sigma)
+            for j, lower in per_step.items():
                 cells = []
-                for t in steps:
-                    cells += [t.sigma, t.sigma | (1 << t.j)]
+                for sigma in lower:
+                    cells += [sigma, sigma | (1 << j)]
                 assert len(cells) == len(set(cells))
+
+    def test_sweep_records_each_step_sorted(self):
+        # a pool that iterates in descending order: the step's edges are
+        # still recorded in canonical order of sigma
+        class Descending(set):
+            def __iter__(self):
+                return iter(sorted(set.__iter__(self), reverse=True))
+
+        tc = TaylorComplex(parse_ideal("ring x; gens x, x, x, x"))
+        alive = Descending({0b0001, 0b0101, 0b1001, 0b1101})
+        edges = pruning._sweep(tc, alive, None, pruning._same_degree(tc))
+        assert edges == [(0b0001, 2), (0b1001, 2)]
+        assert not alive
 
 
 class TestPruneSimplicial:
@@ -123,9 +135,10 @@ class TestPruneSimplicial:
 
     def test_cycle5_needs_second_sweep(self, cycle5):
         m = prune_simplicial(cycle5)
-        assert m.sweeps >= 2
-        first_sweep = [t for t in m.trace if t.sweep == 1]
-        assert len(first_sweep) < len(m.trace)
+        assert len(m.sweeps) >= 2
+        assert sum(m.sweeps) == len(m.edges)
+        first_sweep = m.edges[: m.sweeps[0]]
+        assert len(first_sweep) < len(m.edges)
 
     def test_survivors_closed_under_subsets(self, corpus40, builtins):
         for I in list(corpus40[:25]) + [builtins["path:5"], builtins["cycle:5"]]:
@@ -138,11 +151,8 @@ class TestPruneSimplicial:
     def test_edge_subset_of_plain_pruning_per_first_sweep(self, corpus40):
         for I in corpus40[:15]:
             plain = set(prune_taylor(I).edges)
-            first = {
-                (t.sigma, t.j)
-                for t in prune_simplicial(I).trace
-                if t.sweep == 1
-            }
+            m = prune_simplicial(I)
+            first = set(m.edges[: m.sweeps[0]] if m.sweeps else ())
             assert first <= plain
 
 
@@ -153,7 +163,7 @@ class TestPruneLyubeznik:
 
     def test_cycle5_first_step_only(self, cycle5):
         m = prune_lyubeznik(cycle5)
-        assert all(t.step == 1 for t in m.trace)
+        assert all(j == 0 for _, j in m.edges)
         assert len(m.edges) == 4
         assert critical_complex(cycle5, m).ranks() == (1, 5, 9, 7, 2)
 
@@ -189,7 +199,7 @@ class TestNuPrune:
 
     def test_path5_golden_trace(self, path5):
         m = nu_prune(path5)
-        second = [(t.sigma, t.j) for t in m.trace if t.sweep == 2]
+        second = list(m.edges[m.sweeps[0] :])
         assert second == [(2, 0), (4, 1), (9, 1), (8, 2)]
         assert len(m.survivors()) == 2
 
@@ -276,7 +286,7 @@ class TestVerifyMatching:
 
     def test_shared_vertex_rejected(self):
         I = parse_ideal("ring x y\ngens x, y")
-        bad = Matching(2, ((0, 0), (0, 1)), ())
+        bad = Matching(2, ((0, 0), (0, 1)))
         rep = verify_matching(2, bad, I)
         assert not rep.is_matching
         # acyclicity is defined for matchings only
@@ -284,7 +294,7 @@ class TestVerifyMatching:
 
     def test_inhomogeneous_detected(self):
         I = parse_ideal("ring x y\ngens x, y")
-        bad = Matching(2, ((0b01, 1),), ())  # {x} -> {x,y} shifts degree
+        bad = Matching(2, ((0b01, 1),))  # {x} -> {x,y} shifts degree
         rep = verify_matching(2, bad, I)
         assert rep.is_matching and not rep.is_homogeneous
 
@@ -292,7 +302,7 @@ class TestVerifyMatching:
         # {0} -> {0,1} -> {1} -> {1,2} -> {2} -> {0,2} -> {0}, through
         # homogeneous edges, since the three generators are equal
         I = parse_ideal("ring x\ngens x, x, x")
-        cyclic = Matching(3, ((0b001, 1), (0b010, 2), (0b100, 0)), ())
+        cyclic = Matching(3, ((0b001, 1), (0b010, 2), (0b100, 0)))
         rep = verify_matching(3, cyclic, I)
         assert rep.is_matching and rep.is_homogeneous
         assert not rep.is_acyclic and not rep.all_ok
@@ -302,7 +312,7 @@ class TestVerifyMatching:
     )
     def test_edge_outside_the_complex(self, edge):
         I = parse_ideal("ring x y\ngens x, y")
-        bad = Matching(2, (edge,), ())
+        bad = Matching(2, (edge,))
         rep = verify_matching(2, bad, I)
         assert (rep.is_matching, rep.is_homogeneous, rep.is_acyclic) == (False,) * 3
         with pytest.raises(morse.InvalidMatchingError):
@@ -310,7 +320,7 @@ class TestVerifyMatching:
 
     def test_matching_on_another_complex(self):
         I = parse_ideal("ring x y\ngens x, y")
-        other = Matching(3, (), ())
+        other = Matching(3, ())
         rep = verify_matching(2, other, I)
         assert not rep.is_matching and not rep.all_ok
         with pytest.raises(morse.InvalidMatchingError):
@@ -352,7 +362,8 @@ class TestInvariants:
 
     def test_prune_with_hook(self, cycle5):
         # restricting the predicate to step 1 reproduces the Lyubeznik run
-        m = prune_with(cycle5, lambda sigma, j: j == 0)
+        step1 = lambda sigma, j: j == 0
+        m = pruning._prune_with(TaylorComplex(cycle5), step1, "custom")
         assert critical_complex(cycle5, m, validate=False).ranks() == (1, 5, 9, 7, 2)
 
 
@@ -378,7 +389,7 @@ def _tuple_lyubeznik(I):
         tail = tc.exponents(high)
         return all(a <= b for a, b in zip(gens[j], tail))
 
-    return prune_with(I, eligible, kind="lyubeznik")
+    return pruning._prune_with(tc, eligible, "lyubeznik")
 
 
 class PolarizedTupleTable(TupleTaylorComplex):
@@ -442,7 +453,7 @@ class TestAgainstTupleTable:
                 mp.setattr(mod, "TaylorComplex", PolarizedTupleTable)
             want = self._resolutions(I, ref)
         assert [m.edges for m in matchings] == [m.edges for m in ref]
-        assert [m.trace for m in matchings] == [m.trace for m in ref]
+        assert matchings == ref
         assert got == want
 
     def test_corpus200(self, corpus200, monkeypatch):

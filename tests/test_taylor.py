@@ -7,17 +7,7 @@ from hypothesis import strategies as st
 
 from prunres.ideals import cycle_ideal, path_ideal
 from prunres.monomials import Monomial, MonomialIdeal, divides, ideal, monomial_str
-from prunres.taylor import (
-    PRECOMPUTE_CAP,
-    FaceError,
-    IncidenceError,
-    TaylorComplex,
-    edge_targets,
-    face_multidegree,
-    facets,
-    incidence,
-    mask_of,
-)
+from prunres.taylor import PRECOMPUTE_CAP, TaylorComplex, facets
 
 
 # The degree table as it was before degrees became bitmasks: exponent tuples
@@ -79,34 +69,16 @@ class TupleTaylorComplex:
 
 
 def test_face_multidegree_path5(path5):
-    deg = face_multidegree(path5, {0, 2})
+    tc = TaylorComplex(path5)
+    deg = tc.multidegree(0b101)
     assert monomial_str(deg, path5.variables) == "x1*x2*x3*x4"
-    assert face_multidegree(path5, 0).is_unit
-    assert face_multidegree(path5, {0, 1, 2}) == deg
-
-
-def test_face_multidegree_out_of_range(path5):
-    with pytest.raises(FaceError):
-        face_multidegree(path5, {7})
+    assert tc.multidegree(0).is_unit
+    assert tc.multidegree(0b111) == deg
 
 
 def test_incidence_signs():
-    assert incidence({0, 1}, {1}) == 1
-    assert incidence({0, 1}, {0}) == -1
-    assert incidence({0, 2, 3}, {0, 3}) == -1
-
-
-def test_incidence_errors():
-    with pytest.raises(IncidenceError):
-        incidence({0, 1}, {2})
-    with pytest.raises(IncidenceError):
-        incidence({0, 1, 2}, {0})
-
-
-def test_edge_targets():
-    assert edge_targets(0, 3) == [1, 2, 4]
-    assert edge_targets({0, 2}, 3) == [7]
-    assert edge_targets({1}, 4) == [3, 6, 10]
+    assert facets(0b11) == [(0b10, 1), (0b01, -1)]
+    assert facets(0b1101) == [(0b1100, 1), (0b1001, -1), (0b0101, 1)]
 
 
 def test_face_counts(path5):
@@ -172,11 +144,6 @@ def test_lazy_and_precomputed_agree(rows):
     lazy = TaylorComplex(I, precompute_cap=0)
     for mask in eager.faces():
         assert eager.exponents(mask) == lazy.exponents(mask)
-
-
-def test_mask_of_roundtrip():
-    assert mask_of({0, 2, 5}) == 0b100101
-    assert mask_of(37) == 37
 
 
 def _assert_same_table(I):
