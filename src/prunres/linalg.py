@@ -9,11 +9,15 @@ only its own eliminations:
   pivot*row - entry*pivot_row and re-normalized by their gcd, so no floating
   point or fractions appear;
 - `rank_mod` over F_p keeps dict rows with entries reduced mod p;
-- `rank_f2` over F_2 packs each row into one int, bit c set when the entry
-  at column c is odd, so an elimination step is one XOR and the leading
-  column is the bit length.
+- `rank_f2_packed` over F_2 takes rows already packed into ints, bit c set
+  when the entry at column c is odd, so an elimination step is one XOR and
+  the leading column is the bit length.  `rank_f2` packs dict rows and calls
+  it, so the library has one F_2 elimination loop.
 
-`rank(rows, char)` picks the kernel for a characteristic.
+`rank(rows, char)` picks the kernel for a characteristic.  A caller that
+ranks many matrices sharing rows, as `morse.check_exactness` does with the
+columns of one differential across strands, packs each row once and calls
+`rank_f2_packed` directly.
 """
 from __future__ import annotations
 
@@ -90,19 +94,17 @@ def rank_mod(rows: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
-def rank_f2(rows: list[dict[int, int]]) -> int:
-    """Rank over F_2, on rows packed into ints.
+def rank_f2_packed(rows: list[int]) -> int:
+    """Rank over F_2 of rows packed into ints, bit c for column c.
 
-    A packed row's leading column is its bit length, which keys the pivot
-    dict; XOR with that pivot clears the leading bit and leaves only lower
-    ones, so the leading column only falls, as in the dict kernels.
+    A row's leading column is its bit length, which keys the pivot dict;
+    XOR with that pivot clears the leading bit and leaves only lower ones,
+    so the leading column only falls, as in the dict kernels.  Zero rows
+    count for nothing.
     """
     pivots: dict[int, int] = {}
     get = pivots.get
-    for src in rows:
-        x = 0
-        for c, v in src.items():
-            x |= (v & 1) << c
+    for x in rows:
         while x:
             lead = x.bit_length()
             p = get(lead)
@@ -111,6 +113,17 @@ def rank_f2(rows: list[dict[int, int]]) -> int:
                 break
             x ^= p
     return len(pivots)
+
+
+def rank_f2(rows: list[dict[int, int]]) -> int:
+    """Rank over F_2: each row packed into an int, then `rank_f2_packed`."""
+    packed = []
+    for src in rows:
+        x = 0
+        for c, v in src.items():
+            x |= (v & 1) << c
+        packed.append(x)
+    return rank_f2_packed(packed)
 
 
 def is_prime(p: int) -> bool:

@@ -308,8 +308,17 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     the cells of each strand with a few big-int ANDs, and each differential
     is grouped by column once.  A column is sound when every entry's row is
     a cell of the level below whose degree divides the column's; a strand
-    holding a sound column holds all its rows, so only columns that are not
-    sound (a corrupted complex) are filtered row by row.
+    holding a sound column holds all its rows.
+
+    Strands ranked over F_2 use columns packed once per call: column col of
+    d_i becomes one int with bit row set for each odd entry, negative rows
+    dropped.  A strand's matrix is then one AND per column with the bitmask
+    of the level below in the strand, ranked by `linalg.rank_f2_packed`.
+    The mask leaves a sound column unchanged and drops the rows of any
+    other column that lie outside the strand, so one path serves every
+    column.  Over Q and odd p the columns stay {row: coeff} dicts, and only
+    columns that are not sound (a corrupted complex) are filtered row by
+    row.
 
     Over Q, a complex whose columns are all sound has its strands certified
     over F_2 first.  With d*d = 0 over the integers, each strand is then an
@@ -338,24 +347,40 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     rank_of = [{v: j for j, v in enumerate(vals)} for vals in values]
     masks = [_threshold_masks(level, values) for level in C.degrees]
 
-    # columns[i][col]: (entries of d_i in that column as {row: coeff}, sound)
-    columns: list[list[tuple[dict[int, int], bool]]] = [[]]
+    # columns[i][col]: the entries of d_i in that column as {row: coeff}
+    columns: list[list[dict[int, int]]] = [[]]
     for i in range(1, C.length):
-        here, lower = C.degrees[i], C.degrees[i - 1]
-        by_col: list[dict[int, int]] = [{} for _ in here]
+        by_col: list[dict[int, int]] = [{} for _ in C.degrees[i]]
         for (row, col), (coeff, _) in C.diff(i).items():
-            if 0 <= col < len(here):
+            if 0 <= col < len(by_col):
                 by_col[col][row] = coeff
-        columns.append([
-            (entries, all(
-                0 <= row < len(lower)
-                and all(e <= c for e, c in zip(lower[row], here[col]))
-                for row in entries
-            ))
-            for col, entries in enumerate(by_col)
-        ])
-    all_sound = all(sound for level in columns for _, sound in level)
-    chars = (2, 0) if char == 0 and all_sound else (char,)
+        columns.append(by_col)
+    # sound[i][col], needed only where a column is read as a dict
+    sound: list[list[bool]] = [[]]
+    if char != 2:
+        for i in range(1, C.length):
+            here, lower = C.degrees[i], C.degrees[i - 1]
+            sound.append([
+                all(
+                    0 <= row < len(lower)
+                    and all(e <= c for e, c in zip(lower[row], here[col]))
+                    for row in entries
+                )
+                for col, entries in enumerate(columns[i])
+            ])
+    chars = (2, 0) if char == 0 and all(map(all, sound)) else (char,)
+    # packed[i][col]: the odd entries of a column of d_i as a bitmask of rows
+    packed: list[list[int]] = [[]]
+    if 2 in chars:
+        for by_col in columns[1:]:
+            level = []
+            for entries in by_col:
+                x = 0
+                for row, v in entries.items():
+                    if v & 1 and row >= 0:
+                        x |= 1 << row
+                level.append(x)
+            packed.append(level)
 
     sizes = [0] * (C.length + 1)
     ranks = [0] * (C.length + 1)
@@ -367,31 +392,31 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
             for k_masks, j in zip(level_masks, at):
                 bits &= k_masks[j]
             present.append(bits)
-        # strand[i]: the rows of d_i on this strand, None for no columns
-        strand: list[list[dict[int, int]] | None] = [None]
+        # strand[i]: the columns of d_i on this strand, for i >= 1
+        strand = [[], *map(_members, present[1:])]
         for i in range(1, C.length):
-            cols = _members(present[i])
-            sizes[i] = len(cols)
-            if not cols:
-                strand.append(None)
-                continue
-            below = present[i - 1]
-            rows = []
-            for col in cols:
-                entries, sound = columns[i][col]
-                if not sound:
-                    entries = {
-                        row: v
-                        for row, v in entries.items()
-                        if row >= 0 and below >> row & 1
-                    }
-                if entries:
-                    rows.append(entries)
-            strand.append(rows)
+            sizes[i] = len(strand[i])
         for ch in chars:
             for i in range(1, C.length):
-                rows = strand[i]
-                ranks[i] = 0 if rows is None else linalg.rank(rows, ch)
+                cols, below = strand[i], present[i - 1]
+                if not cols:
+                    ranks[i] = 0
+                elif ch == 2:
+                    level = packed[i]
+                    ranks[i] = linalg.rank_f2_packed([level[c] & below for c in cols])
+                else:
+                    rows = []
+                    for col in cols:
+                        entries = columns[i][col]
+                        if not sound[i][col]:
+                            entries = {
+                                row: v
+                                for row, v in entries.items()
+                                if row >= 0 and below >> row & 1
+                            }
+                        if entries:
+                            rows.append(entries)
+                    ranks[i] = linalg.rank(rows, ch)
             if not any(
                 sizes[i] - ranks[i] - ranks[i + 1] for i in range(1, C.length)
             ):

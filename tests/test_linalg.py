@@ -3,8 +3,9 @@
 `_rescan_rank_rational` and `_rescan_rank_mod` are verbatim copies of the
 previous `linalg` kernels: at every pivot they rescan all remaining rows for
 the shortest one (over Q, preferring a +-1 entry).  The new kernels must give
-the same rank on every matrix, and the packed F_2 kernel `rank_f2` the same
-rank as `_rescan_rank_mod(rows, 2)`.
+the same rank on every matrix, and the F_2 kernels `rank_f2` and
+`rank_f2_packed` (on the same rows packed into ints) the same rank as
+`_rescan_rank_mod(rows, 2)`.
 """
 from math import gcd
 
@@ -150,12 +151,21 @@ def test_same_rank_as_rescan_kernel(rows, char):
     assert rows == before  # the input is not modified
 
 
+def _pack(row):
+    """A dict row as an int, bit c set when the entry at column c is odd."""
+    return sum(1 << c for c, v in row.items() if v % 2)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(matrices(), matrices(wide_rows)))
 def test_f2_same_rank_as_rescan_kernel(rows):
     before = [dict(r) for r in rows]
-    assert linalg.rank_f2(rows) == _rescan_rank_mod(rows, 2)
+    expected = _rescan_rank_mod(rows, 2)
+    assert linalg.rank_f2(rows) == expected
     assert rows == before  # the input is not modified
+    packed = [_pack(row) for row in rows]
+    assert linalg.rank_f2_packed(packed) == expected
+    assert packed == [_pack(row) for row in before]
 
 
 @pytest.mark.parametrize(
@@ -175,6 +185,7 @@ def test_f2_same_rank_as_rescan_kernel(rows):
 )
 def test_f2_known_ranks(rows, expected):
     assert linalg.rank_f2(rows) == expected
+    assert linalg.rank_f2_packed([_pack(row) for row in rows]) == expected
     assert linalg.rank(rows, 2) == expected
     assert _rescan_rank_mod(rows, 2) == expected
 
