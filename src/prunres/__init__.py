@@ -31,7 +31,6 @@ from .morse import (
     check_minimal,
     critical_complex,
     morse_differential,
-    syntactic_minimality,
 )
 from .pruning import (
     Matching,
@@ -87,7 +86,6 @@ __all__ = [
     "prune_taylor",
     "render_betti",
     "rp2_ideal",
-    "syntactic_minimality",
     "tor_betti",
     "verify_matching",
 ]

@@ -113,27 +113,12 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
 def path_ideal(n: int) -> MonomialIdeal:
     """Edge ideal of the path on n vertices: x1x2, ..., x_{n-1}x_n."""
-    variables = tuple(f"x{i}" for i in range(1, n + 1))
-    gens = []
-    for i in range(n - 1):
-        exps = [0] * n
-        exps[i] = exps[i + 1] = 1
-        gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(variables, tuple(gens))
+    return edge_ideal(n, [(i, i + 1) for i in range(1, n)])
 
 
 def cycle_ideal(n: int) -> MonomialIdeal:
     """Edge ideal of the n-cycle, closing edge x_n*x_1 last."""
-    variables = tuple(f"x{i}" for i in range(1, n + 1))
-    gens = []
-    for i in range(n - 1):
-        exps = [0] * n
-        exps[i] = exps[i + 1] = 1
-        gens.append(Monomial(tuple(exps)))
-    exps = [0] * n
-    exps[n - 1] = exps[0] = 1
-    gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(variables, tuple(gens))
+    return edge_ideal(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
 def edge_ideal(n: int, edges: list[tuple[int, int]]) -> MonomialIdeal:
@@ -170,10 +155,14 @@ def example_4_1_ideal() -> MonomialIdeal:
 
 
 _BUILTIN_RE = re.compile(r"^(path|cycle):(\d+)$")
+_EDGE_LINE = re.compile(r"(-?\d+)\s+(-?\d+)")
 
 
 def builtin_ideal(spec: str) -> MonomialIdeal | None:
-    """Resolve a builtin spec string; None when it is not a builtin."""
+    """Resolve a builtin spec string; None when it is not a builtin.
+
+    `edges:FILE` reads one edge `u v` per nonblank line, vertices numbered
+    from 1; a bad line, or a file without edges, raises ParseError."""
     m = _BUILTIN_RE.match(spec)
     if m:
         kind, n = m.group(1), int(m.group(2))
@@ -187,15 +176,23 @@ def builtin_ideal(spec: str) -> MonomialIdeal | None:
     if spec == "example-4-1":
         return example_4_1_ideal()
     if spec.startswith("edges:"):
-        path = spec[len("edges:"):]
-        with open(path, encoding="utf-8") as fh:
-            pairs = []
-            for raw in fh:
-                if raw.strip():
-                    u, v = raw.split()
-                    pairs.append((int(u), int(v)))
-        n = max(max(u, v) for u, v in pairs)
-        return edge_ideal(n, pairs)
+        with open(spec[len("edges:"):], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        pairs = []
+        for ln, raw in enumerate(lines, start=1):
+            body = raw.strip()
+            if not body:
+                continue
+            m = _EDGE_LINE.fullmatch(body)
+            u, v = (int(m[1]), int(m[2])) if m else (0, 0)
+            if u == v or min(u, v) < 1:
+                why = "two distinct vertices from 1 up" if m else "two vertex numbers"
+                col = len(raw) - len(raw.lstrip()) + 1
+                raise ParseError(f"expected {why}, got {body!r}", ln, col)
+            pairs.append((u, v))
+        if not pairs:
+            raise ParseError("no edges in the file", len(lines) + 1, 1)
+        return edge_ideal(max(map(max, pairs)), pairs)
     return None
 
 

@@ -36,10 +36,6 @@ class Monomial:
         return tuple(i for i, e in enumerate(self.exponents) if e)
 
 
-def one(nvars: int) -> Monomial:
-    return Monomial((0,) * nvars)
-
-
 def _check_ambient(a: Monomial, b: Monomial) -> None:
     if len(a.exponents) != len(b.exponents):
         raise AmbientError(

@@ -15,7 +15,7 @@ from operator import itemgetter, mul, sub
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
 from .pruning import Matching, _flow_graph, _topological_order, _verify_matching
-from .taylor import TaylorComplex, facets
+from .taylor import TaylorComplex, facets, indices_of
 
 
 class InvalidMatchingError(ValueError):
@@ -283,16 +283,6 @@ def _threshold_masks(
     return masks
 
 
-def _members(bits: int) -> list[int]:
-    """Positions of the set bits, in increasing order."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
 def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     """True iff the complex is a resolution of the quotient over the given field.
 
@@ -393,7 +383,7 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
                 bits &= k_masks[j]
             present.append(bits)
         # strand[i]: the columns of d_i on this strand, for i >= 1
-        strand = [[], *map(_members, present[1:])]
+        strand = [[], *map(indices_of, present[1:])]
         for i in range(1, C.length):
             sizes[i] = len(strand[i])
         for ch in chars:
@@ -439,25 +429,5 @@ def check_minimal(C: ChainComplex, char: int = 0) -> bool:
     for d in C.diffs:
         for coeff, exps in d.values():
             if all(e == 0 for e in exps) and (coeff % char if char else coeff):
-                return False
-    return True
-
-
-def syntactic_minimality(I: MonomialIdeal, matching: Matching) -> bool:
-    """No two surviving cells sigma, sigma+e_j share a multidegree.
-
-    An equal-degree inclusion pair of critical cells is exactly a unit entry
-    of the naive differential; pairs whose upper cell was matched away do not
-    count against minimality.
-    """
-    deg = TaylorComplex(I).degree
-    alive = matching.survivors()
-    for sigma in alive:
-        d = deg(sigma)
-        for j in range(I.r):
-            if sigma & (1 << j):
-                continue
-            tau = sigma | (1 << j)
-            if tau in alive and deg(tau) == d:
                 return False
     return True

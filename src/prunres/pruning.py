@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .monomials import MonomialIdeal, lcm, monomial_str
+from .monomials import Monomial, MonomialIdeal, lcm, monomial_str
 from .taylor import TaylorComplex, facets, indices_of
 
 
@@ -24,13 +24,12 @@ class Matching:
     `sweeps[k]` is how many edges sweep k + 1 pruned, so the edges of one
     sweep are a slice of `edges` and `sum(sweeps) == len(edges)`.
     `prune_simplicial` repeats its sweep until one prunes nothing and lists
-    only the sweeps before that one; a matching not built by sweeps has no
-    sweeps.
+    only the sweeps before that one; a hand-built `Matching(r, edges)` has
+    no sweeps.
     """
 
     r: int
     edges: tuple[tuple[int, int], ...]
-    kind: str = "pruned"
     sweeps: tuple[int, ...] = ()
 
     def survivors(self) -> frozenset[int]:
@@ -51,7 +50,7 @@ class MatchingReport:
 
 
 def empty_matching(I: MonomialIdeal) -> Matching:
-    return Matching(I.r, (), kind="taylor")
+    return Matching(I.r, ())
 
 
 def _sweep(
@@ -94,18 +93,18 @@ def _same_degree(tc: TaylorComplex) -> Callable[[int, int], bool]:
 
 
 def _prune_with(
-    tc: TaylorComplex, eligible: Callable[[int, int], bool] | None, kind: str
+    tc: TaylorComplex, eligible: Callable[[int, int], bool] | None
 ) -> Matching:
     """One pruning sweep; `eligible(sigma, j)` filters candidate edges before
     the homogeneity test, and None gives the plain pruned matching."""
     edges = _sweep(tc, set(tc.faces()), eligible, _same_degree(tc))
-    return Matching(tc.r, tuple(edges), kind, (len(edges),))
+    return Matching(tc.r, tuple(edges), (len(edges),))
 
 
 def prune_taylor(I: MonomialIdeal) -> Matching:
     """The pruned matching: step j prunes every surviving homogeneous edge
     sigma -> sigma+e_j."""
-    return _prune_with(TaylorComplex(I), None, "pruned")
+    return _prune_with(TaylorComplex(I), None)
 
 
 def prune_lyubeznik(I: MonomialIdeal) -> Matching:
@@ -123,7 +122,7 @@ def prune_lyubeznik(I: MonomialIdeal) -> Matching:
         high = sigma & ~((1 << (j + 1)) - 1)
         return gens[j] & ~deg(high) == 0
 
-    return _prune_with(tc, eligible, "lyubeznik")
+    return _prune_with(tc, eligible)
 
 
 def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
@@ -166,11 +165,10 @@ def nu_prune(I: MonomialIdeal) -> Matching:
     tc = TaylorComplex(I)
     alive = set(tc.faces())
     first = _sweep(tc, alive, None, _same_degree(tc))
-    shift = lambda s, t: s != 0 and tc.total_degree(s) == tc.total_degree(t) - 1
+    total = lambda mask: sum(tc.exponents(mask))
+    shift = lambda s, t: s != 0 and total(s) == total(t) - 1
     second = _sweep(tc, alive, None, shift)
-    return Matching(
-        I.r, tuple(first + second), "nu-approximation", (len(first), len(second))
-    )
+    return Matching(I.r, tuple(first + second), (len(first), len(second)))
 
 
 def _strict_superfaces(mask: int, r: int) -> Iterable[int]:
@@ -229,7 +227,7 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
             alive.discard(sigma)
             alive.discard(sigma | (1 << j))
         edges += kept
-    return Matching(r, tuple(edges), "simplicial", tuple(sweeps))
+    return Matching(r, tuple(edges), tuple(sweeps))
 
 
 def intersection_generators(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
@@ -274,7 +272,7 @@ def partial_prune_intersection(J: MonomialIdeal, K: MonomialIdeal) -> Matching:
     condition = lambda sigma, tau: True
     eligible = lambda sigma, j: involved(sigma) & pair_masks[j] == pair_masks[j]
     edges = _sweep(tc, alive, eligible, condition)
-    return Matching(grid.r, tuple(edges), "partial", (len(edges),))
+    return Matching(grid.r, tuple(edges), (len(edges),))
 
 
 def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingReport:
@@ -394,6 +392,6 @@ def render_trace(matching: Matching, I: MonomialIdeal) -> list[str]:
     lines = []
     for sigma, j in matching.edges:
         vec = "".join("1" if sigma & (1 << k) else "0" for k in range(matching.r))
-        deg = monomial_str(tc.multidegree(sigma), I.variables)
+        deg = monomial_str(Monomial(tc.exponents(sigma)), I.variables)
         lines.append(f"step={j + 1} sigma={vec} j={j + 1} deg={deg}")
     return lines

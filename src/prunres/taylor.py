@@ -20,20 +20,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable
 
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal
 
 PRECOMPUTE_CAP = 20
 
 
-def indices_of(mask: int) -> tuple[int, ...]:
+def indices_of(mask: int) -> list[int]:
+    """The members of a face: positions of the set bits, in increasing order."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def facets(mask: int) -> list[tuple[int, int]]:
@@ -61,10 +60,10 @@ class TaylorComplex:
 
     `degree(mask)` is a face's lcm degree as an int bitmask, in the
     rank-compressed encoding of the module docstring, and `gen_degrees[j]`
-    is the degree of generator j.  `decode`, `exponents(mask)` and
-    `multidegree(mask)` give exponent vectors.  Degrees are fully
-    precomputed for r <= precompute_cap and memoized lazily above that.
-    Read-only after construction, apart from the memos.
+    is the degree of generator j.  `decode(deg)` and `exponents(mask)` give
+    exponent vectors.  Degrees are fully precomputed for r <= precompute_cap
+    and memoized lazily above that.  Read-only after construction, apart
+    from the memos.
     """
 
     def __init__(self, I: MonomialIdeal, precompute_cap: int = PRECOMPUTE_CAP):
@@ -122,12 +121,6 @@ class TaylorComplex:
 
     def exponents(self, mask: int) -> tuple[int, ...]:
         return self.decode(self.degree(mask))
-
-    def multidegree(self, mask: int) -> Monomial:
-        return Monomial(self.exponents(mask))
-
-    def total_degree(self, mask: int) -> int:
-        return sum(self.exponents(mask))
 
     def faces(self) -> range:
         return range(1 << self.r)

@@ -114,6 +114,29 @@ class TestBuiltins:
         assert code == 0
         assert "total: 1 3 2" in " ".join(out.split())
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("\n\n", 3),
+            ("1 2\n2 3 4\n", 2),
+            ("1 2\n\n3\n", 3),
+            ("1 two\n", 1),
+            ("1 2.5\n", 1),
+            ("1 2\n2 2\n", 2),
+            ("0 1\n", 1),
+            ("1 2\n-1 3\n", 2),
+        ],
+        ids=["empty", "blank", "three", "one", "word", "decimal", "loop", "zero", "neg"],
+    )
+    def test_bad_edges_file_names_the_line(self, tmp_path, capsys, text, line):
+        f = tmp_path / "graph.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "betti", "--ideal", f"edges:{f}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parse error: ") and f"line {line}," in err
+
 
 class TestCommands:
     def test_compare_rp2_char2(self, capsys):
@@ -170,13 +193,16 @@ class TestCommands:
 
     def test_check_minimal_honours_char(self, capsys):
         # rp2's pruned differential has a +-2 unit entry: not minimal over Q
-        # or F_3, minimal over F_2 (see test_rp2_known_discrepancy)
-        for char, code_expected in (("0", 2), ("2", 0), ("3", 2)):
+        # or F_3, minimal over F_2 (see test_rp2_known_discrepancy); the
+        # 8-cycle's has a unit entry from a gradient path, the 6-path none
+        cases = [("rp2", "0", 2), ("rp2", "2", 0), ("rp2", "3", 2)]
+        cases += [("cycle:8", "0", 2), ("path:6", "0", 0)]
+        for spec, char, code_expected in cases:
             code, out, _ = run(
-                capsys, "check", "minimal", "--ideal", "rp2", "--char", char
+                capsys, "check", "minimal", "--ideal", spec, "--char", char
             )
             assert code == code_expected
-            assert f"minimal={code_expected == 0} char={char}" in out
+            assert out == f"minimal={code_expected == 0} char={char}\n"
 
     def test_check_rejects_nu(self, capsys):
         code, _, err = run(capsys, "check", "exact", "--ideal", "path:5", "--method", "nu")

@@ -240,7 +240,7 @@ def random_matchings(I, count, rng):
             if sigma not in used and tau not in used:
                 used |= {sigma, tau}
                 kept.append((sigma, j))
-        out.append(Matching(I.r, tuple(kept), "random"))
+        out.append(Matching(I.r, tuple(kept)))
     return out
 
 
@@ -303,5 +303,10 @@ class TestAgainstReplacedCode:
 
 
 def test_facets_as_before():
-    for mask in range(1 << 12):
+    # and the one bit-member walker, which old_facets and the exactness
+    # strands read, on masks past the width of a machine word too
+    wide = 1 << 70 | 1 << 64 | 1 << 63 | 0b101
+    for mask in [*range(1 << 12), wide]:
         assert facets(mask) == old_facets(mask)
+        assert indices_of(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert indices_of(wide) == [0, 2, 63, 64, 70]

@@ -203,9 +203,6 @@ class TestNuPrune:
         assert second == [(2, 0), (4, 1), (9, 1), (8, 2)]
         assert len(m.survivors()) == 2
 
-    def test_labelled_approximation(self, path5):
-        assert nu_prune(path5).kind == "nu-approximation"
-
     def test_combined_graph_valid(self, corpus40):
         for I in corpus40[:25]:
             m = nu_prune(I)
@@ -363,7 +360,7 @@ class TestInvariants:
     def test_prune_with_hook(self, cycle5):
         # restricting the predicate to step 1 reproduces the Lyubeznik run
         step1 = lambda sigma, j: j == 0
-        m = pruning._prune_with(TaylorComplex(cycle5), step1, "custom")
+        m = pruning._prune_with(TaylorComplex(cycle5), step1)
         assert critical_complex(cycle5, m, validate=False).ranks() == (1, 5, 9, 7, 2)
 
 
@@ -389,7 +386,7 @@ def _tuple_lyubeznik(I):
         tail = tc.exponents(high)
         return all(a <= b for a, b in zip(gens[j], tail))
 
-    return pruning._prune_with(tc, eligible, "lyubeznik")
+    return pruning._prune_with(tc, eligible)
 
 
 class PolarizedTupleTable(TupleTaylorComplex):
