@@ -162,7 +162,8 @@ def builtin_ideal(spec: str) -> MonomialIdeal | None:
     """Resolve a builtin spec string; None when it is not a builtin.
 
     `edges:FILE` reads one edge `u v` per nonblank line, vertices numbered
-    from 1; a bad line, or a file without edges, raises ParseError."""
+    from 1; a bad line, or a file without edges, raises ParseError.  Its
+    ring has one variable x<v> for each vertex v that occurs."""
     m = _BUILTIN_RE.match(spec)
     if m:
         kind, n = m.group(1), int(m.group(2))
@@ -192,7 +193,12 @@ def builtin_ideal(spec: str) -> MonomialIdeal | None:
             pairs.append((u, v))
         if not pairs:
             raise ParseError("no edges in the file", len(lines) + 1, 1)
-        return edge_ideal(max(map(max, pairs)), pairs)
+        # one variable x<v> per vertex v that occurs, not per number up to
+        # the largest
+        vertices = sorted({v for pair in pairs for v in pair})
+        number = {v: k for k, v in enumerate(vertices, 1)}
+        dense = edge_ideal(len(vertices), [(number[u], number[v]) for u, v in pairs])
+        return MonomialIdeal(tuple(f"x{v}" for v in vertices), dense.generators)
     return None
 
 

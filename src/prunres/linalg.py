@@ -3,29 +3,35 @@
 Matrices arrive as lists of sparse rows ({column: value}) with non-negative
 integer columns.  Three kernels reduce one row at a time against a dict of
 pivot rows keyed by leading column, largest column first, so each row costs
-only its own eliminations:
+only its own eliminations, and return that dict:
 
-- `rank_rational` over Q stays in integers: rows are combined as
+- `pivots_rational` over Q stays in integers: rows are combined as
   pivot*row - entry*pivot_row and re-normalized by their gcd, so no floating
   point or fractions appear;
-- `rank_mod` over F_p keeps dict rows with entries reduced mod p;
-- `rank_f2_packed` over F_2 takes rows already packed into ints, bit c set
+- `pivots_mod` over F_p keeps dict rows with entries reduced mod p;
+- `pivots_f2_packed` over F_2 takes rows already packed into ints, bit c set
   when the entry at column c is odd, so an elimination step is one XOR and
-  the leading column is the bit length.  `rank_f2` packs dict rows and calls
-  it, so the library has one F_2 elimination loop.
+  the leading column is the bit length, which keys its dict.
 
-`rank(rows, char)` picks the kernel for a characteristic.  A caller that
-ranks many matrices sharing rows, as `morse.check_exactness` does with the
-columns of one differential across strands, packs each row once and calls
-`rank_f2_packed` directly.
+A row only ever meets pivots keyed by its own leading column, so when the
+columns of a matrix fall into ranges that no row crosses, one call ranks
+each range at once: the rank of a range is the number of keys in it.
+`morse.check_exactness` eliminates all the levels of a strand in one call
+that way.  The rank is the size of the dict: `rank_rational`, `rank_mod`
+and `rank_f2_packed` return it, and `rank_f2` packs dict rows first, so the
+library has one elimination loop per field.  `rank(rows, char)` picks the
+kernel for a characteristic.
 """
 from __future__ import annotations
 
 from math import gcd
 
 
-def rank_rational(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of an integer matrix, by integer-preserving elimination.
+def pivots_rational(
+    rows: list[dict[int, int]],
+) -> dict[int, tuple[int, dict[int, int]]]:
+    """Echelon form over Q of an integer matrix, by integer-preserving
+    elimination: leading column -> (pivot entry, rest of the pivot row).
 
     Each row is reduced against the echelon form built so far.  While its
     leading (largest) column c, with entry e, has a pivot row p*x_c + rest,
@@ -68,12 +74,17 @@ def rank_rational(rows: list[dict[int, int]]) -> int:
                     break
             if content > 1:
                 row = {c: v // content for c, v in row.items()}
-    return len(pivots)
+    return pivots
 
 
-def rank_mod(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over the prime field F_p, by the same echelon reduction with
-    pivot rows scaled to a leading 1."""
+def rank_rational(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of an integer matrix."""
+    return len(pivots_rational(rows))
+
+
+def pivots_mod(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Echelon form over the prime field F_p, by the same reduction with
+    pivot rows scaled to a leading 1: leading column -> rest of the row."""
     pivots: dict[int, dict[int, int]] = {}
     for src in rows:
         row = {c: v % p for c, v in src.items() if v % p}
@@ -91,16 +102,21 @@ def rank_mod(rows: list[dict[int, int]], p: int) -> int:
                     row[c] = nv
                 else:
                     del row[c]
-    return len(pivots)
+    return pivots
 
 
-def rank_f2_packed(rows: list[int]) -> int:
-    """Rank over F_2 of rows packed into ints, bit c for column c.
+def rank_mod(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over the prime field F_p."""
+    return len(pivots_mod(rows, p))
 
-    A row's leading column is its bit length, which keys the pivot dict;
-    XOR with that pivot clears the leading bit and leaves only lower ones,
-    so the leading column only falls, as in the dict kernels.  Zero rows
-    count for nothing.
+
+def pivots_f2_packed(rows: list[int]) -> dict[int, int]:
+    """Echelon form over F_2 of rows packed into ints, bit c for column c:
+    bit length -> pivot row, so the key of leading column c is c + 1.
+
+    XOR with the pivot of a row's bit length clears its leading bit and
+    leaves only lower ones, so the leading column only falls, as in the dict
+    kernels.  Zero rows count for nothing.
     """
     pivots: dict[int, int] = {}
     get = pivots.get
@@ -112,7 +128,12 @@ def rank_f2_packed(rows: list[int]) -> int:
                 pivots[lead] = x
                 break
             x ^= p
-    return len(pivots)
+    return pivots
+
+
+def rank_f2_packed(rows: list[int]) -> int:
+    """Rank over F_2 of rows packed into ints, bit c for column c."""
+    return len(pivots_f2_packed(rows))
 
 
 def rank_f2(rows: list[dict[int, int]]) -> int:

@@ -7,10 +7,11 @@ sparsely as (row, col) -> (coefficient, degree-ratio exponents).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, mul, sub
+from typing import Iterator
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
@@ -118,7 +119,18 @@ def morse_differential(
         for col, mask in enumerate(level):
             critical_index[mask] = (i, col)
 
-    roots = {f for level in base.cells[1:] for mask in level for f, _ in facets(mask)}
+    # the matched-lower facets of critical cells, by one walk of each cell's
+    # bits; the columns below read the signs from `facets`
+    lower = {sigma for sigma, _ in matching.edges}
+    roots = set()
+    for level in base.cells[1:]:
+        for mask in level:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if mask ^ low in lower:
+                    roots.add(mask ^ low)
     succ = _flow_graph(matching.edges, roots)
     order = _topological_order(succ)
     if order is None:
@@ -260,18 +272,18 @@ def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
 
 
 def _threshold_masks(
-    level: tuple[tuple[int, ...], ...], values: list[list[int]]
+    cells: list[tuple[int, ...]], values: list[list[int]]
 ) -> list[list[int]]:
-    """masks[k][j]: bitmask of the cells of one level whose k-th exponent is
-    at most values[k][j], the j-th smallest k-th exponent of the lattice.  The
-    masks are sized by the lattice, not by the exponents; a cell whose k-th
-    exponent exceeds every lattice value is in none of them.  The cells of
-    the level that divide x^alpha are then the AND over k of
+    """masks[k][j]: bitmask of the cells, given by their degrees, whose k-th
+    exponent is at most values[k][j], the j-th smallest k-th exponent of the
+    lattice.  The masks are sized by the lattice, not by the exponents; a
+    cell whose k-th exponent exceeds every lattice value is in none of them.
+    The cells that divide x^alpha are then the AND over k of
     masks[k][rank of alpha[k]]."""
     masks = []
     for k, vals in enumerate(values):
         at = [0] * len(vals)
-        for idx, exps in enumerate(level):
+        for idx, exps in enumerate(cells):
             j = bisect_left(vals, exps[k])
             if j < len(vals):
                 at[j] |= 1 << idx
@@ -294,37 +306,48 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     degrees >= 1 and its degree-0 cokernel is 0 or 1 according to whether
     x^alpha lies in the ideal.
 
-    One strand index is built per call: per-variable threshold masks give
-    the cells of each strand with a few big-int ANDs, and each differential
-    is grouped by column once.  A column is sound when every entry's row is
-    a cell of the level below whose degree divides the column's; a strand
-    holding a sound column holds all its rows.
+    The cells of all levels are numbered consecutively: cell k of level i is
+    cell off[i] + k.  One threshold mask per variable over that numbering
+    gives the cells of a strand with one big-int AND per variable.  Each
+    column of d_i is read once per call, with its rows at their global
+    positions and rows outside level i - 1 dropped: over F_2 as one int with
+    the bits of its odd entries, and as a {row: coeff} dict once a Q or odd-p
+    kernel first runs.  A strand is then one elimination over all its
+    columns.  The rows of a column of d_i all lie in level i - 1, so every
+    pivot lead falls in the range of the level whose d_i it ranks, no
+    elimination step mixes two levels, and the rank of d_i on the strand is
+    the number of leads in level i - 1.
 
-    Strands ranked over F_2 use columns packed once per call: column col of
-    d_i becomes one int with bit row set for each odd entry, negative rows
-    dropped.  A strand's matrix is then one AND per column with the bitmask
-    of the level below in the strand, ranked by `linalg.rank_f2_packed`.
-    The mask leaves a sound column unchanged and drops the rows of any
-    other column that lie outside the strand, so one path serves every
-    column.  Over Q and odd p the columns stay {row: coeff} dicts, and only
-    columns that are not sound (a corrupted complex) are filtered row by
-    row.
+    A column is sound when every entry's row is a cell of the level below
+    whose degree divides the column's.  A strand holding a sound column
+    holds all its rows.  Soundness is read with the same masks
+    (`_unsound_by_masks`), and only the columns that fail that test are
+    checked entry by entry.
+
+    When every column is sound, each strand is a subcomplex: its matrices
+    are whole columns of the differentials, and they compose to d*d with
+    every variable set to 1, which vanishes over the field.  So the
+    homology h_i = n_i - r_i - r_{i+1} of the strand is >= 0 in every degree
+    i >= 1, where n_i is the size of its level i and r_i the rank of its
+    d_i, and all of it vanishes iff the sum does: n - 2R + r_1 = 0, with n
+    the number of strand cells above level 0 and R the number of pivots.
+    The cokernel test reads n_0 - r_1.  An unsound column breaks the
+    argument: a homology of -1 in one degree can cancel a +1 in the next.
+    So a complex with an unsound column has those columns masked to the
+    strand, counts its per-level ranks from the sorted leads, and tests the
+    strand degree by degree.
 
     Over Q, a complex whose columns are all sound has its strands certified
     over F_2 first.  With d*d = 0 over the integers, each strand is then an
-    integer subcomplex: a sound column's rows all lie in the strand, so the
-    strand's matrices of integer coefficients compose to d*d with every
-    variable set to 1, which is zero.  Write q_i and t_i for the ranks
-    of its d_i over Q and over F_2, and n_i for the size of its level i.  A
-    minor that is odd is nonzero, so t_i <= q_i; and im d_{i+1} lies in
-    ker d_i, so q_i + q_{i+1} <= n_i.  When the F_2 ranks pass the strand
-    test, n_i = t_i + t_{i+1} for every i >= 1, so
+    integer subcomplex.  Write q_i and t_i for the ranks of its d_i over Q
+    and over F_2.  A minor that is odd is nonzero, so t_i <= q_i; and
+    im d_{i+1} lies in ker d_i, so q_i + q_{i+1} <= n_i.  When the F_2 ranks
+    pass the strand test, n_i = t_i + t_{i+1} for every i >= 1, so
     (q_i - t_i) + (q_{i+1} - t_{i+1}) <= 0 with both terms >= 0: every
     q_i = t_i, and the Q ranks give the same verdict, the cokernel test
     included.  Only a strand that the F_2 ranks do not pass, as one with
-    2-torsion, is ranked again over Q.  A column that is not sound
-    breaks the subcomplex argument, so then every strand is ranked over Q
-    only.
+    2-torsion, is ranked again over Q.  A column that is not sound breaks
+    the subcomplex argument, so then every strand is ranked over Q only.
     """
     linalg.check_characteristic(char)
     if not _d_squared_vanishes(C, char):
@@ -335,88 +358,129 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     )
     values = [sorted(set(column)) for column in zip(*(a for a, _ in lattice))]
     rank_of = [{v: j for j, v in enumerate(vals)} for vals in values]
-    masks = [_threshold_masks(level, values) for level in C.degrees]
+    # cell k of level i is cell off[i] + k
+    off = [0]
+    for level in C.degrees:
+        off.append(off[-1] + len(level))
+    cells = [exps for level in C.degrees for exps in level]
+    masks = _threshold_masks(cells, values)
+    everything = (1 << len(cells)) - 1
 
-    # columns[i][col]: the entries of d_i in that column as {row: coeff}
-    columns: list[list[dict[int, int]]] = [[]]
-    for i in range(1, C.length):
-        by_col: list[dict[int, int]] = [{} for _ in C.degrees[i]]
-        for (row, col), (coeff, _) in C.diff(i).items():
-            if 0 <= col < len(by_col):
-                by_col[col][row] = coeff
-        columns.append(by_col)
-    # sound[i][col], needed only where a column is read as a dict
-    sound: list[list[bool]] = [[]]
-    if char != 2:
-        for i in range(1, C.length):
-            here, lower = C.degrees[i], C.degrees[i - 1]
-            sound.append([
-                all(
-                    0 <= row < len(lower)
-                    and all(e <= c for e, c in zip(lower[row], here[col]))
-                    for row in entries
-                )
-                for col, entries in enumerate(columns[i])
-            ])
-    chars = (2, 0) if char == 0 and all(map(all, sound)) else (char,)
-    # packed[i][col]: the odd entries of a column of d_i as a bitmask of rows
-    packed: list[list[int]] = [[]]
-    if 2 in chars:
-        for by_col in columns[1:]:
-            level = []
-            for entries in by_col:
-                x = 0
-                for row, v in entries.items():
-                    if v & 1 and row >= 0:
-                        x |= 1 << row
-                level.append(x)
-            packed.append(level)
+    # support[g], packed[g]: the rows of the column of cell g, and those of
+    # its odd entries, as bitmasks
+    support = [0] * len(cells)
+    packed = [0] * len(cells)
+    unsound: set[int] = set()
+    for g, row, coeff in _column_entries(C, off):
+        if row is None:
+            unsound.add(g)
+        else:
+            support[g] |= 1 << row
+            if coeff & 1:
+                packed[g] |= 1 << row
+    unsound.update(_unsound_by_masks(cells, off, support, masks, values))
+    del support
+    sound = not unsound
+    chars = (2, 0) if char == 0 and sound else (char,)
+    columns: list[dict[int, int]] | None = None  # built for the first dict kernel
 
-    sizes = [0] * (C.length + 1)
-    ranks = [0] * (C.length + 1)
+    # level_bits[i]: the cells of level i
+    level_bits = [(1 << b) - (1 << a) for a, b in zip(off, off[1:])]
+    above = everything ^ level_bits[0]
+    # the pivot keys of level-0 rows; over F_2 a key is the bit length
+    level0 = {ch: range(ch == 2, off[1] + (ch == 2)) for ch in chars}
     for alpha, alpha_deg in lattice:
-        at = [rank_of[k][a] for k, a in enumerate(alpha)]
-        present = []
-        for level, level_masks in zip(C.degrees, masks):
-            bits = (1 << len(level)) - 1
-            for k_masks, j in zip(level_masks, at):
-                bits &= k_masks[j]
-            present.append(bits)
-        # strand[i]: the columns of d_i on this strand, for i >= 1
-        strand = [[], *map(indices_of, present[1:])]
-        for i in range(1, C.length):
-            sizes[i] = len(strand[i])
+        present = everything
+        for k_masks, rank, a in zip(masks, rank_of, alpha):
+            present &= k_masks[rank[a]]
+        strand = indices_of(present & above)
         for ch in chars:
-            for i in range(1, C.length):
-                cols, below = strand[i], present[i - 1]
-                if not cols:
-                    ranks[i] = 0
-                elif ch == 2:
-                    level = packed[i]
-                    ranks[i] = linalg.rank_f2_packed([level[c] & below for c in cols])
+            if ch == 2:
+                rows = [packed[g] for g in strand]
+                if not sound:
+                    rows = [x & present for x in rows]
+                pivots = linalg.pivots_f2_packed(rows)
+            else:
+                if columns is None:
+                    columns = [{} for _ in cells]
+                    for g, row, coeff in _column_entries(C, off):
+                        if row is not None:
+                            columns[g][row] = coeff
+                rows = [
+                    {row: v for row, v in columns[g].items() if present >> row & 1}
+                    if g in unsound
+                    else columns[g]
+                    for g in strand
+                ]
+                if ch:
+                    pivots = linalg.pivots_mod(rows, ch)
                 else:
-                    rows = []
-                    for col in cols:
-                        entries = columns[i][col]
-                        if not sound[i][col]:
-                            entries = {
-                                row: v
-                                for row, v in entries.items()
-                                if row >= 0 and below >> row & 1
-                            }
-                        if entries:
-                            rows.append(entries)
-                    ranks[i] = linalg.rank(rows, ch)
-            if not any(
-                sizes[i] - ranks[i] - ranks[i + 1] for i in range(1, C.length)
+                    pivots = linalg.pivots_rational(rows)
+            r1 = sum(map(pivots.__contains__, level0[ch]))
+            if sound:
+                if len(strand) - 2 * len(pivots) + r1 == 0:
+                    break
+                continue
+            leads = sorted(pivots)
+            cut = [bisect_left(leads, o + (ch == 2)) for o in off]
+            # ranks[i]: the rank of d_i on the strand, its leads in level i - 1
+            ranks = [0, *map(sub, cut[1:], cut)]
+            if all(
+                (present & level_bits[i]).bit_count() == ranks[i] + ranks[i + 1]
+                for i in range(1, C.length)
             ):
                 break
         else:
             return False
         in_ideal = any(g & ~alpha_deg == 0 for g in tc.gen_degrees)
-        if present[0].bit_count() - ranks[1] != (0 if in_ideal else 1):
+        if (present & level_bits[0]).bit_count() - r1 != (0 if in_ideal else 1):
             return False
     return True
+
+
+def _column_entries(
+    C: ChainComplex, off: list[int]
+) -> Iterator[tuple[int, int | None, int]]:
+    """(g, row, coeff) for each entry of each d_i whose column is a cell of
+    level i: g is that cell and row the entry's row, both numbered from
+    `off`, or None when the row is not a cell of level i - 1."""
+    for i in range(1, C.length):
+        lo, n_rows, n_cols = off[i - 1], off[i] - off[i - 1], off[i + 1] - off[i]
+        for (row, col), (coeff, _) in C.diff(i).items():
+            if 0 <= col < n_cols:
+                yield off[i] + col, lo + row if 0 <= row < n_rows else None, coeff
+
+
+def _unsound_by_masks(
+    cells: list[tuple[int, ...]],
+    off: list[int],
+    support: list[int],
+    masks: list[list[int]],
+    values: list[list[int]],
+) -> list[int]:
+    """The cells above level 0 whose column has a row whose degree does not
+    divide the column's.  The AND over each variable of the threshold mask
+    at the largest lattice value not above the column's exponent holds only
+    cells whose degree divides the column's, so a column whose rows lie in
+    it is sound; only the others are checked row by row."""
+    out = []
+    everything = (1 << len(cells)) - 1
+    below: dict[tuple[int, ...], int] = {}
+    for g in range(off[1], len(cells)):
+        exps = cells[g]
+        cover = below.get(exps)
+        if cover is None:
+            cover = everything
+            for k_masks, vals, e in zip(masks, values, exps):
+                j = bisect_right(vals, e) - 1
+                cover = cover & k_masks[j] if j >= 0 else 0
+            below[exps] = cover
+        if support[g] & ~cover and not all(
+            all(e <= c for e, c in zip(cells[row], exps))
+            for row in indices_of(support[g])
+        ):
+            out.append(g)
+    return out
 
 
 def check_minimal(C: ChainComplex, char: int = 0) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from prunres.cli import main
-from prunres.ideals import ParseError, parse_ideal
+from prunres.ideals import ParseError, builtin_ideal, parse_ideal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,8 +94,6 @@ class TestBuiltins:
         ).split()
 
     def test_cycle5_generators(self):
-        from prunres.ideals import builtin_ideal
-
         I = builtin_ideal("cycle:5")
         assert I.generator_strs() == [
             "x1*x2",
@@ -113,6 +111,34 @@ class TestBuiltins:
         )
         assert code == 0
         assert "total: 1 3 2" in " ".join(out.split())
+
+    def test_edges_file_with_gaps(self, tmp_path):
+        f = tmp_path / "graph.txt"
+        f.write_text("1 2\n4 5\n")
+        I = builtin_ideal(f"edges:{f}")
+        assert I.variables == ("x1", "x2", "x4", "x5")
+        assert I.generator_strs() == ["x1*x2", "x4*x5"]
+
+    def test_edges_file_large_vertex_number_under_memory_limit(self, tmp_path):
+        # One variable per vertex number would be 200 million of them; the
+        # child process gets 512 MiB of address space
+        f = tmp_path / "graph.txt"
+        f.write_text("1 200000000\n")
+        limit = 512 << 20
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "prunres.cli", "betti", "--ideal", f"edges:{f}"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "total: 1 1" in " ".join(proc.stdout.split())
 
     @pytest.mark.parametrize(
         "text, line",

@@ -1,4 +1,6 @@
+import sys
 import time
+from bisect import bisect_right
 from operator import add
 
 import pytest
@@ -307,42 +309,89 @@ def _corruptions(C):
         yield f"raise degree of F{i}[0]", raised, (0, 2)
 
 
-def _traced(monkeypatch, fn, *args):
-    """The result of fn(*args) and its rank calls, each as (char, sorted row
-    lengths, rank): the same matrix up to the order and the labels of its
-    rows and columns.  Over F_2 a row's length counts its odd entries, for
-    dict rows through linalg.rank and packed rows through
-    linalg.rank_f2_packed alike, and rows with none are left out: a packed
-    column holds no even entries and stays in its strand when it is zero.
-    The packed call that linalg.rank makes at char 2 is part of its own."""
-    calls = []
-    real, real_packed = linalg.rank, linalg.rank_f2_packed
+def _traced(monkeypatch, fn, I, C, char):
+    """The result of fn(I, C, char) and its rank calls, grouped by strand:
+    per strand, one (char, sorted row lengths, rank) per level of the
+    strand with a nonempty row, in level order.  That is the same matrix up
+    to the order and the labels of its rows and columns.
+
+    The strand loop calls linalg.rank once per level, and each call to
+    `_reference_strand_ranks` opens a strand.  check_exactness makes one
+    pivot-kernel call per strand, over the global cell numbering; its rows
+    are split into levels by the complex's level offsets, each row's entries
+    must all lie in one level, and the rank of a level is the number of
+    pivot leads in it.  Over F_2 a row's length counts its odd entries, and
+    an F_2 pivot key is a bit length, one above its leading row.  Empty rows
+    are left out on both sides, and so are levels and strands left with
+    none: an empty row has no level to be split into.  The kernel calls that
+    linalg.rank makes are part of its own."""
+    strands = []
+    real_rank, reference_strand_ranks = linalg.rank, _reference_strand_ranks
+    kernels = {
+        name: getattr(linalg, name)
+        for name in ("pivots_rational", "pivots_mod", "pivots_f2_packed")
+    }
+    off = [0]
+    for level in C.degrees:
+        off.append(off[-1] + len(level))
     inside = []  # nonempty while linalg.rank runs
 
-    def recording(rows, char):
-        inside.append(char)
+    def opening(*a):
+        strands.append([])
+        return reference_strand_ranks(*a)
+
+    def recording_rank(rows, ch):
+        inside.append(ch)
         try:
-            r = real(rows, char)
+            r = real_rank(rows, ch)
         finally:
             inside.pop()
-        if char == 2:
-            odd = (sum(v & 1 for v in row.values()) for row in rows)
-            lengths = [n for n in odd if n]
+        if ch == 2:
+            lengths = [sum(v & 1 for v in row.values()) for row in rows]
         else:
             lengths = [len(row) for row in rows]
-        calls.append((char, sorted(lengths), r))
+        lengths = sorted(n for n in lengths if n)
+        if lengths:
+            strands[-1].append((ch, lengths, r))
         return r
 
-    def recording_packed(rows):
-        r = real_packed(rows)
-        if not inside:
-            calls.append((2, sorted(x.bit_count() for x in rows if x), r))
-        return r
+    def split(ch, rows, pivots):
+        shift = 1 if ch == 2 else 0
+        by_level = {}
+        for row in rows:
+            spots = indices_of(row) if ch == 2 else sorted(row)
+            if not spots:
+                continue
+            level = bisect_right(off, spots[0]) - 1
+            assert spots[-1] < off[level + 1], "a row crosses two levels"
+            by_level.setdefault(level, []).append(len(spots))
+        out = []
+        for level in sorted(by_level):
+            lo, hi = off[level] + shift, off[level + 1] + shift
+            rank = sum(lo <= key < hi for key in pivots)
+            out.append((ch, sorted(by_level[level]), rank))
+        assert sum(r for *_, r in out) == len(pivots)
+        strands.append(out)
+
+    def recording(name, ch):
+        real = kernels[name]
+
+        def kernel(rows, *p):
+            pivots = real(rows, *p)
+            if not inside:
+                split(p[0] if p else ch, rows, pivots)
+            return pivots
+
+        return kernel
 
     with monkeypatch.context() as m:
-        m.setattr(linalg, "rank", recording)
-        m.setattr(linalg, "rank_f2_packed", recording_packed)
-        return fn(*args), calls
+        m.setattr(sys.modules[__name__], "_reference_strand_ranks", opening)
+        m.setattr(linalg, "rank", recording_rank)
+        m.setattr(linalg, "pivots_rational", recording("pivots_rational", 0))
+        m.setattr(linalg, "pivots_mod", recording("pivots_mod", None))
+        m.setattr(linalg, "pivots_f2_packed", recording("pivots_f2_packed", 2))
+        result = fn(I, C, char)
+    return result, [strand for strand in strands if strand]
 
 
 def _all_sound(C):
@@ -367,7 +416,8 @@ def _in_order_sublist(short, long):
 
 class TestExactnessAgainstStrandLoop:
     """check_exactness against the per-strand loop it replaced: the same
-    verdict and the same rank calls on the same strand matrices.
+    verdict and, strand by strand and level by level, the same matrices
+    with the same ranks.
 
     Over Q, a complex whose columns are all sound has each strand ranked over
     F_2 first, and over Q only when the F_2 ranks do not pass.  Where the
@@ -389,23 +439,25 @@ class TestExactnessAgainstStrandLoop:
         exact2, ref2_calls = _traced(monkeypatch, _reference_exactness, I, C, 2)
         if exact2:
             assert calls == ref2_calls
-            assert [r for *_, r in calls] == [r for *_, r in ref_calls]
+            ranks = [[r for *_, r in strand] for strand in calls]
+            assert ranks == [[r for *_, r in strand] for strand in ref_calls]
         else:
-            assert _in_order_sublist([c for c in calls if c[0] == 0], ref_calls)
+            q_calls = [strand for strand in calls if strand[0][0] == 0]
+            assert _in_order_sublist(q_calls, ref_calls)
         return got
 
     def test_corpus40(self, corpus40, monkeypatch):
         for I in corpus40:
             for method in self.METHODS:
                 C = morse_differential(I, method(I), validate=False)
-                for char in (0, 2):
+                for char in (0, 2, 3, 5):
                     assert self._same(monkeypatch, I, C, char)
 
     def test_builtins(self, builtins, monkeypatch):
         for name, I in builtins.items():
             for method in self.METHODS:
                 C = morse_differential(I, method(I), validate=False)
-                for char in (0, 2):
+                for char in (0, 2, 3, 5):
                     assert self._same(monkeypatch, I, C, char), (name, char)
 
     def test_corrupted_corpus40(self, corpus40, monkeypatch):
@@ -720,6 +772,41 @@ class TestCertificateOverF2:
         assert _d_squared_vanishes(C, 2) and not _all_sound(C)
         assert not _reference_exactness(I, C, 2)
         assert not check_exactness(I, C, 2)
+
+
+class TestSummedStrandTest:
+    """On a complex whose columns are all sound, check_exactness passes a
+    strand when its homology summed over degrees >= 1 is zero: each strand
+    is then a subcomplex, so no degree's homology is negative.  An unsound
+    column breaks that, and its strands must be tested degree by degree."""
+
+    def test_unsound_column_cancels_in_the_sum(self):
+        # F0 = {e}, F1 = {g, h}, F2 = {gh, z}, F3 = {w} over the ideal
+        # (x, y), with degrees 1; x, y; x, x; xy.  d1 = (x, y), d2 sends gh
+        # to y*g - x*h, and d3 sends w to y*z, so d*d = 0.  But the degree of
+        # h does not divide x, the degree of gh.  On the strand at x, which
+        # lacks h, gh bounds g: H_1 = 1 - 1 - 1 = -1 and H_2 = 2 - 1 = +1,
+        # which sum to zero.
+        I = parse_ideal("ring x y; gens x, y")
+        C = ChainComplex(
+            ("x", "y"),
+            ((0,), (1, 2), (3, 4), (7,)),
+            (
+                ((0, 0),),
+                ((1, 0), (0, 1)),
+                ((1, 0), (1, 0)),
+                ((1, 1),),
+            ),
+            (
+                {(0, 0): (1, (1, 0)), (0, 1): (1, (0, 1))},
+                {(0, 0): (1, (0, 1)), (1, 0): (-1, (1, 0))},
+                {(1, 0): (1, (0, 1))},
+            ),
+        )
+        assert check_d_squared(C) and not _all_sound(C)
+        for char in (0, 2, 3):
+            assert not _reference_exactness(I, C, char)
+            assert not check_exactness(I, C, char), char
 
 
 @pytest.fixture(scope="module")
