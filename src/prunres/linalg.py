@@ -17,14 +17,18 @@ A row only ever meets pivots keyed by its own leading column, so when the
 columns of a matrix fall into ranges that no row crosses, one call ranks
 each range at once: the rank of a range is the number of keys in it.
 `morse.check_exactness` eliminates all the levels of a strand in one call
-that way.  The rank is the size of the dict: `rank_rational`, `rank_mod`
+that way.  A packed row costs its bit length, so `pivots_f2_packed` takes a
+shift per row: each range is packed from bit 0, and the shift moves its keys
+into place.  The rank is the size of the dict: `rank_rational`, `rank_mod`
 and `rank_f2_packed` return it, and `rank_f2` packs dict rows first, so the
 library has one elimination loop per field.  `rank(rows, char)` picks the
 kernel for a characteristic.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
+from typing import Iterable
 
 
 def pivots_rational(
@@ -110,19 +114,26 @@ def rank_mod(rows: list[dict[int, int]], p: int) -> int:
     return len(pivots_mod(rows, p))
 
 
-def pivots_f2_packed(rows: list[int]) -> dict[int, int]:
+def pivots_f2_packed(
+    rows: Iterable[int], shifts: Iterable[int] | None = None
+) -> dict[int, int]:
     """Echelon form over F_2 of rows packed into ints, bit c for column c:
     bit length -> pivot row, so the key of leading column c is c + 1.
 
-    XOR with the pivot of a row's bit length clears its leading bit and
-    leaves only lower ones, so the leading column only falls, as in the dict
-    kernels.  Zero rows count for nothing.
+    With `shifts`, bit c of a row stands for column c + its shift, and its
+    keys move by the same amount.  Rows with different shifts must then
+    cover disjoint ranges of columns, so that a row only meets pivots packed
+    with its own shift.
+
+    XOR with the pivot of a row's key clears its leading bit and leaves only
+    lower ones, so the leading column only falls, as in the dict kernels.
+    Zero rows count for nothing.
     """
     pivots: dict[int, int] = {}
     get = pivots.get
-    for x in rows:
+    for x, shift in zip(rows, repeat(0) if shifts is None else shifts):
         while x:
-            lead = x.bit_length()
+            lead = x.bit_length() + shift
             p = get(lead)
             if p is None:
                 pivots[lead] = x

@@ -9,7 +9,6 @@ canonical order of sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable
 
 from .monomials import Monomial, MonomialIdeal, lcm, monomial_str
@@ -290,10 +289,10 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
     `is_acyclic`: no closed V-path (Forman; Chari).  A V-path runs from a
     matched-lower face sigma to its partner sigma + e_j and down to another
     facet of that partner, so the matching is acyclic exactly when the flow
-    graph of `_flow_graph` has a topological order; the sort reads its arcs
-    without weights.  The test reads no degrees, so it covers degree-shift
-    and partial matchings alike.  Acyclicity is defined for matchings only:
-    when the edges are not vertex-disjoint, `is_acyclic` is False.
+    graph of `_flow_graph`, built without weights, has a topological order.
+    The test reads no degrees, so it covers degree-shift and partial
+    matchings alike.  Acyclicity is defined for matchings only: when the
+    edges are not vertex-disjoint, `is_acyclic` is False.
 
     `r` must equal `I.r` (ValueError otherwise); it is read only for that.
     """
@@ -322,9 +321,7 @@ def _verify_matching(tc: TaylorComplex, r: int, matching: Matching) -> MatchingR
         deg(sigma) == deg(sigma | (1 << j)) for sigma, j in matching.edges
     )
     is_acyclic = (
-        is_matching
-        and _topological_order(_flow_graph(matching.edges, weights=False), False)
-        is not None
+        is_matching and _topological_order(_flow_graph(matching.edges)[0]) is not None
     )
     return MatchingReport(is_matching, is_homogeneous, is_acyclic)
 
@@ -332,20 +329,21 @@ def _verify_matching(tc: TaylorComplex, r: int, matching: Matching) -> MatchingR
 def _flow_graph(
     edges: Iterable[tuple[int, int]],
     roots: Iterable[int] | None = None,
-    weights: bool = True,
-) -> dict[int, list]:
-    """The gradient-flow graph of matched edges (sigma, j): sigma -> [(f,
-    weight)] for every facet f != sigma of up = sigma + e_j, with weight
-    -[up : sigma] * [up : f], both signs from `facets`.  Its paths are the
-    V-paths of the matching.
+    weighted: bool = False,
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The gradient-flow graph of matched edges (sigma, j): succ maps sigma
+    to every facet f != sigma of up = sigma + e_j, in the order of `facets`.
+    Its paths are the V-paths of the matching.  With `weighted`, weights
+    maps sigma to the weights of those arcs, -[up : sigma] * [up : f], both
+    signs from `facets`; otherwise it is empty, and no sign is read.
 
     With `roots`, only the matched-lower faces reachable from the roots are
-    nodes; otherwise every matched-lower face is.  Without `weights`, an
-    arc is the facet f alone, up with one member of sigma removed, and no
-    sign is read.  No edge may have j in sigma.
+    nodes; otherwise every matched-lower face is.  No edge may have j in
+    sigma.
     """
     partner_up = {sigma: sigma | (1 << j) for sigma, j in edges}
-    succ: dict[int, list] = {}
+    succ: dict[int, list[int]] = {}
+    weights: dict[int, list[int]] = {}
     if roots is None:
         stack = list(partner_up)
     else:
@@ -355,42 +353,23 @@ def _flow_graph(
         if cell in succ:
             continue
         up = partner_up[cell]
-        if not weights:
-            # up less one member of sigma, walked inline: this is the hot
-            # loop of verify_matching
-            succ[cell] = heads = []
-            rest = cell
-            while rest:
-                low = rest & -rest
-                heads.append(up ^ low)
-                rest ^= low
-        else:
+        # up less one member of sigma
+        succ[cell] = heads = [up ^ 1 << b for b in indices_of(cell)]
+        if weighted:
             arcs = facets(up)
-            if (cell, 1) in arcs:  # [up : sigma] = 1: weights -[up : f]
-                arcs.remove((cell, 1))
-                arcs = [(f, -s) for f, s in arcs]
-            else:  # [up : sigma] = -1: weights [up : f]
-                arcs.remove((cell, -1))
-            succ[cell] = arcs
-            heads = map(itemgetter(0), arcs)
+            flip = -1 if (cell, 1) in arcs else 1  # -[up : sigma]
+            weights[cell] = [flip * s for f, s in arcs if f != cell]
         if roots is not None:
             stack += [f for f in heads if f in partner_up and f not in succ]
-    return succ
+    return succ, weights
 
 
-def _topological_order(
-    succ: dict[int, list], weights: bool = True
-) -> list[int] | None:
+def _topological_order(succ: dict[int, list[int]]) -> list[int] | None:
     """Kahn's sort of the nodes of a flow graph (arcs to non-nodes are
-    ignored); None when the graph has a cycle.  `weights` says whether the
-    arcs carry weights, as in `_flow_graph`."""
-    if weights:
-        heads = lambda arcs: map(itemgetter(0), arcs)
-    else:
-        heads = lambda arcs: arcs
+    ignored); None when the graph has a cycle."""
     indeg = dict.fromkeys(succ, 0)
-    for arcs in succ.values():
-        for f in heads(arcs):
+    for heads in succ.values():
+        for f in heads:
             if f in indeg:
                 indeg[f] += 1
     stack = [c for c, n in indeg.items() if not n]
@@ -398,7 +377,7 @@ def _topological_order(
     while stack:
         cell = stack.pop()
         order.append(cell)
-        for f in heads(succ[cell]):
+        for f in succ[cell]:
             n = indeg.get(f)
             if n is not None:
                 indeg[f] = n - 1

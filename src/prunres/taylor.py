@@ -23,10 +23,28 @@ from typing import Callable
 from .monomials import MonomialIdeal
 
 PRECOMPUTE_CAP = 20
+# ints at least this wide are walked in their binary string (`indices_of`)
+WIDE_MASK_BITS = 1024
 
 
 def indices_of(mask: int) -> list[int]:
-    """The members of a face: positions of the set bits, in increasing order."""
+    """The members of a face: positions of the set bits, in increasing order.
+
+    Each step of the walk by lowest set bit costs the width of the int, so
+    k set bits of a W-bit int cost about k * W.  An int of at least
+    WIDE_MASK_BITS bits, as a strand of a complex with thousands of cells,
+    is read from `bin` instead: one pass over its digits and one `find` per
+    set bit."""
+    if mask.bit_length() >= WIDE_MASK_BITS:
+        digits = bin(mask)
+        top = len(digits) - 1
+        out = []
+        i = digits.find("1", 2)
+        while i >= 0:
+            out.append(top - i)
+            i = digits.find("1", i + 1)
+        out.reverse()
+        return out
     out = []
     while mask:
         low = mask & -mask

@@ -168,6 +168,27 @@ def test_f2_same_rank_as_rescan_kernel(rows):
     assert packed == [_pack(row) for row in before]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(matrices(), min_size=1, max_size=4))
+def test_f2_shifted_ranges_rank_independently(blocks):
+    # each block packed from bit 0 and shifted past the ones before it: the
+    # keys of block k are its own keys moved by its shift
+    rows, shifts, expected, shift = [], [], {}, 0
+    for block in blocks:
+        width = 1 + max((c for row in block for c in row), default=0)
+        packed = [_pack(row) for row in block]
+        expected.update(
+            (key + shift, x) for key, x in linalg.pivots_f2_packed(packed).items()
+        )
+        rows += packed
+        shifts += [shift] * len(packed)
+        shift += width
+    order = list(range(len(rows)))
+    order.reverse()  # the blocks interleaved with each other
+    got = linalg.pivots_f2_packed([rows[k] for k in order], [shifts[k] for k in order])
+    assert sorted(got) == sorted(expected)
+
+
 @pytest.mark.parametrize(
     "rows, expected",
     [

@@ -320,8 +320,9 @@ def _traced(monkeypatch, fn, I, C, char):
     pivot-kernel call per strand, over the global cell numbering; its rows
     are split into levels by the complex's level offsets, each row's entries
     must all lie in one level, and the rank of a level is the number of
-    pivot leads in it.  Over F_2 a row's length counts its odd entries, and
-    an F_2 pivot key is a bit length, one above its leading row.  Empty rows
+    pivot leads in it.  Over F_2 a row's length counts its odd entries, its
+    bit b is global row b + its shift, and an F_2 pivot key is one above its
+    leading global row.  Empty rows
     are left out on both sides, and so are levels and strands left with
     none: an empty row has no level to be split into.  The kernel calls that
     linalg.rank makes are part of its own."""
@@ -355,11 +356,11 @@ def _traced(monkeypatch, fn, I, C, char):
             strands[-1].append((ch, lengths, r))
         return r
 
-    def split(ch, rows, pivots):
+    def split(ch, rows, shifts, pivots):
         shift = 1 if ch == 2 else 0
         by_level = {}
-        for row in rows:
-            spots = indices_of(row) if ch == 2 else sorted(row)
+        for row, lo in zip(rows, shifts):
+            spots = [lo + b for b in indices_of(row)] if ch == 2 else sorted(row)
             if not spots:
                 continue
             level = bisect_right(off, spots[0]) - 1
@@ -377,9 +378,14 @@ def _traced(monkeypatch, fn, I, C, char):
         real = kernels[name]
 
         def kernel(rows, *p):
+            rows = list(rows)
+            shifts = [0] * len(rows)
+            if ch == 2 and p and p[0] is not None:
+                shifts = list(p[0])
+                p = (shifts,)
             pivots = real(rows, *p)
             if not inside:
-                split(p[0] if p else ch, rows, pivots)
+                split(p[0] if ch is None else ch, rows, shifts, pivots)
             return pivots
 
         return kernel

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from prunres.ideals import cycle_ideal, path_ideal
 from prunres.monomials import Monomial, MonomialIdeal, divides, ideal, monomial_str
-from prunres.taylor import PRECOMPUTE_CAP, TaylorComplex, facets
+from prunres.taylor import (
+    PRECOMPUTE_CAP,
+    WIDE_MASK_BITS,
+    TaylorComplex,
+    facets,
+    indices_of,
+)
 
 
 # The degree table as it was before degrees became bitmasks: exponent tuples
@@ -218,3 +224,15 @@ def test_exponents_near_max():
     assert full == (1 << 8) - 1
     assert tc.exponents((1 << I.r) - 1) == (big, big, big)
     _assert_same_table(I)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.integers(0, 3 * WIDE_MASK_BITS), max_size=200),
+    st.integers(WIDE_MASK_BITS - 2, WIDE_MASK_BITS + 1),
+)
+def test_indices_of_on_both_sides_of_the_wide_walk(bits, top):
+    # ints of WIDE_MASK_BITS bits and more are read from their binary string
+    for members in (bits, bits | {top}, {b for b in bits if b < top} | {top}):
+        mask = sum(1 << b for b in members)
+        assert indices_of(mask) == sorted(members)
