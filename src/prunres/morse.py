@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter, mul, sub
 from typing import Iterator
 
@@ -273,19 +273,22 @@ def _threshold_masks(
     lattice.  The masks are sized by the lattice, not by the exponents; a
     cell whose k-th exponent exceeds every lattice value is in none of them.
     The cells that divide x^alpha are then the AND over k of
-    masks[k][rank of alpha[k]]."""
+    masks[k][rank of alpha[k]].
+
+    Each variable's ranks j of the cells, last cell first, are one str of
+    code points, and each mask is read from it with one translate to binary
+    digits and one int(): setting bits one at a time in an int copies the
+    whole mask per cell, and on the 24,576 cells of the Lyubeznik complex of
+    cycle:15 that took 3.6 times as long."""
     masks = []
     for k, vals in enumerate(values):
-        at = [0] * len(vals)
-        for idx, exps in enumerate(cells):
-            j = bisect_left(vals, exps[k])
-            if j < len(vals):
-                at[j] |= 1 << idx
-        acc = 0
-        for j, bits in enumerate(at):
-            acc |= bits
-            at[j] = acc
-        masks.append(at)
+        n = len(vals)
+        column = map(itemgetter(k), reversed(cells))
+        ranks = "".join(map(chr, map(bisect_left, repeat(vals), column)))
+        masks.append([
+            int(ranks.translate("1" * j + "0" * (n + 1 - j)) or "0", 2)
+            for j in range(1, n + 1)
+        ])
     return masks
 
 
@@ -334,6 +337,19 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     cheaper: with the per-level test on every strand, the checks of the
     perfbench strands and corpus workloads ran 14% and 23% slower.
 
+    Strands are visited in the lex order of their degrees, where one
+    usually contains the strand before it: prev & ~present == 0, one AND.
+    In a sound complex the columns of a strand are whole columns, so then
+    its columns are the previous strand's plus those of the cells it adds,
+    and the echelon form of the previous strand, extended by those new
+    columns alone, is an echelon form of this one.  So one running pivot
+    dict is carried along, the summed test reads it, and a strand that does
+    not contain the one before starts a new dict.  On example-4-1 under the
+    three methods this cuts the rows eliminated per characteristic from
+    163,182 to 89,872.  A complex with an unsound column never chains: its
+    columns are masked to each strand, so a column of the previous strand
+    is not a column of this one.
+
     Over Q, a complex whose columns are all sound has its strands certified
     over F_2 first.  With d*d = 0 over the integers, each strand is then an
     integer subcomplex.  Write q_i and t_i for the ranks of its d_i over Q
@@ -343,8 +359,9 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     (q_i - t_i) + (q_{i+1} - t_{i+1}) <= 0 with both terms >= 0: every
     q_i = t_i, and the Q ranks give the same verdict, the cokernel test
     included.  Only a strand that the F_2 ranks do not pass, as one with
-    2-torsion, is ranked again over Q.  A column that is not sound breaks
-    the subcomplex argument, so then every strand is ranked over Q only.
+    2-torsion, is ranked again over Q, from scratch, and the F_2 chain goes
+    on past it.  A column that is not sound breaks the subcomplex argument,
+    so then every strand is ranked over Q only.
     """
     linalg.check_characteristic(char)
     if not _d_squared_vanishes(C, char):
@@ -391,12 +408,21 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     above = everything ^ level_bits[0]
     # the pivot keys of level-0 rows; over F_2 a key is the bit length
     level0 = {ch: range(ch == 2, off[1] + (ch == 2)) for ch in chars}
+    # running: the echelon form over chars[0] of the columns of the strand
+    # `prev`, which the next strand extends when it contains that strand
+    prev, running = 0, None
     for alpha, alpha_deg in lattice:
         present = everything
         for k_masks, rank, a in zip(masks, rank_of, alpha):
             present &= k_masks[rank[a]]
-        strand = indices_of(present & above)
+        if not sound or prev & ~present:
+            prev, running = 0, None
+        new, prev = present & above & ~prev, present
         for ch in chars:
+            # the Q ranks of a strand that fails over F_2 start from scratch
+            chained = ch == chars[0]
+            strand = indices_of(new if chained else present & above)
+            base = running if chained else None
             if ch == 2:
                 rows = [packed[g] for g in strand]
                 if not sound:
@@ -404,7 +430,9 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
                         x & present >> shift[g] if g in unsound else x
                         for g, x in zip(strand, rows)
                     ]
-                pivots = linalg.pivots_f2_packed(rows, [shift[g] for g in strand])
+                pivots = linalg.pivots_f2_packed(
+                    rows, [shift[g] for g in strand], base
+                )
             else:
                 if columns is None:
                     columns = [{} for _ in cells]
@@ -418,12 +446,14 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
                     for g in strand
                 ]
                 if ch:
-                    pivots = linalg.pivots_mod(rows, ch)
+                    pivots = linalg.pivots_mod(rows, ch, base)
                 else:
-                    pivots = linalg.pivots_rational(rows)
+                    pivots = linalg.pivots_rational(rows, base)
+            if chained:
+                running = pivots
             r1 = sum(map(pivots.__contains__, level0[ch]))
             if sound:
-                if len(strand) - 2 * len(pivots) + r1 == 0:
+                if (present & above).bit_count() - 2 * len(pivots) + r1 == 0:
                     break
                 continue
             leads = sorted(pivots)

@@ -5,7 +5,9 @@ previous `linalg` kernels: at every pivot they rescan all remaining rows for
 the shortest one (over Q, preferring a +-1 entry).  The new kernels must give
 the same rank on every matrix, and the F_2 kernels `rank_f2` and
 `rank_f2_packed` (on the same rows packed into ints) the same rank as
-`_rescan_rank_mod(rows, 2)`.
+`_rescan_rank_mod(rows, 2)`.  Each kernel, given the echelon form of an
+earlier call, must extend it in place to the keys of one call on all the
+rows.
 """
 from math import gcd
 
@@ -187,6 +189,52 @@ def test_f2_shifted_ranges_rank_independently(blocks):
     order.reverse()  # the blocks interleaved with each other
     got = linalg.pivots_f2_packed([rows[k] for k in order], [shifts[k] for k in order])
     assert sorted(got) == sorted(expected)
+
+
+def _dict_kernel(char):
+    if char == 0:
+        return linalg.pivots_rational
+    return lambda rows, pivots=None: linalg.pivots_mod(rows, char, pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data(), st.sampled_from([0, 3, 5]))
+def test_extended_echelon_has_the_keys_of_one_call(rows, data, char):
+    # an echelon form of A extended by B, in place, against one call on A + B
+    k = data.draw(st.integers(0, len(rows)))
+    before = [dict(r) for r in rows]
+    kernel = _dict_kernel(char)
+    first = kernel(rows[:k])
+    extended = kernel(rows[k:], first)
+    assert extended is first
+    assert sorted(extended) == sorted(kernel(rows))
+    assert len(extended) == _rescan_rank(rows, char)
+    assert rows == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(matrices(), matrices(wide_rows)), min_size=1, max_size=4),
+       st.data())
+def test_f2_extended_echelon_has_the_keys_of_one_call(blocks, data):
+    # shifted ranges as in the test above, interleaved, then cut in two
+    rows, shifts, shift = [], [], 0
+    for block in blocks:
+        packed = [_pack(row) for row in block]
+        rows += packed
+        shifts += [shift] * len(packed)
+        shift += 1 + max((c for row in block for c in row), default=0)
+    order = data.draw(st.permutations(range(len(rows))))
+    rows, shifts = [rows[j] for j in order], [shifts[j] for j in order]
+    k = data.draw(st.integers(0, len(rows)))
+    first = linalg.pivots_f2_packed(rows[:k], shifts[:k])
+    extended = linalg.pivots_f2_packed(rows[k:], shifts[k:], first)
+    assert extended is first
+    assert sorted(extended) == sorted(linalg.pivots_f2_packed(rows, shifts))
+    # unshifted, as rank_f2_packed calls it
+    first = linalg.pivots_f2_packed(rows[:k])
+    assert sorted(linalg.pivots_f2_packed(rows[k:], None, first)) == sorted(
+        linalg.pivots_f2_packed(rows)
+    )
 
 
 @pytest.mark.parametrize(

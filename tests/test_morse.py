@@ -1,6 +1,7 @@
+import inspect
 import sys
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from operator import add
 
 import pytest
@@ -15,6 +16,7 @@ from prunres.monomials import MAX_EXPONENT
 from prunres.morse import (
     ChainComplex,
     _d_squared_vanishes,
+    _threshold_masks,
     InvalidMatchingError,
     check_d_squared,
     check_exactness,
@@ -233,6 +235,58 @@ class TestExactness:
         assert not check_exactness(path5, broken, 0)
 
 
+def _bitwise_threshold_masks(cells, values):
+    """_threshold_masks as it was, setting one bit at a time."""
+    masks = []
+    for k, vals in enumerate(values):
+        at = [0] * len(vals)
+        for idx, exps in enumerate(cells):
+            j = bisect_left(vals, exps[k])
+            if j < len(vals):
+                at[j] |= 1 << idx
+        acc = 0
+        for j, bits in enumerate(at):
+            acc |= bits
+            at[j] = acc
+        masks.append(at)
+    return masks
+
+
+class TestThresholdMasks:
+    @staticmethod
+    def _inputs(I, C):
+        tc = TaylorComplex(I)
+        lattice = {tc.exponents(mask) for mask in tc.faces()}
+        values = [sorted(set(column)) for column in zip(*lattice)]
+        return [exps for level in C.degrees for exps in level], values
+
+    def test_builtins(self, builtins):
+        for name, I in builtins.items():
+            for method in TestExactnessAgainstStrandLoop.METHODS:
+                cells, values = self._inputs(I, critical_complex(I, method(I)))
+                assert _threshold_masks(cells, values) == _bitwise_threshold_masks(
+                    cells, values
+                ), name
+
+    def test_cycle15_lyubeznik(self):
+        # 24,576 cells: masks of several machine words, every byte in use
+        I = cycle_ideal(15)
+        C = critical_complex(I, prune_lyubeznik(I), validate=False)
+        cells, values = self._inputs(I, C)
+        assert len(cells) == 24576
+        assert _threshold_masks(cells, values) == _bitwise_threshold_masks(
+            cells, values
+        )
+
+    def test_exponent_above_every_lattice_value_and_no_cells(self):
+        # a cell whose exponent exceeds every lattice value is in no mask
+        cells = [(0,), (3,), (1,), (9,)] * 3
+        assert _threshold_masks(cells, [[0, 1, 3]]) == _bitwise_threshold_masks(
+            cells, [[0, 1, 3]]
+        )
+        assert _threshold_masks([], [[0, 1], [2]]) == [[0, 0], [0]]
+
+
 def _reference_strand_ranks(C, alpha, char, in_ideal):
     """The strand test as check_exactness ran it before its strand index:
     every strand re-filters every cell and rescans every differential."""
@@ -317,15 +371,18 @@ def _traced(monkeypatch, fn, I, C, char):
 
     The strand loop calls linalg.rank once per level, and each call to
     `_reference_strand_ranks` opens a strand.  check_exactness makes one
-    pivot-kernel call per strand, over the global cell numbering; its rows
-    are split into levels by the complex's level offsets, each row's entries
-    must all lie in one level, and the rank of a level is the number of
-    pivot leads in it.  Over F_2 a row's length counts its odd entries, its
-    bit b is global row b + its shift, and an F_2 pivot key is one above its
-    leading global row.  Empty rows
-    are left out on both sides, and so are levels and strands left with
-    none: an empty row has no level to be split into.  The kernel calls that
-    linalg.rank makes are part of its own."""
+    pivot-kernel call per strand, over the global cell numbering.  A call
+    that extends the echelon form of an earlier call receives only the
+    columns its strand adds, so the harness keeps, for each pivot dict, the
+    rows of every call that built it, and records the whole of them: the
+    matrix of the strand, not of the call.  Those rows are split into
+    levels by the complex's level offsets, each row's entries must all lie
+    in one level, and the rank of a level is the number of pivot leads in
+    it.  Over F_2 a row's length counts its odd entries, its bit b is global
+    row b + its shift, and an F_2 pivot key is one above its leading global
+    row.  Empty rows are left out on both sides, and so are levels and
+    strands left with none: an empty row has no level to be split into.
+    The kernel calls that linalg.rank makes are part of its own."""
     strands = []
     real_rank, reference_strand_ranks = linalg.rank, _reference_strand_ranks
     kernels = {
@@ -336,6 +393,8 @@ def _traced(monkeypatch, fn, I, C, char):
     for level in C.degrees:
         off.append(off[-1] + len(level))
     inside = []  # nonempty while linalg.rank runs
+    # id(pivots) -> (pivots, rows, shifts): the rows eliminated into a dict
+    built = {}
 
     def opening(*a):
         strands.append([])
@@ -374,18 +433,29 @@ def _traced(monkeypatch, fn, I, C, char):
         assert sum(r for *_, r in out) == len(pivots)
         strands.append(out)
 
-    def recording(name, ch):
+    def recording(name):
         real = kernels[name]
+        params = list(inspect.signature(real).parameters)
 
-        def kernel(rows, *p):
-            rows = list(rows)
-            shifts = [0] * len(rows)
-            if ch == 2 and p and p[0] is not None:
-                shifts = list(p[0])
-                p = (shifts,)
-            pivots = real(rows, *p)
+        def kernel(*args):
+            args = dict(zip(params, args))
+            rows = args["rows"] = list(args["rows"])
+            if args.get("shifts") is None:
+                shifts = [0] * len(rows)
+            else:
+                shifts = args["shifts"] = list(args["shifts"])
+            base = args.get("pivots")
+            if base:  # an echelon form of earlier calls' rows
+                owner, old_rows, old_shifts = built[id(base)]
+                assert owner is base, "extends a dict no kernel returned"
+            else:
+                old_rows, old_shifts = [], []
+            pivots = real(**args)
             if not inside:
-                split(p[0] if ch is None else ch, rows, shifts, pivots)
+                rows, shifts = old_rows + rows, old_shifts + shifts
+                built[id(pivots)] = (pivots, rows, shifts)
+                ch = {"pivots_rational": 0, "pivots_f2_packed": 2}.get(name)
+                split(args["p"] if ch is None else ch, rows, shifts, pivots)
             return pivots
 
         return kernel
@@ -393,9 +463,8 @@ def _traced(monkeypatch, fn, I, C, char):
     with monkeypatch.context() as m:
         m.setattr(sys.modules[__name__], "_reference_strand_ranks", opening)
         m.setattr(linalg, "rank", recording_rank)
-        m.setattr(linalg, "pivots_rational", recording("pivots_rational", 0))
-        m.setattr(linalg, "pivots_mod", recording("pivots_mod", None))
-        m.setattr(linalg, "pivots_f2_packed", recording("pivots_f2_packed", 2))
+        for name in kernels:
+            m.setattr(linalg, name, recording(name))
         result = fn(I, C, char)
     return result, [strand for strand in strands if strand]
 
@@ -813,6 +882,62 @@ class TestSummedStrandTest:
         for char in (0, 2, 3):
             assert not _reference_exactness(I, C, char)
             assert not check_exactness(I, C, char), char
+
+
+class TestChainedStrands:
+    """check_exactness extends the echelon form of the strand before only
+    when the new strand contains it and every column is sound.  Lattice
+    degrees are visited in lex order of their exponents."""
+
+    def test_strand_that_does_not_contain_the_last_starts_afresh(self):
+        # The Taylor resolution of (x, y, z), whose strand at x follows the
+        # one at yz and does not contain it.  Carried on from there, the
+        # strand at x would keep the pivot of the column of yz in level 1
+        # and fail the summed test.
+        I = parse_ideal("ring x y z; gens x, y, z")
+        C = morse_differential(I, empty_matching(I))
+        assert _all_sound(C)
+        for char in (0, 2, 3, 5):
+            assert _reference_exactness(I, C, char)
+            assert check_exactness(I, C, char), char
+
+    def test_unsound_column_is_masked_afresh_on_every_strand(self):
+        # F0 = {e}, F1 = {g, h, u}, F2 = {gh, v, m}, F3 = {q} over the ideal
+        # (x, y), whose strand at xy follows the one at x, with degrees 1; x, y, x; xy, x, xy; xy.  d1 = (x, y, x),
+        # d2 sends gh to y*g - x*h, v to u - (x/y)*h and m to y*u - y*g, and
+        # d3 sends q to m - y*v + gh, so d*d = 0.  The degree of h does not
+        # divide x, the degree of v.  On the strand at x, which lacks h, v
+        # is the column u.  On the strand at xy, v is u - h = m + gh, so d_2
+        # has rank 2 and d_3 rank 1, and the complex is exact.  Carried on
+        # from the strand at x, v would stay the column u and give d_2
+        # rank 3.
+        I = parse_ideal("ring x y; gens x, y")
+        C = ChainComplex(
+            ("x", "y"),
+            ((0,), (1, 2, 4), (3, 5, 6), (7,)),
+            (
+                ((0, 0),),
+                ((1, 0), (0, 1), (1, 0)),
+                ((1, 1), (1, 0), (1, 1)),
+                ((1, 1),),
+            ),
+            (
+                {(0, 0): (1, (1, 0)), (0, 1): (1, (0, 1)), (0, 2): (1, (1, 0))},
+                {
+                    (0, 0): (1, (0, 1)),
+                    (1, 0): (-1, (1, 0)),
+                    (2, 1): (1, (0, 0)),
+                    (1, 1): (-1, (1, -1)),
+                    (2, 2): (1, (0, 1)),
+                    (0, 2): (-1, (0, 1)),
+                },
+                {(2, 0): (1, (0, 0)), (1, 0): (-1, (0, 1)), (0, 0): (1, (0, 0))},
+            ),
+        )
+        assert check_d_squared(C) and not _all_sound(C)
+        for char in (0, 2, 3, 5):
+            assert _reference_exactness(I, C, char)
+            assert check_exactness(I, C, char), char
 
 
 @pytest.fixture(scope="module")
