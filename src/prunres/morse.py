@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
-from operator import itemgetter, mul, sub
-from typing import Iterator
+from operator import itemgetter, le, mul, sub
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
@@ -28,13 +30,31 @@ Entry = tuple[int, tuple[int, ...]]  # coefficient, exponent vector of the monom
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Critical cells per homological degree plus (optionally) differentials."""
+    """Critical cells per homological degree plus (optionally) differentials.
+
+    The differentials are read-only: each diffs[i] is a mapping proxy.  A
+    plain dict handed in is copied once into one; a mapping proxy is kept as
+    it is, so whoever builds one over a dict of their own must not change
+    that dict afterwards.  The other fields are tuples, as typed.  Since no
+    field can change, the checks store what they learn about a complex on
+    it, outside the fields (`_Facts`), and a later check of the same
+    complex reuses it.
+    """
 
     variables: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]
     degrees: tuple[tuple[tuple[int, ...], ...], ...]
-    diffs: tuple[dict[tuple[int, int], Entry], ...] | None = None
+    diffs: tuple[Mapping[tuple[int, int], Entry], ...] | None = None
     # diffs[i] is d_{i+1}: F_{i+1} -> F_i, so len(diffs) == len(cells) - 1
+
+    def __post_init__(self) -> None:
+        if self.diffs is not None:
+            object.__setattr__(self, "diffs", tuple(map(_read_only, self.diffs)))
+
+    @cached_property
+    def _facts(self) -> _Facts:
+        """What the checks have stored on this complex, made on first use."""
+        return _Facts()
 
     @property
     def length(self) -> int:
@@ -43,7 +63,7 @@ class ChainComplex:
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
 
-    def diff(self, i: int) -> dict[tuple[int, int], Entry]:
+    def diff(self, i: int) -> Mapping[tuple[int, int], Entry]:
         """d_i: F_i -> F_{i-1}, for 1 <= i < length."""
         if self.diffs is None:
             raise ValueError("differentials not set")
@@ -59,6 +79,25 @@ class ChainComplex:
                     sign = "+" if coeff >= 0 else "-"
                     lines.append(f"d{i}[{row},{col}] = {sign}{abs(coeff)}*{mono}")
         return lines
+
+
+def _read_only(d: Mapping[tuple[int, int], Entry]) -> MappingProxyType:
+    """d as a mapping proxy: a proxy is kept, anything else copied once."""
+    return d if type(d) is MappingProxyType else MappingProxyType(dict(d))
+
+
+class _Facts:
+    """What the checks have learned about one complex: the d*d verdicts and
+    the strand index of the last ideal it was checked with.  It lives and
+    dies with the complex, and is no field of it, so equality, repr and
+    digests do not see it."""
+
+    __slots__ = ("d_squared", "index")
+
+    def __init__(self) -> None:
+        # characteristic -> whether d*d vanishes; 0 is over the integers
+        self.d_squared: dict[int, bool] = {}
+        self.index: _StrandIndex | None = None
 
 
 def _critical_complex(
@@ -135,7 +174,7 @@ def morse_differential(
     pos = {cell: p for cells in by_dim.values() for p, cell in enumerate(cells)}
 
     ratios: dict[int, dict[int, tuple[int, ...]]] = {}
-    diffs: list[dict[tuple[int, int], Entry]] = []
+    diffs: list[Mapping[tuple[int, int], Entry]] = []
     for i in range(1, base.length):
         entries: dict[tuple[int, int], Entry] = {}
         order_i = by_dim.get(i - 1, [])
@@ -180,14 +219,35 @@ def morse_differential(
                     ratio = tuple(map(sub, decode(sig_deg), decode(cell_deg)))
                     memo[cell_deg] = ratio
                 entries[(row, col)] = (val, ratio)
-        diffs.append(entries)
+        diffs.append(MappingProxyType(entries))
 
     return ChainComplex(base.variables, base.cells, base.degrees, tuple(diffs))
 
 
 def check_d_squared(C: ChainComplex) -> bool:
-    """Exact polynomial check that consecutive differentials compose to zero."""
-    return _d_squared_vanishes(C, 0)
+    """Exact polynomial check that consecutive differentials compose to zero
+    over the integers.
+
+    The verdict is stored on the complex, whose differentials cannot
+    change, so `check_exactness` of the same complex reads it at every
+    characteristic instead of computing d*d again, and a second call
+    returns it at once."""
+    return _d_squared_holds(C, 0)
+
+
+def _d_squared_holds(C: ChainComplex, char: int) -> bool:
+    """d*d = 0 with coefficients read mod char, from the verdicts stored on
+    C.  The verdict over the integers is computed first and kept: when it
+    holds, it holds mod every p, so only a complex whose d*d is nonzero over
+    the integers is checked again mod p (and that verdict kept too)."""
+    known = C._facts.d_squared
+    if 0 not in known:
+        known[0] = _d_squared_vanishes(C, 0)
+    if known[0] or not char:
+        return known[0]
+    if char not in known:
+        known[char] = _d_squared_vanishes(C, char)
+    return known[char]
 
 
 def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
@@ -295,26 +355,51 @@ def _threshold_masks(
 def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     """True iff the complex is a resolution of the quotient over the given field.
 
-    The differentials must compose to zero over the field: the rank counts
+    The complex must be over the ring of I (`ValueError` otherwise), and its
+    differentials must compose to zero over the field: the rank counts
     below read homology only for a complex, and without this check a
-    corrupted top differential would pass.  Strands are checked at every
-    distinct lcm-lattice multidegree; between lattice degrees the strands do
-    not change.  The alpha-strand is exact when its homology is zero in
+    corrupted top differential would pass.  The alpha-strand, the cells
+    whose degree divides x^alpha, is exact when its homology is zero in
     degrees >= 1 and its degree-0 cokernel is 0 or 1 according to whether
     x^alpha lies in the ideal.
 
-    The cells of all levels are numbered consecutively: cell k of level i is
-    cell off[i] + k.  One threshold mask per variable over that numbering
-    gives the cells of a strand with one big-int AND per variable.  Each
-    column of d_i is read once per call, rows outside level i - 1 dropped:
-    over F_2 as one int with the bits of its odd entries, packed from
-    off[i - 1] and passed to the kernel with that shift, so that it is as
-    wide as level i - 1 and not as all the levels below; and as a
-    {global row: coeff} dict once a Q or odd-p kernel first runs.  A strand
-    is then one elimination over all its columns.  The rows of a column of
-    d_i all lie in level i - 1, so every pivot lead falls in the range of
-    the level whose d_i it ranks, no elimination step mixes two levels, and
-    the rank of d_i on the strand is the number of leads in level i - 1.
+    Strands are checked at the points of the lcm lattice L of I when every
+    cell degree lies in L: the strand at any alpha is then the strand at
+    the lcm of the generators that divide alpha, a point of L, and x^alpha
+    lies in I iff that lcm does.  A cell degree outside L, as in a complex
+    built for another ideal, breaks that, so then the strands are checked
+    over the lcm closure of L and those degrees, by the same argument with
+    the outside degrees counted among the generators (`_strand_degrees`,
+    which raises `ValueError` when they would add more than 2^r points to
+    L).  The complexes the library builds never have a cell degree outside
+    L.
+
+    Three results are stored on C (`_Facts`) and reused by later checks of
+    the same complex, at any characteristic.  The differentials of C are
+    read-only and its fields cannot change, so they cannot go stale:
+    - the d*d verdict over the integers (`_d_squared_holds`, which
+      `check_d_squared` fills too); only a complex whose verdict over the
+      integers is False is checked again mod p;
+    - the strand index (`_StrandIndex`), kept for the ideal it was built
+      for and rebuilt when a check passes an ideal not equal to it;
+    - for a complex whose columns are all sound, the list of strands that
+      are not exact over F_2.  Char 2 reads it, and char 0 ranks over Q
+      only the strands in it.
+    Nothing is kept anywhere else: the results die with the complex.
+
+    The index numbers the cells of all levels consecutively: cell k of
+    level i is cell off[i] + k.  One threshold mask per variable over that
+    numbering gives the cells of a strand with one big-int AND per
+    variable.  Each column of d_i is read once per index, rows outside
+    level i - 1 dropped: over F_2 as one int with the bits of its odd
+    entries, packed from off[i - 1] and passed to the kernel with that
+    shift, so that it is as wide as level i - 1 and not as all the levels
+    below; and as a {global row: coeff} dict once a Q or odd-p kernel first
+    runs.  A strand is then one elimination over all its columns.  The rows
+    of a column of d_i all lie in level i - 1, so every pivot lead falls in
+    the range of the level whose d_i it ranks, no elimination step mixes
+    two levels, and the rank of d_i on the strand is the number of leads
+    in level i - 1.
 
     A column is sound when every entry's row is a cell of the level below
     whose degree divides the column's.  A strand holding a sound column
@@ -358,130 +443,215 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     pass the strand test, n_i = t_i + t_{i+1} for every i >= 1, so
     (q_i - t_i) + (q_{i+1} - t_{i+1}) <= 0 with both terms >= 0: every
     q_i = t_i, and the Q ranks give the same verdict, the cokernel test
-    included.  Only a strand that the F_2 ranks do not pass, as one with
-    2-torsion, is ranked again over Q, from scratch, and the F_2 chain goes
-    on past it.  A column that is not sound breaks the subcomplex argument,
-    so then every strand is ranked over Q only.
+    included.  Only a strand that is not exact over F_2, as one with
+    2-torsion, is ranked again over Q, from scratch.  The F_2 pass runs
+    over every strand, past the first that is not exact, so that its list
+    serves both characteristics.  A column that is not sound breaks the
+    subcomplex argument, so then every strand is ranked over Q only.
     """
     linalg.check_characteristic(char)
-    if not _d_squared_vanishes(C, char):
+    if I.variables != C.variables:
+        raise ValueError(
+            f"the complex is over the variables {C.variables}, the ideal over"
+            f" {I.variables}"
+        )
+    if not _d_squared_holds(C, char):
         return False
+    facts = C._facts
+    index = facts.index
+    if index is None or index.ideal != I:
+        index = facts.index = _StrandIndex(I, C)
+    every = range(len(index.strands))
+    if not index.sound or char not in (0, 2):
+        return all(index.verdicts(char, every, chained=index.sound))
+    if index.not_exact_over_f2 is None:
+        index.not_exact_over_f2 = [
+            s for s, exact in enumerate(index.verdicts(2, every, chained=True))
+            if not exact
+        ]
+    if char == 2:
+        return not index.not_exact_over_f2
+    return all(index.verdicts(0, index.not_exact_over_f2, chained=False))
+
+
+def _strand_degrees(
+    I: MonomialIdeal, cells: list[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], bool]]:
+    """The degrees alpha whose strands check_exactness tests, ascending,
+    each with whether x^alpha lies in I: the lcm lattice L of I, and when
+    some cell degree lies outside L, the lcm closure of L and those degrees.
+
+    L holds the lcm of the empty face, so adding a degree d to an
+    lcm-closed set S gives the lcm-closed set S + {lcm(s, d) : s in S}.  The
+    outside degrees are added one at a time, and `ValueError` is raised as
+    soon as the closure holds more than 2^r points besides those of L."""
     tc = TaylorComplex(I)
-    lattice = sorted(
-        (tc.decode(d), d) for d in {tc.degree(mask) for mask in tc.faces()}
-    )
-    values = [sorted(set(column)) for column in zip(*(a for a, _ in lattice))]
-    rank_of = [{v: j for j, v in enumerate(vals)} for vals in values]
-    # cell k of level i is cell off[i] + k
-    off = [0]
-    for level in C.degrees:
-        off.append(off[-1] + len(level))
-    cells = [exps for level in C.degrees for exps in level]
-    masks = _threshold_masks(cells, values)
-    everything = (1 << len(cells)) - 1
-    # shift[g]: the first cell of the level below cell g.  A column is packed
-    # from there, so it is as wide as that level, not as the cells below it.
-    shift = [0] * off[1]
-    for i in range(1, C.length):
-        shift += [off[i - 1]] * (off[i + 1] - off[i])
-
-    # support[g], packed[g]: the rows of the column of cell g, and those of
-    # its odd entries, as bitmasks from shift[g]
-    support = [0] * len(cells)
-    packed = [0] * len(cells)
-    unsound: set[int] = set()
-    for g, row, coeff in _column_entries(C, off):
-        if row is None:
-            unsound.add(g)
-        else:
-            support[g] |= 1 << row
-            if coeff & 1:
-                packed[g] |= 1 << row
-    unsound.update(_unsound_by_masks(cells, off, support, masks, values))
-    del support
-    sound = not unsound
-    chars = (2, 0) if char == 0 and sound else (char,)
-    columns: list[dict[int, int]] | None = None  # built for the first dict kernel
-
-    # level_bits[i]: the cells of level i
-    level_bits = [(1 << b) - (1 << a) for a, b in zip(off, off[1:])]
-    above = everything ^ level_bits[0]
-    # the pivot keys of level-0 rows; over F_2 a key is the bit length
-    level0 = {ch: range(ch == 2, off[1] + (ch == 2)) for ch in chars}
-    # running: the echelon form over chars[0] of the columns of the strand
-    # `prev`, which the next strand extends when it contains that strand
-    prev, running = 0, None
-    for alpha, alpha_deg in lattice:
-        present = everything
-        for k_masks, rank, a in zip(masks, rank_of, alpha):
-            present &= k_masks[rank[a]]
-        if not sound or prev & ~present:
-            prev, running = 0, None
-        new, prev = present & above & ~prev, present
-        for ch in chars:
-            # the Q ranks of a strand that fails over F_2 start from scratch
-            chained = ch == chars[0]
-            strand = indices_of(new if chained else present & above)
-            base = running if chained else None
-            if ch == 2:
-                rows = [packed[g] for g in strand]
-                if not sound:
-                    rows = [
-                        x & present >> shift[g] if g in unsound else x
-                        for g, x in zip(strand, rows)
-                    ]
-                pivots = linalg.pivots_f2_packed(
-                    rows, [shift[g] for g in strand], base
+    gens = tc.gen_degrees
+    points = {
+        tc.decode(d): any(g & ~d == 0 for g in gens)
+        for d in {tc.degree(mask) for mask in tc.faces()}
+    }
+    outside = {*cells}.difference(points)
+    if outside:
+        cap, exps = len(points) + (1 << I.r), [g.exponents for g in I.generators]
+        for d in sorted(outside):
+            if d in points:
+                continue
+            for s in list(points):
+                alpha = tuple(map(max, s, d))
+                if alpha not in points:
+                    points[alpha] = any(all(map(le, g, alpha)) for g in exps)
+            if len(points) > cap:
+                raise ValueError(
+                    f"the cell degrees outside the lcm lattice add more than"
+                    f" 2^{I.r} degrees to its lcm closure"
                 )
+    return sorted(points.items())
+
+
+class _StrandIndex:
+    """The strand index of a complex for one ideal (see check_exactness):
+    the strand degrees, one threshold mask per variable over the cells of
+    all levels, the packed F_2 columns and their shifts, soundness, the
+    dict columns once an odd-p or Q kernel needs them, and the strands that
+    are not exact over F_2 once a check has ranked them all.  It holds the
+    complex's differentials but not the complex, which holds it."""
+
+    def __init__(self, I: MonomialIdeal, C: ChainComplex) -> None:
+        n = len(C.variables)
+        cells = [exps for level in C.degrees for exps in level]
+        if {*map(len, cells)} - {n}:
+            i, k = next(
+                (i, k) for i, level in enumerate(C.degrees)
+                for k, exps in enumerate(level) if len(exps) != n
+            )
+            raise ValueError(
+                f"cell {k} of level {i} has a degree of"
+                f" {len(C.degrees[i][k])} exponents for {n} variables"
+            )
+        self.ideal = I
+        self.strands = _strand_degrees(I, cells)
+        values = [sorted(set(column)) for column in zip(*(a for a, _ in self.strands))]
+        self.rank_of = [{v: j for j, v in enumerate(vals)} for vals in values]
+        # cell k of level i is cell off[i] + k
+        off = [0]
+        for level in C.degrees:
+            off.append(off[-1] + len(level))
+        self.off = off
+        self.masks = _threshold_masks(cells, values)
+        self.everything = (1 << len(cells)) - 1
+        # shift[g]: the first cell of the level below cell g.  A column is
+        # packed from there, so it is as wide as that level, not as the
+        # cells below it.
+        shift = [0] * off[1]
+        for i in range(1, C.length):
+            shift += [off[i - 1]] * (off[i + 1] - off[i])
+        self.shift = shift
+        self.diffs = C.diffs
+
+        # support[g], packed[g]: the rows of the column of cell g, and those
+        # of its odd entries, as bitmasks from shift[g]
+        support = [0] * len(cells)
+        packed = [0] * len(cells)
+        unsound: set[int] = set()
+        for g, row, coeff in _column_entries(C.diffs, off):
+            if row is None:
+                unsound.add(g)
             else:
-                if columns is None:
-                    columns = [{} for _ in cells]
-                    for g, row, coeff in _column_entries(C, off):
-                        if row is not None:
-                            columns[g][shift[g] + row] = coeff
-                rows = [
-                    {row: v for row, v in columns[g].items() if present >> row & 1}
-                    if g in unsound
-                    else columns[g]
-                    for g in strand
-                ]
-                if ch:
-                    pivots = linalg.pivots_mod(rows, ch, base)
-                else:
-                    pivots = linalg.pivots_rational(rows, base)
+                support[g] |= 1 << row
+                if coeff & 1:
+                    packed[g] |= 1 << row
+        unsound.update(_unsound_by_masks(cells, off, support, self.masks, values))
+        self.packed, self.unsound, self.sound = packed, unsound, not unsound
+        self.columns: list[dict[int, int]] | None = None  # for the dict kernels
+        # level_bits[i]: the cells of level i
+        self.level_bits = [(1 << b) - (1 << a) for a, b in zip(off, off[1:])]
+        self.not_exact_over_f2: list[int] | None = None
+
+    def verdicts(
+        self, char: int, positions: range | list[int], chained: bool
+    ) -> Iterator[bool]:
+        """Whether each strand at `positions` (ascending indices into
+        `strands`) is exact over the field of characteristic char.  With
+        `chained`, a strand that contains the one before it extends that
+        strand's echelon form; otherwise each starts from an empty one."""
+        masks, rank_of, off, level_bits = (
+            self.masks, self.rank_of, self.off, self.level_bits
+        )
+        sound = self.sound
+        above = self.everything ^ level_bits[0]
+        # the pivot keys of level-0 rows; over F_2 a key is the bit length
+        level0 = range(char == 2, off[1] + (char == 2))
+        # running: the echelon form of the columns of the strand `prev`,
+        # which the next strand extends when it contains that strand
+        prev, running = 0, None
+        for s in positions:
+            alpha, in_ideal = self.strands[s]
+            present = self.everything
+            for k_masks, rank, a in zip(masks, rank_of, alpha):
+                present &= k_masks[rank[a]]
+            if not chained or prev & ~present:
+                prev, running = 0, None
+            new, prev = present & above & ~prev, present
+            pivots = self._pivots(char, indices_of(new), present, running)
             if chained:
                 running = pivots
-            r1 = sum(map(pivots.__contains__, level0[ch]))
+            r1 = sum(map(pivots.__contains__, level0))
             if sound:
-                if (present & above).bit_count() - 2 * len(pivots) + r1 == 0:
-                    break
-                continue
-            leads = sorted(pivots)
-            cut = [bisect_left(leads, o + (ch == 2)) for o in off]
-            # ranks[i]: the rank of d_i on the strand, its leads in level i - 1
-            ranks = [0, *map(sub, cut[1:], cut)]
-            if all(
-                (present & level_bits[i]).bit_count() == ranks[i] + ranks[i + 1]
-                for i in range(1, C.length)
-            ):
-                break
-        else:
-            return False
-        in_ideal = any(g & ~alpha_deg == 0 for g in tc.gen_degrees)
-        if (present & level_bits[0]).bit_count() - r1 != (0 if in_ideal else 1):
-            return False
-    return True
+                exact = (present & above).bit_count() - 2 * len(pivots) + r1 == 0
+            else:
+                leads = sorted(pivots)
+                cut = [bisect_left(leads, o + (char == 2)) for o in off]
+                # ranks[i]: the rank of d_i on the strand, its leads in
+                # level i - 1
+                ranks = [0, *map(sub, cut[1:], cut)]
+                exact = all(
+                    (present & level_bits[i]).bit_count() == ranks[i] + ranks[i + 1]
+                    for i in range(1, len(level_bits))
+                )
+            yield exact and (present & level_bits[0]).bit_count() - r1 == (
+                0 if in_ideal else 1
+            )
+
+    def _pivots(self, char: int, strand: list[int], present: int, base):
+        """The echelon form over char of the columns of the cells `strand`,
+        unsound ones masked to `present`, extending `base` when given."""
+        unsound, shift = self.unsound, self.shift
+        if char == 2:
+            rows = [self.packed[g] for g in strand]
+            if unsound:
+                rows = [
+                    x & present >> shift[g] if g in unsound else x
+                    for g, x in zip(strand, rows)
+                ]
+            return linalg.pivots_f2_packed(rows, [shift[g] for g in strand], base)
+        columns = self.columns
+        if columns is None:
+            columns = self.columns = [{} for _ in shift]
+            for g, row, coeff in _column_entries(self.diffs, self.off):
+                if row is not None:
+                    columns[g][shift[g] + row] = coeff
+        rows = [
+            {row: v for row, v in columns[g].items() if present >> row & 1}
+            if g in unsound
+            else columns[g]
+            for g in strand
+        ]
+        if char:
+            return linalg.pivots_mod(rows, char, base)
+        return linalg.pivots_rational(rows, base)
 
 
 def _column_entries(
-    C: ChainComplex, off: list[int]
+    diffs: tuple[Mapping[tuple[int, int], Entry], ...], off: list[int]
 ) -> Iterator[tuple[int, int | None, int]]:
-    """(g, row, coeff) for each entry of each d_i whose column is a cell of
-    level i: g is that cell, numbered from `off`, and row the entry's row
-    within level i - 1, or None when the row is not a cell of that level."""
-    for i in range(1, C.length):
+    """(g, row, coeff) for each entry of each d_i = diffs[i - 1] whose column
+    is a cell of level i: g is that cell, numbered from `off`, and row the
+    entry's row within level i - 1, or None when the row is not a cell of
+    that level."""
+    for i in range(1, len(off) - 1):
         n_rows, n_cols = off[i] - off[i - 1], off[i + 1] - off[i]
-        for (row, col), (coeff, _) in C.diff(i).items():
+        for (row, col), (coeff, _) in diffs[i - 1].items():
             if 0 <= col < n_cols:
                 yield off[i] + col, row if 0 <= row < n_rows else None, coeff
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from prunres import linalg
 from prunres.betti import betti_of_complex, tor_betti
-from prunres.ideals import cycle_ideal, parse_ideal
+from prunres.ideals import builtin_ideal, cycle_ideal, parse_ideal
 from prunres.monomials import MAX_EXPONENT
 
 from prunres.morse import (
@@ -235,6 +235,94 @@ class TestExactness:
         assert not check_exactness(path5, broken, 0)
 
 
+# the 4-cycle's edges and a fifth generator, over the five variables of the
+# 5-cycle: the same number of generators as the 5-cycle
+FIVE_GENERATORS = "ring x1 x2 x3 x4 x5; gens x1*x2, x2*x3, x3*x4, x4*x5, x1*x3*x5"
+
+
+class TestOtherIdeal:
+    """check_exactness of a complex with an ideal it was not built for."""
+
+    @pytest.mark.parametrize("spec", ["cycle:4", "cycle:6"])
+    def test_ideal_over_another_ring_rejected(self, cycle5, spec):
+        # the pruned complex of the 5-cycle is over x1..x5; the 4-cycle is
+        # over x1..x4, the 6-cycle over x1..x6
+        C = morse_differential(cycle5, prune_taylor(cycle5))
+        I = builtin_ideal(spec)
+        for char in (0, 2):
+            with pytest.raises(ValueError, match="variables"):
+                check_exactness(I, C, char)
+
+    @pytest.mark.parametrize("spec", ["path:5", FIVE_GENERATORS])
+    def test_cell_degree_outside_the_lattice(self, cycle5, spec):
+        # The cell x1*x5 of the 5-cycle's complex lies in no lattice point of
+        # either ideal.  Every strand at a lattice point is exact, but at
+        # x1*x5, outside both ideals, the cell kills the cokernel.
+        C = morse_differential(cycle5, prune_taylor(cycle5))
+        I = builtin_ideal(spec) or parse_ideal(spec)
+        tc = TaylorComplex(I)
+        lattice = {tc.exponents(mask) for mask in tc.faces()}
+        assert {d for level in C.degrees for d in level} - lattice
+        for char in (0, 2, 3, 5):
+            assert not _reference_exactness(I, C, char)
+            assert not check_exactness(I, C, char), char
+
+    def test_resolution_with_a_cell_degree_outside_the_lattice(self):
+        # S/(x) over x, y resolved with a cancelling pair of cells b, c of
+        # degree y added: F0 = {e}, F1 = {a, b}, F2 = {c}, d1 = (x, 0) and
+        # d2 sends c to b.  The strands at y and xy are checked too, and
+        # each is exact.
+        I = parse_ideal("ring x y; gens x")
+        C = ChainComplex(
+            ("x", "y"),
+            ((0,), (1, 2), (3,)),
+            (((0, 0),), ((1, 0), (0, 1)), ((0, 1),)),
+            ({(0, 0): (1, (1, 0))}, {(1, 0): (1, (0, 0))}),
+        )
+        for char in (0, 2, 3):
+            assert check_exactness(I, C, char), char
+        # without the cell c, the strand at y is not exact
+        cut = ChainComplex(C.variables, C.cells[:2], C.degrees[:2], C.diffs[:1])
+        for char in (0, 2, 3):
+            assert not _reference_exactness(I, cut, char)
+            assert not check_exactness(I, cut, char), char
+
+    def test_closure_beyond_two_to_the_r_rejected(self):
+        # The lattice of (x1) has 2 points; the cell degrees x2 and x3 add
+        # 6 more to its lcm closure, beyond 2^1.
+        I = parse_ideal("ring x1 x2 x3; gens x1")
+        C = ChainComplex(
+            ("x1", "x2", "x3"),
+            ((0,), (1, 2, 4)),
+            (((0, 0, 0),), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            ({(0, 0): (1, (1, 0, 0)), (0, 1): (1, (0, 1, 0)), (0, 2): (1, (0, 0, 1))},),
+        )
+        with pytest.raises(ValueError, match=r"2\^1"):
+            check_exactness(I, C, 0)
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 0)])
+    def test_cell_degree_of_wrong_length_rejected(self, exps):
+        # a degree cut short or padded would be read as another monomial
+        I = parse_ideal("ring x y; gens x")
+        C = ChainComplex(
+            ("x", "y"),
+            ((0,), (1, 2)),
+            (((0, 0),), ((1, 0), exps)),
+            ({(0, 0): (1, (1, 0))},),
+        )
+        with pytest.raises(ValueError, match="cell 1 of level 1"):
+            check_exactness(I, C, 0)
+
+    def test_library_complexes_stay_on_the_lattice(self, corpus40, builtins):
+        # so check_exactness never builds the closure for them
+        for I in [*corpus40, *builtins.values()]:
+            tc = TaylorComplex(I)
+            lattice = {tc.exponents(mask) for mask in tc.faces()}
+            for method in (empty_matching, *TestExactnessAgainstStrandLoop.METHODS):
+                C = critical_complex(I, method(I), validate=False)
+                assert {d for level in C.degrees for d in level} <= lattice
+
+
 def _bitwise_threshold_masks(cells, values):
     """_threshold_masks as it was, setting one bit at a time."""
     masks = []
@@ -325,6 +413,12 @@ def _reference_strand_ranks(C, alpha, char, in_ideal):
 def _reference_exactness(I, C, char):
     tc = TaylorComplex(I)
     lattice = {tc.exponents(mask) for mask in tc.faces()}
+    # A cell degree outside the lcm lattice can make a strand between
+    # lattice points differ from every strand at one: the strands are
+    # checked over the lcm closure of the lattice and the cell degrees.
+    for d in {d for level in C.degrees for d in level}:
+        if d not in lattice:
+            lattice |= {tuple(map(max, a, d)) for a in lattice}
     gens = [g.exponents for g in I.generators]
     for alpha in sorted(lattice):
         in_ideal = any(all(e <= a for e, a in zip(g, alpha)) for g in gens)
@@ -382,7 +476,11 @@ def _traced(monkeypatch, fn, I, C, char):
     row b + its shift, and an F_2 pivot key is one above its leading global
     row.  Empty rows are left out on both sides, and so are levels and
     strands left with none: an empty row has no level to be split into.
-    The kernel calls that linalg.rank makes are part of its own."""
+    The kernel calls that linalg.rank makes are part of its own.
+
+    check_exactness stores what it learns on the complex, so fn runs on a
+    fresh complex built from C's fields: each traced call does all its own
+    work, whatever ran on C before."""
     strands = []
     real_rank, reference_strand_ranks = linalg.rank, _reference_strand_ranks
     kernels = {
@@ -465,8 +563,13 @@ def _traced(monkeypatch, fn, I, C, char):
         m.setattr(linalg, "rank", recording_rank)
         for name in kernels:
             m.setattr(linalg, name, recording(name))
-        result = fn(I, C, char)
+        result = fn(I, _fresh(C), char)
     return result, [strand for strand in strands if strand]
+
+
+def _fresh(C):
+    """A complex with C's fields and nothing stored on it yet."""
+    return ChainComplex(C.variables, C.cells, C.degrees, C.diffs)
 
 
 def _all_sound(C):
@@ -494,13 +597,17 @@ class TestExactnessAgainstStrandLoop:
     verdict and, strand by strand and level by level, the same matrices
     with the same ranks.
 
-    Over Q, a complex whose columns are all sound has each strand ranked over
-    F_2 first, and over Q only when the F_2 ranks do not pass.  Where the
-    strand loop finds the complex exact over F_2, every strand is certified
-    that way, so the calls must be the loop's char-2 calls on the same
-    matrices, one per char-0 call of the loop and with its rank: rank over
-    F_2 equals rank over Q on every strand.  Elsewhere the char-0 calls must
-    be an in-order part of the loop's."""
+    On a complex whose columns are all sound, chars 0 and 2 first rank every
+    strand over F_2, past the first that fails, and keep the list of those
+    that fail; the loop stops at the first.  So at char 2 the loop's calls
+    must be the first calls of check_exactness, and all of them when the
+    complex is exact.  Over Q, each strand is then ranked over Q only when
+    it failed over F_2.  Where the loop finds the complex exact over F_2,
+    every strand is certified that way, so the calls must be the loop's
+    char-2 calls on the same matrices, one per char-0 call of the loop and
+    with its rank: rank over F_2 equals rank over Q on every strand.
+    Elsewhere the loop's char-2 calls must begin the F_2 pass, and the
+    char-0 calls must be an in-order part of the loop's char-0 calls."""
 
     METHODS = (prune_taylor, prune_simplicial, prune_lyubeznik)
 
@@ -508,8 +615,12 @@ class TestExactnessAgainstStrandLoop:
         got, calls = _traced(monkeypatch, check_exactness, I, C, char)
         expected, ref_calls = _traced(monkeypatch, _reference_exactness, I, C, char)
         assert got == expected
-        if char != 0 or not _all_sound(C):
+        if char not in (0, 2) or not _all_sound(C):
             assert calls == ref_calls
+            return got
+        if char == 2:
+            assert calls[: len(ref_calls)] == ref_calls
+            assert not got or calls == ref_calls
             return got
         exact2, ref2_calls = _traced(monkeypatch, _reference_exactness, I, C, 2)
         if exact2:
@@ -517,7 +628,10 @@ class TestExactnessAgainstStrandLoop:
             ranks = [[r for *_, r in strand] for strand in calls]
             assert ranks == [[r for *_, r in strand] for strand in ref_calls]
         else:
-            q_calls = [strand for strand in calls if strand[0][0] == 0]
+            f2_calls = [strand for strand in calls if strand[0][0] == 2]
+            q_calls = calls[len(f2_calls):]
+            assert f2_calls[: len(ref2_calls)] == ref2_calls
+            assert all(strand[0][0] == 0 for strand in q_calls)
             assert _in_order_sublist(q_calls, ref_calls)
         return got
 
@@ -538,10 +652,11 @@ class TestExactnessAgainstStrandLoop:
     def test_corrupted_corpus40(self, corpus40, monkeypatch):
         # The strand loop does not look at d*d, which check_exactness now
         # requires first; over Q check_d_squared is that condition.  Where
-        # d*d = 0 still holds, both make the same rank calls.  Doubling a
-        # column keeps d*d = 0 over Z, so it is compared at char 2 too; a
-        # raised degree leaves every entry alone and so exercises the row
-        # filter of columns that are not sound.
+        # d*d = 0 still holds, both make the same rank calls, as `_same`
+        # states them.  Doubling a column keeps d*d = 0 over Z, so it is
+        # compared at char 2 too; a raised degree leaves every entry alone
+        # and so exercises the row filter of columns that are not sound,
+        # and, raised in the top level, the strands outside the lattice.
         compared = 0
         for I in corpus40[:20]:
             for method in self.METHODS:
@@ -938,6 +1053,130 @@ class TestChainedStrands:
         for char in (0, 2, 3, 5):
             assert _reference_exactness(I, C, char)
             assert check_exactness(I, C, char), char
+
+
+def _verdict(I, C, char):
+    """check_exactness(I, C, char), or the type of the error it raised."""
+    try:
+        return check_exactness(I, C, char)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestStoredResults:
+    """check_d_squared and check_exactness store the d*d verdict, the strand
+    index and the strands that are not exact over F_2 on the complex.  Later
+    checks of the same complex must give the verdicts of a fresh one."""
+
+    CHARS = (0, 2, 3, 5)
+    ORDERS = ((0, 2, 3, 5), (5, 3, 2, 0), ("d*d", 0, 2, 3, 5))
+
+    def _orders_agree(self, I, C, name=""):
+        fresh = {char: _verdict(I, _fresh(C), char) for char in self.CHARS}
+        d_squared = check_d_squared(_fresh(C))
+        for order in self.ORDERS:
+            B = _fresh(C)
+            for step in order:
+                if step == "d*d":
+                    assert check_d_squared(B) == d_squared, name
+                else:
+                    assert _verdict(I, B, step) == fresh[step], (name, order, step)
+            assert check_d_squared(B) == d_squared, name
+        return fresh
+
+    def test_corpus40_with_corruptions(self, corpus40):
+        verdicts = set()
+        for I in corpus40:
+            for method in TestExactnessAgainstStrandLoop.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                assert self._orders_agree(I, C) == dict.fromkeys(self.CHARS, True)
+                for name, B, _ in _corruptions(C):
+                    verdicts.add(tuple(self._orders_agree(I, B, name).values()))
+        # exact at no char, at every char but 2 (a doubled top column), and
+        # at every char but 0 (a flipped sign, d*d = 0 mod 2 only)
+        assert {(False,) * 4, (True, False, True, True)} <= verdicts
+        assert (False, True, False, False) in verdicts
+
+    def test_builtins(self, builtins):
+        for name, I in builtins.items():
+            for method in TestExactnessAgainstStrandLoop.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                assert self._orders_agree(I, C, name) == dict.fromkeys(
+                    self.CHARS, True
+                ), name
+                if name != "example-4-1":  # its corruptions take a minute
+                    for what, B, _ in _corruptions(C):
+                        self._orders_agree(I, B, (name, what))
+
+    def test_differentials_are_read_only(self, path5):
+        C = morse_differential(path5, prune_taylor(path5))
+        key = min(C.diff(1))
+        with pytest.raises(TypeError):
+            C.diffs[0][key] = (5, C.diff(1)[key][1])
+        with pytest.raises(TypeError):
+            del C.diffs[0][key]
+        # a plain dict handed in is copied, so changing it later changes
+        # nothing
+        diffs = [dict(d) for d in C.diffs]
+        B = ChainComplex(C.variables, C.cells, C.degrees, tuple(diffs))
+        assert check_d_squared(B) and check_exactness(path5, B, 0)
+        diffs[0].clear()
+        assert B.diff(1) == C.diff(1) and check_exactness(path5, _fresh(B), 0)
+        # what the checks store is no field: equality and repr ignore it
+        assert B == C == _fresh(C) and repr(B) == repr(_fresh(B))
+
+    def test_two_ideals_on_one_complex(self, cycle5, corpus40, monkeypatch):
+        # Each check gives the verdict of a fresh complex for its ideal; an
+        # equal ideal reuses the strand index, and so builds no degree table.
+        C = morse_differential(cycle5, prune_taylor(cycle5))
+        other, cycle5_again = parse_ideal(FIVE_GENERATORS), cycle_ideal(5)
+        for I in (cycle5, other, cycle5_again, other, cycle5):
+            for char in (0, 2):
+                assert _verdict(I, C, char) == _verdict(I, _fresh(C), char)
+        tables = []
+        with monkeypatch.context() as m:
+            m.setattr(
+                sys.modules["prunres.morse"], "TaylorComplex",
+                lambda I: tables.append(I) or TaylorComplex(I),
+            )
+            assert check_exactness(cycle5, C, 3) and tables == []
+            assert not check_exactness(other, C, 3) and tables == [other]
+            assert check_exactness(cycle5_again, C, 3) and tables == [other, cycle5]
+            assert check_exactness(cycle5, C, 5) and len(tables) == 2
+        # corpus ideals over the same ring, each on the others' complexes
+        by_ring = {}
+        for I in corpus40:
+            by_ring.setdefault(I.variables, []).append(I)
+        pairs = 0
+        for ideals in by_ring.values():
+            for I, J in zip(ideals, ideals[1:]):
+                C = morse_differential(I, prune_taylor(I), validate=False)
+                for K in (J, I, J):
+                    for char in (0, 2):
+                        assert _verdict(K, C, char) == _verdict(K, _fresh(C), char)
+                pairs += 1
+        assert pairs >= 10
+
+    def test_d_squared_nonzero_over_z_decided_mod_p(self, corpus40):
+        # A flipped sign leaves d*d = 0 mod 2 but not over the integers: it
+        # is not exact over Q, and over F_2 it is the same complex.  The
+        # stored verdict over Z must not decide char 2, whatever ran first.
+        seen = exact2 = 0
+        for I in corpus40[:20]:
+            for method in TestExactnessAgainstStrandLoop.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                for name, B, _ in _corruptions(C):
+                    if check_d_squared(_fresh(B)) or not _d_squared_vanishes(B, 2):
+                        continue
+                    seen += 1
+                    fresh = {c: check_exactness(I, _fresh(B), c) for c in self.CHARS}
+                    assert not fresh[0]
+                    assert fresh[2] == _reference_exactness(I, B, 2), name
+                    assert not check_d_squared(B)
+                    for char in (2, 0, 3, 5, 2):
+                        assert check_exactness(I, B, char) == fresh[char], name
+                    exact2 += fresh[2]
+        assert seen > 20 and exact2 > 0
 
 
 @pytest.fixture(scope="module")
