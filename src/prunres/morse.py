@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter, le, mul, sub
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -35,10 +35,12 @@ class ChainComplex:
     The differentials are read-only: each diffs[i] is a mapping proxy.  A
     plain dict handed in is copied once into one; a mapping proxy is kept as
     it is, so whoever builds one over a dict of their own must not change
-    that dict afterwards.  The other fields are tuples, as typed.  Since no
-    field can change, the checks store what they learn about a complex on
-    it, outside the fields (`_Facts`), and a later check of the same
-    complex reuses it.
+    that dict afterwards.  The other fields are made tuples down to each
+    degree vector, so a list handed in is copied and changing it later
+    changes nothing; `tuple()` hands a tuple back as it is.  Since no field
+    can change, the checks store what they learn about a complex on it,
+    outside the fields (`_Facts`), and a later check of the same complex
+    reuses it.
     """
 
     variables: tuple[str, ...]
@@ -48,8 +50,15 @@ class ChainComplex:
     # diffs[i] is d_{i+1}: F_{i+1} -> F_i, so len(diffs) == len(cells) - 1
 
     def __post_init__(self) -> None:
+        set_field = object.__setattr__
+        set_field(self, "variables", tuple(self.variables))
+        set_field(self, "cells", tuple(map(tuple, self.cells)))
+        set_field(
+            self, "degrees",
+            tuple(tuple(map(tuple, level)) for level in self.degrees),
+        )
         if self.diffs is not None:
-            object.__setattr__(self, "diffs", tuple(map(_read_only, self.diffs)))
+            set_field(self, "diffs", tuple(map(_read_only, self.diffs)))
 
     @cached_property
     def _facts(self) -> _Facts:
@@ -138,32 +147,42 @@ def morse_differential(
     is a V-path: cell -> another facet of the cell's match partner, with
     weight -[partner : cell] * [partner : facet] (`pruning._flow_graph`).
     The flow graph is built once, on the matched-lower cells reachable from
-    the facets of critical cells, and sorted topologically; a cycle raises
-    InvalidMatchingError.  Each column then walks only the cells it reaches:
-    an int of pending topological positions within the facet dimension,
-    lowest set bit first, so each cell is popped after all its predecessors
-    have pushed their coefficient sums into it.  The monomial part of every
-    entry is forced by the degree difference of its endpoints, memoized per
-    pair of degrees.
+    the roots, the matched-lower facets of critical cells (`_flow_roots`),
+    and sorted topologically; a cycle raises InvalidMatchingError.
+
+    A column of d_i never leaves the faces with i - 1 members: the facets of
+    its cell sigma have i - 1, and so does every head of a flow arc out of a
+    cell c with i - 1 members, its partner c + e_j less another member of
+    c.  So its rows are read from one {mask: row} dict of level i - 1, and
+    no entry can land in another level.  A column with no flow node among
+    its facets, as every column of a complex whose critical cells are closed
+    under faces (Batzies-Welker), is the simplicial boundary: its entries
+    are read straight from `facets(sigma)`.  Any other column walks only
+    the cells it reaches: an int of pending topological positions within
+    the facet dimension, lowest set bit first, so each cell is popped after
+    all its predecessors have pushed their coefficient sums into it.
+
+    The monomial part of an entry is the exponent difference of its
+    endpoints, and once the row's degree divides the column's, that
+    difference depends only on the XOR of the two degree bitmasks: in the
+    rank-compressed encoding of `taylor`, each variable's bits are a prefix
+    of its segment, so the XOR of two nested prefixes is the run of bits
+    from the shorter prefix's length to the longer's, and the two lengths
+    fix both exponents.  The ratios are memoized by that XOR, after the
+    divisibility test: the Lyubeznik complex of cycle:15 has 36,447 pairs of
+    degrees but 31 XORs.
     """
     tc = TaylorComplex(I)
     deg, decode = tc.degree, tc.decode
     base = _critical_complex(tc, matching, validate)
 
+    # lower[k]: the matched-lower faces with k members
+    lower: dict[int, list[int]] = {}
     for sigma, j in matching.edges:
         if sigma >> j & 1:
             raise InvalidMatchingError(f"edge {(sigma, j)} is not a facet pair")
-    critical_index: dict[int, tuple[int, int]] = {}
-    for i, level in enumerate(base.cells):
-        for col, mask in enumerate(level):
-            critical_index[mask] = (i, col)
-
-    # the facets of critical cells, without signs: the columns below read
-    # those from `facets`
-    roots = {
-        mask ^ 1 << b for level in base.cells[1:] for mask in level
-        for b in indices_of(mask)
-    }
+        lower.setdefault(sigma.bit_count(), []).append(sigma)
+    roots = _flow_roots(base.cells, lower, matching.r)
     succ, weights = _flow_graph(matching.edges, roots, weighted=True)
     order = _topological_order(succ)
     if order is None:
@@ -173,55 +192,85 @@ def morse_differential(
         by_dim.setdefault(cell.bit_count(), []).append(cell)
     pos = {cell: p for cells in by_dim.values() for p, cell in enumerate(cells)}
 
-    ratios: dict[int, dict[int, tuple[int, ...]]] = {}
+    ratios: dict[int, tuple[int, ...]] = {}
     diffs: list[Mapping[tuple[int, int], Entry]] = []
     for i in range(1, base.length):
         entries: dict[tuple[int, int], Entry] = {}
-        order_i = by_dim.get(i - 1, [])
+        rows = dict(zip(base.cells[i - 1], count()))
+        order_i = by_dim.get(i - 1)
         for col, sigma in enumerate(base.cells[i]):
-            coeffs: dict[int, int] = {}
+            column = facets(sigma)
             pending = 0
-            for facet, sign in facets(sigma):
-                coeffs[facet] = sign
-                p = pos.get(facet)
-                if p is not None:
-                    pending |= 1 << p
-            while pending:
-                low = pending & -pending
-                pending ^= low
-                c = order_i[low.bit_length() - 1]
-                val = coeffs.pop(c)
-                if not val:
-                    continue
-                for nxt, w in zip(succ[c], weights[c]):
-                    coeffs[nxt] = coeffs.get(nxt, 0) + val * w
-                    p = pos.get(nxt)
+            if order_i:
+                for facet, _ in column:
+                    p = pos.get(facet)
                     if p is not None:
                         pending |= 1 << p
+            if pending:
+                coeffs = dict(column)
+                while pending:
+                    low = pending & -pending
+                    pending ^= low
+                    c = order_i[low.bit_length() - 1]
+                    val = coeffs.pop(c)
+                    if not val:
+                        continue
+                    for nxt, w in zip(succ[c], weights[c]):
+                        coeffs[nxt] = coeffs.get(nxt, 0) + val * w
+                        p = pos.get(nxt)
+                        if p is not None:
+                            pending |= 1 << p
+                column = coeffs.items()
             sig_deg = deg(sigma)
-            memo = ratios.get(sig_deg)
-            if memo is None:
-                memo = ratios[sig_deg] = {}
-            for cell, val in coeffs.items():
-                if not val:
-                    continue
-                hit = critical_index.get(cell)
-                if hit is None:
+            for cell, val in column:
+                row = rows.get(cell)
+                if row is None or not val:
                     continue  # matched-upper cells absorb nothing
-                h, row = hit
-                if h != i - 1:
-                    raise InvalidMatchingError("flow escaped its dimension")
                 cell_deg = deg(cell)
-                ratio = memo.get(cell_deg)
+                if cell_deg & ~sig_deg:
+                    raise InvalidMatchingError("non-divisible differential entry")
+                ratio = ratios.get(sig_deg ^ cell_deg)
                 if ratio is None:
-                    if cell_deg & ~sig_deg:
-                        raise InvalidMatchingError("non-divisible differential entry")
                     ratio = tuple(map(sub, decode(sig_deg), decode(cell_deg)))
-                    memo[cell_deg] = ratio
+                    ratios[sig_deg ^ cell_deg] = ratio
                 entries[(row, col)] = (val, ratio)
         diffs.append(MappingProxyType(entries))
 
     return ChainComplex(base.variables, base.cells, base.degrees, tuple(diffs))
+
+
+def _flow_roots(
+    cells: tuple[tuple[int, ...], ...], lower: dict[int, list[int]], r: int
+) -> set[int]:
+    """The matched-lower faces that are facets of critical cells, given the
+    critical cells by level and the matched-lower faces by size, all faces
+    of the simplex on r vertices.
+
+    At each level the roots are found from whichever side lists fewer
+    faces: the i facets of each critical cell with i members, or the r - k
+    cofaces of each matched-lower face with k = i - 1 members.  A complex
+    whose critical cells are closed under faces has no root at all, and
+    then the second side is usually the smaller: on the Lyubeznik complex
+    of cycle:15 it lists 28,671 cofaces against 176,128 facets."""
+    roots: set[int] = set()
+    full = (1 << r) - 1
+    for i in range(1, len(cells)):
+        crit, low = cells[i], lower.get(i - 1)
+        if not low:
+            continue
+        if i * len(crit) <= (r - i + 1) * len(low):
+            low_set = set(low)
+            roots.update(
+                f for sigma in crit for b in indices_of(sigma)
+                if (f := sigma ^ 1 << b) in low_set
+            )
+        else:
+            crit_set = set(crit)
+            roots.update(
+                s for s in low
+                if any(s | 1 << b in crit_set for b in indices_of(full & ~s))
+            )
+    return roots
 
 
 def check_d_squared(C: ChainComplex) -> bool:
@@ -355,13 +404,13 @@ def _threshold_masks(
 def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     """True iff the complex is a resolution of the quotient over the given field.
 
-    The complex must be over the ring of I (`ValueError` otherwise), and its
-    differentials must compose to zero over the field: the rank counts
-    below read homology only for a complex, and without this check a
-    corrupted top differential would pass.  The alpha-strand, the cells
-    whose degree divides x^alpha, is exact when its homology is zero in
-    degrees >= 1 and its degree-0 cokernel is 0 or 1 according to whether
-    x^alpha lies in the ideal.
+    The complex must be over the ring of I and have at least the level F_0
+    (`ValueError` otherwise), and its differentials must compose to zero
+    over the field: the rank counts below read homology only for a
+    complex, and without this check a corrupted top differential would
+    pass.  The alpha-strand, the cells whose degree divides x^alpha, is
+    exact when its homology is zero in degrees >= 1 and its degree-0
+    cokernel is 0 or 1 according to whether x^alpha lies in the ideal.
 
     Strands are checked at the points of the lcm lattice L of I when every
     cell degree lies in L: the strand at any alpha is then the strand at
@@ -455,6 +504,8 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
             f"the complex is over the variables {C.variables}, the ideal over"
             f" {I.variables}"
         )
+    if not C.cells:
+        raise ValueError("the complex is empty: it has no levels, not even F_0")
     if not _d_squared_holds(C, char):
         return False
     facts = C._facts

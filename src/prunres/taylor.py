@@ -14,6 +14,14 @@ equal degree is `==`.  It needs at most r bits per variable, however large
 the exponents.  Plain polarization would spend one bit per unit of
 exponent, 2**31 bits for `x^(2**31 - 1)`.  The exponent vectors appear only
 at the output boundary, decoded through a memo sized by the lattice.
+
+The set bits of each variable's segment are a prefix: the lowest c bits,
+where c is how many of its values the exponent reaches.  So when a divides
+b, within each segment a's prefix is no longer than b's, and `a ^ b` there
+is the run of bits from a's prefix length up to b's.  Its lowest and highest
+set bits give both lengths, and with them both exponents (no bit: equal
+exponents).  The exponent vector of b / a therefore depends only on `a ^ b`,
+and `morse.morse_differential` memoizes its entry monomials by that XOR.
 """
 from __future__ import annotations
 

@@ -287,6 +287,25 @@ class TestAgainstReplacedCode:
         for sweep in SWEEPS:
             _check(I, sweep(I))
 
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_wide_cycles(self, n):
+        # sparse pruned survivors with flow, and a Lyubeznik complex whose
+        # critical cells are closed under faces, so it has no flow at all
+        I = cycle_ideal(n)
+        for sweep in (prune_taylor, prune_lyubeznik):
+            _same_differential(I, sweep(I))
+
+    def test_large_distinct_exponents(self):
+        # several distinct exponents per variable, up to 2^31 - 1, so the
+        # degree bitmasks have segments of several bits, and entry ratios
+        # differ between columns that share a row degree
+        I = parse_ideal(
+            "ring x y z; gens x^2147483647*y, y^2147483646*z, x*z^5, x^3*y^3,"
+            " x^7*z^2"
+        )
+        for sweep in SWEEPS:
+            _check(I, sweep(I))
+
     def test_builtins(self, builtins):
         for I in builtins.values():
             for sweep in SWEEPS:

@@ -313,6 +313,14 @@ class TestOtherIdeal:
         with pytest.raises(ValueError, match="cell 1 of level 1"):
             check_exactness(I, C, 0)
 
+    def test_empty_complex_rejected(self):
+        # no levels, so not even F_0: no verdict to give
+        I = parse_ideal("ring x y; gens x")
+        C = ChainComplex(("x", "y"), (), (), ())
+        for char in (0, 2, 3):
+            with pytest.raises(ValueError, match="empty"):
+                check_exactness(I, C, char)
+
     def test_library_complexes_stay_on_the_lattice(self, corpus40, builtins):
         # so check_exactness never builds the closure for them
         for I in [*corpus40, *builtins.values()]:
@@ -1124,6 +1132,25 @@ class TestStoredResults:
         assert B.diff(1) == C.diff(1) and check_exactness(path5, _fresh(B), 0)
         # what the checks store is no field: equality and repr ignore it
         assert B == C == _fresh(C) and repr(B) == repr(_fresh(B))
+
+    def test_lists_handed_in_are_copied(self):
+        # A complex built from lists keeps its own tuples, so changing the
+        # lists after a check neither changes the complex nor leaves it a
+        # stored verdict that a fresh complex would not give.
+        I = parse_ideal("ring x y; gens x")
+        C = morse_differential(I, prune_taylor(I))
+        variables, cells = list(C.variables), [list(level) for level in C.cells]
+        degrees = [[list(d) for d in level] for level in C.degrees]
+        B = ChainComplex(variables, cells, degrees, list(C.diffs))
+        assert B == C and check_exactness(I, B)
+        degrees[1][0] = (0, 1)
+        degrees[0][0][1] = 1
+        cells[1].append(2)
+        variables[1] = "z"
+        assert B == C and check_exactness(I, B) == check_exactness(I, _fresh(B))
+        assert type(B.variables) is type(B.cells[1]) is type(B.degrees[0][0]) is tuple
+        # the changed lists make another complex, which is no resolution
+        assert not check_exactness(I, ChainComplex(C.variables, C.cells, degrees, C.diffs))
 
     def test_two_ideals_on_one_complex(self, cycle5, corpus40, monkeypatch):
         # Each check gives the verdict of a fresh complex for its ideal; an
