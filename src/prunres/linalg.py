@@ -27,10 +27,9 @@ with the same keys as one call on A + B.  `morse.check_exactness` carries
 one such dict along strands that contain each other, and eliminates only
 the columns each strand adds.
 
-The rank is the size of the dict: `rank_rational`, `rank_mod` and
-`rank_f2_packed` return it, and `rank_f2` packs dict rows first, so the
-library has one elimination loop per field.  `rank(rows, char)` picks the
-kernel for a characteristic.
+The rank is the size of the dict, so the library has one elimination loop
+per field.  `rank(rows, char)` picks the kernel for a characteristic and
+returns it.
 """
 from __future__ import annotations
 
@@ -94,11 +93,6 @@ def pivots_rational(
     return pivots
 
 
-def rank_rational(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of an integer matrix."""
-    return len(pivots_rational(rows))
-
-
 def pivots_mod(
     rows: Iterable[dict[int, int]],
     p: int,
@@ -126,11 +120,6 @@ def pivots_mod(
                 else:
                     del row[c]
     return pivots
-
-
-def rank_mod(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over the prime field F_p."""
-    return len(pivots_mod(rows, p))
 
 
 def pivots_f2_packed(
@@ -165,22 +154,6 @@ def pivots_f2_packed(
     return pivots
 
 
-def rank_f2_packed(rows: list[int]) -> int:
-    """Rank over F_2 of rows packed into ints, bit c for column c."""
-    return len(pivots_f2_packed(rows))
-
-
-def rank_f2(rows: list[dict[int, int]]) -> int:
-    """Rank over F_2: each row packed into an int, then `rank_f2_packed`."""
-    packed = []
-    for src in rows:
-        x = 0
-        for c, v in src.items():
-            x |= (v & 1) << c
-        packed.append(x)
-    return rank_f2_packed(packed)
-
-
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -205,10 +178,12 @@ def check_characteristic(char: int) -> int:
 
 
 def rank(rows: list[dict[int, int]], char: int) -> int:
-    """Rank of the rows over Q (char 0) or F_char: `rank_rational` at char 0,
-    `rank_f2` at char 2 and `rank_mod` at any other prime."""
+    """Rank of the rows over Q (char 0) or F_char: `pivots_rational` at char
+    0, `pivots_f2_packed` on the rows packed into ints at char 2, and
+    `pivots_mod` at any other prime."""
     if char == 0:
-        return rank_rational(rows)
+        return len(pivots_rational(rows))
     if char == 2:
-        return rank_f2(rows)
-    return rank_mod(rows, char)
+        packed = (sum((v & 1) << c for c, v in row.items()) for row in rows)
+        return len(pivots_f2_packed(packed))
+    return len(pivots_mod(rows, char))

@@ -7,7 +7,7 @@ sparsely as (row, col) -> (coefficient, degree-ratio exponents).
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
@@ -452,9 +452,8 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
 
     A column is sound when every entry's row is a cell of the level below
     whose degree divides the column's.  A strand holding a sound column
-    holds all its rows.  Soundness is read with the same masks
-    (`_unsound_by_masks`), and only the columns that fail that test are
-    checked entry by entry.
+    holds all its rows.  Soundness is read entry by entry, in the same pass
+    over the entries that packs the F_2 columns.
 
     When every column is sound, each strand is a subcomplex: its matrices
     are whole columns of the differentials, and they compose to d*d with
@@ -563,10 +562,13 @@ def _strand_degrees(
 class _StrandIndex:
     """The strand index of a complex for one ideal (see check_exactness):
     the strand degrees, one threshold mask per variable over the cells of
-    all levels, the packed F_2 columns and their shifts, soundness, the
-    dict columns once an odd-p or Q kernel needs them, and the strands that
-    are not exact over F_2 once a check has ranked them all.  It holds the
-    complex's differentials but not the complex, which holds it."""
+    all levels, the packed F_2 columns and their shifts, the unsound
+    columns, the dict columns once an odd-p or Q kernel needs them, and the
+    strands that are not exact over F_2 once a check has ranked them all.
+    A column is marked unsound while its entries are packed: an entry whose
+    row is no cell of the level below, or whose row's degree does not
+    divide the column's, is enough.  It holds the complex's differentials
+    but not the complex, which holds it."""
 
     def __init__(self, I: MonomialIdeal, C: ChainComplex) -> None:
         n = len(C.variables)
@@ -600,19 +602,18 @@ class _StrandIndex:
         self.shift = shift
         self.diffs = C.diffs
 
-        # support[g], packed[g]: the rows of the column of cell g, and those
-        # of its odd entries, as bitmasks from shift[g]
-        support = [0] * len(cells)
+        # packed[g]: the rows of the odd entries of the column of cell g, as
+        # a bitmask from shift[g]
         packed = [0] * len(cells)
         unsound: set[int] = set()
         for g, row, coeff in _column_entries(C.diffs, off):
             if row is None:
                 unsound.add(g)
-            else:
-                support[g] |= 1 << row
-                if coeff & 1:
-                    packed[g] |= 1 << row
-        unsound.update(_unsound_by_masks(cells, off, support, self.masks, values))
+                continue
+            if coeff & 1:
+                packed[g] |= 1 << row
+            if not all(map(le, cells[shift[g] + row], cells[g])):
+                unsound.add(g)
         self.packed, self.unsound, self.sound = packed, unsound, not unsound
         self.columns: list[dict[int, int]] | None = None  # for the dict kernels
         # level_bits[i]: the cells of level i
@@ -705,41 +706,6 @@ def _column_entries(
         for (row, col), (coeff, _) in diffs[i - 1].items():
             if 0 <= col < n_cols:
                 yield off[i] + col, row if 0 <= row < n_rows else None, coeff
-
-
-def _unsound_by_masks(
-    cells: list[tuple[int, ...]],
-    off: list[int],
-    support: list[int],
-    masks: list[list[int]],
-    values: list[list[int]],
-) -> list[int]:
-    """The cells above level 0 whose column has a row whose degree does not
-    divide the column's; support[g] holds the rows of cell g of level i
-    from off[i - 1].  The AND over each variable of the threshold mask at
-    the largest lattice value not above the column's exponent holds only
-    cells whose degree divides the column's, so a column whose rows lie in
-    it is sound; only the others are checked row by row."""
-    out = []
-    everything = (1 << len(cells)) - 1
-    for i in range(1, len(off) - 1):
-        lo, level_below = off[i - 1], (1 << off[i] - off[i - 1]) - 1
-        below: dict[tuple[int, ...], int] = {}
-        for g in range(off[i], off[i + 1]):
-            exps = cells[g]
-            cover = below.get(exps)
-            if cover is None:
-                cover = everything
-                for k_masks, vals, e in zip(masks, values, exps):
-                    j = bisect_right(vals, e) - 1
-                    cover = cover & k_masks[j] if j >= 0 else 0
-                cover = below[exps] = cover >> lo & level_below
-            if support[g] & ~cover and not all(
-                all(e <= c for e, c in zip(cells[lo + row], exps))
-                for row in indices_of(support[g])
-            ):
-                out.append(g)
-    return out
 
 
 def check_minimal(C: ChainComplex, char: int = 0) -> bool:

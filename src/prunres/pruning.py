@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .monomials import Monomial, MonomialIdeal, lcm, monomial_str
-from .taylor import TaylorComplex, facets, indices_of
+from .taylor import TaylorComplex, indices_of
 
 
 @dataclass(frozen=True)
@@ -171,29 +171,37 @@ def nu_prune(I: MonomialIdeal) -> Matching:
     return Matching(I.r, tuple(first + second), (len(first), len(second)))
 
 
-def _strict_superfaces(mask: int, r: int) -> Iterable[int]:
-    universe = (1 << r) - 1
-    free = universe & ~mask
-    # iterate nonempty submasks of the free positions
-    sub = free
-    while sub:
-        yield mask | sub
-        sub = (sub - 1) & free
-
-
 def prune_simplicial(I: MonomialIdeal) -> Matching:
     """Pruning filtered so the surviving faces stay closed under subsets.
 
     Each sweep first computes the plain pruning of the current subcomplex,
-    then keeps only those edges (sigma, j) whose strict superfaces of sigma,
-    apart from the partner sigma+e_j, are all gone by the end of step j -
-    counting cells removed in earlier sweeps and cells removed by kept edges
-    of this sweep at steps <= j.  The filter is shrunk to a self-consistent
-    fixpoint before the sweep is applied, and whole sweeps repeat until one
-    prunes nothing.
+    then keeps only those edges (sigma, j) whose live cofaces sigma + e_k,
+    k not in sigma and k != j, are all gone by the end of step j + 1,
+    counting cells removed by kept edges of this sweep.  The filter is
+    shrunk to a self-consistent fixpoint before the sweep is applied, and
+    whole sweeps repeat until one prunes nothing.
+
+    This coface rule keeps the edges of the superface rule it stands for:
+    every live strict superface of sigma other than sigma + e_j is gone by
+    step j + 1.  Both filters are monotone, so the fixpoint reached from the
+    plain pruning is the largest self-consistent edge set under either rule,
+    and the two rules have the same self-consistent sets when the live set
+    is closed under subsets.  One way is plain: cofaces are superfaces.  For
+    the other, let every kept edge pass the coface rule, and suppose some
+    (sigma, j) has a live strict superface tau != sigma + e_j that dies
+    after step j + 1 or not at all; take |tau - sigma| least, then j least.
+    Some k != j lies in tau - sigma, and by closure sigma + e_k is live, so
+    it dies at step j' + 1 <= j + 1 on some kept edge (pi, j'); thus
+    tau != sigma + e_k.  If sigma + e_k = pi, then tau is a counterexample
+    for (pi, j') at a smaller distance.  If sigma + e_k = pi + e_j', then
+    j' != j since j is not in sigma + e_k, so j' < j, and tau is a
+    counterexample for (pi, j') at the same distance with a smaller step.
+    The live set starts as every face and stays closed under subsets: the
+    superfaces of a lower end sigma of a self-consistent edge all die with
+    it, and those of its upper end are superfaces of sigma too.
     """
     tc = TaylorComplex(I)
-    r = I.r
+    r, full = I.r, (1 << I.r) - 1
     alive = set(tc.faces())
     edges: list[tuple[int, int]] = []
     sweeps: list[int] = []
@@ -205,18 +213,15 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
             killed_at: dict[int, int] = {}  # cell -> step when it dies this sweep
             for sigma, j in kept:
                 killed_at[sigma] = killed_at[sigma | (1 << j)] = j + 1
-            ok: list[tuple[int, int]] = []
-            for sigma, j in kept:
-                partner = sigma | (1 << j)
-                good = True
-                for sup in _strict_superfaces(sigma, r):
-                    if sup == partner or sup not in alive:
-                        continue
-                    if killed_at.get(sup, 1 << 30) > j + 1:
-                        good = False
-                        break
-                if good:
-                    ok.append((sigma, j))
+            ok = [
+                (sigma, j)
+                for sigma, j in kept
+                if all(
+                    killed_at.get(up, r + 1) <= j + 1
+                    for k in indices_of(full ^ sigma ^ 1 << j)
+                    if (up := sigma | 1 << k) in alive
+                )
+            ]
             if len(ok) == len(kept):
                 break
             kept = ok
@@ -334,33 +339,41 @@ def _flow_graph(
     """The gradient-flow graph of matched edges (sigma, j): succ maps sigma
     to every facet f != sigma of up = sigma + e_j, in the order of `facets`.
     Its paths are the V-paths of the matching.  With `weighted`, weights
-    maps sigma to the weights of those arcs, -[up : sigma] * [up : f], both
-    signs from `facets`; otherwise it is empty, and no sign is read.
+    maps sigma to the weights of those arcs, -[up : sigma] * [up : f] in the
+    signs of `facets`; otherwise it is empty.  The head f = up - e_b has
+    weight (-1)^m, m the number of members of sigma strictly between b and
+    j, so the weights are read in the same walk over sigma as the heads.
 
     With `roots`, only the matched-lower faces reachable from the roots are
     nodes; otherwise every matched-lower face is.  No edge may have j in
     sigma.
     """
-    partner_up = {sigma: sigma | (1 << j) for sigma, j in edges}
+    step = dict(edges)
     succ: dict[int, list[int]] = {}
     weights: dict[int, list[int]] = {}
     if roots is None:
-        stack = list(partner_up)
+        stack = list(step)
     else:
-        stack = [c for c in roots if c in partner_up]
+        stack = [c for c in roots if c in step]
     while stack:
         cell = stack.pop()
         if cell in succ:
             continue
-        up = partner_up[cell]
+        j = step[cell]
+        up = cell | 1 << j
+        members = indices_of(cell)
         # up less one member of sigma
-        succ[cell] = heads = [up ^ 1 << b for b in indices_of(cell)]
+        succ[cell] = heads = [up ^ 1 << b for b in members]
         if weighted:
-            arcs = facets(up)
-            flip = -1 if (cell, 1) in arcs else 1  # -[up : sigma]
-            weights[cell] = [flip * s for f, s in arcs if f != cell]
+            # members[t] has t members of sigma below it and j has `below`,
+            # so below - t - 1 lie between them when t < below, else t - below
+            below = (cell & (1 << j) - 1).bit_count()
+            weights[cell] = [
+                -1 if (below - t - (t < below)) & 1 else 1
+                for t in range(len(members))
+            ]
         if roots is not None:
-            stack += [f for f in heads if f in partner_up and f not in succ]
+            stack += [f for f in heads if f in step and f not in succ]
     return succ, weights
 
 

@@ -81,7 +81,7 @@ def check_pruned_splitting(I: MonomialIdeal, s: int) -> SplitReport:
     if ok:
         J, K = split_parts(I, s)
         JK = intersection_generators(J, K)
-        t_i = _pruned_table(I)
+        t_i = betti_of_complex(critical_complex(I, matching, validate=False))
         t_j = _pruned_table(J)
         t_k = _pruned_table(K)
         t_jk = _pruned_table(JK)

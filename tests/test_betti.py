@@ -14,7 +14,7 @@ from prunres.betti import (
     tor_betti,
 )
 from prunres.ideals import parse_ideal
-from prunres.linalg import rank_mod, rank_rational
+from prunres.linalg import rank
 from prunres.monomials import MonomialIdeal, Monomial
 from prunres.morse import critical_complex
 from prunres.pruning import empty_matching, prune_lyubeznik, prune_taylor
@@ -203,16 +203,16 @@ class TestRender:
 class TestLinalg:
     def test_rational_rank(self):
         rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 5}]
-        assert rank_rational(rows) == 2
+        assert rank(rows, 0) == 2
 
     def test_rank_mod_drops_p_multiples(self):
         rows = [{0: 2}, {1: 3}]
-        assert rank_mod(rows, 2) == 1
-        assert rank_mod(rows, 3) == 1
-        assert rank_mod(rows, 5) == 2
+        assert rank(rows, 2) == 1
+        assert rank(rows, 3) == 1
+        assert rank(rows, 5) == 2
 
     def test_torsion_sensitive_rank(self):
         # boundary-like matrix with determinant 2
         rows = [{0: 1, 1: 1}, {0: -1, 1: 1}]
-        assert rank_rational(rows) == 2
-        assert rank_mod(rows, 2) == 1
+        assert rank(rows, 0) == 2
+        assert rank(rows, 2) == 1

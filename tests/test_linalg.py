@@ -3,8 +3,8 @@
 `_rescan_rank_rational` and `_rescan_rank_mod` are verbatim copies of the
 previous `linalg` kernels: at every pivot they rescan all remaining rows for
 the shortest one (over Q, preferring a +-1 entry).  The new kernels must give
-the same rank on every matrix, and the F_2 kernels `rank_f2` and
-`rank_f2_packed` (on the same rows packed into ints) the same rank as
+the same rank on every matrix, and `linalg.rank(rows, 2)` and
+`pivots_f2_packed` (on the same rows packed into ints) the same rank as
 `_rescan_rank_mod(rows, 2)`.  Each kernel, given the echelon form of an
 earlier call, must extend it in place to the keys of one call on all the
 rows.
@@ -163,10 +163,10 @@ def _pack(row):
 def test_f2_same_rank_as_rescan_kernel(rows):
     before = [dict(r) for r in rows]
     expected = _rescan_rank_mod(rows, 2)
-    assert linalg.rank_f2(rows) == expected
+    assert linalg.rank(rows, 2) == expected
     assert rows == before  # the input is not modified
     packed = [_pack(row) for row in rows]
-    assert linalg.rank_f2_packed(packed) == expected
+    assert len(linalg.pivots_f2_packed(packed)) == expected
     assert packed == [_pack(row) for row in before]
 
 
@@ -230,7 +230,7 @@ def test_f2_extended_echelon_has_the_keys_of_one_call(blocks, data):
     extended = linalg.pivots_f2_packed(rows[k:], shifts[k:], first)
     assert extended is first
     assert sorted(extended) == sorted(linalg.pivots_f2_packed(rows, shifts))
-    # unshifted, as rank_f2_packed calls it
+    # unshifted, as linalg.rank calls it
     first = linalg.pivots_f2_packed(rows[:k])
     assert sorted(linalg.pivots_f2_packed(rows[k:], None, first)) == sorted(
         linalg.pivots_f2_packed(rows)
@@ -253,8 +253,7 @@ def test_f2_extended_echelon_has_the_keys_of_one_call(blocks, data):
     ],
 )
 def test_f2_known_ranks(rows, expected):
-    assert linalg.rank_f2(rows) == expected
-    assert linalg.rank_f2_packed([_pack(row) for row in rows]) == expected
+    assert len(linalg.pivots_f2_packed([_pack(row) for row in rows])) == expected
     assert linalg.rank(rows, 2) == expected
     assert _rescan_rank_mod(rows, 2) == expected
 

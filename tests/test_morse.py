@@ -15,6 +15,8 @@ from prunres.monomials import MAX_EXPONENT
 
 from prunres.morse import (
     ChainComplex,
+    _StrandIndex,
+    _column_entries,
     _d_squared_vanishes,
     _threshold_masks,
     InvalidMatchingError,
@@ -970,6 +972,81 @@ class TestCertificateOverF2:
         assert _d_squared_vanishes(C, 2) and not _all_sound(C)
         assert not _reference_exactness(I, C, 2)
         assert not check_exactness(I, C, 2)
+
+
+# --- verbatim copy of the mask soundness pass that _StrandIndex replaced ----
+
+
+def _unsound_by_masks(
+    cells: list[tuple[int, ...]],
+    off: list[int],
+    support: list[int],
+    masks: list[list[int]],
+    values: list[list[int]],
+) -> list[int]:
+    """The cells above level 0 whose column has a row whose degree does not
+    divide the column's; support[g] holds the rows of cell g of level i
+    from off[i - 1].  The AND over each variable of the threshold mask at
+    the largest lattice value not above the column's exponent holds only
+    cells whose degree divides the column's, so a column whose rows lie in
+    it is sound; only the others are checked row by row."""
+    out = []
+    everything = (1 << len(cells)) - 1
+    for i in range(1, len(off) - 1):
+        lo, level_below = off[i - 1], (1 << off[i] - off[i - 1]) - 1
+        below: dict[tuple[int, ...], int] = {}
+        for g in range(off[i], off[i + 1]):
+            exps = cells[g]
+            cover = below.get(exps)
+            if cover is None:
+                cover = everything
+                for k_masks, vals, e in zip(masks, values, exps):
+                    j = bisect_right(vals, e) - 1
+                    cover = cover & k_masks[j] if j >= 0 else 0
+                cover = below[exps] = cover >> lo & level_below
+            if support[g] & ~cover and not all(
+                all(e <= c for e, c in zip(cells[lo + row], exps))
+                for row in indices_of(support[g])
+            ):
+                out.append(g)
+    return out
+
+
+def _unsound_from_masks(index, C):
+    """The unsound columns as _StrandIndex found them with the masks: rows
+    outside the level below first, then `_unsound_by_masks` on the rest."""
+    cells = [exps for level in C.degrees for exps in level]
+    values = [sorted(set(column)) for column in zip(*(a for a, _ in index.strands))]
+    support = [0] * len(cells)
+    unsound: set[int] = set()
+    for g, row, coeff in _column_entries(C.diffs, index.off):
+        if row is None:
+            unsound.add(g)
+        else:
+            support[g] |= 1 << row
+    unsound.update(_unsound_by_masks(cells, index.off, support, index.masks, values))
+    return unsound
+
+
+class TestSoundnessAgainstMasks:
+    """_StrandIndex marks a column unsound entry by entry, while it packs the
+    column; the pass it replaced read soundness with the threshold masks
+    first.  Both must find the same unsound columns."""
+
+    def test_corrupted_corpus(self, corpus200):
+        with_unsound = compared = 0
+        for I in corpus200:
+            for method in TestExactnessAgainstStrandLoop.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                corrupted = [B for _, B, _ in _corruptions(C)]
+                corrupted += [B for _, B in _row_corruptions(C)]
+                for B in (C, *corrupted):
+                    index = _StrandIndex(I, B)
+                    assert index.unsound == _unsound_from_masks(index, B)
+                    assert index.sound == (not index.unsound)
+                    with_unsound += bool(index.unsound)
+                    compared += 1
+        assert with_unsound > 1000 and compared > with_unsound
 
 
 class TestSummedStrandTest:
