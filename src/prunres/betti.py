@@ -153,9 +153,7 @@ def hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
     ]
 
     tc = TaylorComplex(I)
-    lattice = sorted(
-        tc.decode(d) for d in {tc.degree(mask) for mask in tc.faces()}
-    )
+    lattice = sorted(map(tc.decode, tc.lattice()))
 
     def is_face(vmask: int) -> bool:
         return not any(gm & ~vmask == 0 for gm in gen_masks)

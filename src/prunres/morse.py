@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
-from operator import itemgetter, le, mul, sub
+from operator import itemgetter, le, sub
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -41,6 +41,14 @@ class ChainComplex:
     can change, the checks store what they learn about a complex on it,
     outside the fields (`_Facts`), and a later check of the same complex
     reuses it.
+
+    The complex is multigraded, as a cellular resolution is: every entry of
+    d_i has its row in level i - 1 and its column in level i, and its
+    monomial `exps` is deg(col) - deg(row), with no negative exponent.
+    `check_d_squared`, `check_exactness` and `check_minimal` return False
+    on a complex that breaks this contract.  `morse_differential` keeps it
+    by construction and stores that on the complex; any other complex is
+    checked once, on first use (`_homogeneous`).
     """
 
     variables: tuple[str, ...]
@@ -96,14 +104,16 @@ def _read_only(d: Mapping[tuple[int, int], Entry]) -> MappingProxyType:
 
 
 class _Facts:
-    """What the checks have learned about one complex: the d*d verdicts and
-    the strand index of the last ideal it was checked with.  It lives and
-    dies with the complex, and is no field of it, so equality, repr and
-    digests do not see it."""
+    """What the checks have learned about one complex: whether it keeps the
+    contract of `ChainComplex`, the d*d verdicts and the strand index of the
+    last ideal it was checked with.  It lives and dies with the complex, and
+    is no field of it, so equality, repr and digests do not see it."""
 
-    __slots__ = ("d_squared", "index")
+    __slots__ = ("homogeneous", "d_squared", "index")
 
     def __init__(self) -> None:
+        # whether the contract holds; None until a check has asked
+        self.homogeneous: bool | None = None
         # characteristic -> whether d*d vanishes; 0 is over the integers
         self.d_squared: dict[int, bool] = {}
         self.index: _StrandIndex | None = None
@@ -171,6 +181,11 @@ def morse_differential(
     fix both exponents.  The ratios are memoized by that XOR, after the
     divisibility test: the Lyubeznik complex of cycle:15 has 36,447 pairs of
     degrees but 31 XORs.
+
+    So the complex keeps the contract of `ChainComplex` by construction:
+    rows come from the level below, every entry passes the divisibility
+    test, and its monomial is the decoded degree difference.  That is
+    stored on it, and the checks skip their contract pass.
     """
     tc = TaylorComplex(I)
     deg, decode = tc.degree, tc.decode
@@ -236,7 +251,9 @@ def morse_differential(
                 entries[(row, col)] = (val, ratio)
         diffs.append(MappingProxyType(entries))
 
-    return ChainComplex(base.variables, base.cells, base.degrees, tuple(diffs))
+    C = ChainComplex(base.variables, base.cells, base.degrees, tuple(diffs))
+    C._facts.homogeneous = True
+    return C
 
 
 def _flow_roots(
@@ -275,20 +292,84 @@ def _flow_roots(
 
 def check_d_squared(C: ChainComplex) -> bool:
     """Exact polynomial check that consecutive differentials compose to zero
-    over the integers.
+    over the integers.  False for a complex that breaks the contract of
+    `ChainComplex`, whatever its products.
 
     The verdict is stored on the complex, whose differentials cannot
     change, so `check_exactness` of the same complex reads it at every
     characteristic instead of computing d*d again, and a second call
     returns it at once."""
-    return _d_squared_holds(C, 0)
+    return _homogeneous(C) and _d_squared_holds(C, 0)
+
+
+def _homogeneous(C: ChainComplex) -> bool:
+    """Whether C keeps the contract of `ChainComplex`: stored on C, and
+    checked on first use (`_contract_holds`) unless its builder stored it."""
+    facts = C._facts
+    if facts.homogeneous is None:
+        facts.homogeneous = _contract_holds(C)
+    return facts.homogeneous
+
+
+def _contract_holds(C: ChainComplex) -> bool:
+    """The contract pass: every entry of d_i joins a column in level i to a
+    row in level i - 1, and its monomial is deg(col) - deg(row) with no
+    negative exponent.  The difference is computed once per pair of
+    distinct degrees of the two levels.
+
+    Raises ValueError when the differentials are not set, for a cell degree
+    that does not have one exponent per variable, and naming (i, row, col)
+    for an entry of d_i whose exponent vector does not."""
+    if C.diffs is None:
+        raise ValueError("differentials not set")
+    n = len(C.variables)
+    if {*map(len, chain.from_iterable(C.degrees))} - {n}:
+        for i, level in enumerate(C.degrees):
+            for k, exps in enumerate(level):
+                if len(exps) != n:
+                    raise ValueError(
+                        f"cell {k} of level {i} has a degree of {len(exps)}"
+                        f" exponents for {n} variables"
+                    )
+    vectors = {exps for d in C.diffs for _, exps in d.values()}
+    if {*map(len, vectors)} - {n}:
+        for i, d in enumerate(C.diffs, 1):
+            for (row, col), (_, exps) in d.items():
+                if len(exps) != n:
+                    raise ValueError(
+                        f"entry (i, row, col) = {(i, row, col)} of d_{i} has "
+                        f"{len(exps)} exponents for {n} variables"
+                    )
+    if min(chain.from_iterable(vectors), default=0) < 0:
+        return False
+    top = max(C.length - 1, 0)
+    if any(C.diffs[top:]):
+        return False  # entries above the top level
+    for i, d in enumerate(C.diffs[:top], 1):
+        below, here = C.degrees[i - 1], C.degrees[i]
+        ids: dict[tuple[int, ...], int] = {}
+        row_id = [ids.setdefault(a, len(ids)) for a in below]
+        col_id = [ids.setdefault(a, len(ids)) for a in here]
+        m, n_rows, n_cols = len(ids), len(below), len(here)
+        ratios: dict[int, tuple[int, ...]] = {}
+        for (row, col), (_, exps) in d.items():
+            if not (0 <= row < n_rows and 0 <= col < n_cols):
+                return False
+            key = col_id[col] * m + row_id[row]
+            ratio = ratios.get(key)
+            if ratio is None:
+                ratio = ratios[key] = tuple(map(sub, here[col], below[row]))
+            if exps != ratio:
+                return False
+    return True
 
 
 def _d_squared_holds(C: ChainComplex, char: int) -> bool:
     """d*d = 0 with coefficients read mod char, from the verdicts stored on
-    C.  The verdict over the integers is computed first and kept: when it
-    holds, it holds mod every p, so only a complex whose d*d is nonzero over
-    the integers is checked again mod p (and that verdict kept too)."""
+    C, which must keep the contract.  The verdict over the integers is
+    computed first and kept: when it holds, it holds mod every p, so only a
+    complex whose d*d is nonzero over the integers is checked again mod p
+    (and that verdict kept too)."""
     known = C._facts.d_squared
     if 0 not in known:
         known[0] = _d_squared_vanishes(C, 0)
@@ -301,76 +382,32 @@ def _d_squared_holds(C: ChainComplex, char: int) -> bool:
 
 def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
     """d_{i-1} d_i = 0 for every i, with coefficients read mod char (char 0:
-    over the integers).
+    over the integers), on a complex that keeps the contract.
 
-    A product term of d_{i-1} d_i is keyed by its row and the sum of its two
-    exponent vectors.  Both go into one int, so each term costs one int
-    addition and one dict update.  Once per call, every distinct exponent
-    vector e is packed with a fixed field of `width` bits per variable:
-
-        pack(e) = sum((e[k] + bound) << (low + k * width))
-
-    where `bound` is the largest absolute exponent among all entries.  A
-    field holds e[k] + bound in [0, 2 * bound], so in the sum of two packed
-    vectors it holds e1[k] + e2[k] + 2 * bound in [0, 4 * bound].  `width`
-    is the bit length of 4 * bound, so that stays below 2**width and never
-    carries into the next field: the fields of a sum read back the exact
-    exponent sums, and packing is injective on sums of two vectors.  The low
-    `low` bits hold the row of a term of the lower differential, less the
-    smallest row, added once per entry, so a product key is
-    pack(e1) + (pack(e2) + row).  Two terms share a key exactly when they
-    share row and exponent sum, for any entries, homogeneous or not.
-
-    Raises ValueError naming (i, row, col) for an entry of d_i whose
-    exponent vector does not have one exponent per variable.
-    """
-    if C.diffs is None:
-        raise ValueError("differentials not set")
-    diffs = C.diffs[: max(C.length - 1, 0)]
-    n = len(C.variables)
-    vectors = {exps for d in diffs for _, exps in d.values()}
-    if {*map(len, vectors)} - {n}:
-        for i, d in enumerate(diffs, 1):
-            for (row, col), (_, exps) in d.items():
-                if len(exps) != n:
-                    raise ValueError(
-                        f"entry (i, row, col) = {(i, row, col)} of d_{i} has "
-                        f"{len(exps)} exponents for {n} variables"
-                    )
-    if len(diffs) < 2:
-        return True
-    bound = max(map(abs, chain.from_iterable(vectors)), default=0)
-    width = (4 * bound).bit_length()
-    # rows of the lower differentials, the first of each (row, col) key
-    rmin = min(map(itemgetter(0), chain.from_iterable(diffs[:-1])), default=0)
-    rmax = max(map(itemgetter(0), chain.from_iterable(diffs[:-1])), default=0)
-    low = (rmax - rmin).bit_length()
-    weights = [1 << (low + k * width) for k in range(n)]
-    offset = bound * sum(weights)
-    packed = {e: sum(map(mul, e, weights)) + offset for e in vectors}
-
-    # by_col[col]: (row, coeff, pack, pack + row) for the entries of one
-    # column; d_i reads the first three, and d_{i-1} the last two
-    lo_by_col: dict[int, list[tuple[int, int, int, int]]] = {}
-    for d in diffs:
-        by_col: dict[int, list[tuple[int, int, int, int]]] = {}
-        for (row, col), (coeff, exps) in d.items():
-            p = packed[exps]
-            by_col.setdefault(col, []).append((row, coeff, p, p + row - rmin))
-        if lo_by_col:
-            for terms in by_col.values():
+    Every product term of d_{i-1} d_i at (row, col) then has the monomial
+    deg(col) - deg(row), so the terms of one column are summed by row alone
+    and no monomial is read.  The columns of each differential are listed
+    by their position in its level, which is where the rows of the one
+    above point."""
+    lower: list[list[tuple[int, int]]] | None = None
+    for i, d in enumerate(C.diffs[: max(C.length - 1, 0)], 1):
+        # columns[col]: (row, coeff) for the entries of one column of d_i
+        columns: list[list[tuple[int, int]]] = [[] for _ in C.cells[i]]
+        for (row, col), (coeff, _) in d.items():
+            columns[col].append((row, coeff))
+        if lower is not None:
+            for terms in columns:
                 acc: dict[int, int] = {}
                 get = acc.get
-                for mid, c1, p1, _ in terms:
-                    for _, c2, _, q2 in lo_by_col.get(mid, ()):
-                        key = p1 + q2
-                        acc[key] = get(key, 0) + c1 * c2
+                for mid, c1 in terms:
+                    for row, c2 in lower[mid]:
+                        acc[row] = get(row, 0) + c1 * c2
                 if char:
                     if any(v % char for v in acc.values()):
                         return False
                 elif any(acc.values()):
                     return False
-        lo_by_col = by_col
+        lower = columns
     return True
 
 
@@ -405,9 +442,10 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     """True iff the complex is a resolution of the quotient over the given field.
 
     The complex must be over the ring of I and have at least the level F_0
-    (`ValueError` otherwise), and its differentials must compose to zero
-    over the field: the rank counts below read homology only for a
-    complex, and without this check a corrupted top differential would
+    (`ValueError` otherwise).  It must keep the contract of `ChainComplex`,
+    and its differentials must compose to zero over the field: the rank
+    counts below read homology only for a complex of multigraded free
+    modules, and without these checks a corrupted top differential would
     pass.  The alpha-strand, the cells whose degree divides x^alpha, is
     exact when its homology is zero in degrees >= 1 and its degree-0
     cokernel is 0 or 1 according to whether x^alpha lies in the ideal.
@@ -423,79 +461,66 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     L).  The complexes the library builds never have a cell degree outside
     L.
 
-    Three results are stored on C (`_Facts`) and reused by later checks of
+    Four results are stored on C (`_Facts`) and reused by later checks of
     the same complex, at any characteristic.  The differentials of C are
     read-only and its fields cannot change, so they cannot go stale:
+    - whether C keeps the contract (`_homogeneous`);
     - the d*d verdict over the integers (`_d_squared_holds`, which
       `check_d_squared` fills too); only a complex whose verdict over the
       integers is False is checked again mod p;
     - the strand index (`_StrandIndex`), kept for the ideal it was built
       for and rebuilt when a check passes an ideal not equal to it;
-    - for a complex whose columns are all sound, the list of strands that
-      are not exact over F_2.  Char 2 reads it, and char 0 ranks over Q
-      only the strands in it.
+    - the list of strands that are not exact over F_2.  Char 2 reads it,
+      and char 0 ranks over Q only the strands in it.
     Nothing is kept anywhere else: the results die with the complex.
 
     The index numbers the cells of all levels consecutively: cell k of
     level i is cell off[i] + k.  One threshold mask per variable over that
     numbering gives the cells of a strand with one big-int AND per
-    variable.  Each column of d_i is read once per index, rows outside
-    level i - 1 dropped: over F_2 as one int with the bits of its odd
-    entries, packed from off[i - 1] and passed to the kernel with that
-    shift, so that it is as wide as level i - 1 and not as all the levels
-    below; and as a {global row: coeff} dict once a Q or odd-p kernel first
-    runs.  A strand is then one elimination over all its columns.  The rows
-    of a column of d_i all lie in level i - 1, so every pivot lead falls in
-    the range of the level whose d_i it ranks, no elimination step mixes
-    two levels, and the rank of d_i on the strand is the number of leads
-    in level i - 1.
+    variable.  Each column of d_i is read once per index: over F_2 as one
+    int with the bits of its odd entries, packed from off[i - 1] and passed
+    to the kernel with that shift, so that it is as wide as level i - 1 and
+    not as all the levels below; and as a {global row: coeff} dict once a Q
+    or odd-p kernel first runs.  A strand is then one elimination over all
+    its columns.  The rows of a column of d_i all lie in level i - 1, so
+    every pivot lead falls in the range of the level whose d_i it ranks, no
+    elimination step mixes two levels, and the rank of d_i on the strand is
+    the number of leads in level i - 1.
 
-    A column is sound when every entry's row is a cell of the level below
-    whose degree divides the column's.  A strand holding a sound column
-    holds all its rows.  Soundness is read entry by entry, in the same pass
-    over the entries that packs the F_2 columns.
-
-    When every column is sound, each strand is a subcomplex: its matrices
-    are whole columns of the differentials, and they compose to d*d with
-    every variable set to 1, which vanishes over the field.  So the
-    homology h_i = n_i - r_i - r_{i+1} of the strand is >= 0 in every degree
-    i >= 1, where n_i is the size of its level i and r_i the rank of its
-    d_i, and all of it vanishes iff the sum does: n - 2R + r_1 = 0, with n
-    the number of strand cells above level 0 and R the number of pivots.
-    The cokernel test reads n_0 - r_1.  An unsound column breaks the
-    argument: a homology of -1 in one degree can cancel a +1 in the next.
-    So a complex with an unsound column has those columns masked to the
-    strand, counts its per-level ranks from the sorted leads, and tests the
-    strand degree by degree.  The summed test is kept because it is
-    cheaper: with the per-level test on every strand, the checks of the
-    perfbench strands and corpus workloads ran 14% and 23% slower.
+    By the contract, the rows of a column lie in the level below and their
+    degrees divide the column's, so a strand holding a column holds all its
+    rows, and each strand is a subcomplex: its matrices are whole columns of
+    the differentials, and they compose to d*d with every variable set to
+    1, which vanishes over the field.  So the homology h_i = n_i - r_i -
+    r_{i+1} of the strand is >= 0 in every degree i >= 1, where n_i is the
+    size of its level i and r_i the rank of its d_i, and all of it vanishes
+    iff the sum does: n - 2R + r_1 = 0, with n the number of strand cells
+    above level 0 and R the number of pivots.  The cokernel test reads
+    n_0 - r_1.
 
     Strands are visited in the lex order of their degrees, where one
     usually contains the strand before it: prev & ~present == 0, one AND.
-    In a sound complex the columns of a strand are whole columns, so then
-    its columns are the previous strand's plus those of the cells it adds,
-    and the echelon form of the previous strand, extended by those new
-    columns alone, is an echelon form of this one.  So one running pivot
-    dict is carried along, the summed test reads it, and a strand that does
-    not contain the one before starts a new dict.  On example-4-1 under the
-    three methods this cuts the rows eliminated per characteristic from
-    163,182 to 89,872.  A complex with an unsound column never chains: its
-    columns are masked to each strand, so a column of the previous strand
-    is not a column of this one.
+    Its columns are then the previous strand's plus those of the cells it
+    adds, and the echelon form of the previous strand, extended by those
+    new columns alone, is an echelon form of this one.  So one running
+    pivot dict is carried along, the summed test reads it, and a strand
+    that does not contain the one before starts a new dict.  On example-4-1
+    under the three methods this cuts the rows eliminated per
+    characteristic from 163,182 to 89,872.  Containment is all that
+    chaining needs, so the Q pass over the strands that are not exact over
+    F_2 chains along that list too.
 
-    Over Q, a complex whose columns are all sound has its strands certified
-    over F_2 first.  With d*d = 0 over the integers, each strand is then an
-    integer subcomplex.  Write q_i and t_i for the ranks of its d_i over Q
-    and over F_2.  A minor that is odd is nonzero, so t_i <= q_i; and
-    im d_{i+1} lies in ker d_i, so q_i + q_{i+1} <= n_i.  When the F_2 ranks
-    pass the strand test, n_i = t_i + t_{i+1} for every i >= 1, so
-    (q_i - t_i) + (q_{i+1} - t_{i+1}) <= 0 with both terms >= 0: every
-    q_i = t_i, and the Q ranks give the same verdict, the cokernel test
-    included.  Only a strand that is not exact over F_2, as one with
-    2-torsion, is ranked again over Q, from scratch.  The F_2 pass runs
-    over every strand, past the first that is not exact, so that its list
-    serves both characteristics.  A column that is not sound breaks the
-    subcomplex argument, so then every strand is ranked over Q only.
+    Over Q, the strands are certified over F_2 first.  With d*d = 0 over
+    the integers, each strand is an integer subcomplex.  Write q_i and t_i
+    for the ranks of its d_i over Q and over F_2.  A minor that is odd is
+    nonzero, so t_i <= q_i; and im d_{i+1} lies in ker d_i, so q_i + q_{i+1}
+    <= n_i.  When the F_2 ranks pass the strand test, n_i = t_i + t_{i+1}
+    for every i >= 1, so (q_i - t_i) + (q_{i+1} - t_{i+1}) <= 0 with both
+    terms >= 0: every q_i = t_i, and the Q ranks give the same verdict, the
+    cokernel test included.  Only a strand that is not exact over F_2, as
+    one with 2-torsion, is ranked again over Q.  The F_2 pass runs over
+    every strand, past the first that is not exact, so that its list serves
+    both characteristics.
     """
     linalg.check_characteristic(char)
     if I.variables != C.variables:
@@ -505,23 +530,22 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
         )
     if not C.cells:
         raise ValueError("the complex is empty: it has no levels, not even F_0")
-    if not _d_squared_holds(C, char):
+    if not _homogeneous(C) or not _d_squared_holds(C, char):
         return False
     facts = C._facts
     index = facts.index
     if index is None or index.ideal != I:
         index = facts.index = _StrandIndex(I, C)
     every = range(len(index.strands))
-    if not index.sound or char not in (0, 2):
-        return all(index.verdicts(char, every, chained=index.sound))
+    if char not in (0, 2):
+        return all(index.verdicts(char, every))
     if index.not_exact_over_f2 is None:
         index.not_exact_over_f2 = [
-            s for s, exact in enumerate(index.verdicts(2, every, chained=True))
-            if not exact
+            s for s, exact in enumerate(index.verdicts(2, every)) if not exact
         ]
     if char == 2:
         return not index.not_exact_over_f2
-    return all(index.verdicts(0, index.not_exact_over_f2, chained=False))
+    return all(index.verdicts(0, index.not_exact_over_f2))
 
 
 def _strand_degrees(
@@ -538,8 +562,7 @@ def _strand_degrees(
     tc = TaylorComplex(I)
     gens = tc.gen_degrees
     points = {
-        tc.decode(d): any(g & ~d == 0 for g in gens)
-        for d in {tc.degree(mask) for mask in tc.faces()}
+        tc.decode(d): any(g & ~d == 0 for g in gens) for d in tc.lattice()
     }
     outside = {*cells}.difference(points)
     if outside:
@@ -562,26 +585,13 @@ def _strand_degrees(
 class _StrandIndex:
     """The strand index of a complex for one ideal (see check_exactness):
     the strand degrees, one threshold mask per variable over the cells of
-    all levels, the packed F_2 columns and their shifts, the unsound
-    columns, the dict columns once an odd-p or Q kernel needs them, and the
-    strands that are not exact over F_2 once a check has ranked them all.
-    A column is marked unsound while its entries are packed: an entry whose
-    row is no cell of the level below, or whose row's degree does not
-    divide the column's, is enough.  It holds the complex's differentials
-    but not the complex, which holds it."""
+    all levels, the packed F_2 columns and their shifts, the dict columns
+    once an odd-p or Q kernel needs them, and the strands that are not
+    exact over F_2 once a check has ranked them all.  It holds the
+    complex's differentials but not the complex, which holds it."""
 
     def __init__(self, I: MonomialIdeal, C: ChainComplex) -> None:
-        n = len(C.variables)
         cells = [exps for level in C.degrees for exps in level]
-        if {*map(len, cells)} - {n}:
-            i, k = next(
-                (i, k) for i, level in enumerate(C.degrees)
-                for k, exps in enumerate(level) if len(exps) != n
-            )
-            raise ValueError(
-                f"cell {k} of level {i} has a degree of"
-                f" {len(C.degrees[i][k])} exponents for {n} variables"
-            )
         self.ideal = I
         self.strands = _strand_degrees(I, cells)
         values = [sorted(set(column)) for column in zip(*(a for a, _ in self.strands))]
@@ -593,6 +603,7 @@ class _StrandIndex:
         self.off = off
         self.masks = _threshold_masks(cells, values)
         self.everything = (1 << len(cells)) - 1
+        self.level0 = (1 << off[1]) - 1  # the cells of level 0
         # shift[g]: the first cell of the level below cell g.  A column is
         # packed from there, so it is as wide as that level, not as the
         # cells below it.
@@ -605,35 +616,22 @@ class _StrandIndex:
         # packed[g]: the rows of the odd entries of the column of cell g, as
         # a bitmask from shift[g]
         packed = [0] * len(cells)
-        unsound: set[int] = set()
         for g, row, coeff in _column_entries(C.diffs, off):
-            if row is None:
-                unsound.add(g)
-                continue
             if coeff & 1:
                 packed[g] |= 1 << row
-            if not all(map(le, cells[shift[g] + row], cells[g])):
-                unsound.add(g)
-        self.packed, self.unsound, self.sound = packed, unsound, not unsound
+        self.packed = packed
         self.columns: list[dict[int, int]] | None = None  # for the dict kernels
-        # level_bits[i]: the cells of level i
-        self.level_bits = [(1 << b) - (1 << a) for a, b in zip(off, off[1:])]
         self.not_exact_over_f2: list[int] | None = None
 
-    def verdicts(
-        self, char: int, positions: range | list[int], chained: bool
-    ) -> Iterator[bool]:
+    def verdicts(self, char: int, positions: range | list[int]) -> Iterator[bool]:
         """Whether each strand at `positions` (ascending indices into
-        `strands`) is exact over the field of characteristic char.  With
-        `chained`, a strand that contains the one before it extends that
-        strand's echelon form; otherwise each starts from an empty one."""
-        masks, rank_of, off, level_bits = (
-            self.masks, self.rank_of, self.off, self.level_bits
-        )
-        sound = self.sound
-        above = self.everything ^ level_bits[0]
+        `strands`) is exact over the field of characteristic char.  A strand
+        that contains the one before it extends that strand's echelon form;
+        any other starts from an empty one."""
+        masks, rank_of, level0 = self.masks, self.rank_of, self.level0
+        above = self.everything ^ level0
         # the pivot keys of level-0 rows; over F_2 a key is the bit length
-        level0 = range(char == 2, off[1] + (char == 2))
+        keys0 = range(char == 2, self.off[1] + (char == 2))
         # running: the echelon form of the columns of the strand `prev`,
         # which the next strand extends when it contains that strand
         prev, running = 0, None
@@ -642,53 +640,28 @@ class _StrandIndex:
             present = self.everything
             for k_masks, rank, a in zip(masks, rank_of, alpha):
                 present &= k_masks[rank[a]]
-            if not chained or prev & ~present:
+            if prev & ~present:
                 prev, running = 0, None
             new, prev = present & above & ~prev, present
-            pivots = self._pivots(char, indices_of(new), present, running)
-            if chained:
-                running = pivots
-            r1 = sum(map(pivots.__contains__, level0))
-            if sound:
-                exact = (present & above).bit_count() - 2 * len(pivots) + r1 == 0
-            else:
-                leads = sorted(pivots)
-                cut = [bisect_left(leads, o + (char == 2)) for o in off]
-                # ranks[i]: the rank of d_i on the strand, its leads in
-                # level i - 1
-                ranks = [0, *map(sub, cut[1:], cut)]
-                exact = all(
-                    (present & level_bits[i]).bit_count() == ranks[i] + ranks[i + 1]
-                    for i in range(1, len(level_bits))
-                )
-            yield exact and (present & level_bits[0]).bit_count() - r1 == (
-                0 if in_ideal else 1
+            running = self._pivots(char, indices_of(new), running)
+            r1 = sum(map(running.__contains__, keys0))
+            yield (present & above).bit_count() - 2 * len(running) + r1 == 0 and (
+                (present & level0).bit_count() - r1 == (0 if in_ideal else 1)
             )
 
-    def _pivots(self, char: int, strand: list[int], present: int, base):
+    def _pivots(self, char: int, strand: list[int], base):
         """The echelon form over char of the columns of the cells `strand`,
-        unsound ones masked to `present`, extending `base` when given."""
-        unsound, shift = self.unsound, self.shift
+        extending `base` when given."""
+        shift = self.shift
         if char == 2:
             rows = [self.packed[g] for g in strand]
-            if unsound:
-                rows = [
-                    x & present >> shift[g] if g in unsound else x
-                    for g, x in zip(strand, rows)
-                ]
             return linalg.pivots_f2_packed(rows, [shift[g] for g in strand], base)
         columns = self.columns
         if columns is None:
             columns = self.columns = [{} for _ in shift]
             for g, row, coeff in _column_entries(self.diffs, self.off):
-                if row is not None:
-                    columns[g][shift[g] + row] = coeff
-        rows = [
-            {row: v for row, v in columns[g].items() if present >> row & 1}
-            if g in unsound
-            else columns[g]
-            for g in strand
-        ]
+                columns[g][shift[g] + row] = coeff
+        rows = [columns[g] for g in strand]
         if char:
             return linalg.pivots_mod(rows, char, base)
         return linalg.pivots_rational(rows, base)
@@ -696,25 +669,24 @@ class _StrandIndex:
 
 def _column_entries(
     diffs: tuple[Mapping[tuple[int, int], Entry], ...], off: list[int]
-) -> Iterator[tuple[int, int | None, int]]:
-    """(g, row, coeff) for each entry of each d_i = diffs[i - 1] whose column
-    is a cell of level i: g is that cell, numbered from `off`, and row the
-    entry's row within level i - 1, or None when the row is not a cell of
-    that level."""
-    for i in range(1, len(off) - 1):
-        n_rows, n_cols = off[i] - off[i - 1], off[i + 1] - off[i]
-        for (row, col), (coeff, _) in diffs[i - 1].items():
-            if 0 <= col < n_cols:
-                yield off[i] + col, row if 0 <= row < n_rows else None, coeff
+) -> Iterator[tuple[int, int, int]]:
+    """(g, row, coeff) for each entry of each d_i = diffs[i - 1], on a
+    complex that keeps the contract: g is the cell of its column, numbered
+    from `off`, and row its row within level i - 1."""
+    for i, d in zip(range(1, len(off) - 1), diffs):
+        for (row, col), (coeff, _) in d.items():
+            yield off[i] + col, row, coeff
 
 
 def check_minimal(C: ChainComplex, char: int = 0) -> bool:
     """No differential entry is a unit monomial with a coefficient nonzero
     over the field: char 0 counts every nonzero unit entry, char p only
-    those not divisible by p."""
+    those not divisible by p.  False for a complex that breaks the contract
+    of `ChainComplex`, whose monomials then need not follow from the cell
+    degrees."""
     linalg.check_characteristic(char)
-    if C.diffs is None:
-        raise ValueError("differentials not set")
+    if not _homogeneous(C):
+        return False
     for d in C.diffs:
         for coeff, exps in d.values():
             if all(e == 0 for e in exps) and (coeff % char if char else coeff):

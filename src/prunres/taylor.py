@@ -150,3 +150,15 @@ class TaylorComplex:
 
     def faces(self) -> range:
         return range(1 << self.r)
+
+    def lattice(self) -> set[int]:
+        """The degrees of all faces, the empty face's 0 among them: the lcm
+        lattice, found without walking the 2^r faces.  The faces on the
+        first k + 1 generators are those on the first k, each with and
+        without generator k, and lcm is `|`, so closing {0} under
+        S <- S + {s | g : s in S}, one generator degree g at a time, costs
+        the lattice size per generator."""
+        points = {0}
+        for g in self.gen_degrees:
+            points |= {s | g for s in points}
+        return points

@@ -2,7 +2,8 @@ import inspect
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from operator import add
+from itertools import chain
+from operator import add, itemgetter, mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,9 +16,9 @@ from prunres.monomials import MAX_EXPONENT
 
 from prunres.morse import (
     ChainComplex,
-    _StrandIndex,
-    _column_entries,
+    _contract_holds,
     _d_squared_vanishes,
+    _strand_degrees,
     _threshold_masks,
     InvalidMatchingError,
     check_d_squared,
@@ -176,6 +177,92 @@ class TestDSquared:
         )
         with pytest.raises(ValueError, match=r"\(1, 0, 1\)"):
             check_d_squared(d1)
+
+
+def _scaled_top_column(C, degree_too=False):
+    """C with column 0 of its top differential multiplied by x_0: 1 added to
+    the first exponent of each of its entries, and with `degree_too` to the
+    first exponent of the degree of its cell as well."""
+    top = C.length - 1
+    diffs = [dict(d) for d in C.diffs]
+    for (row, col), (coeff, exps) in C.diff(top).items():
+        if col == 0:
+            diffs[top - 1][(row, col)] = (coeff, (exps[0] + 1, *exps[1:]))
+    degrees = list(C.degrees)
+    if degree_too:
+        first = degrees[top][0]
+        degrees[top] = ((first[0] + 1, *first[1:]), *degrees[top][1:])
+    return ChainComplex(C.variables, C.cells, tuple(degrees), tuple(diffs))
+
+
+class TestContract:
+    """Every entry of d_i joins a column in level i to a row in level i - 1,
+    and its monomial is deg(col) - deg(row), with no negative exponent.  The
+    checks return False on a complex that breaks this."""
+
+    SPECS = ["rp2", "example-4-1", "cycle:6"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_top_column_scaled_by_x0(self, spec):
+        # The top differential stays injective, so d(e_0) is not in the new
+        # image and H_{top-1} != 0.  The cell degrees are unchanged, so every
+        # strand still balances: only the monomials show it.
+        I = builtin_ideal(spec)
+        C = morse_differential(I, prune_taylor(I), validate=False)
+        B = _scaled_top_column(C)
+        assert not _contract_holds(B)
+        assert not check_d_squared(B) and not check_minimal(B)
+        for char in (0, 2):
+            assert _reference_exactness(I, B, char)
+            assert not check_exactness(I, B, char), char
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_top_column_and_its_degree_scaled_by_x0(self, spec):
+        # With its cell degree raised to match, the column keeps the
+        # contract and d*d = 0, and the strands find the homology.
+        I = builtin_ideal(spec)
+        C = morse_differential(I, prune_taylor(I), validate=False)
+        B = _scaled_top_column(C, degree_too=True)
+        assert _contract_holds(B) and check_d_squared(B)
+        for char in (0, 2):
+            assert not _reference_exactness(I, B, char)
+            assert not check_exactness(I, B, char), char
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_row_outside_its_level(self, cycle5, shift):
+        # An entry of the top differential moved to a row index off by the
+        # size of its level.  Read modulo that size it is the same row, with
+        # the same degree, so its monomial still fits and d*d = 0.
+        C = morse_differential(cycle5, prune_taylor(cycle5))
+        top = C.length - 1
+        (row, col), entry = min(C.diff(top).items())
+        diffs = [dict(d) for d in C.diffs]
+        del diffs[top - 1][(row, col)]
+        diffs[top - 1][(row + shift * len(C.cells[top - 1]), col)] = entry
+        B = _with_diffs(C, diffs)
+        assert not _contract_holds(B)
+        assert not check_d_squared(B) and not check_minimal(B)
+        for char in (0, 2):
+            assert not check_exactness(cycle5, B, char), char
+
+    def test_column_outside_its_level_and_entries_above_the_top(self, path5):
+        C = morse_differential(path5, prune_taylor(path5))
+        (row, col), entry = min(C.diff(1).items())
+        moved = [dict(d) for d in C.diffs]
+        moved[0][(row, len(C.cells[1]))] = entry
+        above = (*C.diffs, {(0, 0): entry})
+        for B in (_with_diffs(C, moved), _with_diffs(C, above)):
+            assert not _contract_holds(B)
+            assert not check_d_squared(B) and not check_exactness(path5, B, 0)
+        # an empty differential above the top level holds no entry
+        assert _contract_holds(_with_diffs(C, (*C.diffs, {})))
+
+    def test_stored_by_morse_differential(self, path5):
+        C = morse_differential(path5, prune_taylor(path5))
+        assert C._facts.homogeneous is True
+        B = _fresh(C)
+        assert B._facts.homogeneous is None
+        assert check_d_squared(B) and B._facts.homogeneous is True
 
 
 class TestExactness:
@@ -607,9 +694,9 @@ class TestExactnessAgainstStrandLoop:
     verdict and, strand by strand and level by level, the same matrices
     with the same ranks.
 
-    On a complex whose columns are all sound, chars 0 and 2 first rank every
-    strand over F_2, past the first that fails, and keep the list of those
-    that fail; the loop stops at the first.  So at char 2 the loop's calls
+    Chars 0 and 2 first rank every strand over F_2, past the first that
+    fails, and keep the list of those that fail; the loop stops at the
+    first.  So at char 2 the loop's calls
     must be the first calls of check_exactness, and all of them when the
     complex is exact.  Over Q, each strand is then ranked over Q only when
     it failed over F_2.  Where the loop finds the complex exact over F_2,
@@ -625,7 +712,7 @@ class TestExactnessAgainstStrandLoop:
         got, calls = _traced(monkeypatch, check_exactness, I, C, char)
         expected, ref_calls = _traced(monkeypatch, _reference_exactness, I, C, char)
         assert got == expected
-        if char not in (0, 2) or not _all_sound(C):
+        if char not in (0, 2):
             assert calls == ref_calls
             return got
         if char == 2:
@@ -660,13 +747,12 @@ class TestExactnessAgainstStrandLoop:
                     assert self._same(monkeypatch, I, C, char), (name, char)
 
     def test_corrupted_corpus40(self, corpus40, monkeypatch):
-        # The strand loop does not look at d*d, which check_exactness now
-        # requires first; over Q check_d_squared is that condition.  Where
-        # d*d = 0 still holds, both make the same rank calls, as `_same`
-        # states them.  Doubling a column keeps d*d = 0 over Z, so it is
-        # compared at char 2 too; a raised degree leaves every entry alone
-        # and so exercises the row filter of columns that are not sound,
-        # and, raised in the top level, the strands outside the lattice.
+        # The strand loop looks neither at d*d nor at the monomials, which
+        # check_exactness requires first; over Q check_d_squared is that
+        # condition.  Where it still holds, both make the same rank calls,
+        # as `_same` states them.  Doubling a column keeps d*d = 0 over Z,
+        # so it is compared at char 2 too; a raised degree breaks the
+        # contract and is rejected.
         compared = 0
         for I in corpus40[:20]:
             for method in self.METHODS:
@@ -683,7 +769,8 @@ class TestExactnessAgainstStrandLoop:
 
 def _tuple_key_d_squared(C: ChainComplex, char: int) -> bool:
     """morse._d_squared_vanishes as it was with exponent-tuple keys
-    (verbatim), the reference for the packed-key version."""
+    (verbatim): a product term is keyed by its row and exponent sum, so it
+    needs no contract."""
     if C.diffs is None:
         raise ValueError("differentials not set")
     # by_col[col]: the entries (row, coeff, exps) of one differential's column
@@ -714,7 +801,8 @@ def _with_entry(C, i, key, exps):
 def _monomial_corruptions(C):
     """(name, complex): for each differential, one exponent of one entry
     raised, the monomials of two entries in one column swapped, and one
-    exponent made negative.  Coefficients stay as they are."""
+    exponent made negative.  Coefficients stay as they are.  Each breaks the
+    contract unless the swapped monomials are equal."""
     for i in range(1, C.length):
         key = min(C.diff(i))
         coeff, exps = C.diff(i)[key]
@@ -741,7 +829,7 @@ def _row_corruptions(C):
     """(name, complex): for each differential below the top one, its first
     entry moved to the next row (a row index may fall outside its level),
     once as it is and once with its first exponent lowered by one, which
-    in a packed key sits right above the row."""
+    in a packed key sat right above the row."""
     for i in range(1, C.length - 1):
         d = C.diff(i)
         key = next(((r, c) for r, c in sorted(d) if (r + 1, c) not in d), None)
@@ -762,7 +850,8 @@ def _row_corruptions(C):
 def _top_variable_corruptions(C):
     """(name, complex): for each differential, the exponent of the last
     variable, the highest field of a packed key, of one entry moved up,
-    down, below zero and to either end of the parser's range."""
+    down, below zero and to either end of the parser's range.  Each breaks
+    the contract."""
     for i in range(1, C.length):
         key = min(C.diff(i))
         exps = C.diff(i)[key][1]
@@ -778,8 +867,10 @@ def _carry_pair(nvars, k, bound):
     """F0 <- F1 (two cells) <- F2 (one cell) whose two terms of d1 d2 differ
     by +2**(width - 1) in variable k and by -1 in variable k + 1, with
     width the bit length of 4 * bound and every exponent in [-bound, bound].
-    The exponent sums are distinct, so d*d != 0; a field one bit narrower
-    would carry that difference into the next field and cancel it."""
+    The exponent sums are distinct, so d*d != 0; a packed key with a field
+    one bit narrower would carry that difference into the next field and
+    cancel it.  Every cell has degree 1, so the complex breaks the
+    contract."""
     width = (4 * bound).bit_length()
     upper = [0] * nvars
     lower = [0] * nvars
@@ -804,22 +895,30 @@ def _carry_pair(nvars, k, bound):
 
 
 class TestDSquaredAgainstTupleKeys:
-    """check_d_squared on packed integer keys against the tuple-key loop it
-    replaced: the same verdict at chars 0, 2, 3 and 5."""
+    """check_d_squared against the tuple-key loop, which reads every
+    monomial.  On a complex that keeps the contract, the row-keyed d*d gives
+    the loop's verdict at chars 0, 2, 3 and 5.  Any other complex, such as
+    one with a monomial or a row changed, check_d_squared rejects, so it
+    still rejects every complex the loop rejects."""
 
     METHODS = (prune_taylor, prune_simplicial, prune_lyubeznik)
     CHARS = (0, 2, 3, 5)
 
     def _same(self, C, name=""):
-        """The reference verdict at char 0, once both agree at every char."""
+        """check_d_squared's verdict on C, once it is checked against the
+        loop's."""
         expected = [_tuple_key_d_squared(C, char) for char in self.CHARS]
-        got = [_d_squared_vanishes(C, char) for char in self.CHARS]
-        assert got == expected, name
-        return expected[0]
+        verdict = check_d_squared(_fresh(C))
+        if _contract_holds(C):
+            got = [_d_squared_vanishes(C, char) for char in self.CHARS]
+            assert got == expected and verdict == expected[0], name
+        else:
+            assert not verdict, name
+        return verdict
 
     def _all(self, C):
         """C and its corruptions: the entry, monomial-only and row ones;
-        returns how many of them the reference judges d*d != 0 at char 0."""
+        returns how many of them check_d_squared rejects."""
         assert self._same(C)
         caught = 0
         for name, B, _ in _corruptions(C):
@@ -874,7 +973,150 @@ class TestDSquaredAgainstTupleKeys:
     @pytest.mark.parametrize("bound", [1, 2, 3, 5, MAX_EXPONENT - 1, MAX_EXPONENT])
     @pytest.mark.parametrize("k", [0, 1])
     def test_no_carry_between_fields(self, k, bound):
-        assert not self._same(_carry_pair(3, k, bound))
+        C = _carry_pair(3, k, bound)
+        assert not _tuple_key_d_squared(C, 0) and not _contract_holds(C)
+        assert not self._same(C)
+
+
+# --- verbatim copy of the packed-key d*d that the row keys replaced --------
+
+
+def _packed_key_d_squared(C: ChainComplex, char: int) -> bool:
+    """d_{i-1} d_i = 0 for every i, with coefficients read mod char (char 0:
+    over the integers).
+
+    A product term of d_{i-1} d_i is keyed by its row and the sum of its two
+    exponent vectors.  Both go into one int, so each term costs one int
+    addition and one dict update.  Once per call, every distinct exponent
+    vector e is packed with a fixed field of `width` bits per variable:
+
+        pack(e) = sum((e[k] + bound) << (low + k * width))
+
+    where `bound` is the largest absolute exponent among all entries.  A
+    field holds e[k] + bound in [0, 2 * bound], so in the sum of two packed
+    vectors it holds e1[k] + e2[k] + 2 * bound in [0, 4 * bound].  `width`
+    is the bit length of 4 * bound, so that stays below 2**width and never
+    carries into the next field: the fields of a sum read back the exact
+    exponent sums, and packing is injective on sums of two vectors.  The low
+    `low` bits hold the row of a term of the lower differential, less the
+    smallest row, added once per entry, so a product key is
+    pack(e1) + (pack(e2) + row).  Two terms share a key exactly when they
+    share row and exponent sum, for any entries, homogeneous or not.
+
+    Raises ValueError naming (i, row, col) for an entry of d_i whose
+    exponent vector does not have one exponent per variable.
+    """
+    if C.diffs is None:
+        raise ValueError("differentials not set")
+    diffs = C.diffs[: max(C.length - 1, 0)]
+    n = len(C.variables)
+    vectors = {exps for d in diffs for _, exps in d.values()}
+    if {*map(len, vectors)} - {n}:
+        for i, d in enumerate(diffs, 1):
+            for (row, col), (_, exps) in d.items():
+                if len(exps) != n:
+                    raise ValueError(
+                        f"entry (i, row, col) = {(i, row, col)} of d_{i} has "
+                        f"{len(exps)} exponents for {n} variables"
+                    )
+    if len(diffs) < 2:
+        return True
+    bound = max(map(abs, chain.from_iterable(vectors)), default=0)
+    width = (4 * bound).bit_length()
+    # rows of the lower differentials, the first of each (row, col) key
+    rmin = min(map(itemgetter(0), chain.from_iterable(diffs[:-1])), default=0)
+    rmax = max(map(itemgetter(0), chain.from_iterable(diffs[:-1])), default=0)
+    low = (rmax - rmin).bit_length()
+    weights = [1 << (low + k * width) for k in range(n)]
+    offset = bound * sum(weights)
+    packed = {e: sum(map(mul, e, weights)) + offset for e in vectors}
+
+    # by_col[col]: (row, coeff, pack, pack + row) for the entries of one
+    # column; d_i reads the first three, and d_{i-1} the last two
+    lo_by_col: dict[int, list[tuple[int, int, int, int]]] = {}
+    for d in diffs:
+        by_col: dict[int, list[tuple[int, int, int, int]]] = {}
+        for (row, col), (coeff, exps) in d.items():
+            p = packed[exps]
+            by_col.setdefault(col, []).append((row, coeff, p, p + row - rmin))
+        if lo_by_col:
+            for terms in by_col.values():
+                acc: dict[int, int] = {}
+                get = acc.get
+                for mid, c1, p1, _ in terms:
+                    for _, c2, _, q2 in lo_by_col.get(mid, ()):
+                        key = p1 + q2
+                        acc[key] = get(key, 0) + c1 * c2
+                if char:
+                    if any(v % char for v in acc.values()):
+                        return False
+                elif any(acc.values()):
+                    return False
+        lo_by_col = by_col
+    return True
+
+
+class TestDSquaredAgainstPackedKeys:
+    """The row-keyed d*d against the packed-key loop it replaced, which keys
+    a product term by its row and exponent sum: the same verdict at chars 0,
+    2, 3 and 5 on every complex that keeps the contract.  Those are the
+    complexes morse_differential builds, and their changes that leave every
+    monomial alone: entries deleted, signs flipped and columns scaled.
+    morse_differential stores that its complexes keep the contract, and the
+    contract pass must find the same on a fresh copy of each."""
+
+    METHODS = TestDSquaredAgainstTupleKeys.METHODS
+    CHARS = (0, 2, 3, 5)
+
+    def _same(self, C, name=""):
+        """The verdict at char 0, once both agree at every char."""
+        assert _contract_holds(C), name
+        expected = [_packed_key_d_squared(C, char) for char in self.CHARS]
+        got = [_d_squared_vanishes(C, char) for char in self.CHARS]
+        assert got == expected, name
+        return expected[0]
+
+    def _built(self, C, corrupt=True):
+        """C, built by morse_differential, and with `corrupt` its changes by
+        `_corruptions` that keep the contract (all but the raised degrees);
+        returns how many of them have d*d != 0 over the integers."""
+        assert C._facts.homogeneous is True and _contract_holds(_fresh(C))
+        assert self._same(C)
+        nonzero = 0
+        for name, B, _ in _corruptions(C) if corrupt else ():
+            if name.startswith("raise degree"):
+                assert not _contract_holds(B), name
+            else:
+                nonzero += not self._same(B, name)
+        return nonzero
+
+    def test_corpus200(self, corpus200):
+        nonzero = 0
+        for I in corpus200:
+            for method in self.METHODS:
+                nonzero += self._built(morse_differential(I, method(I), validate=False))
+        assert nonzero > 1000
+
+    def test_builtins(self, builtins):
+        for name, I in builtins.items():
+            for method in self.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                self._built(C, corrupt=name != "example-4-1")
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycles(self, n):
+        I = cycle_ideal(n)
+        for method in self.METHODS:
+            self._built(morse_differential(I, method(I), validate=False), n < 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sound_corruptions(self, corpus40, data):
+        I = corpus40[data.draw(st.integers(0, 39))]
+        method = data.draw(st.sampled_from(self.METHODS))
+        C = morse_differential(I, method(I), validate=False)
+        assume(C.length >= 2)
+        assert self._same(_sound_corruptions(C, data.draw))
 
 
 def _sound_corruptions(C, draw):
@@ -912,9 +1154,11 @@ def _sound_corruptions(C, draw):
 
 
 class TestCertificateOverF2:
-    """Over Q, check_exactness certifies the strands of a sound complex over
-    F_2 first.  That is valid on a sound complex with d*d = 0 over Z (see its
-    docstring), where exact over F_2 implies exact over Q, and only there."""
+    """Over Q, check_exactness certifies the strands over F_2 first.  That
+    is valid on a complex that keeps the contract and has d*d = 0 over Z
+    (see its docstring), where exact over F_2 implies exact over Q.  A
+    complex with a column that is not sound breaks the argument, and the
+    contract, so it is rejected before any strand is ranked."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -937,7 +1181,9 @@ class TestCertificateOverF2:
         # the degree of b does not divide that of c, so d2's column is not
         # sound.  On the strand at 1, which lacks b, d1 d2 = 2 != 0: its F_2
         # ranks (0 and 1) pass the strand test and its Q ranks (1 and 1) do
-        # not.  Certifying over F_2 would call the complex exact.
+        # not.  Certifying over F_2 would call the complex exact; the entry
+        # of d2 at b has the monomial 1 for the degree ratio 1/x, so the
+        # contract rejects it first.
         I = parse_ideal("ring x; gens x")
         C = ChainComplex(
             ("x",),
@@ -948,7 +1194,8 @@ class TestCertificateOverF2:
                 {(0, 0): (1, (0,)), (1, 0): (1, (0,))},
             ),
         )
-        assert check_d_squared(C) and not _all_sound(C)
+        assert _d_squared_vanishes(C, 0) and not _all_sound(C)
+        assert not _contract_holds(C) and not check_d_squared(C)
         assert not _reference_exactness(I, C, 0)
         assert not check_exactness(I, C, 0)
 
@@ -958,7 +1205,9 @@ class TestCertificateOverF2:
         # t to b, so d1 d2 = 0, but the degree of b does not divide that of
         # t.  On the strand at 1, which lacks b, t is a zero column and the
         # cycle a bounds nothing.  A packed column of t that kept its row b
-        # would have F_2 rank 1 there and make every strand pass.
+        # would have F_2 rank 1 there and make every strand pass.  The entry
+        # of d2 at (b, t) has the monomial 1 for the degree ratio 1/x, so the
+        # contract rejects the complex first.
         I = parse_ideal("ring x; gens x")
         C = ChainComplex(
             ("x",),
@@ -970,6 +1219,7 @@ class TestCertificateOverF2:
             ),
         )
         assert _d_squared_vanishes(C, 2) and not _all_sound(C)
+        assert not _contract_holds(C) and not check_d_squared(C)
         assert not _reference_exactness(I, C, 2)
         assert not check_exactness(I, C, 2)
 
@@ -1012,26 +1262,39 @@ def _unsound_by_masks(
     return out
 
 
-def _unsound_from_masks(index, C):
-    """The unsound columns as _StrandIndex found them with the masks: rows
-    outside the level below first, then `_unsound_by_masks` on the rest."""
+def _unsound_from_masks(I, C):
+    """The unsound columns as check_exactness found them with the masks
+    before the contract, for the ideal I: rows outside the level below
+    first, then `_unsound_by_masks` on the rest."""
     cells = [exps for level in C.degrees for exps in level]
-    values = [sorted(set(column)) for column in zip(*(a for a, _ in index.strands))]
+    values = [
+        sorted(set(column))
+        for column in zip(*(a for a, _ in _strand_degrees(I, cells)))
+    ]
+    off = [0]
+    for level in C.degrees:
+        off.append(off[-1] + len(level))
     support = [0] * len(cells)
     unsound: set[int] = set()
-    for g, row, coeff in _column_entries(C.diffs, index.off):
-        if row is None:
-            unsound.add(g)
-        else:
-            support[g] |= 1 << row
-    unsound.update(_unsound_by_masks(cells, index.off, support, index.masks, values))
+    for i in range(1, C.length):
+        n_rows, n_cols = off[i] - off[i - 1], off[i + 1] - off[i]
+        for row, col in C.diff(i):
+            if not 0 <= col < n_cols:
+                continue
+            if 0 <= row < n_rows:
+                support[off[i] + col] |= 1 << row
+            else:
+                unsound.add(off[i] + col)
+    masks = _threshold_masks(cells, values)
+    unsound.update(_unsound_by_masks(cells, off, support, masks, values))
     return unsound
 
 
 class TestSoundnessAgainstMasks:
-    """_StrandIndex marks a column unsound entry by entry, while it packs the
-    column; the pass it replaced read soundness with the threshold masks
-    first.  Both must find the same unsound columns."""
+    """Before the contract, check_exactness found the columns that are not
+    sound with this mask pass, and masked them to each strand.  A column
+    that is not sound breaks the contract, so every complex in which the
+    pass finds one must now be rejected by every check."""
 
     def test_corrupted_corpus(self, corpus200):
         with_unsound = compared = 0
@@ -1041,19 +1304,22 @@ class TestSoundnessAgainstMasks:
                 corrupted = [B for _, B, _ in _corruptions(C)]
                 corrupted += [B for _, B in _row_corruptions(C)]
                 for B in (C, *corrupted):
-                    index = _StrandIndex(I, B)
-                    assert index.unsound == _unsound_from_masks(index, B)
-                    assert index.sound == (not index.unsound)
-                    with_unsound += bool(index.unsound)
+                    if _unsound_from_masks(I, B):
+                        assert not _contract_holds(B)
+                        assert not check_d_squared(B) and not check_minimal(B)
+                        assert not check_exactness(I, B, 0)
+                        assert not check_exactness(I, B, 2)
+                        with_unsound += 1
                     compared += 1
         assert with_unsound > 1000 and compared > with_unsound
 
 
 class TestSummedStrandTest:
-    """On a complex whose columns are all sound, check_exactness passes a
-    strand when its homology summed over degrees >= 1 is zero: each strand
-    is then a subcomplex, so no degree's homology is negative.  An unsound
-    column breaks that, and its strands must be tested degree by degree."""
+    """check_exactness passes a strand when its homology summed over degrees
+    >= 1 is zero: under the contract each strand is a subcomplex, so no
+    degree's homology is negative.  A column that is not sound breaks that,
+    and the contract, so the complex is rejected before its strands are
+    counted."""
 
     def test_unsound_column_cancels_in_the_sum(self):
         # F0 = {e}, F1 = {g, h}, F2 = {gh, z}, F3 = {w} over the ideal
@@ -1061,7 +1327,8 @@ class TestSummedStrandTest:
         # to y*g - x*h, and d3 sends w to y*z, so d*d = 0.  But the degree of
         # h does not divide x, the degree of gh.  On the strand at x, which
         # lacks h, gh bounds g: H_1 = 1 - 1 - 1 = -1 and H_2 = 2 - 1 = +1,
-        # which sum to zero.
+        # which sum to zero.  The entry of d2 at (h, gh) has the monomial x
+        # for the degree ratio x/y.
         I = parse_ideal("ring x y; gens x, y")
         C = ChainComplex(
             ("x", "y"),
@@ -1078,7 +1345,8 @@ class TestSummedStrandTest:
                 {(1, 0): (1, (0, 1))},
             ),
         )
-        assert check_d_squared(C) and not _all_sound(C)
+        assert _d_squared_vanishes(C, 0) and not _all_sound(C)
+        assert not _contract_holds(C) and not check_d_squared(C)
         for char in (0, 2, 3):
             assert not _reference_exactness(I, C, char)
             assert not check_exactness(I, C, char), char
@@ -1086,8 +1354,8 @@ class TestSummedStrandTest:
 
 class TestChainedStrands:
     """check_exactness extends the echelon form of the strand before only
-    when the new strand contains it and every column is sound.  Lattice
-    degrees are visited in lex order of their exponents."""
+    when the new strand contains it.  Lattice degrees are visited in lex
+    order of their exponents."""
 
     def test_strand_that_does_not_contain_the_last_starts_afresh(self):
         # The Taylor resolution of (x, y, z), whose strand at x follows the
@@ -1101,16 +1369,18 @@ class TestChainedStrands:
             assert _reference_exactness(I, C, char)
             assert check_exactness(I, C, char), char
 
-    def test_unsound_column_is_masked_afresh_on_every_strand(self):
+    def test_column_with_a_negative_exponent_is_rejected(self):
         # F0 = {e}, F1 = {g, h, u}, F2 = {gh, v, m}, F3 = {q} over the ideal
-        # (x, y), whose strand at xy follows the one at x, with degrees 1; x, y, x; xy, x, xy; xy.  d1 = (x, y, x),
-        # d2 sends gh to y*g - x*h, v to u - (x/y)*h and m to y*u - y*g, and
-        # d3 sends q to m - y*v + gh, so d*d = 0.  The degree of h does not
-        # divide x, the degree of v.  On the strand at x, which lacks h, v
-        # is the column u.  On the strand at xy, v is u - h = m + gh, so d_2
-        # has rank 2 and d_3 rank 1, and the complex is exact.  Carried on
-        # from the strand at x, v would stay the column u and give d_2
-        # rank 3.
+        # (x, y), whose strand at xy follows the one at x, with degrees 1;
+        # x, y, x; xy, x, xy; xy.  d1 = (x, y, x), d2 sends gh to
+        # y*g - x*h, v to u - (x/y)*h and m to y*u - y*g, and d3 sends q to
+        # m - y*v + gh, so d*d = 0.  The degree of h does not divide x, the
+        # degree of v.  On the strand at x, which lacks h, v is the column
+        # u.  On the strand at xy, v is u - h = m + gh, so d_2 has rank 2
+        # and d_3 rank 1, and the strand loop, which reads no monomial,
+        # calls the complex exact.  But x/y is no polynomial: the entry at
+        # (h, v) is the degree ratio, with a negative exponent, so the
+        # complex breaks the contract and every check rejects it.
         I = parse_ideal("ring x y; gens x, y")
         C = ChainComplex(
             ("x", "y"),
@@ -1134,10 +1404,12 @@ class TestChainedStrands:
                 {(2, 0): (1, (0, 0)), (1, 0): (-1, (0, 1)), (0, 0): (1, (0, 0))},
             ),
         )
-        assert check_d_squared(C) and not _all_sound(C)
+        assert _d_squared_vanishes(C, 0) and not _all_sound(C)
+        assert not _contract_holds(C)
+        assert not check_d_squared(C) and not check_minimal(C)
         for char in (0, 2, 3, 5):
             assert _reference_exactness(I, C, char)
-            assert check_exactness(I, C, char), char
+            assert not check_exactness(I, C, char), char
 
 
 def _verdict(I, C, char):

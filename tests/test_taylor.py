@@ -236,3 +236,27 @@ def test_indices_of_on_both_sides_of_the_wide_walk(bits, top):
     for members in (bits, bits | {top}, {b for b in bits if b < top} | {top}):
         mask = sum(1 << b for b in members)
         assert indices_of(mask) == sorted(members)
+
+
+class TestLattice:
+    """`TaylorComplex.lattice`, the OR closure of the generator degrees,
+    against the walk over all 2^r faces it replaced in
+    `morse._strand_degrees` and `betti.hochster_betti`."""
+
+    @staticmethod
+    def _same(I):
+        tc = TaylorComplex(I)
+        lattice = tc.lattice()
+        assert lattice == {tc.degree(mask) for mask in tc.faces()}
+        return len(lattice)
+
+    def test_corpus200_and_builtins(self, corpus200, builtins):
+        for I in [*corpus200, *builtins.values()]:
+            self._same(I)
+        assert self._same(builtins["example-4-1"]) == 987
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_cycles(self, n):
+        size = self._same(cycle_ideal(n))
+        if n == 15:
+            assert size == 4610
