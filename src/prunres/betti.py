@@ -1,12 +1,13 @@
 """Betti tables, the Tor-strand and Hochster oracles, and diagram rendering."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
 from .morse import ChainComplex
-from .taylor import TaylorComplex, facets
+from .taylor import TaylorComplex, facets, indices_of
 
 DEFAULT_PRIMES = (2, 3, 5)
 
@@ -80,6 +81,26 @@ def tor_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
     The homology of that small complex, class by class, is the Betti table.
     Uses the Taylor complex of the given generators, so it is independent of
     the pruning code it serves as an oracle for.
+
+    The faces of degree alpha are closed upward inside their union T: a
+    face between one of them and T has an lcm between alpha and alpha.  A
+    class of one face, T alone, has no incidences, so it is not ranked: it
+    gives beta = 1 in homological degree |T|.  In a larger class some
+    generator j of T is not needed (T - j has degree alpha too; take the
+    lowest such j).  The faces F of the class that hold j, with F - j outside
+    the class, span a subcomplex K: a facet F - u in the class holds j, and
+    F - u - j lies in F - j, so it is outside the class too.  The quotient
+    by K has a basis of the faces F of the class without j and their
+    F + j, and it is the mapping cone of the identity on the span of the
+    former, so it is acyclic over every field, and K has the homology of
+    the class over every field.  Only K is ranked: on cycle:15 it holds
+    8,690 of the 31,404 faces in classes of two or more.
+
+    K is ranked by `_homology_ranks`: over F_2 at chars 0 and 2, where at
+    char 0 the F_2 homology certifies the Q homology when it lies in at
+    most one degree, and only the other classes are ranked again over Q;
+    directly over F_p at an odd prime p, since F_2 ranks say nothing about
+    p-torsion.
     """
     linalg.check_characteristic(char)
     tc = TaylorComplex(I)
@@ -90,13 +111,22 @@ def tor_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
 
     multi: dict[tuple[int, tuple[int, ...]], int] = {}
     for alpha_deg, masks in classes.items():
-        alpha = tc.decode(alpha_deg)
+        if len(masks) == 1:
+            multi[(masks[0].bit_count(), tc.decode(alpha_deg))] = 1
+            continue
+        top = masks[-1]
+        j = next(
+            1 << b for b in indices_of(top) if deg(top ^ 1 << b) == alpha_deg
+        )
         by_h: dict[int, list[int]] = {}
         for m in masks:
-            by_h.setdefault(m.bit_count(), []).append(m)
+            if m & j and deg(m ^ j) != alpha_deg:
+                by_h.setdefault(m.bit_count(), []).append(m)
+        if not by_h:
+            continue
         for h, beta in _homology_ranks(by_h, 0, char).items():
             if beta:
-                multi[(h, alpha)] = beta
+                multi[(h, tc.decode(alpha_deg))] = beta
     return BettiTable(I.variables, multi)
 
 
@@ -107,28 +137,85 @@ def _homology_ranks(
     degree, from `first` up; the simplicial boundary lowers the degree by
     one and keeps only faces present in the level below), per degree.
 
-    Sorts each level in place, then ranks the boundary matrices in order of
-    increasing degree through `linalg.rank`, skipping empty ones.
+    Sorts each level in place.  At chars 0 and 2 it ranks the boundary
+    matrices over F_2, on `{row: 1}` rows, through `linalg.rank`, skipping
+    empty ones.  At char 2 that is the answer.  At char 0 it is the answer
+    too when the F_2 homology is nonzero in at most one degree:
+
+    - The complex is a complex of free Z-modules, so its Q and F_2 ranks
+      are those of one integer matrix per degree.  A nonzero minor mod 2 is
+      a nonzero integer minor, so the F_2 rank of each boundary matrix is at
+      most its Q rank, and the F_2 homology n_h - rank d_h - rank d_(h+1)
+      is at least the Q homology in every degree h.
+    - Both have the Euler characteristic sum (-1)^h n_h, which the ranks do
+      not enter.
+    - So if the F_2 homology is zero outside degree h0, the Q homology is
+      zero there too, and its degree-h0 value is (-1)^h0 times the Euler
+      characteristic, which is the F_2 value.  With no F_2 homology at all,
+      there is no Q homology either.
+
+    Otherwise, as for the 2-torsion of the real projective plane, the
+    complex is ranked again over Q, in one `linalg.pivots_rational` call on
+    signed rows: level h - 1 is numbered after the levels below it, so no
+    row crosses two ranges and the rank of d_h is the number of pivot leads
+    in level h - 1.  At an odd prime p there is no F_2 pass: the F_2 ranks
+    bound the Q ranks, not the F_p ones (p-torsion shows only mod p), so
+    the signed rows are ranked over F_p directly.
     """
     for level in levels.values():
         level.sort()
-    top = max(levels)
+    degrees = range(first, max(levels) + 1)
+    index = {h: {m: k for k, m in enumerate(levels.get(h, ()))} for h in degrees[:-1]}
+    over_f2 = char in (0, 2)
     ranks: dict[int, int] = {}
-    for h in range(first + 1, top + 1):
-        cols = levels.get(h, [])
-        row_index = {m: k for k, m in enumerate(levels.get(h - 1, []))}
-        if not cols or not row_index:
+    for h in degrees[1:]:
+        cols, get = levels.get(h), index[h - 1].get
+        if not cols or not index[h - 1]:
             continue
-        rows: dict[int, dict[int, int]] = {}
-        for ci, mask in enumerate(cols):
-            for facet, sign in facets(mask):
-                if facet in row_index:
-                    rows.setdefault(ci, {})[row_index[facet]] = sign
-        ranks[h] = linalg.rank(list(rows.values()), char)
-    return {
-        h: len(levels.get(h, [])) - ranks.get(h, 0) - ranks.get(h + 1, 0)
-        for h in range(first, top + 1)
-    }
+        if over_f2:
+            rows = []
+            for m in cols:
+                row, rest = {}, m
+                while rest:
+                    low = rest & -rest
+                    k = get(m ^ low)
+                    if k is not None:
+                        row[k] = 1
+                    rest ^= low
+                rows.append(row)
+            ranks[h] = linalg.rank(rows, 2)
+        else:
+            rows = [
+                {k: s for f, s in facets(m) if (k := get(f)) is not None}
+                for m in cols
+            ]
+            ranks[h] = linalg.rank(rows, char)
+
+    def homology() -> dict[int, int]:
+        return {
+            h: len(levels.get(h, ())) - ranks.get(h, 0) - ranks.get(h + 1, 0)
+            for h in degrees
+        }
+
+    betti = homology()
+    if char or sum(1 for b in betti.values() if b) <= 1:
+        return betti
+    level_of: list[int] = []
+    start: dict[int, int] = {}
+    for h in degrees:
+        start[h] = len(level_of)
+        level_of += [h + 1] * len(levels.get(h, ()))
+    rows = [
+        {
+            start[h - 1] + k: s
+            for f, s in facets(m)
+            if (k := index[h - 1].get(f)) is not None
+        }
+        for h in degrees[1:]
+        for m in levels.get(h, ())
+    ]
+    ranks = Counter(level_of[lead] for lead in linalg.pivots_rational(rows))
+    return homology()
 
 
 class SquarefreeRequiredError(ValueError):
@@ -140,38 +227,92 @@ def hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
 
     For each squarefree lattice degree alpha, restrict the complex of
     non-ideal squarefree monomials to the support of alpha and read
-    beta_{i,alpha} from reduced homology in dimension |alpha|-i-1.
+    beta_{i,alpha} from reduced homology in dimension |alpha|-i-1
+    (Hochster's formula; Miller-Sturmfels, Combinatorial Commutative
+    Algebra, ch. 1).
+
+    The induced complex D on the support S is not ranked whole.  Take the
+    vertex v of S held by the fewest generators inside S.  Its star, the
+    faces F of D with F + v in D, is a subcomplex and a cone with apex v,
+    so its augmented chain complex is acyclic over every field, and D's
+    augmented chain complex has the same homology as the quotient by it.
+    The quotient has a basis of the faces of D outside the star: the faces
+    F without v such that F + v is not a face (all of D when v itself is
+    not a face).  Its boundary is the simplicial one with the faces of the
+    star dropped, which is what `_homology_ranks` computes on those faces,
+    with the empty face in dimension -1.  On cycle:14 this keeps 76,645 of
+    the 302,992 faces of all the induced complexes.
+
+    The faces without v are enumerated one size at a time: a face of size
+    k + 1 is a face of size k with a vertex of S above its largest one,
+    kept when no generator lies in it.  Only a generator holding the new
+    vertex can newly lie in it, so that is all the test reads: each face
+    carries the vertices above its largest one that no two-vertex
+    generator forbids, and a wider generator is tested one by one.
+
+    The quotient is ranked over F_2, and certified for Q by the Euler
+    characteristic (re-ranked over Q when its F_2 homology lies in two or
+    more dimensions); over F_p directly at an odd prime p, which F_2 cannot
+    certify.  See `_homology_ranks`.
     """
     linalg.check_characteristic(char)
     if any(not g.is_squarefree for g in I.generators):
         raise SquarefreeRequiredError(
             "hochster_betti needs a squarefree ideal; apply polarize() first"
         )
-    n = I.nvars
-    gen_masks = [
-        sum(1 << i for i in g.support()) for g in I.generators
-    ]
+    gen_masks = [sum(1 << i for i in g.support()) for g in I.generators]
+    if 0 in gen_masks:
+        # the unit ideal: not even the empty set is a face
+        return BettiTable(I.variables, {})
+    # For vertex v: partners[v], the other vertex of each two-vertex
+    # generator holding v; wider[v], the rest of every other one holding v.
+    partners = [0] * I.nvars
+    wider: list[list[int]] = [[] for _ in range(I.nvars)]
+    for gm in gen_masks:
+        for v in indices_of(gm):
+            rest = gm ^ 1 << v
+            if rest.bit_count() == 1:
+                partners[v] |= rest
+            else:
+                wider[v].append(rest)
 
     tc = TaylorComplex(I)
     lattice = sorted(map(tc.decode, tc.lattice()))
 
-    def is_face(vmask: int) -> bool:
-        return not any(gm & ~vmask == 0 for gm in gen_masks)
-
     multi: dict[tuple[int, tuple[int, ...]], int] = {}
     for alpha in lattice:
         support = sum(1 << i for i, e in enumerate(alpha) if e)
-        size = bin(support).count("1")
+        if not support:
+            # the complex {empty face}: reduced homology 1 in dimension -1
+            multi[(0, alpha)] = 1
+            continue
+        inside = [gm for gm in gen_masks if gm & ~support == 0]
+        v = min(indices_of(support), key=lambda u: sum(gm >> u & 1 for gm in inside))
+        # faces of D without v, each with the vertices that may extend it;
+        # kept: those outside the star of v
         faces_by_dim: dict[int, list[int]] = {}
-        sub = support
-        while True:
-            if is_face(sub):
-                faces_by_dim.setdefault(bin(sub).count("1") - 1, []).append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & support
+        level, d = [(0, support & ~(1 << v))], -1
+        while level:
+            kept = [
+                face
+                for face, _ in level
+                if face & partners[v]
+                or wider[v] and not all(r & ~face for r in wider[v])
+            ]
+            if kept:
+                faces_by_dim[d] = kept
+            nxt = []
+            for face, cand in level:
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    u = low.bit_length() - 1
+                    if not wider[u] or all(r & ~face for r in wider[u]):
+                        nxt.append((face | low, cand & ~partners[u]))
+            level, d = nxt, d + 1
         if not faces_by_dim:
             continue
+        size = support.bit_count()
         for d, h in _homology_ranks(faces_by_dim, -1, char).items():
             if h:
                 i = size - d - 1

@@ -134,9 +134,8 @@ def _critical_complex(
         buckets.setdefault(mask.bit_count(), []).append(mask)
     top = max(buckets) if buckets else 0
     cells = tuple(tuple(buckets.get(i, ())) for i in range(top + 1))
-    degrees = tuple(
-        tuple(tc.exponents(m) for m in level) for level in cells
-    )
+    deg, decode = tc.degree, tc.decode
+    degrees = tuple(tuple(decode(deg(m)) for m in level) for level in cells)
     return ChainComplex(I.variables, cells, degrees)
 
 

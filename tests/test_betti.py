@@ -6,18 +6,21 @@ from pathlib import Path
 
 import pytest
 
+from prunres import linalg
 from prunres.betti import (
+    BettiTable,
     SquarefreeRequiredError,
     betti_of_complex,
     hochster_betti,
     render_betti,
     tor_betti,
 )
-from prunres.ideals import parse_ideal
+from prunres.ideals import cycle_ideal, parse_ideal
 from prunres.linalg import rank
 from prunres.monomials import MonomialIdeal, Monomial
 from prunres.morse import critical_complex
 from prunres.pruning import empty_matching, prune_lyubeznik, prune_taylor
+from prunres.taylor import TaylorComplex, facets
 
 PATH5_PRUNED_DIAGRAM = """
        0 1 2 3
@@ -66,6 +69,114 @@ HUGE_SHIFTS_DIAGRAM = """
 2147483651: . . 1 1
 2147483652: . . . 1
 """
+
+
+# The two oracles as they were when every degree piece was ranked over Q
+# (or F_p) by `linalg.rank` on signed rows, and every subset of supp(alpha)
+# was tested for a face.  Kept verbatim (only renamed) as the reference for
+# the oracles that rank over F_2 first.
+def q_only_tor_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
+    """True multigraded Betti numbers over a field of the given characteristic.
+
+    Tensoring the Taylor resolution with the residue field kills every entry
+    that shifts degree, so the degree-alpha piece is the complex spanned by
+    the faces with multidegree exactly alpha and the equal-degree incidences.
+    The homology of that small complex, class by class, is the Betti table.
+    Uses the Taylor complex of the given generators, so it is independent of
+    the pruning code it serves as an oracle for.
+    """
+    linalg.check_characteristic(char)
+    tc = TaylorComplex(I)
+    deg = tc.degree
+    classes: dict[int, list[int]] = {}
+    for mask in tc.faces():
+        classes.setdefault(deg(mask), []).append(mask)
+
+    multi: dict[tuple[int, tuple[int, ...]], int] = {}
+    for alpha_deg, masks in classes.items():
+        alpha = tc.decode(alpha_deg)
+        by_h: dict[int, list[int]] = {}
+        for m in masks:
+            by_h.setdefault(m.bit_count(), []).append(m)
+        for h, beta in q_only_homology_ranks(by_h, 0, char).items():
+            if beta:
+                multi[(h, alpha)] = beta
+    return BettiTable(I.variables, multi)
+
+
+def q_only_homology_ranks(
+    levels: dict[int, list[int]], first: int, char: int
+) -> dict[int, int]:
+    """Homology ranks of the complex spanned by `levels` (faces keyed by
+    degree, from `first` up; the simplicial boundary lowers the degree by
+    one and keeps only faces present in the level below), per degree.
+
+    Sorts each level in place, then ranks the boundary matrices in order of
+    increasing degree through `linalg.rank`, skipping empty ones.
+    """
+    for level in levels.values():
+        level.sort()
+    top = max(levels)
+    ranks: dict[int, int] = {}
+    for h in range(first + 1, top + 1):
+        cols = levels.get(h, [])
+        row_index = {m: k for k, m in enumerate(levels.get(h - 1, []))}
+        if not cols or not row_index:
+            continue
+        rows: dict[int, dict[int, int]] = {}
+        for ci, mask in enumerate(cols):
+            for facet, sign in facets(mask):
+                if facet in row_index:
+                    rows.setdefault(ci, {})[row_index[facet]] = sign
+        ranks[h] = linalg.rank(list(rows.values()), char)
+    return {
+        h: len(levels.get(h, [])) - ranks.get(h, 0) - ranks.get(h + 1, 0)
+        for h in range(first, top + 1)
+    }
+
+
+def q_only_hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
+    """Betti numbers from reduced homology of induced Stanley-Reisner complexes.
+
+    For each squarefree lattice degree alpha, restrict the complex of
+    non-ideal squarefree monomials to the support of alpha and read
+    beta_{i,alpha} from reduced homology in dimension |alpha|-i-1.
+    """
+    linalg.check_characteristic(char)
+    if any(not g.is_squarefree for g in I.generators):
+        raise SquarefreeRequiredError(
+            "hochster_betti needs a squarefree ideal; apply polarize() first"
+        )
+    n = I.nvars
+    gen_masks = [
+        sum(1 << i for i in g.support()) for g in I.generators
+    ]
+
+    tc = TaylorComplex(I)
+    lattice = sorted(map(tc.decode, tc.lattice()))
+
+    def is_face(vmask: int) -> bool:
+        return not any(gm & ~vmask == 0 for gm in gen_masks)
+
+    multi: dict[tuple[int, tuple[int, ...]], int] = {}
+    for alpha in lattice:
+        support = sum(1 << i for i, e in enumerate(alpha) if e)
+        size = bin(support).count("1")
+        faces_by_dim: dict[int, list[int]] = {}
+        sub = support
+        while True:
+            if is_face(sub):
+                faces_by_dim.setdefault(bin(sub).count("1") - 1, []).append(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & support
+        if not faces_by_dim:
+            continue
+        for d, h in q_only_homology_ranks(faces_by_dim, -1, char).items():
+            if h:
+                i = size - d - 1
+                multi[(i, alpha)] = multi.get((i, alpha), 0) + h
+    return BettiTable(I.variables, multi)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -149,6 +260,119 @@ class TestHochsterBetti:
         for I in squarefree_corpus[:20]:
             for char in (0, 2, 3):
                 assert tor_betti(I, char).same_entries(hochster_betti(I, char))
+
+
+def is_squarefree(I):
+    return all(g.is_squarefree for g in I.generators)
+
+
+def assert_same_table(got, want):
+    assert got.variables == want.variables
+    assert got.same_entries(want)
+    assert got.multigraded == want.multigraded
+
+
+class TestAgainstQOnlyOracles:
+    """Both oracles give the Q-only oracles' tables, entry for entry and key
+    for key, at chars 0, 2 and 3."""
+
+    CHARS = (0, 2, 3)
+
+    def _check(self, I, hochster=True):
+        for char in self.CHARS:
+            assert_same_table(tor_betti(I, char), q_only_tor_betti(I, char))
+            if hochster and is_squarefree(I):
+                assert_same_table(
+                    hochster_betti(I, char), q_only_hochster_betti(I, char)
+                )
+
+    def test_corpus200(self, corpus200):
+        for I in corpus200:
+            self._check(I)
+            if not is_squarefree(I):
+                with pytest.raises(SquarefreeRequiredError):
+                    hochster_betti(I, 0)
+
+    def test_squarefree_corpus(self, squarefree_corpus):
+        for I in squarefree_corpus:
+            self._check(I)
+
+    def test_builtins(self, builtins):
+        for I in builtins.values():
+            self._check(I)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_cycles_tor(self, n):
+        self._check(cycle_ideal(n), hochster=False)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycles_hochster(self, n):
+        I = cycle_ideal(n)
+        for char in self.CHARS:
+            assert_same_table(hochster_betti(I, char), q_only_hochster_betti(I, char))
+
+
+def counting(monkeypatch, name):
+    """Count the calls of `linalg.<name>`, still running it."""
+    calls = []
+    kernel = getattr(linalg, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return kernel(*args, **kw)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+ORACLES = {"tor": tor_betti, "hochster": hochster_betti}
+
+
+class TestQFallback:
+    """Which degree pieces are ranked over Q at char 0, and that odd p never
+    reads the F_2 ranks.
+
+    The Q pass is what makes the oracles right at char 0 on a piece with
+    2-torsion: accepting every F_2 result (no fallback) makes
+    `TestTorBetti::test_rp2_characteristics` fail, since the Tor table of
+    rp2 over Q would then read (1, 10, 15, 7, 1), its table over F_2."""
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_rp2_reranks_exactly_the_torsion_pieces(
+        self, builtins, oracle, monkeypatch
+    ):
+        rp2 = builtins["rp2"]
+        over_q, over_f2 = q_only_tor_betti(rp2, 0), q_only_tor_betti(rp2, 2)
+        torsion = {
+            alpha
+            for _, alpha in set(over_q.multigraded) | set(over_f2.multigraded)
+            if any(
+                over_q.entry(i, alpha) != over_f2.entry(i, alpha)
+                for i in range(rp2.r + 1)
+            )
+        }
+        assert torsion == {(1, 1, 1, 1, 1, 1)}
+        calls = counting(monkeypatch, "pivots_rational")
+        T = ORACLES[oracle](rp2, 0)
+        assert len(calls) == len(torsion)
+        assert_same_table(T, over_q)
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_cycle12_reranks_nothing(self, oracle, monkeypatch):
+        calls = counting(monkeypatch, "pivots_rational")
+        T = ORACLES[oracle](cycle_ideal(12), 0)
+        assert calls == []
+        assert T.totals() == (1, 12, 54, 124, 165, 132, 58, 12, 2)
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_odd_p_reads_no_f2_ranks(self, builtins, oracle, monkeypatch):
+        rp2 = builtins["rp2"]
+        f2 = counting(monkeypatch, "pivots_f2_packed")
+        q = counting(monkeypatch, "pivots_rational")
+        over_f3 = ORACLES[oracle](rp2, 3)
+        assert f2 == [] and q == []
+        assert_same_table(over_f3, ORACLES[oracle](rp2, 0))
+        assert over_f3.totals() == (1, 10, 15, 6)
 
 
 class TestRender:

@@ -260,3 +260,49 @@ class TestLattice:
         size = self._same(cycle_ideal(n))
         if n == 15:
             assert size == 4610
+
+
+class TestDegreeTableOnFirstUse:
+    """The 2^r degree table is built on the first read of `degree`, so the
+    callers that read only `gen_degrees`, `decode` and `lattice()` never
+    pay for it."""
+
+    def test_lattice_and_decode_leave_it_unbuilt(self):
+        I = cycle_ideal(18)
+        tc = TaylorComplex(I)
+        points = {tc.decode(d) for d in tc.lattice()}
+        assert len(points) == 24914
+        assert max(points) == (1,) * I.nvars
+        assert "degree" not in vars(tc)
+        # one bit per variable, all set on the full face
+        assert tc.degree((1 << I.r) - 1) == (1 << I.nvars) - 1
+        assert "degree" in vars(tc)
+
+    def test_strand_degrees_and_hochster_leave_it_unbuilt(self, monkeypatch):
+        from prunres import betti, morse
+
+        tables = []
+
+        def recording(I):
+            tables.append(TaylorComplex(I))
+            return tables[-1]
+
+        I = cycle_ideal(10)
+        for mod in (betti, morse):
+            monkeypatch.setattr(mod, "TaylorComplex", recording)
+        morse._strand_degrees(I, [])
+        betti.hochster_betti(I, 0)
+        assert len(tables) == 2
+        assert not any("degree" in vars(tc) for tc in tables)
+        betti.tor_betti(I, 0)
+        assert "degree" in vars(tables[-1])
+
+    def test_one_table_per_complex(self):
+        I = cycle_ideal(8)
+        tc = TaylorComplex(I)
+        assert not hasattr(tc, "no_such_attribute")
+        assert tc.degree is tc.degree
+        lazy = TaylorComplex(I, precompute_cap=0)
+        assert lazy.degree == lazy._lazy_degree
+        for mask in tc.faces():
+            assert tc.degree(mask) == lazy.degree(mask)
