@@ -1,13 +1,12 @@
 """Betti tables, the Tor-strand and Hochster oracles, and diagram rendering."""
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
 from .morse import ChainComplex
-from .taylor import TaylorComplex, facets, indices_of
+from .taylor import TaylorComplex, indices_of
 
 DEFAULT_PRIMES = (2, 3, 5)
 
@@ -96,11 +95,9 @@ def tor_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
     the class over every field.  Only K is ranked: on cycle:15 it holds
     8,690 of the 31,404 faces in classes of two or more.
 
-    K is ranked by `_homology_ranks`: over F_2 at chars 0 and 2, where at
-    char 0 the F_2 homology certifies the Q homology when it lies in at
-    most one degree, and only the other classes are ranked again over Q;
-    directly over F_p at an odd prime p, since F_2 ranks say nothing about
-    p-torsion.
+    K is ranked by `_homology_ranks`: over F_2 at chars 0 and 2, ranked
+    again over Q at char 0 only when the Euler characteristic cannot
+    certify the F_2 ranks for Q, and over F_p at an odd prime p.
     """
     linalg.check_characteristic(char)
     tc = TaylorComplex(I)
@@ -137,10 +134,13 @@ def _homology_ranks(
     degree, from `first` up; the simplicial boundary lowers the degree by
     one and keeps only faces present in the level below), per degree.
 
-    Sorts each level in place.  At chars 0 and 2 it ranks the boundary
-    matrices over F_2, on `{row: 1}` rows, through `linalg.rank`, skipping
-    empty ones.  At char 2 that is the answer.  At char 0 it is the answer
-    too when the F_2 homology is nonzero in at most one degree:
+    Sorts each level in place and builds the boundary rows of each level
+    once, as `{row: sign}` dicts over the level below, with the sign
+    (-1)^t of `taylor.facets` for removing the (t+1)-th member of a face.
+    Each level is ranked through `linalg.rank`, skipping empty ones: at an
+    odd prime p over F_p, at chars 0 and 2 over F_2.  At char 2 that is the
+    answer.  At char 0 it is the answer too when the F_2 homology is
+    nonzero in at most one degree:
 
     - The complex is a complex of free Z-modules, so its Q and F_2 ranks
       are those of one integer matrix per degree.  A nonzero minor mod 2 is
@@ -154,68 +154,46 @@ def _homology_ranks(
       characteristic, which is the F_2 value.  With no F_2 homology at all,
       there is no Q homology either.
 
-    Otherwise, as for the 2-torsion of the real projective plane, the
-    complex is ranked again over Q, in one `linalg.pivots_rational` call on
-    signed rows: level h - 1 is numbered after the levels below it, so no
-    row crosses two ranges and the rank of d_h is the number of pivot leads
-    in level h - 1.  At an odd prime p there is no F_2 pass: the F_2 ranks
-    bound the Q ranks, not the F_p ones (p-torsion shows only mod p), so
-    the signed rows are ranked over F_p directly.
+    Otherwise, as for the 2-torsion of the real projective plane, the same
+    row lists are ranked again, level by level, by `linalg.rank(rows, 0)`.
+    The rows of d_h hold columns of level h - 1 only, so no two levels
+    share a column, and one elimination of all the rows would find these
+    per-level pivots.  F_2 ranks bound the Q ranks, not the F_p ones
+    (p-torsion shows only mod p), so odd p has no F_2 pass.
     """
     for level in levels.values():
         level.sort()
     degrees = range(first, max(levels) + 1)
-    index = {h: {m: k for k, m in enumerate(levels.get(h, ()))} for h in degrees[:-1]}
-    over_f2 = char in (0, 2)
-    ranks: dict[int, int] = {}
+    matrices: dict[int, list[dict[int, int]]] = {}
     for h in degrees[1:]:
-        cols, get = levels.get(h), index[h - 1].get
-        if not cols or not index[h - 1]:
+        cols, below = levels.get(h), levels.get(h - 1)
+        if not cols or not below:
             continue
-        if over_f2:
-            rows = []
-            for m in cols:
-                row, rest = {}, m
-                while rest:
-                    low = rest & -rest
-                    k = get(m ^ low)
-                    if k is not None:
-                        row[k] = 1
-                    rest ^= low
-                rows.append(row)
-            ranks[h] = linalg.rank(rows, 2)
-        else:
-            rows = [
-                {k: s for f, s in facets(m) if (k := get(f)) is not None}
-                for m in cols
-            ]
-            ranks[h] = linalg.rank(rows, char)
+        get = {m: k for k, m in enumerate(below)}.get
+        rows = []
+        for m in cols:
+            row, rest, sign = {}, m, 1
+            while rest:
+                low = rest & -rest
+                k = get(m ^ low)
+                if k is not None:
+                    row[k] = sign
+                rest ^= low
+                sign = -sign
+            rows.append(row)
+        matrices[h] = rows
 
-    def homology() -> dict[int, int]:
+    def homology(field: int) -> dict[int, int]:
+        ranks = {h: linalg.rank(rows, field) for h, rows in matrices.items()}
         return {
             h: len(levels.get(h, ())) - ranks.get(h, 0) - ranks.get(h + 1, 0)
             for h in degrees
         }
 
-    betti = homology()
+    betti = homology(char or 2)
     if char or sum(1 for b in betti.values() if b) <= 1:
         return betti
-    level_of: list[int] = []
-    start: dict[int, int] = {}
-    for h in degrees:
-        start[h] = len(level_of)
-        level_of += [h + 1] * len(levels.get(h, ()))
-    rows = [
-        {
-            start[h - 1] + k: s
-            for f, s in facets(m)
-            if (k := index[h - 1].get(f)) is not None
-        }
-        for h in degrees[1:]
-        for m in levels.get(h, ())
-    ]
-    ranks = Counter(level_of[lead] for lead in linalg.pivots_rational(rows))
-    return homology()
+    return homology(0)
 
 
 class SquarefreeRequiredError(ValueError):
@@ -250,10 +228,8 @@ def hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
     carries the vertices above its largest one that no two-vertex
     generator forbids, and a wider generator is tested one by one.
 
-    The quotient is ranked over F_2, and certified for Q by the Euler
-    characteristic (re-ranked over Q when its F_2 homology lies in two or
-    more dimensions); over F_p directly at an odd prime p, which F_2 cannot
-    certify.  See `_homology_ranks`.
+    The quotient is ranked by `_homology_ranks`, as the pieces of
+    `tor_betti` are.
     """
     linalg.check_characteristic(char)
     if any(not g.is_squarefree for g in I.generators):

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import betti as betti_mod
-from . import ideals, morse, pruning, splitting
+from . import ideals, linalg, morse, pruning, splitting
 from .monomials import Monomial, MonomialIdeal, monomial_str
 
 GENERATOR_CAP = 24
@@ -86,6 +86,7 @@ def cmd_true_betti(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
+    linalg.check_characteristic(args.char)
     I = load_ideal(args.ideal, args.force)
     matching = SWEEPS[args.method](I)
     if args.trace:
@@ -175,9 +176,7 @@ def cmd_split(args, out) -> int:
             verdict = "splitting" if rep.is_pruned_splitting else "NOT a splitting"
             print(f"s={rep.s}: {verdict}", file=out)
             for (sigma, j), lo, hi in rep.edge_regions:
-                vec = "".join(
-                    "1" if sigma & (1 << k) else "0" for k in range(I.r)
-                )
+                vec = f"{sigma:0{I.r}b}"[::-1]
                 print(f"  edge sigma={vec} j={j + 1}: {lo} / {hi}", file=out)
             if rep.residuals is not None:
                 if rep.residuals_zero:
@@ -229,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         "what", choices=("matching", "dsquared", "exact", "minimal")
     )
     common(sp, method=True, trace=True, char=True)
-    sp.set_defaults(func=cmd_check)
+    # None until main knows whether the check reads --char
+    sp.set_defaults(func=cmd_check, char=None)
 
     sp = sub.add_parser("compare", help="all methods side by side vs the oracle")
     common(sp, char=True)
@@ -248,8 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and args.what == "matching" and args.dump_complex:
-        parser.error("check matching builds no complex: --dump-complex is unread")
+    if args.command == "check":
+        if args.what == "matching" and args.dump_complex:
+            parser.error("check matching builds no complex: --dump-complex is unread")
+        if args.char is None:
+            args.char = 0
+        elif args.what in ("matching", "dsquared"):
+            parser.error(f"check {args.what} ranks nothing: --char is unread")
     if getattr(args, "method", None) == "nu" and args.command == "check":
         print("check does not accept the nu approximation", file=sys.stderr)
         return 1

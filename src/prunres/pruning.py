@@ -408,7 +408,7 @@ def render_trace(matching: Matching, I: MonomialIdeal) -> list[str]:
     tc = TaylorComplex(I)
     lines = []
     for sigma, j in matching.edges:
-        vec = "".join("1" if sigma & (1 << k) else "0" for k in range(matching.r))
+        vec = f"{sigma:0{matching.r}b}"[::-1]
         deg = monomial_str(Monomial(tc.exponents(sigma)), I.variables)
         lines.append(f"step={j + 1} sigma={vec} j={j + 1} deg={deg}")
     return lines

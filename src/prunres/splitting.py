@@ -65,6 +65,7 @@ def check_pruned_splitting(I: MonomialIdeal, s: int) -> SplitReport:
     homological degree (the intersection's empty-face row does not shift).
     """
     r = I.r
+    J, K = split_parts(I, s)
     matching = prune_taylor(I)
     regions = []
     ok = True
@@ -79,7 +80,6 @@ def check_pruned_splitting(I: MonomialIdeal, s: int) -> SplitReport:
     residuals = None
     grid_matches_minimal = None
     if ok:
-        J, K = split_parts(I, s)
         JK = intersection_generators(J, K)
         t_i = betti_of_complex(critical_complex(I, matching, validate=False))
         t_j = _pruned_table(J)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from prunres import linalg
+from prunres import betti, linalg
 from prunres.betti import (
     BettiTable,
     SquarefreeRequiredError,
@@ -325,6 +325,32 @@ def counting(monkeypatch, name):
     return calls
 
 
+def ranked_pieces(monkeypatch):
+    """Record each `_homology_ranks` call of the oracles: a copy of its
+    levels, its result, and the (char, rows) of every `linalg.rank` call it
+    made, keeping the row lists alive so that their ids stay distinct."""
+    pieces = []
+    homology_ranks, rank = betti._homology_ranks, linalg.rank
+
+    def counted_rank(rows, char):
+        pieces[-1]["ranked"].append((char, rows))
+        return rank(rows, char)
+
+    def recorded(levels, first, char):
+        piece = {
+            "levels": {h: list(faces) for h, faces in levels.items()},
+            "first": first,
+            "ranked": [],
+        }
+        pieces.append(piece)
+        piece["betti"] = homology_ranks(levels, first, char)
+        return piece["betti"]
+
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    monkeypatch.setattr(betti, "_homology_ranks", recorded)
+    return pieces
+
+
 ORACLES = {"tor": tor_betti, "hochster": hochster_betti}
 
 
@@ -352,10 +378,24 @@ class TestQFallback:
             )
         }
         assert torsion == {(1, 1, 1, 1, 1, 1)}
-        calls = counting(monkeypatch, "pivots_rational")
+        pieces = ranked_pieces(monkeypatch)
         T = ORACLES[oracle](rp2, 0)
-        assert len(calls) == len(torsion)
+        monkeypatch.undo()
         assert_same_table(T, over_q)
+        reranked = [p for p in pieces if any(c == 0 for c, _ in p["ranked"])]
+        assert len(reranked) == len(torsion)
+        for piece in reranked:
+            # A piece holds one lattice degree, and its homology differs
+            # over Q and F_2 only if the Betti numbers there do, so this
+            # one is the piece of the torsion degree.
+            levels, first = piece["levels"], piece["first"]
+            assert piece["betti"] != q_only_homology_ranks(levels, first, 2)
+            assert piece["betti"] == q_only_homology_ranks(levels, first, 0)
+            # one build per piece: Q ranks the very lists F_2 ranked
+            by_char = {0: [], 2: []}
+            for c, rows in piece["ranked"]:
+                by_char[c].append(id(rows))
+            assert by_char[0] and by_char[0] == by_char[2]
 
     @pytest.mark.parametrize("oracle", sorted(ORACLES))
     def test_cycle12_reranks_nothing(self, oracle, monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from prunres import cli, splitting
 from prunres.cli import main
 from prunres.ideals import ParseError, builtin_ideal, parse_ideal
 
@@ -230,6 +231,33 @@ class TestCommands:
             assert code == code_expected
             assert out == f"minimal={code_expected == 0} char={char}\n"
 
+    @pytest.mark.parametrize("what", ["exact", "minimal"])
+    def test_char_defaults_to_zero(self, capsys, what):
+        code, out, _ = run(capsys, "check", what, "--ideal", "path:3")
+        assert code == 0
+        assert out == f"{what}=True char=0\n"
+
+    @pytest.mark.parametrize("what", ["exact", "minimal"])
+    def test_bad_char_refused_before_the_sweep(self, capsys, monkeypatch, what):
+        def sweep(I):
+            raise AssertionError("the sweep ran before --char was checked")
+
+        monkeypatch.setitem(cli.SWEEPS, "pruned", sweep)
+        code, out, err = run(
+            capsys, "check", what, "--ideal", "cycle:17", "--char", "4"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: characteristic must be 0 or a prime, got 4\n"
+
+    def test_bad_split_point_refused_before_pruning(self, capsys, monkeypatch):
+        def prune(I):
+            raise AssertionError("pruned before the split point was checked")
+
+        monkeypatch.setattr(splitting, "prune_taylor", prune)
+        code, out, err = run(capsys, "split", "--ideal", "cycle:18", "--at", "40")
+        assert (code, out) == (1, "")
+        assert err == "error: split point 40 out of range for 18 generators\n"
+
     def test_check_rejects_nu(self, capsys):
         code, _, err = run(capsys, "check", "exact", "--ideal", "path:5", "--method", "nu")
         assert code == 1
@@ -358,6 +386,8 @@ class TestCommands:
             "split --ideal path:3 --at 1 --trace",
             "check exact --ideal path:3 --format json",
             "check matching --ideal rp2 --dump-complex",
+            "check matching --ideal rp2 --char 2",
+            "check dsquared --ideal rp2 --char 4",
         ],
     )
     def test_unread_flag_rejected(self, capsys, line):
