@@ -64,7 +64,7 @@ def cmd_betti(args, out) -> int:
         complex_ = morse.critical_complex(I, matching, validate=False)
     table = betti_mod.betti_of_complex(complex_)
     if args.method == "nu":
-        print("note: nu pruning is a degree-shift approximation", file=out)
+        print("note: nu pruning is a degree-shift approximation", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(table.to_json_dict(), sort_keys=True), file=out)
     else:
@@ -255,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
             args.char = 0
         elif args.what in ("matching", "dsquared"):
             parser.error(f"check {args.what} ranks nothing: --char is unread")
+    if args.command == "betti" and args.format == "json":
+        if args.trace or args.dump_complex:
+            parser.error("--format json prints JSON only: no --trace, --dump-complex")
     if getattr(args, "method", None) == "nu" and args.command == "check":
         print("check does not accept the nu approximation", file=sys.stderr)
         return 1

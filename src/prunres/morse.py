@@ -17,12 +17,12 @@ from typing import Iterator, Mapping
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
-from .pruning import Matching, _flow_graph, _topological_order, _verify_matching
+from .pruning import Matching, _flow_graph, _topological_order, verify_matching
 from .taylor import TaylorComplex, facets, indices_of
 
 
 class InvalidMatchingError(ValueError):
-    """The matching failed validation (not vertex-disjoint, inhomogeneous or cyclic)."""
+    """The matching is on another r than the ideal, or failed validation."""
 
 
 Entry = tuple[int, tuple[int, ...]]  # coefficient, exponent vector of the monomial
@@ -119,13 +119,18 @@ class _Facts:
         self.index: _StrandIndex | None = None
 
 
-def _critical_complex(
-    tc: TaylorComplex, matching: Matching, validate: bool
+def critical_complex(
+    I: MonomialIdeal, matching: Matching, validate: bool = True
 ) -> ChainComplex:
-    """critical_complex on a degree table built by the caller."""
-    I = tc.ideal
+    """Basis of the reduced complex: critical cells ordered canonically per
+    degree.  InvalidMatchingError for a matching with another r than I, and
+    with `validate` for one that `verify_matching` rejects."""
+    if matching.r != I.r:
+        raise InvalidMatchingError(
+            f"the matching is on {matching.r} generators, the ideal has {I.r}"
+        )
     if validate:
-        report = _verify_matching(tc, I.r, matching)
+        report = verify_matching(I.r, matching, I)
         if not report.all_ok:
             raise InvalidMatchingError(f"rejected matching: {report}")
     survivors = sorted(matching.survivors())
@@ -134,16 +139,10 @@ def _critical_complex(
         buckets.setdefault(mask.bit_count(), []).append(mask)
     top = max(buckets) if buckets else 0
     cells = tuple(tuple(buckets.get(i, ())) for i in range(top + 1))
+    tc = TaylorComplex(I)
     deg, decode = tc.degree, tc.decode
     degrees = tuple(tuple(decode(deg(m)) for m in level) for level in cells)
     return ChainComplex(I.variables, cells, degrees)
-
-
-def critical_complex(
-    I: MonomialIdeal, matching: Matching, validate: bool = True
-) -> ChainComplex:
-    """Basis of the reduced complex: critical cells ordered canonically per degree."""
-    return _critical_complex(TaylorComplex(I), matching, validate)
 
 
 def morse_differential(
@@ -186,9 +185,9 @@ def morse_differential(
     test, and its monomial is the decoded degree difference.  That is
     stored on it, and the checks skip their contract pass.
     """
+    base = critical_complex(I, matching, validate)
     tc = TaylorComplex(I)
     deg, decode = tc.degree, tc.decode
-    base = _critical_complex(tc, matching, validate)
 
     # lower[k]: the matched-lower faces with k members
     lower: dict[int, list[int]] = {}

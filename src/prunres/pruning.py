@@ -301,12 +301,8 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
 
     `r` must equal `I.r` (ValueError otherwise); it is read only for that.
     """
-    return _verify_matching(TaylorComplex(I), r, matching)
-
-
-def _verify_matching(tc: TaylorComplex, r: int, matching: Matching) -> MatchingReport:
-    if r != tc.r:
-        raise ValueError(f"r = {r} but the ideal has {tc.r} generators")
+    if r != I.r:
+        raise ValueError(f"r = {r} but the ideal has {I.r} generators")
     if any(
         sigma < 0 or sigma >> r or not 0 <= j < r for sigma, j in matching.edges
     ):
@@ -321,7 +317,7 @@ def _verify_matching(tc: TaylorComplex, r: int, matching: Matching) -> MatchingR
         seen.add(sigma)
         seen.add(tau)
 
-    deg = tc.degree
+    deg = TaylorComplex(I).degree
     is_homogeneous = all(
         deg(sigma) == deg(sigma | (1 << j)) for sigma, j in matching.edges
     )

@@ -27,10 +27,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 from .monomials import MonomialIdeal
 
-PRECOMPUTE_CAP = 20
+# ideal -> its table.  A table depends only on the generators, and holds no
+# reference to its ideal, so it dies with the ideal it was built for.
+_TABLES: WeakKeyDictionary[MonomialIdeal, TaylorComplex] = WeakKeyDictionary()
 # ints at least this wide are walked in their binary string (`indices_of`)
 WIDE_MASK_BITS = 1024
 
@@ -102,19 +105,22 @@ class _SetOnFirstRead:
 
 
 class TaylorComplex:
-    """The degree table over all 2^r faces of the full simplex.
+    """The degree table over all 2^r faces of the full simplex of one ideal.
 
+    One per ideal: the first `TaylorComplex(I)` builds it, every later call
+    on I or an equal ideal returns it, and it is freed with I (`_TABLES`).
     `degree(mask)` is a face's lcm degree as an int bitmask, in the
     rank-compressed encoding of the module docstring, and `gen_degrees[j]`
     is the degree of generator j.  `decode(deg)` and `exponents(mask)` give
-    exponent vectors.  Degrees are fully precomputed for r <= precompute_cap,
-    on the first use of `degree`, and memoized lazily above that.
-    Read-only after construction, apart from the memos.
+    exponent vectors.  Read-only once built, apart from the memos.
     """
 
-    def __init__(self, I: MonomialIdeal, precompute_cap: int = PRECOMPUTE_CAP):
-        self.ideal = I
-        self.r = I.r
+    def __new__(cls, I: MonomialIdeal) -> TaylorComplex:
+        tc = _TABLES.get(I)
+        if tc is not None:
+            return tc
+        tc = _TABLES[I] = super().__new__(cls)
+        tc.r = I.r
         # values[k]: the distinct nonzero k-th exponents of the generators,
         # ascending; variable k owns one bit per value, from offsets[k] up.
         values = [
@@ -124,42 +130,30 @@ class TaylorComplex:
         offsets = [0]
         for vals in values:
             offsets.append(offsets[-1] + len(vals))
-        self._segments = [
+        tc._segments = [
             (off, (1 << len(vals)) - 1, (0, *vals))
             for off, vals in zip(offsets, values)
         ]
-        self.gen_degrees = [
+        tc.gen_degrees = [
             sum(
                 ((1 << bisect_right(vals, e)) - 1) << off
                 for e, vals, off in zip(g.exponents, values, offsets)
             )
             for g in I.generators
         ]
-        self._decoded: dict[int, tuple[int, ...]] = {}
-        if I.r > precompute_cap:
-            self._cache = {0: 0}
-            self.degree = self._lazy_degree
+        tc._decoded = {}
+        return tc
 
     @_SetOnFirstRead
     def degree(self) -> Callable[[int], int]:
-        """`degree(mask)`: the face's lcm degree.  Up to precompute_cap, the
-        table over all 2^r faces is built on the first read of this
-        attribute, which stores the lookup on the instance, so a caller
-        that reads only `gen_degrees`, `decode` or `lattice()` never pays
-        for it."""
+        """`degree(mask)`: the face's lcm degree.  The table over all 2^r
+        faces, whatever r, is built on the first read of this attribute,
+        which stores the lookup on the instance, so a caller that reads only
+        `gen_degrees`, `decode` or `lattice()` never pays for it."""
         table = [0]
         for g in self.gen_degrees:
             table += [d | g for d in table]
         return table.__getitem__
-
-    def _lazy_degree(self, mask: int) -> int:
-        hit = self._cache.get(mask)
-        if hit is None:
-            low = mask & (mask - 1)
-            i = (mask & -mask).bit_length() - 1
-            hit = self._lazy_degree(low) | self.gen_degrees[i]
-            self._cache[mask] = hit
-        return hit
 
     def decode(self, deg: int) -> tuple[int, ...]:
         """The exponent vector of a degree bitmask."""
@@ -189,3 +183,4 @@ class TaylorComplex:
         for g in self.gen_degrees:
             points |= {s | g for s in points}
         return points
+

@@ -281,6 +281,26 @@ class TestCommands:
             totals[i] = totals.get(i, 0) + c
         assert [totals[i] for i in sorted(totals)] == [1, 10, 15, 7, 1]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nu_note_on_stderr(self, capsys, fmt):
+        code, out, err = run(
+            capsys, "betti", "--ideal", "rp2", "--method", "nu", "--format", fmt
+        )
+        assert code == 0
+        assert err == "note: nu pruning is a degree-shift approximation\n"
+        assert "note" not in out
+        if fmt == "json":
+            assert set(json.loads(out)) == {"graded", "multigraded"}
+
+    def test_betti_json_is_one_document(self, capsys):
+        for method in ("pruned", "nu"):
+            code, out, _ = run(
+                capsys, "betti", "--ideal", "rp2", "--method", method,
+                "--format", "json",
+            )
+            assert code == 0
+            assert json.loads(out) and out.count("\n") == 1
+
     def test_trace_lines(self, capsys):
         code, out, _ = run(
             capsys, "betti", "--ideal", "path:5", "--method", "pruned", "--trace"
@@ -388,6 +408,9 @@ class TestCommands:
             "check matching --ideal rp2 --dump-complex",
             "check matching --ideal rp2 --char 2",
             "check dsquared --ideal rp2 --char 4",
+            "betti --ideal path:3 --format json --trace",
+            "betti --ideal path:3 --format json --dump-complex",
+            "betti --ideal path:3 --dump-complex --format json --trace",
         ],
     )
     def test_unread_flag_rejected(self, capsys, line):

@@ -18,7 +18,7 @@ from prunres.morse import (
     ChainComplex,
     Entry,
     InvalidMatchingError,
-    _critical_complex,
+    critical_complex,
     morse_differential,
 )
 from prunres.pruning import (
@@ -101,7 +101,7 @@ def old_morse_differential(
     facets = old_facets
     tc = TaylorComplex(I)
     deg = tc.degree
-    base = _critical_complex(tc, matching, validate)
+    base = critical_complex(I, matching, validate)
 
     partner_up: dict[int, int] = {}
     for sigma, j in matching.edges:

@@ -58,6 +58,15 @@ class TestCriticalComplex:
         with pytest.raises(InvalidMatchingError):
             critical_complex(I, bad)
 
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("r", [4, 6])
+    @pytest.mark.parametrize("build", [critical_complex, morse_differential])
+    def test_matching_on_another_r_rejected(self, cycle5, build, r, validate):
+        # r = 4 once gave the Taylor complex of the first four generators,
+        # r = 6 an IndexError
+        with pytest.raises(InvalidMatchingError, match=f"on {r} generators.* has 5"):
+            build(cycle5, Matching(r, ()), validate=validate)
+
 
 class TestMorseDifferential:
     def test_closed_v_path_rejected(self):

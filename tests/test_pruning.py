@@ -29,8 +29,8 @@ from prunres.pruning import (
     verify_matching,
     render_trace,
 )
-from prunres.taylor import PRECOMPUTE_CAP, TaylorComplex
-from test_taylor import TupleTaylorComplex
+from prunres.taylor import TaylorComplex
+from test_taylor import PRECOMPUTE_CAP, TupleTaylorComplex
 
 
 def vec(mask, r):

@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import weakref
 from math import comb
 from time import perf_counter
 
@@ -7,13 +11,9 @@ from hypothesis import strategies as st
 
 from prunres.ideals import cycle_ideal, path_ideal
 from prunres.monomials import Monomial, MonomialIdeal, divides, ideal, monomial_str
-from prunres.taylor import (
-    PRECOMPUTE_CAP,
-    WIDE_MASK_BITS,
-    TaylorComplex,
-    facets,
-    indices_of,
-)
+from prunres.taylor import WIDE_MASK_BITS, TaylorComplex, facets, indices_of
+
+PRECOMPUTE_CAP = 20
 
 
 # The degree table as it was before degrees became bitmasks: exponent tuples
@@ -142,24 +142,13 @@ def test_multidegree_monotone(rows):
             assert divides(Monomial(tc.exponents(facet)), Monomial(tc.exponents(mask)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(gen_lists)
-def test_lazy_and_precomputed_agree(rows):
-    I = ideal(["x", "y", "z"], rows)
-    eager = TaylorComplex(I)
-    lazy = TaylorComplex(I, precompute_cap=0)
-    for mask in eager.faces():
-        assert eager.exponents(mask) == lazy.exponents(mask)
-
-
 def _assert_same_table(I):
-    # same exponents for every face, eager and lazy; and lcm, divisibility
-    # and equality of the bitmask degrees agree with the exponent tuples
-    ref = TupleTaylorComplex(I)
-    for tc in (TaylorComplex(I), TaylorComplex(I, precompute_cap=0)):
-        for mask in tc.faces():
-            assert tc.exponents(mask) == ref.exponents(mask)
-            assert tc.decode(tc.degree(mask)) == ref.exponents(mask)
+    # same exponents for every face; and lcm, divisibility and equality of
+    # the bitmask degrees agree with the exponent tuples
+    ref, tc = TupleTaylorComplex(I), TaylorComplex(I)
+    for mask in tc.faces():
+        assert tc.exponents(mask) == ref.exponents(mask)
+        assert tc.decode(tc.degree(mask)) == ref.exponents(mask)
 
 
 wide_rows = st.integers(1, 4).flatmap(
@@ -196,7 +185,8 @@ def test_same_table_as_tuple_table_corpus(corpus200, builtins):
         _assert_same_table(I)
 
 
-def test_lazy_table_above_the_cap():
+def test_table_above_the_reference_cap():
+    # r = 21: the whole table, against the reference's lazy path
     I = cycle_ideal(PRECOMPUTE_CAP + 1)
     tc, ref = TaylorComplex(I), TupleTaylorComplex(I)
     for mask in (0, 1, 0b101, (1 << I.r) - 1, 0xAAAAA, 1 << I.r - 1):
@@ -262,13 +252,20 @@ class TestLattice:
             assert size == 4610
 
 
+def _unheld_cycle(n, name):
+    """cycle:n over variables named after the caller, so that no other test
+    holds an equal ideal, whose table `TaylorComplex` would share."""
+    I = cycle_ideal(n)
+    return MonomialIdeal(tuple(f"{name}{k}" for k in range(I.nvars)), I.generators)
+
+
 class TestDegreeTableOnFirstUse:
     """The 2^r degree table is built on the first read of `degree`, so the
     callers that read only `gen_degrees`, `decode` and `lattice()` never
     pay for it."""
 
     def test_lattice_and_decode_leave_it_unbuilt(self):
-        I = cycle_ideal(18)
+        I = _unheld_cycle(18, "lattice")
         tc = TaylorComplex(I)
         points = {tc.decode(d) for d in tc.lattice()}
         assert len(points) == 24914
@@ -287,7 +284,7 @@ class TestDegreeTableOnFirstUse:
             tables.append(TaylorComplex(I))
             return tables[-1]
 
-        I = cycle_ideal(10)
+        I = _unheld_cycle(10, "strands")
         for mod in (betti, morse):
             monkeypatch.setattr(mod, "TaylorComplex", recording)
         morse._strand_degrees(I, [])
@@ -302,7 +299,50 @@ class TestDegreeTableOnFirstUse:
         tc = TaylorComplex(I)
         assert not hasattr(tc, "no_such_attribute")
         assert tc.degree is tc.degree
-        lazy = TaylorComplex(I, precompute_cap=0)
-        assert lazy.degree == lazy._lazy_degree
-        for mask in tc.faces():
-            assert tc.degree(mask) == lazy.degree(mask)
+        assert TaylorComplex(I).degree is tc.degree
+
+
+class TestOneTablePerIdeal:
+    """`TaylorComplex(I)` is the one table of I, shared by every call on I
+    or an equal ideal, and freed with the ideal."""
+
+    def test_same_object(self):
+        I = cycle_ideal(6)
+        assert TaylorComplex(I) is TaylorComplex(I)
+        assert TaylorComplex(I) is TaylorComplex(cycle_ideal(6))
+        assert TaylorComplex(I) is not TaylorComplex(path_ideal(6))
+
+    def test_one_degree_table_per_pipeline(self, monkeypatch):
+        from prunres import betti, morse, pruning
+
+        built = []
+        table = vars(TaylorComplex)["degree"]
+        build = table.build
+        monkeypatch.setattr(table, "build", lambda tc: built.append(tc) or build(tc))
+        I = _unheld_cycle(7, "pipeline")
+        m = pruning.prune_taylor(I)
+        assert pruning.verify_matching(I.r, m, I).all_ok
+        C = morse.morse_differential(I, m)
+        assert morse.check_exactness(I, C, 0)
+        assert betti.tor_betti(I, 0).totals() == (1, 7, 14, 14, 7, 1)
+        assert len(built) == 1
+
+    def test_table_dies_with_its_ideal(self):
+        I = _unheld_cycle(9, "dies")
+        tc = TaylorComplex(I)
+        tc.degree(0)
+        table, ref = weakref.ref(tc), weakref.ref(I)
+        gc.disable()
+        try:
+            del tc, I
+            assert ref() is None
+            assert table() is None
+        finally:
+            gc.enable()
+
+    def test_used_ideal_pickles_and_copies(self):
+        I = _unheld_cycle(5, "copied")
+        TaylorComplex(I).degree(0)
+        for J in (pickle.loads(pickle.dumps(I)), copy.deepcopy(I)):
+            assert J == I and hash(J) == hash(I) and repr(J) == repr(I)
+            assert TaylorComplex(J) is TaylorComplex(I)
