@@ -28,7 +28,9 @@ class ParseError(ValueError):
         self.col = col
 
 
-_FACTOR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_VARIABLE = re.compile(_NAME)
+_FACTOR = re.compile(rf"({_NAME})(?:\^(-?\d+))?$")
 
 
 def _statements(text: str) -> list[tuple[int, int, str]]:
@@ -63,13 +65,20 @@ def parse_ideal(text: str) -> MonomialIdeal:
     if ring is None:
         ln, col = stmts[0][:2] if stmts else (1, 1)
         raise ParseError("expected a 'ring <var> ...' line", ln, col)
-    ring_ln, ring_col = stmts[0][:2]
-    variables = tuple(ring[0].split())
-    if not variables:
-        raise ParseError("ring line declares no variables", ring_ln, ring[1])
-    if len(set(variables)) != len(variables):
-        raise ParseError("duplicate variable name", ring_ln, ring_col)
-    var_index = {v: i for i, v in enumerate(variables)}
+    ring_ln = stmts[0][0]
+    rest, start = ring
+    # each name must be one a gens factor can match
+    var_index: dict[str, int] = {}
+    for m in re.finditer(r"\S+", rest):
+        name, col = m.group(), start + m.start()
+        if not _VARIABLE.fullmatch(name):
+            raise ParseError(f"bad variable name {name!r}", ring_ln, col)
+        if name in var_index:
+            raise ParseError(f"duplicate variable name {name!r}", ring_ln, col)
+        var_index[name] = len(var_index)
+    if not var_index:
+        raise ParseError("ring line declares no variables", ring_ln, start)
+    variables = tuple(var_index)
 
     gens = _keyword(stmts[1], "gens") if len(stmts) > 1 else None
     if gens is None:

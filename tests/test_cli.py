@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -84,6 +85,30 @@ class TestParseIdeal:
         assert (err.value.line, err.value.col) == (1, 20)
         I = parse_ideal("  ring x y ;  gens  x , y^3 ;\n\n")
         assert I.generator_strs() == ["x", "y^3"]
+
+    # a ring name that no gens factor can match: once refused only at the
+    # gens line (the first case) or not at all (the others)
+    @pytest.mark.parametrize("text, line, col, name", [
+        ("ring x, y; gens x", 1, 6, "x,"),
+        ("ring x^2 y; gens y", 1, 6, "x^2"),
+        ("ring 1x y; gens y", 1, 6, "1x"),
+        ("ring x*y z; gens z", 1, 6, "x*y"),
+        ("ring x  y-1; gens x", 1, 9, "y-1"),
+        ("\n  ring  a é\ngens a", 2, 11, "é"),
+    ])
+    def test_bad_ring_name_at_its_column(self, text, line, col, name):
+        message = re.escape(f"bad variable name {name!r}")
+        with pytest.raises(ParseError, match=message) as err:
+            parse_ideal(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_duplicate_variable_at_the_repeat(self):
+        with pytest.raises(ParseError, match="duplicate variable name 'x'") as err:
+            parse_ideal("ring x y x; gens x")
+        assert (err.value.line, err.value.col) == (1, 10)
+        with pytest.raises(ParseError) as err:
+            parse_ideal("ring a\tb a2 b; gens a")
+        assert (err.value.line, err.value.col) == (1, 13)
 
 
 class TestBuiltins:

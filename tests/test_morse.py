@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prunres import linalg
+from prunres import linalg, morse
 from prunres.betti import betti_of_complex, tor_betti
 from prunres.ideals import builtin_ideal, cycle_ideal, parse_ideal
 from prunres.monomials import MAX_EXPONENT
@@ -18,6 +18,7 @@ from prunres.morse import (
     ChainComplex,
     _contract_holds,
     _d_squared_vanishes,
+    _is_boundary,
     _strand_degrees,
     _threshold_masks,
     InvalidMatchingError,
@@ -1160,6 +1161,197 @@ def _sound_corruptions(C, draw):
             if i < top:
                 scale(i + 1, -1, lambda key: key[0] == cell)
     return _with_diffs(C, diffs)
+
+
+# --- verbatim copy of the row-keyed d*d that multiplied every pair ---------
+
+
+def _row_key_d_squared(C: ChainComplex, char: int) -> bool:
+    """d_{i-1} d_i = 0 for every i, with coefficients read mod char (char 0:
+    over the integers), on a complex that keeps the contract.
+
+    Every product term of d_{i-1} d_i at (row, col) then has the monomial
+    deg(col) - deg(row), so the terms of one column are summed by row alone
+    and no monomial is read.  The columns of each differential are listed
+    by their position in its level, which is where the rows of the one
+    above point."""
+    lower: list[list[tuple[int, int]]] | None = None
+    for i, d in enumerate(C.diffs[: max(C.length - 1, 0)], 1):
+        # columns[col]: (row, coeff) for the entries of one column of d_i
+        columns: list[list[tuple[int, int]]] = [[] for _ in C.cells[i]]
+        for (row, col), (coeff, _) in d.items():
+            columns[col].append((row, coeff))
+        if lower is not None:
+            for terms in columns:
+                acc: dict[int, int] = {}
+                get = acc.get
+                for mid, c1 in terms:
+                    for row, c2 in lower[mid]:
+                        acc[row] = get(row, 0) + c1 * c2
+                if char:
+                    if any(v % char for v in acc.values()):
+                        return False
+                elif any(acc.values()):
+                    return False
+        lower = columns
+    return True
+
+
+def _product_terms(monkeypatch, C):
+    """check_d_squared of a fresh copy of C, and {i: the product terms it
+    summed for d_{i-1} d_i} over the pairs it multiplied: each column's
+    entries times the entries of the lower columns they point to."""
+    B = _fresh(C)
+    level = {}  # id of the columns that morse._columns returned -> i of d_i
+    terms = {}
+    real_columns, real_product = morse._columns, morse._composes_to_zero
+
+    def columns(d, n):
+        out = real_columns(d, n)
+        level[id(out)] = next(i for i, e in enumerate(B.diffs, 1) if e is d)
+        return out
+
+    def product(lower, upper, char):
+        i = level[id(upper)]
+        assert level[id(lower)] == i - 1 and i not in terms
+        terms[i] = sum(len(lower[mid]) for column in upper for mid, _ in column)
+        return real_product(lower, upper, char)
+
+    with monkeypatch.context() as m:
+        m.setattr(morse, "_columns", columns)
+        m.setattr(morse, "_composes_to_zero", product)
+        verdict = check_d_squared(B)
+    return verdict, terms
+
+
+def _boundary_levels(C):
+    return [i for i in range(1, C.length) if _is_boundary(C, i)]
+
+
+class TestBoundaryCertificate:
+    """d*d skips the product d_{i-1} d_i when both are simplicial boundaries
+    (`morse._is_boundary`), and multiplies every other pair."""
+
+    SIMPLICIAL = (prune_simplicial, prune_lyubeznik)
+    CHARS = (0, 2, 3, 5)
+
+    def _every_level(self, I):
+        for method in self.SIMPLICIAL:
+            C = morse_differential(I, method(I), validate=False)
+            assert _boundary_levels(C) == list(range(1, C.length)), method
+
+    def test_simplicial_resolutions_corpus200(self, corpus200):
+        # the paper: a slight change to the pruning gives a simplicial
+        # resolution, and the Lyubeznik resolution is one as well
+        for I in corpus200:
+            self._every_level(I)
+
+    def test_simplicial_resolutions_builtins_and_cycles(self, builtins):
+        for I in (*builtins.values(), *map(cycle_ideal, range(3, 13))):
+            self._every_level(I)
+
+    def test_pruned_resolution_is_not_simplicial(self):
+        # "not simplicial in general": above d_2 the gradient flow makes
+        # columns that are no longer the boundary of their cell
+        I = cycle_ideal(8)
+        C = morse_differential(I, prune_taylor(I), validate=False)
+        assert _boundary_levels(C) == [1, 2]
+        assert C.length == 6
+
+    def _agree(self, C, name=""):
+        """The verdicts of morse._d_squared_vanishes and of the copy that
+        multiplies every pair, at every char; False at char 0 counts."""
+        assert _contract_holds(C), name
+        expected = [_row_key_d_squared(C, char) for char in self.CHARS]
+        got = [_d_squared_vanishes(C, char) for char in self.CHARS]
+        assert got == expected, name
+        return not expected[0]
+
+    def _with_corruptions(self, C):
+        nonzero = self._agree(C)
+        for name, B, _ in _corruptions(C):
+            if not name.startswith("raise degree"):  # breaks the contract
+                nonzero += self._agree(B, name)
+        return nonzero
+
+    def test_agrees_with_products_corpus200(self, corpus200):
+        nonzero = 0
+        for I in corpus200:
+            for method in TestDSquaredAgainstTupleKeys.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                nonzero += self._with_corruptions(C)
+        assert nonzero > 1000
+
+    def test_agrees_with_products_builtins_and_cycles(self, builtins):
+        for I in (*builtins.values(), *map(cycle_ideal, range(3, 11))):
+            for method in TestDSquaredAgainstTupleKeys.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                assert self._with_corruptions(C) > 0
+
+    @pytest.mark.parametrize("spec", ["cycle:12", "example-4-1"])
+    def test_simplicial_resolutions_multiply_nothing(self, monkeypatch, spec):
+        I = builtin_ideal(spec)
+        for method in self.SIMPLICIAL:
+            C = morse_differential(I, method(I), validate=False)
+            assert C.length >= 8
+            assert _product_terms(monkeypatch, C) == (True, {})
+
+    def test_pruned_multiplies_the_pairs_off_the_boundary(self, monkeypatch):
+        I = cycle_ideal(12)
+        C = morse_differential(I, prune_taylor(I), validate=False)
+        verdict, terms = _product_terms(monkeypatch, C)
+        assert verdict and _boundary_levels(C) == [1, 2]
+        assert sorted(terms) == list(range(3, C.length))
+        assert all(terms.values())
+        # a sign flipped in d_1 takes the pair d_1 d_2 off the boundary
+        diffs = [dict(d) for d in C.diffs]
+        coeff, exps = diffs[0][(0, 0)]
+        diffs[0][(0, 0)] = (-coeff, exps)
+        verdict, terms = _product_terms(monkeypatch, _with_diffs(C, diffs))
+        assert not verdict and list(terms) == [2]
+
+    def test_distinct_masks(self):
+        # two cells of F_1 share the mask 2, and d_2 hits both: row, sign
+        # and count all hold, and d_1 d_2 = 2xy
+        I = parse_ideal("ring x y; gens x, y")
+        degrees = (((0, 0),), ((1, 0), (0, 1), (0, 1)), ((1, 1),))
+        C = ChainComplex(
+            I.variables,
+            ((0,), (1, 2, 2), (3,)),
+            degrees,
+            (
+                {(0, k): (1, deg) for k, deg in enumerate(degrees[1])},
+                {(1, 0): (1, (1, 0)), (2, 0): (1, (1, 0))},
+            ),
+        )
+        assert _contract_holds(C) and _boundary_levels(C) == [1]
+        assert not check_d_squared(C)
+        for char in (0, 2):
+            assert not check_exactness(I, _fresh(C), char)
+
+    def test_negative_masks(self):
+        # -2 less its member 1 is -4, and -1 less its member 0 is -2, with
+        # int.bit_count 1 each: every level passes the four tests alone,
+        # but these ints stand for infinite sets, and d_1 d_2 = 1
+        C = ChainComplex(
+            ("x",),
+            ((-4,), (-2,), (-1,)),
+            (((0,),),) * 3,
+            ({(0, 0): (1, (0,))},) * 2,
+        )
+        assert _contract_holds(C) and _boundary_levels(C) == [1, 2]
+        assert not check_d_squared(C)
+
+    @pytest.mark.parametrize("d2, verdict", [({(0, 0): (1, (0,))}, False), ({}, True)])
+    def test_cells_that_are_no_masks(self, d2, verdict):
+        # labels that are no ints are multiplied like any other complex
+        C = ChainComplex(
+            ("x",),
+            (("",), ("a",), ("ab",)),
+            (((0,),),) * 3,
+            ({(0, 0): (1, (0,))}, d2),
+        )
+        assert check_d_squared(C) is verdict
 
 
 class TestCertificateOverF2:
