@@ -2,14 +2,37 @@
 
 All sweeps share the same skeleton: for step j = 1..r, prune the edge
 sigma -> sigma+e_j, sigma_j = 0, when both endpoints are still unmatched and
-the step's degree condition holds.  Pruning an edge removes both endpoints
+the step's condition holds.  Pruning an edge removes both endpoints
 from the survivor pool immediately.  Each step's edges are recorded in
 canonical order of sigma.
+
+The pool is a bitset over the 2^r faces, bit sigma being face sigma, and
+step j's condition is a mask M_j of lower ends (`_sweep`).  The masks are
+read from the generator degrees g_k alone, never from the degree table.
+Let has[k] be the faces that hold generator k, and H_b the OR of has[k]
+over the k whose g_k has bit b.  The plain rule is M_j = ~has[j] & AND H_b
+over the top bits b of g_j: its set bits b with b + 1 not in g_j, or with
+some generator holding b + 1 but not b.  Three facts make it the rule.
+
+- m_j divides lcm(sigma) iff deg sigma = deg(sigma + e_j), for j not in
+  sigma: the latter is deg sigma | g_j, and the encoding is exact on the
+  lcm lattice (`taylor`).  deg sigma is the OR of its members' g_k, so it
+  has bit b iff sigma is in H_b.
+- A segment's top bit suffices.  When every generator holding b + 1 holds
+  b, every lcm degree does too, so H_{b+1} lies inside H_b.  Inside one
+  variable's segment that always holds, its set bits being a prefix
+  (`taylor`), so of each run of bits of g_j only the top one is tested.
+- The Lyubeznik masks read only holders above j.  m_j must divide the lcm
+  of the members above j, which has bit b iff one of them has it, so H_b
+  is taken over k > j.  That lcm divides lcm(sigma), so the plain test is
+  implied.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import reduce
+from operator import or_
+from typing import Iterable
 
 from .monomials import Monomial, MonomialIdeal, lcm, monomial_str
 from .taylor import TaylorComplex, indices_of
@@ -53,58 +76,84 @@ def empty_matching(I: MonomialIdeal) -> Matching:
     return Matching(I.r, ())
 
 
-def _sweep(
-    tc: TaylorComplex,
-    alive: set[int],
-    eligible: Callable[[int, int], bool] | None,
-    condition: Callable[[int, int], bool],
-) -> list[tuple[int, int]]:
-    """One full r-step sweep on the surviving faces; mutates `alive`.
+def _holders(r: int) -> list[int]:
+    """has[k] for each generator k, by doubling its period of 2^(k+1) faces,
+    2^k without k and then 2^k with it."""
+    out = []
+    for k in range(r):
+        bits = ((1 << (1 << k)) - 1) << (1 << k)
+        while bits.bit_length() < 1 << r:  # the length is the period
+            bits |= bits << bits.bit_length()
+        out.append(bits)
+    return out
 
-    Within step j a lower end has bit j clear and an upper end has it set,
-    so pruning one edge never removes another candidate's end: the step's
-    edges do not depend on the scan order, and only they are sorted.
-    """
+
+def _step_masks(tc: TaylorComplex, above: bool = False) -> list[int]:
+    """M_j for each step j: the faces sigma without j whose lcm is divisible
+    by m_j, or with `above` those whose members above j alone have such an
+    lcm (the module docstring).  Kept on `tc`, so a sweep and the check of
+    its matching build them once."""
+    name = "_above_masks" if above else "_plain_masks"
+    if (kept := getattr(tc, name, None)) is not None:
+        return kept
+    gens, r = tc.gen_degrees, tc.r
+    has, full = _holders(r), (1 << (1 << r)) - 1
+    # bit b: some generator holds b + 1 without b
+    unlinked = reduce(or_, [g >> 1 & ~g for g in gens], 0)
+    held: dict[int, int] = {}  # bit b -> H_b over the generators read so far
+
+    def read(k: int) -> None:
+        for b in indices_of(gens[k]):
+            held[b] = held.get(b, 0) | has[k]
+
+    if not above:
+        for k in range(r):
+            read(k)
+    masks = [0] * r
+    for j in reversed(range(r)):
+        g, mask = gens[j], full ^ has[j]
+        for b in indices_of(g & ~(g >> 1 & ~unlinked)):
+            mask &= held.get(b, 0)
+        masks[j] = mask
+        if above:
+            read(j)
+    setattr(tc, name, masks)
+    return masks
+
+
+def _sweep(masks: list[int], alive: int) -> tuple[list[tuple[int, int]], int]:
+    """One sweep of the survivor bitset `alive`, step j pruning the lower
+    ends in `masks[j]` whose partner is alive: its edges and the survivors.
+    A lower end lacks j and an upper end holds it, so no two candidates of
+    a step share an end, and all are pruned at once, in order of sigma."""
     pruned: list[tuple[int, int]] = []
-    for j in range(tc.r):
-        bit = 1 << j
-        lower = []
-        for sigma in list(alive):
-            if sigma & bit:
-                continue
-            tau = sigma | bit
-            if tau not in alive:
-                continue
-            if eligible is not None and not eligible(sigma, j):
-                continue
-            if condition(sigma, tau):
-                alive.discard(sigma)
-                alive.discard(tau)
-                lower.append(sigma)
-        lower.sort()
-        pruned += [(sigma, j) for sigma in lower]
-    return pruned
+    for j, mask in enumerate(masks):
+        w = 1 << j
+        cand = alive & alive >> w & mask
+        if cand:
+            alive ^= cand | cand << w
+            pruned += [(sigma, j) for sigma in indices_of(cand)]
+    return pruned, alive
 
 
-def _same_degree(tc: TaylorComplex) -> Callable[[int, int], bool]:
-    """The plain pruning condition: both faces have the same lcm degree."""
-    deg = tc.degree
-    return lambda s, t: deg(s) == deg(t)
+def _bitset(faces: Iterable[int], r: int) -> int:
+    """The faces as a bitset, set in a byte buffer: setting one bit of an
+    int costs its whole width."""
+    buf = bytearray(((1 << r) + 7) >> 3)
+    for f in faces:
+        buf[f >> 3] |= 1 << (f & 7)
+    return int.from_bytes(buf, "little")
 
 
-def _prune_with(
-    tc: TaylorComplex, eligible: Callable[[int, int], bool] | None
-) -> Matching:
-    """One pruning sweep; `eligible(sigma, j)` filters candidate edges before
-    the homogeneity test, and None gives the plain pruned matching."""
-    edges = _sweep(tc, set(tc.faces()), eligible, _same_degree(tc))
-    return Matching(tc.r, tuple(edges), (len(edges),))
+def _prune(r: int, masks: list[int]) -> Matching:
+    edges, _ = _sweep(masks, (1 << (1 << r)) - 1)
+    return Matching(r, tuple(edges), (len(edges),))
 
 
 def prune_taylor(I: MonomialIdeal) -> Matching:
     """The pruned matching: step j prunes every surviving homogeneous edge
     sigma -> sigma+e_j."""
-    return _prune_with(TaylorComplex(I), None)
+    return _prune(I.r, _step_masks(TaylorComplex(I)))
 
 
 def prune_lyubeznik(I: MonomialIdeal) -> Matching:
@@ -115,14 +164,7 @@ def prune_lyubeznik(I: MonomialIdeal) -> Matching:
     supported entirely above j this is the plain homogeneity condition, and
     it is what pairs every face with an unrooted tail against its partner.
     """
-    tc = TaylorComplex(I)
-    deg, gens = tc.degree, tc.gen_degrees
-
-    def eligible(sigma: int, j: int) -> bool:
-        high = sigma & ~((1 << (j + 1)) - 1)
-        return gens[j] & ~deg(high) == 0
-
-    return _prune_with(tc, eligible)
+    return _prune(I.r, _step_masks(TaylorComplex(I), above=True))
 
 
 def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
@@ -139,10 +181,9 @@ def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
         idx = indices_of(mask)
         ok = True
         for t in range(len(idx)):
-            tail = 0
+            tail_deg = 0
             for i in idx[t:]:
-                tail |= 1 << i
-            tail_deg = tc.degree(tail)
+                tail_deg |= gens[i]
             for j in range(idx[t]):
                 if gens[j] & ~tail_deg == 0:
                     ok = False
@@ -163,12 +204,16 @@ def nu_prune(I: MonomialIdeal) -> Matching:
     never participates as a lower endpoint.
     """
     tc = TaylorComplex(I)
-    alive = set(tc.faces())
-    first = _sweep(tc, alive, None, _same_degree(tc))
-    total = lambda mask: sum(tc.exponents(mask))
-    shift = lambda s, t: s != 0 and total(s) == total(t) - 1
-    second = _sweep(tc, alive, None, shift)
-    return Matching(I.r, tuple(first + second), (len(first), len(second)))
+    r = I.r
+    first, alive = _sweep(_step_masks(tc), (1 << (1 << r)) - 1)
+    total = [sum(tc.exponents(f)) for f in tc.faces()]
+    lower: list[list[int]] = [[] for _ in range(r)]
+    for sigma in range(1, 1 << r):
+        for j in indices_of((1 << r) - 1 ^ sigma):
+            if total[sigma | 1 << j] == total[sigma] + 1:
+                lower[j].append(sigma)
+    second, _ = _sweep([_bitset(faces, r) for faces in lower], alive)
+    return Matching(r, tuple(first + second), (len(first), len(second)))
 
 
 def prune_simplicial(I: MonomialIdeal) -> Matching:
@@ -200,15 +245,15 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
     superfaces of a lower end sigma of a self-consistent edge all die with
     it, and those of its upper end are superfaces of sigma too.
     """
-    tc = TaylorComplex(I)
     r, full = I.r, (1 << I.r) - 1
-    alive = set(tc.faces())
+    masks = _step_masks(TaylorComplex(I))
+    alive, dead = (1 << (1 << r)) - 1, set()
     edges: list[tuple[int, int]] = []
     sweeps: list[int] = []
     for sweep_no in range(1, (1 << r) + 2):
         if sweep_no == (1 << r) + 1:
             raise RuntimeError("simplicial pruning failed to reach a fixpoint")
-        kept = _sweep(tc, set(alive), None, _same_degree(tc))
+        kept, _ = _sweep(masks, alive)
         while True:
             killed_at: dict[int, int] = {}  # cell -> step when it dies this sweep
             for sigma, j in kept:
@@ -219,7 +264,7 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
                 if all(
                     killed_at.get(up, r + 1) <= j + 1
                     for k in indices_of(full ^ sigma ^ 1 << j)
-                    if (up := sigma | 1 << k) in alive
+                    if (up := sigma | 1 << k) not in dead
                 )
             ]
             if len(ok) == len(kept):
@@ -228,9 +273,9 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
         if not kept:
             break
         sweeps.append(len(kept))
-        for sigma, j in kept:
-            alive.discard(sigma)
-            alive.discard(sigma | (1 << j))
+        ends = [sigma | b for sigma, j in kept for b in (0, 1 << j)]
+        alive ^= _bitset(ends, r)
+        dead.update(ends)
         edges += kept
     return Matching(r, tuple(edges), tuple(sweeps))
 
@@ -260,24 +305,11 @@ def partial_prune_intersection(J: MonomialIdeal, K: MonomialIdeal) -> Matching:
     if s == 0 or t == 0:
         raise ValueError("both parts of the splitting need at least one generator")
     grid = intersection_generators(J, K)
-    tc = TaylorComplex(grid)
-
-    pair_masks = []
-    for q in range(t):
-        for i in range(s):
-            pair_masks.append((1 << i) | (1 << (s + q)))
-
-    def involved(mask: int) -> int:
-        out = 0
-        for v in indices_of(mask):
-            out |= pair_masks[v]
-        return out
-
-    alive = set(tc.faces())
-    condition = lambda sigma, tau: True
-    eligible = lambda sigma, j: involved(sigma) & pair_masks[j] == pair_masks[j]
-    edges = _sweep(tc, alive, eligible, condition)
-    return Matching(grid.r, tuple(edges), (len(edges),))
+    has, full = _holders(s * t), (1 << (1 << s * t)) - 1
+    column = [reduce(or_, has[i::s]) for i in range(s)]  # some lcm(m_i, k_q)
+    row = [reduce(or_, has[q * s : (q + 1) * s]) for q in range(t)]
+    masks = [(full ^ has[j]) & column[j % s] & row[j // s] for j in range(s * t)]
+    return _prune(grid.r, masks)
 
 
 def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingReport:
@@ -289,7 +321,9 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
     edge outside the complex (sigma < 0, sigma >= 2^r or j outside
     range(r)) makes all three verdicts False before any degree is read.
 
-    `is_homogeneous`: both ends of every edge have the same lcm degree.
+    `is_homogeneous`: both ends of every edge have the same lcm degree, read
+    as the lower end of each edge with j outside sigma lying in the step
+    mask M_j of the module docstring.
 
     `is_acyclic`: no closed V-path (Forman; Chari).  A V-path runs from a
     matched-lower face sigma to its partner sigma + e_j and down to another
@@ -309,17 +343,20 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
         return MatchingReport(False, False, False)
 
     seen: set[int] = set()
+    lower: list[list[int]] = [[] for _ in range(r)]
     is_matching = matching.r == r
     for sigma, j in matching.edges:
         tau = sigma | (1 << j)
         if sigma == tau or sigma in seen or tau in seen:
             is_matching = False
+        if sigma != tau:
+            lower[j].append(sigma)
         seen.add(sigma)
         seen.add(tau)
 
-    deg = TaylorComplex(I).degree
+    masks = _step_masks(TaylorComplex(I))
     is_homogeneous = all(
-        deg(sigma) == deg(sigma | (1 << j)) for sigma, j in matching.edges
+        not _bitset(faces, r) & ~mask for faces, mask in zip(lower, masks) if faces
     )
     is_acyclic = (
         is_matching and _topological_order(_flow_graph(matching.edges)[0]) is not None

@@ -112,7 +112,8 @@ class TaylorComplex:
     `degree(mask)` is a face's lcm degree as an int bitmask, in the
     rank-compressed encoding of the module docstring, and `gen_degrees[j]`
     is the degree of generator j.  `decode(deg)` and `exponents(mask)` give
-    exponent vectors.  Read-only once built, apart from the memos.
+    exponent vectors.  Read-only once built, apart from the memos, the
+    pruning step masks among them (`pruning._step_masks`).
     """
 
     def __new__(cls, I: MonomialIdeal) -> TaylorComplex:

@@ -1,6 +1,11 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from collections import Counter
 from itertools import accumulate, combinations
+from pathlib import Path
 from typing import Iterable
 
 import pytest
@@ -30,7 +35,12 @@ from prunres.pruning import (
     render_trace,
 )
 from prunres.taylor import TaylorComplex
+import set_sweeps
 from test_taylor import PRECOMPUTE_CAP, TupleTaylorComplex
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SWEEPS = ("prune_taylor", "prune_lyubeznik", "prune_simplicial", "nu_prune")
 
 
 def vec(mask, r):
@@ -110,15 +120,11 @@ class TestPruneTaylor:
                 assert len(cells) == len(set(cells))
 
     def test_sweep_records_each_step_sorted(self):
-        # a pool that iterates in descending order: the step's edges are
-        # still recorded in canonical order of sigma
-        class Descending(set):
-            def __iter__(self):
-                return iter(sorted(set.__iter__(self), reverse=True))
-
+        # a step takes all its edges at once: they are recorded in canonical
+        # order of sigma, and both ends of each leave the pool
         tc = TaylorComplex(parse_ideal("ring x; gens x, x, x, x"))
-        alive = Descending({0b0001, 0b0101, 0b1001, 0b1101})
-        edges = pruning._sweep(tc, alive, None, pruning._same_degree(tc))
+        alive = pruning._bitset([0b0001, 0b0101, 0b1001, 0b1101], 4)
+        edges, alive = pruning._sweep(pruning._step_masks(tc), alive)
         assert edges == [(0b0001, 2), (0b1001, 2)]
         assert not alive
 
@@ -179,7 +185,7 @@ def _superface_prune_simplicial(I: MonomialIdeal) -> Matching:
     for sweep_no in range(1, (1 << r) + 2):
         if sweep_no == (1 << r) + 1:
             raise RuntimeError("simplicial pruning failed to reach a fixpoint")
-        kept = pruning._sweep(tc, set(alive), None, pruning._same_degree(tc))
+        kept = set_sweeps._sweep(tc, set(alive), None, set_sweeps._same_degree(tc))
         while True:
             killed_at: dict[int, int] = {}  # cell -> step when it dies this sweep
             for sigma, j in kept:
@@ -231,6 +237,65 @@ class TestSimplicialAgainstSuperfaceScan:
     def test_cycles_and_paths(self):
         self._same(cycle_ideal(n) for n in range(3, 14))
         self._same(path_ideal(n) for n in range(2, 14))
+
+
+class TestAgainstSetSweeps:
+    """The bitset sweeps give the same Matching, edges and sweeps alike, as
+    the set-based sweeps they replaced (`set_sweeps`)."""
+
+    @staticmethod
+    def _same(ideals):
+        for I in ideals:
+            for name in SWEEPS:
+                got = getattr(pruning, name)(I)
+                assert got == getattr(set_sweeps, name)(I), (name, I)
+
+    def test_corpus200(self, corpus200):
+        self._same(corpus200)
+
+    def test_builtins(self, builtins):
+        self._same(builtins.values())
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_cycles(self, n):
+        self._same([cycle_ideal(n)])
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_paths(self, n):
+        self._same([path_ideal(n)])
+
+    def test_split_grids(self, corpus40):
+        for I in corpus40:
+            for s in range(1, I.r):
+                J = MonomialIdeal(I.variables, I.generators[:s])
+                K = MonomialIdeal(I.variables, I.generators[s:])
+                if J.r * K.r <= 12:
+                    got = partial_prune_intersection(J, K)
+                    assert got == set_sweeps.partial_prune_intersection(J, K)
+
+    def test_cycle20_under_memory_limit(self):
+        # On CPython 3.11 (Linux, x86-64) the set sweeps of cycle:20 peaked
+        # at 172 MB of address space and the bitset sweeps at 83 MB; the
+        # child process gets 128 MiB
+        limit = 128 << 20
+        code = (
+            "from prunres.ideals import cycle_ideal\n"
+            "from prunres.pruning import prune_lyubeznik, prune_taylor\n"
+            "I = cycle_ideal(20)\n"
+            "print(len(prune_taylor(I).edges), len(prune_lyubeznik(I).edges))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["504594", "131072"]
 
 
 class TestPruneLyubeznik:
@@ -434,10 +499,11 @@ class TestInvariants:
             )
             assert a.same_entries(b)
 
-    def test_prune_with_hook(self, cycle5):
-        # restricting the predicate to step 1 reproduces the Lyubeznik run
-        step1 = lambda sigma, j: j == 0
-        m = pruning._prune_with(TaylorComplex(cycle5), step1)
+    def test_step_one_masks_give_lyubeznik_ranks(self, cycle5):
+        # restricting the plain step masks to step 1 reproduces the
+        # Lyubeznik run
+        masks = pruning._step_masks(TaylorComplex(cycle5))
+        m = pruning._prune(cycle5.r, masks[:1] + [0] * (cycle5.r - 1))
         assert critical_complex(cycle5, m, validate=False).ranks() == (1, 5, 9, 7, 2)
 
 
@@ -463,7 +529,7 @@ def _tuple_lyubeznik(I):
         tail = tc.exponents(high)
         return all(a <= b for a, b in zip(gens[j], tail))
 
-    return pruning._prune_with(tc, eligible)
+    return set_sweeps._prune_with(tc, eligible)
 
 
 class PolarizedTupleTable(TupleTaylorComplex):
@@ -478,6 +544,7 @@ class PolarizedTupleTable(TupleTaylorComplex):
         ]
         self._offsets = list(accumulate([0] + widths[:-1]))
         self._tuples = {}
+        self.gen_degrees = [self.degree(1 << k) for k in range(I.r)]
 
     def degree(self, mask):
         exps = self.exponents(mask)
@@ -492,19 +559,24 @@ class PolarizedTupleTable(TupleTaylorComplex):
 class TestAgainstTupleTable:
     """Same matchings, complexes and Betti tables as on the tuple table.
 
-    The five sweeps run as they did on the tuple table: pruning's own code
+    The five sweeps run as they did on the tuple table: the set-based sweeps
     with the degree test on exponent tuples, and the Lyubeznik eligibility
     test as it read then.  The Morse complexes and Tor tables run on the
     tuple table's degrees in plain polarization."""
 
     @staticmethod
-    def _sweeps(I, lyubeznik):
-        out = [prune_taylor(I), prune_simplicial(I), lyubeznik(I), nu_prune(I)]
+    def _sweeps(I, sweeps, lyubeznik):
+        out = [
+            sweeps.prune_taylor(I),
+            sweeps.prune_simplicial(I),
+            lyubeznik(I),
+            sweeps.nu_prune(I),
+        ]
         for s in range(1, I.r):
             J = MonomialIdeal(I.variables, I.generators[:s])
             K = MonomialIdeal(I.variables, I.generators[s:])
             if J.r * K.r <= 10:
-                out.append(partial_prune_intersection(J, K))
+                out.append(sweeps.partial_prune_intersection(J, K))
         return out
 
     @staticmethod
@@ -513,16 +585,16 @@ class TestAgainstTupleTable:
         return complexes, tor_betti(I)
 
     def _check(self, I, monkeypatch):
-        matchings = self._sweeps(I, prune_lyubeznik)
+        matchings = self._sweeps(I, pruning, prune_lyubeznik)
         got = self._resolutions(I, matchings)
         with monkeypatch.context() as mp:
-            mp.setattr(pruning, "TaylorComplex", TupleTaylorComplex)
+            mp.setattr(set_sweeps, "TaylorComplex", TupleTaylorComplex)
             mp.setattr(
-                pruning,
+                set_sweeps,
                 "_same_degree",
                 lambda tc: lambda s, t: tc.exponents(s) == tc.exponents(t),
             )
-            ref = self._sweeps(I, _tuple_lyubeznik)
+            ref = self._sweeps(I, set_sweeps, _tuple_lyubeznik)
             for mod in (pruning, morse, betti):
                 mp.setattr(mod, "TaylorComplex", PolarizedTupleTable)
             want = self._resolutions(I, ref)
