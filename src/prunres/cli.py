@@ -13,8 +13,7 @@ import sys
 from . import betti as betti_mod
 from . import ideals, linalg, morse, pruning, splitting
 from .monomials import Monomial, MonomialIdeal, monomial_str
-
-GENERATOR_CAP = 24
+from .taylor import GENERATOR_CAP
 
 SWEEPS = {
     "taylor": pruning.empty_matching,
@@ -137,19 +136,14 @@ def cmd_split(args, out) -> int:
     points = [args.at] if args.at is not None else list(range(1, I.r))
     if not points:
         raise ValueError("one generator has no split point; --scan needs two or more")
-    # J cap K is generated by the s * (r - s) pairwise lcms, and its Taylor
-    # complex is built in full, so the cap on the input guards it too
-    for s in points:
-        grid = s * (I.r - s)
-        if grid > GENERATOR_CAP and not args.force:
-            raise ValueError(
-                f"refusing split point s={s}: the intersection grid has {grid}"
-                f" generators (2^{grid} faces); pass --force to override"
-            )
+    # every point is refused before any work, so --scan reports none first
+    if not args.force:
+        for s in points:
+            splitting._refuse_wide_grid(I.r, s)
     all_ok = True
     reports = []
     for s in points:
-        rep = splitting.check_pruned_splitting(I, s)
+        rep = splitting.check_pruned_splitting(I, s, force=args.force)
         reports.append(rep)
         all_ok = all_ok and rep.is_pruned_splitting and rep.residuals_zero
     if args.format == "json":

@@ -1,7 +1,7 @@
 """Exact sparse rank computations over Q and over prime fields.
 
 Matrices arrive as lists of sparse rows ({column: value}) with non-negative
-integer columns.  Three kernels reduce one row at a time against a dict of
+integer columns.  Four kernels reduce one row at a time against a dict of
 pivot rows keyed by leading column, largest column first, so each row costs
 only its own eliminations, and return that dict:
 
@@ -9,6 +9,9 @@ only its own eliminations, and return that dict:
   pivot*row - entry*pivot_row and re-normalized by their gcd, so no floating
   point or fractions appear;
 - `pivots_mod` over F_p keeps dict rows with entries reduced mod p;
+- `pivots_unit` over Z takes a pivot only on a leading entry +-1, so its
+  pivots are independent over every field at once: it bounds the rank
+  from below at every characteristic;
 - `pivots_f2_packed` over F_2 takes rows already packed into ints, bit c set
   when the entry at column c is odd, so an elimination step is one XOR and
   the leading column is the bit length, which keys its dict.
@@ -28,7 +31,7 @@ one such dict along strands that contain each other, and eliminates only
 the columns each strand adds.
 
 The rank is the size of the dict, so the library has one elimination loop
-per field.  `rank(rows, char)` picks the kernel for a characteristic and
+per field; the size of a `pivots_unit` dict is a lower bound.  `rank(rows, char)` picks the kernel for a characteristic and
 returns it.
 """
 from __future__ import annotations
@@ -115,6 +118,47 @@ def pivots_mod(
                 break
             for c, v in rest.items():
                 nv = (row.get(c, 0) - e * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+    return pivots
+
+
+def pivots_unit(
+    rows: Iterable[dict[int, int]],
+    pivots: dict[int, dict[int, int]] | None = None,
+) -> dict[int, dict[int, int]]:
+    """Echelon form over Z that takes only unit pivots: leading column ->
+    rest of a pivot row whose leading entry is 1.
+
+    Each row is reduced as in `pivots_mod`, against pivot rows with lead 1,
+    so it stays an integer row and needs no gcd.  A row whose leading column
+    has no pivot becomes that column's pivot row when its entry there is
+    +-1, stored with lead +1, and is dropped otherwise.  Every pivot row is
+    an integer combination of the rows, and the pivots have distinct leads
+    with entry 1, so they stay independent mod every p: there are at most
+    as many keys as the rank of the rows over every field, and in each
+    range of columns that no row crosses, at most its rank.  Given
+    `pivots`, the rows extend it in place, as in `pivots_rational`; one
+    call on A + B makes the same steps.
+    """
+    if pivots is None:
+        pivots = {}
+    for src in rows:
+        row = {c: v for c, v in src.items() if v}
+        while row:
+            lead = max(row)
+            e = row.pop(lead)
+            rest = pivots.get(lead)
+            if rest is None:
+                if e == 1:
+                    pivots[lead] = row
+                elif e == -1:
+                    pivots[lead] = {c: -v for c, v in row.items()}
+                break
+            for c, v in rest.items():
+                nv = row.get(c, 0) - e * v
                 if nv:
                     row[c] = nv
                 else:

@@ -549,7 +549,7 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     L).  The complexes the library builds never have a cell degree outside
     L.
 
-    Four results are stored on C (`_Facts`) and reused by later checks of
+    Five results are stored on C (`_Facts`) and reused by later checks of
     the same complex, at any characteristic.  The differentials of C are
     read-only and its fields cannot change, so they cannot go stale:
     - whether C keeps the contract (`_homogeneous`);
@@ -559,7 +559,10 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     - the strand index (`_StrandIndex`), kept for the ideal it was built
       for and rebuilt when a check passes an ideal not equal to it;
     - the list of strands that are not exact over F_2.  Char 2 reads it,
-      and char 0 ranks over Q only the strands in it.
+      and char 0 ranks over Q only the strands in it;
+    - the list of strands that unit pivots over Z do not certify
+      (`not_exact_over_units`), built by the first check at an odd p.
+      Every odd p ranks over F_p only the strands in it.
     Nothing is kept anywhere else: the results die with the complex.
 
     The index numbers the cells of all levels consecutively: cell k of
@@ -568,12 +571,12 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     variable.  Each column of d_i is read once per index: over F_2 as one
     int with the bits of its odd entries, packed from off[i - 1] and passed
     to the kernel with that shift, so that it is as wide as level i - 1 and
-    not as all the levels below; and as a {global row: coeff} dict once a Q
-    or odd-p kernel first runs.  A strand is then one elimination over all
-    its columns.  The rows of a column of d_i all lie in level i - 1, so
-    every pivot lead falls in the range of the level whose d_i it ranks, no
-    elimination step mixes two levels, and the rank of d_i on the strand is
-    the number of leads in level i - 1.
+    not as all the levels below; and as a {global row: coeff} dict once a
+    unit, Q or odd-p kernel first runs.  A strand is then one elimination
+    over all its columns.  The rows of a column of d_i all lie in level
+    i - 1, so every pivot lead falls in the range of the level whose d_i it
+    ranks, no elimination step mixes two levels, and the rank of d_i on the
+    strand is the number of leads in level i - 1.
 
     By the contract, the rows of a column lie in the level below and their
     degrees divide the column's, so a strand holding a column holds all its
@@ -609,6 +612,22 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     one with 2-torsion, is ranked again over Q.  The F_2 pass runs over
     every strand, past the first that is not exact, so that its list serves
     both characteristics.
+
+    At an odd p, the strands are certified by unit pivots over Z first
+    (`linalg.pivots_unit`), the unit-pivot cancellation of algebraic
+    discrete Morse theory.  Write u_i for the number of unit pivots of d_i
+    on a strand and r_i for its rank over F_p.  The pivot rows are integer
+    combinations of the columns with distinct leads of entry 1, so they
+    stay independent mod p: u_i <= r_i.  The check has already found
+    d*d = 0 mod p, so the strand is a subcomplex over F_p and r_i + r_{i+1}
+    <= n_i.  When the unit pivots pass the summed test, n_i = u_i + u_{i+1}
+    for every i >= 1, so (r_i - u_i) + (r_{i+1} - u_{i+1}) <= 0 with both
+    terms >= 0: every r_i = u_i, and the unit pivots give the verdict over
+    F_p, the cokernel test included.  Only d*d mod p is needed, not over
+    the integers, and nothing in the pass depends on p, so one pass serves
+    every odd p; each p ranks over F_p only the strands it does not
+    certify, chained along that list as the Q pass is.  Chars 0 and 2 keep
+    the F_2 pass, which costs a fraction of the unit pass.
     """
     linalg.check_characteristic(char)
     if I.variables != C.variables:
@@ -626,7 +645,11 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
         index = facts.index = _StrandIndex(I, C)
     every = range(len(index.strands))
     if char not in (0, 2):
-        return all(index.verdicts(char, every))
+        if index.not_exact_over_units is None:
+            index.not_exact_over_units = [
+                s for s, exact in enumerate(index.verdicts(None, every)) if not exact
+            ]
+        return all(index.verdicts(char, index.not_exact_over_units))
     if index.not_exact_over_f2 is None:
         index.not_exact_over_f2 = [
             s for s, exact in enumerate(index.verdicts(2, every)) if not exact
@@ -674,9 +697,10 @@ class _StrandIndex:
     """The strand index of a complex for one ideal (see check_exactness):
     the strand degrees, one threshold mask per variable over the cells of
     all levels, the packed F_2 columns and their shifts, the dict columns
-    once an odd-p or Q kernel needs them, and the strands that are not
-    exact over F_2 once a check has ranked them all.  It holds the
-    complex's differentials but not the complex, which holds it."""
+    once a unit, odd-p or Q kernel needs them, and the strands that are not
+    exact over F_2, or not certified by unit pivots, once a check has
+    ranked them all.  It holds the complex's differentials but not the
+    complex, which holds it."""
 
     def __init__(self, I: MonomialIdeal, C: ChainComplex) -> None:
         cells = [exps for level in C.degrees for exps in level]
@@ -710,12 +734,16 @@ class _StrandIndex:
         self.packed = packed
         self.columns: list[dict[int, int]] | None = None  # for the dict kernels
         self.not_exact_over_f2: list[int] | None = None
+        self.not_exact_over_units: list[int] | None = None
 
-    def verdicts(self, char: int, positions: range | list[int]) -> Iterator[bool]:
+    def verdicts(
+        self, char: int | None, positions: range | list[int]
+    ) -> Iterator[bool]:
         """Whether each strand at `positions` (ascending indices into
-        `strands`) is exact over the field of characteristic char.  A strand
-        that contains the one before it extends that strand's echelon form;
-        any other starts from an empty one."""
+        `strands`) is exact over the field of characteristic char, and for
+        char None whether its unit pivots over Z pass the strand test.  A
+        strand that contains the one before it extends that strand's echelon
+        form; any other starts from an empty one."""
         masks, rank_of, level0 = self.masks, self.rank_of, self.level0
         above = self.everything ^ level0
         # the pivot keys of level-0 rows; over F_2 a key is the bit length
@@ -737,9 +765,9 @@ class _StrandIndex:
                 (present & level0).bit_count() - r1 == (0 if in_ideal else 1)
             )
 
-    def _pivots(self, char: int, strand: list[int], base):
-        """The echelon form over char of the columns of the cells `strand`,
-        extending `base` when given."""
+    def _pivots(self, char: int | None, strand: list[int], base):
+        """The echelon form over char (char None: unit pivots over Z) of the
+        columns of the cells `strand`, extending `base` when given."""
         shift = self.shift
         if char == 2:
             rows = [self.packed[g] for g in strand]
@@ -750,6 +778,8 @@ class _StrandIndex:
             for g, row, coeff in _column_entries(self.diffs, self.off):
                 columns[g][shift[g] + row] = coeff
         rows = [columns[g] for g in strand]
+        if char is None:
+            return linalg.pivots_unit(rows, base)
         if char:
             return linalg.pivots_mod(rows, char, base)
         return linalg.pivots_rational(rows, base)

@@ -8,6 +8,7 @@ from .betti import BettiTable, betti_of_complex
 from .monomials import MonomialIdeal, minimal_generators
 from .morse import critical_complex
 from .pruning import intersection_generators, prune_taylor
+from .taylor import GENERATOR_CAP
 
 X_J = "X_J"
 X_K = "X_K"
@@ -56,16 +57,36 @@ class SplitReport:
         return self.residuals is not None and not any(self.residuals.values())
 
 
-def check_pruned_splitting(I: MonomialIdeal, s: int) -> SplitReport:
+def _refuse_wide_grid(r: int, s: int) -> None:
+    """ValueError when J cap K, for the split of r generators at s, has
+    more than GENERATOR_CAP generators: it is generated by the s * (r - s)
+    pairwise lcms, and its Taylor complex is built in full."""
+    grid = s * (r - s)
+    if grid > GENERATOR_CAP:
+        raise ValueError(
+            f"refusing split point s={s}: the intersection grid has {grid}"
+            f" generators (2^{grid} faces); pass --force (force=True) to override"
+        )
+
+
+def check_pruned_splitting(
+    I: MonomialIdeal, s: int, *, force: bool = False
+) -> SplitReport:
     """Label every pruned edge by its endpoint regions; if all edges stay
     inside one region, verify the splitting formula on pruned Betti tables.
 
     The formula compares, for homological degree h >= 1,
     table(I) against table(J) + table(K) + table(J cap K) shifted up by one
     homological degree (the intersection's empty-face row does not shift).
+
+    A split point out of range, or one whose intersection grid has more
+    than GENERATOR_CAP generators, raises `ValueError` before any table is
+    built; `force` lifts the grid check.
     """
     r = I.r
     J, K = split_parts(I, s)
+    if not force:
+        _refuse_wide_grid(r, s)
     matching = prune_taylor(I)
     regions = []
     ok = True

@@ -36,6 +36,10 @@ from .monomials import MonomialIdeal
 _TABLES: WeakKeyDictionary[MonomialIdeal, TaylorComplex] = WeakKeyDictionary()
 # ints at least this wide are walked in their binary string (`indices_of`)
 WIDE_MASK_BITS = 1024
+# the most generators whose 2^r faces are built unless the caller forces it:
+# the command line refuses a larger ideal, and
+# `splitting.check_pruned_splitting` a larger intersection grid
+GENERATOR_CAP = 24
 
 
 def indices_of(mask: int) -> list[int]:

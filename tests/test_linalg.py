@@ -7,7 +7,8 @@ the same rank on every matrix, and `linalg.rank(rows, 2)` and
 `pivots_f2_packed` (on the same rows packed into ints) the same rank as
 `_rescan_rank_mod(rows, 2)`.  Each kernel, given the echelon form of an
 earlier call, must extend it in place to the keys of one call on all the
-rows.
+rows.  `pivots_unit`, which takes only +-1 pivots over Z, must never count
+more pivots than the rank at any characteristic.
 """
 from math import gcd
 
@@ -235,6 +236,72 @@ def test_f2_extended_echelon_has_the_keys_of_one_call(blocks, data):
     assert sorted(linalg.pivots_f2_packed(rows[k:], None, first)) == sorted(
         linalg.pivots_f2_packed(rows)
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_unit_pivots_bound_every_rank(rows):
+    before = [dict(r) for r in rows]
+    pivots = linalg.pivots_unit(rows)
+    assert rows == before  # the input is not modified
+    # every pivot row has lead 1 and no column right of it, and is an
+    # integer combination of the rows, so it lies in their span mod every p
+    assert all(max(rest, default=-1) < lead for lead, rest in pivots.items())
+    pivot_rows = [{lead: 1, **rest} for lead, rest in pivots.items()]
+    for char in (0, 2, 3, 5):
+        rank = _rescan_rank(rows, char)
+        assert len(pivots) <= rank
+        assert _rescan_rank(rows + pivot_rows, char) == rank
+
+
+@st.composite
+def unimodular_triangular(draw):
+    """Rows with a +-1 entry at distinct columns, each row's largest, and any
+    integer entries at smaller columns, in any order."""
+    columns = sorted(draw(st.sets(st.integers(0, 12), max_size=8)))
+    rows = []
+    for k, lead in enumerate(columns):
+        row = draw(st.dictionaries(st.sampled_from(columns[:k]), entries)) if k else {}
+        row[lead] = draw(st.sampled_from([1, -1]))
+        rows.append(row)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_triangular())
+def test_unit_pivots_reach_the_rank_of_a_unimodular_triangular_matrix(rows):
+    n = len(linalg.pivots_unit(rows))
+    assert n == len(rows)
+    assert all(_rescan_rank(rows, char) == n for char in (0, 2, 3, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_unit_extended_echelon_is_one_call(rows, data):
+    k = data.draw(st.integers(0, len(rows)))
+    before = [dict(r) for r in rows]
+    first = linalg.pivots_unit(rows[:k])
+    extended = linalg.pivots_unit(rows[k:], first)
+    assert extended is first
+    assert sorted(extended) == sorted(linalg.pivots_unit(rows))
+    assert extended == linalg.pivots_unit(rows)
+    assert rows == before
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([], 0),
+        ([{0: 3}], 0),  # a non-unit lead is no pivot
+        ([{0: -1, 2: 3}], 0),
+        ([{2: -1, 0: 3}], 1),
+        ([{2: 1, 0: 1}, {2: 1, 0: 3}], 1),  # reduced to {0: 2}, dropped
+        ([{2: 1, 0: 1}, {2: 1, 0: 2}], 2),  # reduced to {0: 1}
+        ([{0: 2}, {0: 1}, {0: 2}], 1),
+    ],
+)
+def test_unit_known_pivot_counts(rows, expected):
+    assert len(linalg.pivots_unit(rows)) == expected
 
 
 @pytest.mark.parametrize(

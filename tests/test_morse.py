@@ -36,6 +36,7 @@ from prunres.pruning import (
     prune_taylor,
 )
 from prunres.taylor import TaylorComplex, facets, indices_of
+from test_betti import counting
 
 
 class TestCriticalComplex:
@@ -568,7 +569,9 @@ def _traced(monkeypatch, fn, I, C, char):
     """The result of fn(I, C, char) and its rank calls, grouped by strand:
     per strand, one (char, sorted row lengths, rank) per level of the
     strand with a nonempty row, in level order.  That is the same matrix up
-    to the order and the labels of its rows and columns.
+    to the order and the labels of its rows and columns.  The unit pass
+    over Z, `pivots_unit`, is labelled "Z" in place of a char, and its rank
+    is its number of unit pivots.
 
     The strand loop calls linalg.rank once per level, and each call to
     `_reference_strand_ranks` opens a strand.  check_exactness makes one
@@ -592,7 +595,7 @@ def _traced(monkeypatch, fn, I, C, char):
     real_rank, reference_strand_ranks = linalg.rank, _reference_strand_ranks
     kernels = {
         name: getattr(linalg, name)
-        for name in ("pivots_rational", "pivots_mod", "pivots_f2_packed")
+        for name in ("pivots_rational", "pivots_mod", "pivots_f2_packed", "pivots_unit")
     }
     off = [0]
     for level in C.degrees:
@@ -659,8 +662,8 @@ def _traced(monkeypatch, fn, I, C, char):
             if not inside:
                 rows, shifts = old_rows + rows, old_shifts + shifts
                 built[id(pivots)] = (pivots, rows, shifts)
-                ch = {"pivots_rational": 0, "pivots_f2_packed": 2}.get(name)
-                split(args["p"] if ch is None else ch, rows, shifts, pivots)
+                labels = {"pivots_rational": 0, "pivots_f2_packed": 2, "pivots_unit": "Z"}
+                split(labels.get(name, args.get("p")), rows, shifts, pivots)
             return pivots
 
         return kernel
@@ -694,6 +697,11 @@ def _all_sound(C):
     return True
 
 
+def _shapes(strands):
+    """The matrices of traced strands, without their labels and ranks."""
+    return [[lengths for _, lengths, _ in strand] for strand in strands]
+
+
 def _in_order_sublist(short, long):
     it = iter(long)
     return all(any(x == y for y in it) for x in short)
@@ -714,7 +722,15 @@ class TestExactnessAgainstStrandLoop:
     char-2 calls on the same matrices, one per char-0 call of the loop and
     with its rank: rank over F_2 equals rank over Q on every strand.
     Elsewhere the loop's char-2 calls must begin the F_2 pass, and the
-    char-0 calls must be an in-order part of the loop's char-0 calls."""
+    char-0 calls must be an in-order part of the loop's char-0 calls.
+
+    An odd p is stated the same way, with the unit pass over Z in place of
+    the F_2 pass.  On the complexes compared here, unit pivots certify
+    every strand of a complex that the loop finds exact over F_p, so the
+    calls must then be the unit pass's on the same matrices, one per call
+    of the loop and with its rank.  Elsewhere the unit pass must run on the
+    loop's matrices as far as the loop goes, and the F_p calls that follow
+    must be an in-order part of the loop's."""
 
     METHODS = (prune_taylor, prune_simplicial, prune_lyubeznik)
 
@@ -723,7 +739,18 @@ class TestExactnessAgainstStrandLoop:
         expected, ref_calls = _traced(monkeypatch, _reference_exactness, I, C, char)
         assert got == expected
         if char not in (0, 2):
-            assert calls == ref_calls
+            if expected:
+                assert calls == [
+                    [("Z", lengths, r) for _, lengths, r in strand]
+                    for strand in ref_calls
+                ]
+                return got
+            unit_calls = [strand for strand in calls if strand[0][0] == "Z"]
+            p_calls = calls[len(unit_calls):]
+            assert calls[: len(unit_calls)] == unit_calls
+            assert _shapes(unit_calls[: len(ref_calls)]) == _shapes(ref_calls)
+            assert all(strand[0][0] == char for strand in p_calls)
+            assert _in_order_sublist(p_calls, ref_calls)
             return got
         if char == 2:
             assert calls[: len(ref_calls)] == ref_calls
@@ -1423,6 +1450,110 @@ class TestCertificateOverF2:
         assert not _contract_holds(C) and not check_d_squared(C)
         assert not _reference_exactness(I, C, 2)
         assert not check_exactness(I, C, 2)
+
+
+def _one_entry(coeff):
+    """The ideal (x) and its resolution F0 = {e}, F1 = {a}, with degrees 1
+    and x and d1 = coeff * x: its strand at x has one entry, coeff."""
+    I = parse_ideal("ring x; gens x")
+    C = ChainComplex(
+        ("x",), ((0,), (1,)), (((0,),), ((1,),)), ({(0, 0): (coeff, (1,))},)
+    )
+    return I, C
+
+
+class TestCertificateOverUnits:
+    """At an odd p, check_exactness certifies the strands by unit pivots
+    over Z first, once for every odd p (see its docstring), and ranks over
+    F_p only the strands that pass leaves uncertified."""
+
+    def test_strand_whose_only_entry_is_3(self, monkeypatch):
+        # exact over Q, F_2 and F_5; over F_3, d1 vanishes.  The unit pass
+        # keeps no pivot, so F_3 ranks the strand, and so does F_5
+        I, C = _one_entry(3)
+        expected = {0: True, 2: True, 3: False, 5: True, 7: True}
+        assert {c: _reference_exactness(I, C, c) for c in expected} == expected
+        for order in ((3, 5, 0, 2, 7), (5, 7, 3), (2, 0, 7, 3)):
+            B = _fresh(C)
+            assert {c: check_exactness(I, B, c) for c in order} == {
+                c: expected[c] for c in order
+            }, order
+            assert B._facts.index.not_exact_over_units == [1]
+        TestExactnessAgainstStrandLoop()._same(monkeypatch, I, C, 3)
+        mod_calls = counting(monkeypatch, "pivots_mod")
+        assert check_exactness(I, _fresh(C), 5)
+        assert [args[1] for args in mod_calls] == [5]
+
+    @pytest.mark.parametrize("coeff", [1, -1])
+    def test_unit_entry_ranks_nothing_over_fp(self, monkeypatch, coeff):
+        I, C = _one_entry(coeff)
+        mod_calls = counting(monkeypatch, "pivots_mod")
+        assert all(check_exactness(I, C, c) for c in (3, 5, 7))
+        assert C._facts.index.not_exact_over_units == [] and not mod_calls
+
+    def test_tripled_top_column(self, corpus40, monkeypatch):
+        # d*d stays 0 over Z, the complex stays exact over F_5 and F_7, and
+        # the top column vanishes over F_3.  No unit pivot is left in it, so
+        # the strands that hold its cell are ranked over F_p
+        compared = 0
+        for I in corpus40[:20]:
+            for method in TestExactnessAgainstStrandLoop.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                top = C.length - 1
+                if top < 1:
+                    continue
+                diffs = [dict(d) for d in C.diffs]
+                for (row, col), (coeff, exps) in C.diff(top).items():
+                    if col == 0:
+                        diffs[top - 1][(row, col)] = (3 * coeff, exps)
+                B = _with_diffs(C, diffs)
+                assert check_d_squared(B)
+                assert not TestExactnessAgainstStrandLoop()._same(monkeypatch, I, B, 3)
+                with monkeypatch.context() as m:
+                    mod_calls = counting(m, "pivots_mod")
+                    assert check_exactness(I, B, 5) and check_exactness(I, B, 7)
+                assert {args[1] for args in mod_calls} == {5, 7}
+                assert _reference_exactness(I, B, 7)
+                compared += 1
+        assert compared > 50
+
+    def test_corpus_pass_ranks_nothing_over_fp(self, corpus200, builtins, monkeypatch):
+        # chars 0, 2, 3, 5 in the order of the corpus workload, then 7; every
+        # strand is certified by unit pivots.  The strand loop on
+        # example-4-1 takes a second per char, and chars 3 and 5 are
+        # compared in TestExactnessAgainstStrandLoop, so here only 7 is
+        ideals = [(I, (3, 5, 7)) for I in corpus200]
+        ideals += [(I, (7,) if name == "example-4-1" else (3, 5, 7))
+                   for name, I in builtins.items()]
+        for I, compared in ideals:
+            for method in TestExactnessAgainstStrandLoop.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                with monkeypatch.context() as m:
+                    mod_calls = counting(m, "pivots_mod")
+                    assert all(check_exactness(I, C, c) for c in (0, 2, 3, 5, 7))
+                assert not mod_calls
+                for char in compared:
+                    assert _reference_exactness(I, C, char)
+
+    def test_contract_keeping_corruptions(self, corpus40, builtins):
+        # the strand loop reads no d*d: where d*d mod p fails, only
+        # check_exactness is asked
+        small = [I for name, I in builtins.items() if name != "example-4-1"]
+        compared = 0
+        for I in corpus40[:20] + small:
+            for method in TestExactnessAgainstStrandLoop.METHODS:
+                C = morse_differential(I, method(I), validate=False)
+                for name, B, _ in _corruptions(C):
+                    if not _contract_holds(B):
+                        continue
+                    for char in (3, 5, 7):
+                        if not _d_squared_vanishes(B, char):
+                            assert not check_exactness(I, B, char), name
+                            continue
+                        verdict = check_exactness(I, B, char)
+                        assert verdict == _reference_exactness(I, B, char), name
+                        compared += 1
+        assert compared > 100
 
 
 # --- verbatim copy of the mask soundness pass that _StrandIndex replaced ----

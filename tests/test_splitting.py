@@ -1,3 +1,10 @@
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from prunres.ideals import cycle_ideal, parse_ideal, path_ideal
@@ -13,6 +20,8 @@ from prunres.splitting import (
     classify_regions,
     split_parts,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestClassifyRegions:
@@ -77,6 +86,47 @@ class TestPrunedSplitting:
         rep = check_pruned_splitting(cycle5, 3)
         assert rep.is_pruned_splitting
         assert rep.residuals_zero
+
+    def test_wide_grid_refused_under_memory_limit(self):
+        # s = 5 of the 10-cycle builds J cap K from a 25-generator grid, 2^25
+        # faces.  Unguarded, the call died with MemoryError in the pruning
+        # after 8 s in 1 GiB of address space; refused before any table is
+        # built, it needs neither
+        limit = 1 << 30
+        code = (
+            "from prunres.ideals import cycle_ideal\n"
+            "from prunres.splitting import check_pruned_splitting\n"
+            "try:\n"
+            "    check_pruned_splitting(cycle_ideal(10), 5)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "s=5" in proc.stdout and "25 generators" in proc.stdout
+        assert "force=True" in proc.stdout
+
+    def test_force_is_the_one_keyword_that_lifts_the_grid_check(self, path5):
+        assert check_pruned_splitting(path5, 3, force=True) == check_pruned_splitting(
+            path5, 3
+        )
+        with pytest.raises(TypeError):
+            check_pruned_splitting(path5, 3, True)
+
+    def test_split_point_out_of_range_refused_first(self, path5):
+        with pytest.raises(ValueError, match="out of range"):
+            check_pruned_splitting(path5, 0, force=True)
 
     def test_all_edges_labelled(self, path5):
         rep = check_pruned_splitting(path5, 2)
