@@ -123,14 +123,21 @@ def critical_complex(
     I: MonomialIdeal, matching: Matching, validate: bool = True
 ) -> ChainComplex:
     """Basis of the reduced complex: critical cells ordered canonically per
-    degree.  InvalidMatchingError for a matching with another r than I, and
-    with `validate` for one that `verify_matching` rejects."""
-    if matching.r != I.r:
+    degree.  InvalidMatchingError for a matching with another r than I or
+    with an edge (sigma, j) that is no facet pair of the simplex on r
+    vertices (sigma < 0, sigma >= 2^r, j outside range(r) or j in sigma),
+    whatever `validate` is, and with `validate` for one that
+    `verify_matching` rejects."""
+    r = I.r
+    if matching.r != r:
         raise InvalidMatchingError(
-            f"the matching is on {matching.r} generators, the ideal has {I.r}"
+            f"the matching is on {matching.r} generators, the ideal has {r}"
         )
+    for sigma, j in matching.edges:
+        if sigma < 0 or sigma >> r or not 0 <= j < r or sigma >> j & 1:
+            raise InvalidMatchingError(f"edge {(sigma, j)} is not a facet pair")
     if validate:
-        report = verify_matching(I.r, matching, I)
+        report = verify_matching(r, matching, I)
         if not report.all_ok:
             raise InvalidMatchingError(f"rejected matching: {report}")
     survivors = sorted(matching.survivors())
@@ -162,16 +169,23 @@ def morse_differential(
     its cell sigma have i - 1, and so does every head of a flow arc out of a
     cell c with i - 1 members, its partner c + e_j less another member of
     c.  So its rows are read from one {mask: row} dict of level i - 1, and
-    no entry can land in another level.  A column with no flow node among
-    its facets, as every column of a complex whose critical cells are closed
-    under faces (Batzies-Welker), is the simplicial boundary: its entries
-    are read straight from `facets(sigma)`.  `check_d_squared` certifies
-    d*d = 0 on such differentials by ∂∂ = 0, but reads that they are
-    boundaries from their entries (`_is_boundary`); nothing is stored here
-    for it.  Any other column walks only the cells it reaches: an int of
-    pending topological positions within the facet dimension, lowest set
-    bit first, so each cell is popped after all its predecessors have
-    pushed their coefficient sums into it.
+    no entry can land in another level.
+
+    A column with no flow node among its facets, as every column of a
+    complex whose critical cells are closed under faces (Batzies-Welker), is
+    the simplicial boundary of its cell sigma, written in one walk over the
+    members of sigma, lowest first: the facet is sigma less that member,
+    its row comes from the level's dict, and the sign, +1 for the first
+    member, flips on every member, as in `taylor.facets`.  A facet with no
+    row is matched-upper and absorbs nothing, but its member still flips
+    the sign.  Such a column needs no divisibility test: a facet is a
+    subset of sigma, so its lcm divides sigma's.  `check_d_squared`
+    certifies d*d = 0 on these differentials by ∂∂ = 0, but reads that they
+    are boundaries from their entries (`_is_boundary`); nothing is stored
+    here for it.  Any other column, a flow column, walks only the cells it
+    reaches: an int of pending topological positions within the facet
+    dimension, lowest set bit first, so each cell is popped after all its
+    predecessors have pushed their coefficient sums into it.
 
     The monomial part of an entry is the exponent difference of its
     endpoints, and once the row's degree divides the column's, that
@@ -179,14 +193,19 @@ def morse_differential(
     rank-compressed encoding of `taylor`, each variable's bits are a prefix
     of its segment, so the XOR of two nested prefixes is the run of bits
     from the shorter prefix's length to the longer's, and the two lengths
-    fix both exponents.  The ratios are memoized by that XOR, after the
-    divisibility test: the Lyubeznik complex of cycle:15 has 36,447 pairs of
-    degrees but 31 XORs.
+    fix both exponents.  The ratios are memoized by that XOR, on a flow
+    column after the divisibility test: the Lyubeznik complex of cycle:15
+    has 36,447 pairs of degrees but 31 XORs.  A boundary entry is ±1 times
+    that ratio, so its whole (coefficient, ratio) tuple is memoized too,
+    one memo per sign, and every entry of one sign and XOR is the same
+    tuple object: the 176,128 entries of that complex share 59 tuples
+    instead of holding one each.
 
     So the complex keeps the contract of `ChainComplex` by construction:
-    rows come from the level below, every entry passes the divisibility
-    test, and its monomial is the decoded degree difference.  That is
-    stored on it, and the checks skip their contract pass.
+    rows come from the level below, every flow entry passes the
+    divisibility test and every boundary entry needs none, and its
+    monomial is the decoded degree difference.  That is stored on it, and
+    the checks skip their contract pass.
     """
     base = critical_complex(I, matching, validate)
     tc = TaylorComplex(I)
@@ -194,9 +213,7 @@ def morse_differential(
 
     # lower[k]: the matched-lower faces with k members
     lower: dict[int, list[int]] = {}
-    for sigma, j in matching.edges:
-        if sigma >> j & 1:
-            raise InvalidMatchingError(f"edge {(sigma, j)} is not a facet pair")
+    for sigma, _ in matching.edges:
         lower.setdefault(sigma.bit_count(), []).append(sigma)
     roots = _flow_roots(base.cells, lower, matching.r)
     succ, weights = _flow_graph(matching.edges, roots, weighted=True)
@@ -209,47 +226,72 @@ def morse_differential(
     pos = {cell: p for cells in by_dim.values() for p, cell in enumerate(cells)}
 
     ratios: dict[int, tuple[int, ...]] = {}
+    # the shared boundary entries (1, ratio) and (-1, ratio), by degree XOR
+    plus: dict[int, Entry] = {}
+    minus: dict[int, Entry] = {}
+
+    def ratio_of(sig_deg: int, cell_deg: int) -> tuple[int, ...]:
+        ratio = ratios.get(sig_deg ^ cell_deg)
+        if ratio is None:
+            ratio = tuple(map(sub, decode(sig_deg), decode(cell_deg)))
+            ratios[sig_deg ^ cell_deg] = ratio
+        return ratio
+
     diffs: list[Mapping[tuple[int, int], Entry]] = []
     for i in range(1, base.length):
         entries: dict[tuple[int, int], Entry] = {}
         rows = dict(zip(base.cells[i - 1], count()))
+        get_row = rows.get
         order_i = by_dim.get(i - 1)
         for col, sigma in enumerate(base.cells[i]):
-            column = facets(sigma)
+            sig_deg = deg(sigma)
             pending = 0
             if order_i:
+                column = facets(sigma)
                 for facet, _ in column:
                     p = pos.get(facet)
                     if p is not None:
                         pending |= 1 << p
-            if pending:
-                coeffs = dict(column)
-                while pending:
-                    low = pending & -pending
-                    pending ^= low
-                    c = order_i[low.bit_length() - 1]
-                    val = coeffs.pop(c)
-                    if not val:
-                        continue
-                    for nxt, w in zip(succ[c], weights[c]):
-                        coeffs[nxt] = coeffs.get(nxt, 0) + val * w
-                        p = pos.get(nxt)
-                        if p is not None:
-                            pending |= 1 << p
-                column = coeffs.items()
-            sig_deg = deg(sigma)
-            for cell, val in column:
-                row = rows.get(cell)
+            if not pending:
+                # the simplicial boundary: the sign flips on every member,
+                # a matched-upper facet's too, which has no row
+                rest, memo, other = sigma, plus, minus
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    facet = sigma ^ low
+                    row = get_row(facet)
+                    if row is not None:
+                        cell_deg = deg(facet)
+                        entry = memo.get(sig_deg ^ cell_deg)
+                        if entry is None:
+                            sign = 1 if memo is plus else -1
+                            entry = (sign, ratio_of(sig_deg, cell_deg))
+                            memo[sig_deg ^ cell_deg] = entry
+                        entries[(row, col)] = entry
+                    memo, other = other, memo
+                continue
+            coeffs = dict(column)
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                c = order_i[low.bit_length() - 1]
+                val = coeffs.pop(c)
+                if not val:
+                    continue
+                for nxt, w in zip(succ[c], weights[c]):
+                    coeffs[nxt] = coeffs.get(nxt, 0) + val * w
+                    p = pos.get(nxt)
+                    if p is not None:
+                        pending |= 1 << p
+            for cell, val in coeffs.items():
+                row = get_row(cell)
                 if row is None or not val:
                     continue  # matched-upper cells absorb nothing
                 cell_deg = deg(cell)
                 if cell_deg & ~sig_deg:
                     raise InvalidMatchingError("non-divisible differential entry")
-                ratio = ratios.get(sig_deg ^ cell_deg)
-                if ratio is None:
-                    ratio = tuple(map(sub, decode(sig_deg), decode(cell_deg)))
-                    ratios[sig_deg ^ cell_deg] = ratio
-                entries[(row, col)] = (val, ratio)
+                entries[(row, col)] = (val, ratio_of(sig_deg, cell_deg))
         diffs.append(MappingProxyType(entries))
 
     C = ChainComplex(base.variables, base.cells, base.degrees, tuple(diffs))

@@ -34,9 +34,11 @@ from prunres.pruning import (
     prune_lyubeznik,
     prune_simplicial,
     prune_taylor,
+    verify_matching,
 )
 from prunres.taylor import TaylorComplex, facets, indices_of
 from test_betti import counting
+from test_flow_graph import old_morse_differential
 
 
 class TestCriticalComplex:
@@ -82,6 +84,18 @@ class TestMorseDifferential:
         I = parse_ideal("ring x y\ngens x, y")
         with pytest.raises(InvalidMatchingError):
             morse_differential(I, Matching(2, ((1, 0),)), validate=False)
+
+    def test_boundary_column_skips_a_matched_upper_facet(self):
+        # the top cell {0,1,2} has no flow node among its facets, so its
+        # column is the boundary walk; its first facet {1,2} is matched-upper
+        # and has no row, but still flips the sign of the facets after it
+        I = parse_ideal("ring a b c; gens a, b*c, b")
+        m = Matching(3, ((0b010, 2),))
+        assert verify_matching(3, m, I).all_ok
+        C = morse_differential(I, m)
+        assert C.cells[2:] == ((0b011, 0b101), (0b111,))
+        assert C.diff(3) == {(1, 0): (-1, (0, 0, 1)), (0, 0): (1, (0, 0, 0))}
+        assert C == old_morse_differential(I, m)
 
     def test_empty_matching_is_taylor_boundary(self, path5):
         C = morse_differential(path5, empty_matching(path5))

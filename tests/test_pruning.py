@@ -418,6 +418,13 @@ class TestPartialPruning:
                 assert rep.all_ok
 
 
+# edges (sigma, j) that are no facet pair of the simplex on two vertices:
+# sigma or j out of range, or sigma + e_j outside the simplex
+OUTSIDE_EDGES = [
+    (4, 0), (0, 5), (0, 2), (-1, 0), (-4, 1), (0, -1), (8, 1), (1, 2), (-2, 0)
+]
+
+
 class TestVerifyMatching:
     def test_valid_examples(self, path5, cycle5):
         assert verify_matching(4, prune_taylor(path5), path5).all_ok
@@ -446,16 +453,23 @@ class TestVerifyMatching:
         assert rep.is_matching and rep.is_homogeneous
         assert not rep.is_acyclic and not rep.all_ok
 
-    @pytest.mark.parametrize(
-        "edge", [(4, 0), (0, 5), (0, 2), (-1, 0), (-4, 1), (0, -1), (8, 1)]
-    )
+    @pytest.mark.parametrize("edge", OUTSIDE_EDGES)
     def test_edge_outside_the_complex(self, edge):
         I = parse_ideal("ring x y\ngens x, y")
-        bad = Matching(2, (edge,))
-        rep = verify_matching(2, bad, I)
+        rep = verify_matching(2, Matching(2, (edge,)), I)
         assert (rep.is_matching, rep.is_homogeneous, rep.is_acyclic) == (False,) * 3
-        with pytest.raises(morse.InvalidMatchingError):
-            critical_complex(I, bad)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("build", [critical_complex, morse_differential])
+    @pytest.mark.parametrize("edge", OUTSIDE_EDGES + [(1, 0), (3, 1)])
+    def test_builders_reject_edge_outside_the_complex(self, edge, build, validate):
+        # without validation, (0, 5) once dropped the empty face, (1, 2) gave
+        # ranks (1, 1, 1), (4, 0) and (-2, 0) were ignored and (0, -1) raised
+        # a bare ValueError; an edge whose j lies in sigma pairs a face with
+        # itself
+        I = parse_ideal("ring x y\ngens x, y")
+        with pytest.raises(morse.InvalidMatchingError, match="not a facet pair"):
+            build(I, Matching(2, (edge,)), validate=validate)
 
     def test_matching_on_another_complex(self):
         I = parse_ideal("ring x y\ngens x, y")
