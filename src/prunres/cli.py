@@ -252,6 +252,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "betti" and args.format == "json":
         if args.trace or args.dump_complex:
             parser.error("--format json prints JSON only: no --trace, --dump-complex")
+    if args.command == "betti" and args.method == "nu" and args.dump_complex:
+        parser.error(
+            "--method nu pairs faces of different degrees, so its Morse"
+            " differential has no monomial entries: no --dump-complex"
+        )
     if getattr(args, "method", None) == "nu" and args.command == "check":
         print("check does not accept the nu approximation", file=sys.stderr)
         return 1

@@ -31,8 +31,9 @@ one such dict along strands that contain each other, and eliminates only
 the columns each strand adds.
 
 The rank is the size of the dict, so the library has one elimination loop
-per field; the size of a `pivots_unit` dict is a lower bound.  `rank(rows, char)` picks the kernel for a characteristic and
-returns it.
+per field; the size of a `pivots_unit` dict is a lower bound.
+`rank(rows, char)` picks the kernel for a characteristic and returns the
+rank of the rows over that field.
 """
 from __future__ import annotations
 

@@ -75,6 +75,8 @@ class MonomialIdeal:
 
     def __post_init__(self) -> None:
         n = len(self.variables)
+        if len(set(self.variables)) != n:
+            raise AmbientError(f"repeated variable name in {self.variables}")
         for g in self.generators:
             if len(g.exponents) != n:
                 raise AmbientError(
@@ -127,8 +129,10 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[int, int]]:
     new variable index to the original variable it descends from.
 
     x_i^a inside a generator expands to the product of the first a copies
-    of x_i.  Already-squarefree ideals are returned unchanged with the
-    identity mapping.
+    of x_i.  A variable with one copy keeps its name; the copies of any
+    other are named x_i_1, x_i_2, ..., skipping every name of the ring and
+    every name given before.  Already-squarefree ideals are returned
+    unchanged with the identity mapping.
     """
     if all(g.is_squarefree for g in I.generators):
         return I, {i: i for i in range(I.nvars)}
@@ -140,15 +144,21 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[int, int]]:
     new_names: list[str] = []
     mapping: dict[int, int] = {}
     slot: list[int] = []  # first new index for each original variable
+    taken = set(I.variables)
     for i, name in enumerate(I.variables):
         slot.append(len(new_names))
         if copies[i] == 1:
             mapping[len(new_names)] = i
             new_names.append(name)
-        else:
-            for k in range(copies[i]):
-                mapping[len(new_names)] = i
-                new_names.append(f"{name}_{k + 1}")
+            continue
+        suffix = 0
+        for _ in range(copies[i]):
+            suffix += 1
+            while f"{name}_{suffix}" in taken:
+                suffix += 1
+            taken.add(f"{name}_{suffix}")
+            mapping[len(new_names)] = i
+            new_names.append(f"{name}_{suffix}")
 
     new_gens = []
     for g in I.generators:

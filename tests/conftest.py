@@ -1,16 +1,41 @@
-"""Shared fixtures: seeded corpora and builtin ideals used across the suites."""
+"""Shared fixtures: seeded corpora, builtin ideals, and their resolutions,
+each built once per session."""
+from typing import Callable, NamedTuple
+
 import pytest
 
 from prunres.ideals import (
     cycle_ideal,
     example_4_1_ideal,
-    parse_ideal,
     path_ideal,
     random_corpus,
     rp2_ideal,
 )
+from prunres.monomials import MonomialIdeal
+from prunres.morse import ChainComplex, morse_differential
+from prunres.pruning import prune_lyubeznik, prune_simplicial, prune_taylor
 
 CORPUS_SEED = 20250808
+# the matchings whose Morse complexes are resolutions
+METHODS = (prune_taylor, prune_simplicial, prune_lyubeznik)
+
+
+class Resolution(NamedTuple):
+    ideal: MonomialIdeal
+    method: Callable
+    complex: ChainComplex
+
+
+def resolutions(ideals) -> list[Resolution]:
+    """The Morse complex of each ideal under each of METHODS, ideal by ideal.
+
+    The checks store what they learn on a complex, so a test that counts
+    what a check does runs it on a fresh copy."""
+    return [
+        Resolution(I, method, morse_differential(I, method(I), validate=False))
+        for I in ideals
+        for method in METHODS
+    ]
 
 
 @pytest.fixture(scope="session")
@@ -48,5 +73,24 @@ def cycle5():
     return cycle_ideal(5)
 
 
-def quick(text: str):
-    return parse_ideal(text)
+@pytest.fixture(scope="session")
+def resolutions200(corpus200):
+    return resolutions(corpus200)
+
+
+@pytest.fixture(scope="session")
+def resolutions40(corpus40):
+    return resolutions(corpus40)
+
+
+@pytest.fixture(scope="session")
+def builtin_resolutions(builtins):
+    """name -> the resolutions of that builtin ideal."""
+    return {name: resolutions([I]) for name, I in builtins.items()}
+
+
+@pytest.fixture(scope="session")
+def cycle_resolutions():
+    """n -> the resolutions of the n-cycle, for n = 3..12."""
+    return {n: resolutions([cycle_ideal(n)]) for n in range(3, 13)}
+

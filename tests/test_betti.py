@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from prunres import betti, linalg
 from prunres.betti import (
-    BettiTable,
     SquarefreeRequiredError,
     betti_of_complex,
     hochster_betti,
@@ -17,10 +17,9 @@ from prunres.betti import (
 )
 from prunres.ideals import cycle_ideal, parse_ideal
 from prunres.linalg import rank
-from prunres.monomials import MonomialIdeal, Monomial
+from prunres.monomials import MonomialIdeal
 from prunres.morse import critical_complex
 from prunres.pruning import empty_matching, prune_lyubeznik, prune_taylor
-from prunres.taylor import TaylorComplex, facets
 
 PATH5_PRUNED_DIAGRAM = """
        0 1 2 3
@@ -70,113 +69,6 @@ HUGE_SHIFTS_DIAGRAM = """
 2147483652: . . . 1
 """
 
-
-# The two oracles as they were when every degree piece was ranked over Q
-# (or F_p) by `linalg.rank` on signed rows, and every subset of supp(alpha)
-# was tested for a face.  Kept verbatim (only renamed) as the reference for
-# the oracles that rank over F_2 first.
-def q_only_tor_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
-    """True multigraded Betti numbers over a field of the given characteristic.
-
-    Tensoring the Taylor resolution with the residue field kills every entry
-    that shifts degree, so the degree-alpha piece is the complex spanned by
-    the faces with multidegree exactly alpha and the equal-degree incidences.
-    The homology of that small complex, class by class, is the Betti table.
-    Uses the Taylor complex of the given generators, so it is independent of
-    the pruning code it serves as an oracle for.
-    """
-    linalg.check_characteristic(char)
-    tc = TaylorComplex(I)
-    deg = tc.degree
-    classes: dict[int, list[int]] = {}
-    for mask in tc.faces():
-        classes.setdefault(deg(mask), []).append(mask)
-
-    multi: dict[tuple[int, tuple[int, ...]], int] = {}
-    for alpha_deg, masks in classes.items():
-        alpha = tc.decode(alpha_deg)
-        by_h: dict[int, list[int]] = {}
-        for m in masks:
-            by_h.setdefault(m.bit_count(), []).append(m)
-        for h, beta in q_only_homology_ranks(by_h, 0, char).items():
-            if beta:
-                multi[(h, alpha)] = beta
-    return BettiTable(I.variables, multi)
-
-
-def q_only_homology_ranks(
-    levels: dict[int, list[int]], first: int, char: int
-) -> dict[int, int]:
-    """Homology ranks of the complex spanned by `levels` (faces keyed by
-    degree, from `first` up; the simplicial boundary lowers the degree by
-    one and keeps only faces present in the level below), per degree.
-
-    Sorts each level in place, then ranks the boundary matrices in order of
-    increasing degree through `linalg.rank`, skipping empty ones.
-    """
-    for level in levels.values():
-        level.sort()
-    top = max(levels)
-    ranks: dict[int, int] = {}
-    for h in range(first + 1, top + 1):
-        cols = levels.get(h, [])
-        row_index = {m: k for k, m in enumerate(levels.get(h - 1, []))}
-        if not cols or not row_index:
-            continue
-        rows: dict[int, dict[int, int]] = {}
-        for ci, mask in enumerate(cols):
-            for facet, sign in facets(mask):
-                if facet in row_index:
-                    rows.setdefault(ci, {})[row_index[facet]] = sign
-        ranks[h] = linalg.rank(list(rows.values()), char)
-    return {
-        h: len(levels.get(h, [])) - ranks.get(h, 0) - ranks.get(h + 1, 0)
-        for h in range(first, top + 1)
-    }
-
-
-def q_only_hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
-    """Betti numbers from reduced homology of induced Stanley-Reisner complexes.
-
-    For each squarefree lattice degree alpha, restrict the complex of
-    non-ideal squarefree monomials to the support of alpha and read
-    beta_{i,alpha} from reduced homology in dimension |alpha|-i-1.
-    """
-    linalg.check_characteristic(char)
-    if any(not g.is_squarefree for g in I.generators):
-        raise SquarefreeRequiredError(
-            "hochster_betti needs a squarefree ideal; apply polarize() first"
-        )
-    n = I.nvars
-    gen_masks = [
-        sum(1 << i for i in g.support()) for g in I.generators
-    ]
-
-    tc = TaylorComplex(I)
-    lattice = sorted(map(tc.decode, tc.lattice()))
-
-    def is_face(vmask: int) -> bool:
-        return not any(gm & ~vmask == 0 for gm in gen_masks)
-
-    multi: dict[tuple[int, tuple[int, ...]], int] = {}
-    for alpha in lattice:
-        support = sum(1 << i for i, e in enumerate(alpha) if e)
-        size = bin(support).count("1")
-        faces_by_dim: dict[int, list[int]] = {}
-        sub = support
-        while True:
-            if is_face(sub):
-                faces_by_dim.setdefault(bin(sub).count("1") - 1, []).append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & support
-        if not faces_by_dim:
-            continue
-        for d, h in q_only_homology_ranks(faces_by_dim, -1, char).items():
-            if h:
-                i = size - d - 1
-                multi[(i, alpha)] = multi.get((i, alpha), 0) + h
-    return BettiTable(I.variables, multi)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -272,18 +164,19 @@ def assert_same_table(got, want):
     assert got.multigraded == want.multigraded
 
 
-class TestAgainstQOnlyOracles:
-    """Both oracles give the Q-only oracles' tables, entry for entry and key
-    for key, at chars 0, 2 and 3."""
+class TestAgainstReference:
+    """Both oracles give the tables of the reference oracles, which rank
+    every degree piece at the asked characteristic alone, entry for entry
+    and key for key, at chars 0, 2 and 3."""
 
     CHARS = (0, 2, 3)
 
     def _check(self, I, hochster=True):
         for char in self.CHARS:
-            assert_same_table(tor_betti(I, char), q_only_tor_betti(I, char))
+            assert_same_table(tor_betti(I, char), reference.tor_betti(I, char))
             if hochster and is_squarefree(I):
                 assert_same_table(
-                    hochster_betti(I, char), q_only_hochster_betti(I, char)
+                    hochster_betti(I, char), reference.hochster_betti(I, char)
                 )
 
     def test_corpus200(self, corpus200):
@@ -309,7 +202,9 @@ class TestAgainstQOnlyOracles:
     def test_cycles_hochster(self, n):
         I = cycle_ideal(n)
         for char in self.CHARS:
-            assert_same_table(hochster_betti(I, char), q_only_hochster_betti(I, char))
+            assert_same_table(
+                hochster_betti(I, char), reference.hochster_betti(I, char)
+            )
 
 
 def counting(monkeypatch, name):
@@ -368,7 +263,7 @@ class TestQFallback:
         self, builtins, oracle, monkeypatch
     ):
         rp2 = builtins["rp2"]
-        over_q, over_f2 = q_only_tor_betti(rp2, 0), q_only_tor_betti(rp2, 2)
+        over_q, over_f2 = reference.tor_betti(rp2, 0), reference.tor_betti(rp2, 2)
         torsion = {
             alpha
             for _, alpha in set(over_q.multigraded) | set(over_f2.multigraded)
@@ -389,8 +284,8 @@ class TestQFallback:
             # over Q and F_2 only if the Betti numbers there do, so this
             # one is the piece of the torsion degree.
             levels, first = piece["levels"], piece["first"]
-            assert piece["betti"] != q_only_homology_ranks(levels, first, 2)
-            assert piece["betti"] == q_only_homology_ranks(levels, first, 0)
+            assert piece["betti"] != reference.homology_ranks(levels, first, 2)
+            assert piece["betti"] == reference.homology_ranks(levels, first, 0)
             # one build per piece: Q ranks the very lists F_2 ranked
             by_char = {0: [], 2: []}
             for c, rows in piece["ranked"]:

@@ -287,6 +287,22 @@ class TestCommands:
         code, _, err = run(capsys, "check", "exact", "--ideal", "path:5", "--method", "nu")
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["rp2", "example-4-1"])
+    def test_betti_nu_dump_complex_refused_before_pruning(
+        self, capsys, monkeypatch, spec
+    ):
+        # a degree-shift matching has no monomial Morse differential: the
+        # pair once pruned and then failed with a non-divisible entry
+        def sweep(I):
+            raise AssertionError("pruned before the flags were checked")
+
+        monkeypatch.setitem(cli.SWEEPS, "nu", sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "--ideal", spec, "--method", "nu", "--dump-complex"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--dump-complex" in captured.err
+
     def test_true_betti_json(self, capsys):
         code, out, _ = run(
             capsys,

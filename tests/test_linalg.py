@@ -1,108 +1,19 @@
-"""The echelon rank kernels against the pivot-rescan kernels they replaced.
+"""The echelon rank kernels against the pivot-rescan kernel of `reference`.
 
-`_rescan_rank_rational` and `_rescan_rank_mod` are verbatim copies of the
-previous `linalg` kernels: at every pivot they rescan all remaining rows for
-the shortest one (over Q, preferring a +-1 entry).  The new kernels must give
-the same rank on every matrix, and `linalg.rank(rows, 2)` and
-`pivots_f2_packed` (on the same rows packed into ints) the same rank as
-`_rescan_rank_mod(rows, 2)`.  Each kernel, given the echelon form of an
-earlier call, must extend it in place to the keys of one call on all the
-rows.  `pivots_unit`, which takes only +-1 pivots over Z, must never count
-more pivots than the rank at any characteristic.
+`reference.rank` rescans all remaining rows for the shortest one at every
+pivot, in integers over Q and mod p over F_p.  The kernels must give the
+same rank on every matrix, `linalg.rank(rows, 2)` and `pivots_f2_packed` (on
+the same rows packed into ints) included.  Each kernel, given the echelon
+form of an earlier call, must extend it in place to the keys of one call on
+all the rows.  `pivots_unit`, which takes only +-1 pivots over Z, must never
+count more pivots than the rank at any characteristic.
 """
-from math import gcd
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunres import linalg
-
-
-def _normalize(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
-def _rescan_rank_rational(rows):
-    work = [dict(r) for r in rows if r]
-    rank = 0
-    while work:
-        best = min(
-            range(len(work)),
-            key=lambda i: (min(abs(v) for v in work[i].values()) != 1, len(work[i])),
-        )
-        pivot_row = work.pop(best)
-        pcol = min(
-            (c for c, v in pivot_row.items() if abs(v) == 1),
-            default=min(pivot_row, key=lambda c: (abs(pivot_row[c]), c)),
-        )
-        pval = pivot_row[pcol]
-        rank += 1
-        nxt = []
-        for row in work:
-            e = row.get(pcol)
-            if e:
-                new = {}
-                for c, v in row.items():
-                    nv = pval * v - e * pivot_row.get(c, 0)
-                    if nv:
-                        new[c] = nv
-                for c, v in pivot_row.items():
-                    if c not in row:
-                        nv = -e * v
-                        if nv:
-                            new[c] = nv
-                row = _normalize(new)
-            if row:
-                nxt.append(row)
-        work = nxt
-    return rank
-
-
-def _rescan_rank_mod(rows, p):
-    work = []
-    for r in rows:
-        nr = {c: v % p for c, v in r.items() if v % p}
-        if nr:
-            work.append(nr)
-    rank = 0
-    while work:
-        best = min(range(len(work)), key=lambda i: len(work[i]))
-        pivot_row = work.pop(best)
-        pcol = min(pivot_row)
-        inv = pow(pivot_row[pcol], -1, p)
-        pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
-        rank += 1
-        nxt = []
-        for row in work:
-            e = row.get(pcol)
-            if e:
-                new = {}
-                for c, v in row.items():
-                    nv = (v - e * pivot_row.get(c, 0)) % p
-                    if nv:
-                        new[c] = nv
-                for c, v in pivot_row.items():
-                    if c not in row:
-                        nv = (-e * v) % p
-                        if nv:
-                            new[c] = nv
-                row = new
-            if row:
-                nxt.append(row)
-        work = nxt
-    return rank
-
-
-def _rescan_rank(rows, char):
-    return _rescan_rank_rational(rows) if char == 0 else _rescan_rank_mod(rows, char)
+from reference import rank as rescan_rank
 
 
 # Nonzero entries, mostly units but with non-units and multiples of 2, 3, 5
@@ -150,7 +61,7 @@ def matrices(draw, row_strategy=sparse_rows):
 @given(matrices(), st.sampled_from([0, 2, 3, 5]))
 def test_same_rank_as_rescan_kernel(rows, char):
     before = [dict(r) for r in rows]
-    assert linalg.rank(rows, char) == _rescan_rank(rows, char)
+    assert linalg.rank(rows, char) == rescan_rank(rows, char)
     assert rows == before  # the input is not modified
 
 
@@ -163,7 +74,7 @@ def _pack(row):
 @given(st.one_of(matrices(), matrices(wide_rows)))
 def test_f2_same_rank_as_rescan_kernel(rows):
     before = [dict(r) for r in rows]
-    expected = _rescan_rank_mod(rows, 2)
+    expected = rescan_rank(rows, 2)
     assert linalg.rank(rows, 2) == expected
     assert rows == before  # the input is not modified
     packed = [_pack(row) for row in rows]
@@ -209,7 +120,7 @@ def test_extended_echelon_has_the_keys_of_one_call(rows, data, char):
     extended = kernel(rows[k:], first)
     assert extended is first
     assert sorted(extended) == sorted(kernel(rows))
-    assert len(extended) == _rescan_rank(rows, char)
+    assert len(extended) == rescan_rank(rows, char)
     assert rows == before
 
 
@@ -249,9 +160,9 @@ def test_unit_pivots_bound_every_rank(rows):
     assert all(max(rest, default=-1) < lead for lead, rest in pivots.items())
     pivot_rows = [{lead: 1, **rest} for lead, rest in pivots.items()]
     for char in (0, 2, 3, 5):
-        rank = _rescan_rank(rows, char)
+        rank = rescan_rank(rows, char)
         assert len(pivots) <= rank
-        assert _rescan_rank(rows + pivot_rows, char) == rank
+        assert rescan_rank(rows + pivot_rows, char) == rank
 
 
 @st.composite
@@ -272,7 +183,7 @@ def unimodular_triangular(draw):
 def test_unit_pivots_reach_the_rank_of_a_unimodular_triangular_matrix(rows):
     n = len(linalg.pivots_unit(rows))
     assert n == len(rows)
-    assert all(_rescan_rank(rows, char) == n for char in (0, 2, 3, 5))
+    assert all(rescan_rank(rows, char) == n for char in (0, 2, 3, 5))
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,7 +233,7 @@ def test_unit_known_pivot_counts(rows, expected):
 def test_f2_known_ranks(rows, expected):
     assert len(linalg.pivots_f2_packed([_pack(row) for row in rows])) == expected
     assert linalg.rank(rows, 2) == expected
-    assert _rescan_rank_mod(rows, 2) == expected
+    assert rescan_rank(rows, 2) == expected
 
 
 @pytest.mark.parametrize(
@@ -339,8 +250,12 @@ def test_f2_known_ranks(rows, expected):
         ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}], 2, 2),
         ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 2, 2),
         ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3, 3),
+        # each needs its rows combined right: the second row scaled by the
+        # pivot entry 2 over Q, and the lead 2 subtracted mod 3
+        ([{0: 1, 1: 2}, {0: 3, 1: 3}], 0, 2),
+        ([{0: 1, 1: 1}, {0: 1, 1: 2}], 3, 2),
     ],
 )
 def test_known_ranks(rows, char, expected):
     assert linalg.rank(rows, char) == expected
-    assert _rescan_rank(rows, char) == expected
+    assert rescan_rank(rows, char) == expected

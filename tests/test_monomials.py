@@ -3,9 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunres.betti import tor_betti
+from prunres.ideals import parse_ideal
 from prunres.monomials import (
     AmbientError,
     Monomial,
+    MonomialIdeal,
     divides,
     ideal,
     lcm,
@@ -70,6 +72,25 @@ def test_polarize_square():
     assert J.variables == ("x_1", "x_2")
     assert J.generators == (m(1, 1),)
     assert mapping == {0: 0, 1: 0}
+
+
+def test_polarize_skips_taken_names():
+    # x_1 is a variable of the ring, so the copies of x are x_2 and x_3;
+    # they were once named x_1 and x_2, and x_1*x printed as x_1*x_1
+    I = parse_ideal("ring x x_1; gens x^2, x_1*x")
+    J, mapping = polarize(I)
+    assert J.variables == ("x_2", "x_3", "x_1")
+    assert mapping == {0: 0, 1: 0, 2: 1}
+    assert J.generator_strs() == ["x_2*x_3", "x_2*x_1"]
+    for p in (0, 2):
+        assert tor_betti(I, p).totals() == tor_betti(J, p).totals()
+
+
+def test_repeated_variable_name_rejected():
+    with pytest.raises(AmbientError, match="repeated variable"):
+        MonomialIdeal(("x", "y", "x"), ())
+    with pytest.raises(AmbientError, match="repeated variable"):
+        ideal(["x_1", "x_1"], [(1, 0)])
 
 
 def test_polarize_betti_agreement():

@@ -4,9 +4,8 @@ import resource
 import subprocess
 import sys
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable
 
 import pytest
 
@@ -35,8 +34,8 @@ from prunres.pruning import (
     render_trace,
 )
 from prunres.taylor import TaylorComplex
-import set_sweeps
-from test_taylor import PRECOMPUTE_CAP, TupleTaylorComplex
+import reference
+from conftest import METHODS
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -163,67 +162,16 @@ class TestPruneSimplicial:
             assert first <= plain
 
 
-# --- verbatim copy of the superface scan that prune_simplicial replaced ----
-
-
-def _strict_superfaces(mask: int, r: int) -> Iterable[int]:
-    universe = (1 << r) - 1
-    free = universe & ~mask
-    # iterate nonempty submasks of the free positions
-    sub = free
-    while sub:
-        yield mask | sub
-        sub = (sub - 1) & free
-
-
-def _superface_prune_simplicial(I: MonomialIdeal) -> Matching:
-    tc = TaylorComplex(I)
-    r = I.r
-    alive = set(tc.faces())
-    edges: list[tuple[int, int]] = []
-    sweeps: list[int] = []
-    for sweep_no in range(1, (1 << r) + 2):
-        if sweep_no == (1 << r) + 1:
-            raise RuntimeError("simplicial pruning failed to reach a fixpoint")
-        kept = set_sweeps._sweep(tc, set(alive), None, set_sweeps._same_degree(tc))
-        while True:
-            killed_at: dict[int, int] = {}  # cell -> step when it dies this sweep
-            for sigma, j in kept:
-                killed_at[sigma] = killed_at[sigma | (1 << j)] = j + 1
-            ok: list[tuple[int, int]] = []
-            for sigma, j in kept:
-                partner = sigma | (1 << j)
-                good = True
-                for sup in _strict_superfaces(sigma, r):
-                    if sup == partner or sup not in alive:
-                        continue
-                    if killed_at.get(sup, 1 << 30) > j + 1:
-                        good = False
-                        break
-                if good:
-                    ok.append((sigma, j))
-            if len(ok) == len(kept):
-                break
-            kept = ok
-        if not kept:
-            break
-        sweeps.append(len(kept))
-        for sigma, j in kept:
-            alive.discard(sigma)
-            alive.discard(sigma | (1 << j))
-        edges += kept
-    return Matching(r, tuple(edges), tuple(sweeps))
-
-
-class TestSimplicialAgainstSuperfaceScan:
-    """prune_simplicial tests only the immediate cofaces of an edge's lower
-    end; the scan it replaced tested every strict superface.  Both must give
-    the same Matching, edges and sweeps alike."""
+class TestSweepsAgainstReference:
+    """Every sweep gives the Matching of its set-based reference on the
+    tuple table (`reference`), edges and sweeps alike."""
 
     @staticmethod
     def _same(ideals):
         for I in ideals:
-            assert prune_simplicial(I) == _superface_prune_simplicial(I), I
+            for name in SWEEPS:
+                got = getattr(pruning, name)(I)
+                assert got == getattr(reference, name)(I), (name, I)
 
     def test_corpus200(self, corpus200):
         self._same(corpus200)
@@ -234,44 +182,24 @@ class TestSimplicialAgainstSuperfaceScan:
     def test_builtins(self, builtins):
         self._same(builtins.values())
 
-    def test_cycles_and_paths(self):
-        self._same(cycle_ideal(n) for n in range(3, 14))
-        self._same(path_ideal(n) for n in range(2, 14))
-
-
-class TestAgainstSetSweeps:
-    """The bitset sweeps give the same Matching, edges and sweeps alike, as
-    the set-based sweeps they replaced (`set_sweeps`)."""
-
-    @staticmethod
-    def _same(ideals):
-        for I in ideals:
-            for name in SWEEPS:
-                got = getattr(pruning, name)(I)
-                assert got == getattr(set_sweeps, name)(I), (name, I)
-
-    def test_corpus200(self, corpus200):
-        self._same(corpus200)
-
-    def test_builtins(self, builtins):
-        self._same(builtins.values())
-
     @pytest.mark.parametrize("n", range(3, 17))
     def test_cycles(self, n):
         self._same([cycle_ideal(n)])
 
-    @pytest.mark.parametrize("n", range(3, 15))
+    @pytest.mark.parametrize("n", range(2, 15))
     def test_paths(self, n):
         self._same([path_ideal(n)])
 
-    def test_split_grids(self, corpus40):
-        for I in corpus40:
+    def test_split_grids(self, corpus200, corpus40, builtins):
+        grids = [(I, 10) for I in [*corpus200, *builtins.values()]]
+        grids += [(I, 12) for I in corpus40]
+        for I, most in grids:
             for s in range(1, I.r):
                 J = MonomialIdeal(I.variables, I.generators[:s])
                 K = MonomialIdeal(I.variables, I.generators[s:])
-                if J.r * K.r <= 12:
+                if J.r * K.r <= most:
                     got = partial_prune_intersection(J, K)
-                    assert got == set_sweeps.partial_prune_intersection(J, K)
+                    assert got == reference.partial_prune_intersection(J, K)
 
     def test_cycle20_under_memory_limit(self):
         # On CPython 3.11 (Linux, x86-64) the set sweeps of cycle:20 peaked
@@ -533,87 +461,22 @@ def test_empty_matching_is_taylor(path5):
     assert m.survivors() == frozenset(range(16))
 
 
-def _tuple_lyubeznik(I):
-    # prune_lyubeznik as it read on the tuple table
-    tc = TupleTaylorComplex(I)
-    gens = [g.exponents for g in I.generators]
-
-    def eligible(sigma, j):
-        high = sigma & ~((1 << (j + 1)) - 1)
-        tail = tc.exponents(high)
-        return all(a <= b for a, b in zip(gens[j], tail))
-
-    return set_sweeps._prune_with(tc, eligible)
-
-
-class PolarizedTupleTable(TupleTaylorComplex):
-    """The tuple table with degree bitmasks in plain polarization, one bit
-    per unit of exponent read off its tuples: an encoding independent of
-    the rank-compressed one, for the code that reads `degree` and `decode`."""
-
-    def __init__(self, I, precompute_cap=PRECOMPUTE_CAP):
-        super().__init__(I, precompute_cap)
-        widths = [
-            max((g[k] for g in self._gen_exps), default=0) for k in range(I.nvars)
-        ]
-        self._offsets = list(accumulate([0] + widths[:-1]))
-        self._tuples = {}
-        self.gen_degrees = [self.degree(1 << k) for k in range(I.r)]
-
-    def degree(self, mask):
-        exps = self.exponents(mask)
-        deg = sum(((1 << e) - 1) << off for e, off in zip(exps, self._offsets))
-        self._tuples[deg] = exps
-        return deg
-
-    def decode(self, deg):
-        return self._tuples[deg]
-
-
-class TestAgainstTupleTable:
-    """Same matchings, complexes and Betti tables as on the tuple table.
-
-    The five sweeps run as they did on the tuple table: the set-based sweeps
-    with the degree test on exponent tuples, and the Lyubeznik eligibility
-    test as it read then.  The Morse complexes and Tor tables run on the
-    tuple table's degrees in plain polarization."""
+class TestOnPolarizedTable:
+    """The Morse complexes and Tor tables on the reference table's degrees
+    in plain polarization (`reference.PolarizedTupleTable`) are those on the
+    rank-compressed table."""
 
     @staticmethod
-    def _sweeps(I, sweeps, lyubeznik):
-        out = [
-            sweeps.prune_taylor(I),
-            sweeps.prune_simplicial(I),
-            lyubeznik(I),
-            sweeps.nu_prune(I),
-        ]
-        for s in range(1, I.r):
-            J = MonomialIdeal(I.variables, I.generators[:s])
-            K = MonomialIdeal(I.variables, I.generators[s:])
-            if J.r * K.r <= 10:
-                out.append(sweeps.partial_prune_intersection(J, K))
-        return out
-
-    @staticmethod
-    def _resolutions(I, matchings):
-        complexes = [morse_differential(I, m) for m in matchings[:3]]
-        return complexes, tor_betti(I)
+    def _resolutions(I):
+        matchings = [method(I) for method in METHODS]
+        return [morse_differential(I, m) for m in matchings], tor_betti(I)
 
     def _check(self, I, monkeypatch):
-        matchings = self._sweeps(I, pruning, prune_lyubeznik)
-        got = self._resolutions(I, matchings)
+        got = self._resolutions(I)
         with monkeypatch.context() as mp:
-            mp.setattr(set_sweeps, "TaylorComplex", TupleTaylorComplex)
-            mp.setattr(
-                set_sweeps,
-                "_same_degree",
-                lambda tc: lambda s, t: tc.exponents(s) == tc.exponents(t),
-            )
-            ref = self._sweeps(I, set_sweeps, _tuple_lyubeznik)
             for mod in (pruning, morse, betti):
-                mp.setattr(mod, "TaylorComplex", PolarizedTupleTable)
-            want = self._resolutions(I, ref)
-        assert [m.edges for m in matchings] == [m.edges for m in ref]
-        assert matchings == ref
+                mp.setattr(mod, "TaylorComplex", reference.PolarizedTupleTable)
+            want = self._resolutions(I)
         assert got == want
 
     def test_corpus200(self, corpus200, monkeypatch):

@@ -12,66 +12,7 @@ from hypothesis import strategies as st
 from prunres.ideals import cycle_ideal, path_ideal
 from prunres.monomials import Monomial, MonomialIdeal, divides, ideal, monomial_str
 from prunres.taylor import WIDE_MASK_BITS, TaylorComplex, facets, indices_of
-
-PRECOMPUTE_CAP = 20
-
-
-# The degree table as it was before degrees became bitmasks: exponent tuples
-# built by max over zip.  Kept verbatim (only renamed) as the reference for
-# the bitmask table here and for the sweeps, complexes and tables in
-# test_pruning.py.
-class TupleTaylorComplex:
-    """Multidegree cache over all 2^r faces of the full simplex.
-
-    Degrees are stored fully precomputed for r <= PRECOMPUTE_CAP and memoized
-    lazily above that.  Read-only after construction.
-    """
-
-    def __init__(self, I: MonomialIdeal, precompute_cap: int = PRECOMPUTE_CAP):
-        self.ideal = I
-        self.r = I.r
-        self._gen_exps = [g.exponents for g in I.generators]
-        self._nvars = I.nvars
-        if I.r <= precompute_cap:
-            self._degrees: list[tuple[int, ...]] | None = self._precompute()
-            self._cache: dict[int, tuple[int, ...]] = {}
-        else:
-            self._degrees = None
-            self._cache = {0: (0,) * self._nvars}
-
-    def _precompute(self) -> list[tuple[int, ...]]:
-        n = self._nvars
-        degs = [(0,) * n] * (1 << self.r)
-        for mask in range(1, 1 << self.r):
-            low = mask & (mask - 1)
-            i = (mask & -mask).bit_length() - 1
-            prev = degs[low]
-            gen = self._gen_exps[i]
-            degs[mask] = tuple(max(a, b) for a, b in zip(prev, gen))
-        return degs
-
-    def exponents(self, mask: int) -> tuple[int, ...]:
-        if self._degrees is not None:
-            return self._degrees[mask]
-        hit = self._cache.get(mask)
-        if hit is None:
-            low = mask & (mask - 1)
-            i = (mask & -mask).bit_length() - 1
-            prev = self.exponents(low)
-            hit = tuple(max(a, b) for a, b in zip(prev, self._gen_exps[i]))
-            self._cache[mask] = hit
-        return hit
-
-    def multidegree(self, mask: int) -> Monomial:
-        return Monomial(self.exponents(mask))
-
-    def total_degree(self, mask: int) -> int:
-        return sum(self.exponents(mask))
-
-    def faces(self) -> range:
-        return range(1 << self.r)
-
-
+from reference import PRECOMPUTE_CAP, TupleTaylorComplex, face_lattice
 
 
 def test_face_multidegree_path5(path5):
@@ -230,14 +171,15 @@ def test_indices_of_on_both_sides_of_the_wide_walk(bits, top):
 
 class TestLattice:
     """`TaylorComplex.lattice`, the OR closure of the generator degrees,
-    against the walk over all 2^r faces it replaced in
-    `morse._strand_degrees` and `betti.hochster_betti`."""
+    against the walk over all 2^r faces of the reference table."""
 
     @staticmethod
     def _same(I):
         tc = TaylorComplex(I)
         lattice = tc.lattice()
-        assert lattice == {tc.degree(mask) for mask in tc.faces()}
+        points = face_lattice(I)
+        assert {tc.decode(d) for d in lattice} == points
+        assert len(lattice) == len(points)
         return len(lattice)
 
     def test_corpus200_and_builtins(self, corpus200, builtins):
