@@ -15,7 +15,7 @@ from prunres.betti import (
     render_betti,
     tor_betti,
 )
-from prunres.ideals import cycle_ideal, parse_ideal
+from prunres.ideals import builtin_ideal, cycle_ideal, parse_ideal
 from prunres.linalg import rank
 from prunres.monomials import MonomialIdeal
 from prunres.morse import critical_complex
@@ -205,6 +205,28 @@ class TestAgainstReference:
             assert_same_table(
                 hochster_betti(I, char), reference.hochster_betti(I, char)
             )
+
+    @pytest.mark.parametrize(
+        "spec, totals",
+        [
+            ("ring x y; gens x, y", (1, 2, 1)),
+            ("ring x y z; gens x^2, y^3, z^4", (1, 3, 3, 1)),  # Koszul
+            ("ring x y; gens x^2, x*y, y^2", (1, 3, 2)),
+            ("ring x y; gens x^3, x^2*y, x*y^2, y^3", (1, 4, 3)),
+            ("ring x y z; gens x^2, x*y, x*z, y^2, y*z, z^2", (1, 6, 8, 3)),
+            ("path:4", (1, 3, 2)),
+            ("cycle:4", (1, 4, 4, 1)),
+            ("cycle:5", (1, 5, 5, 1)),  # Gorenstein of codimension 3
+        ],
+    )
+    def test_known_totals(self, spec, totals):
+        # the library is checked against the reference alone, so the
+        # reference is pinned to tables known without either of them
+        I = builtin_ideal(spec) or parse_ideal(spec)
+        for char in self.CHARS:
+            assert reference.tor_betti(I, char).totals() == totals, char
+            if is_squarefree(I):
+                assert reference.hochster_betti(I, char).totals() == totals, char
 
 
 def counting(monkeypatch, name):
