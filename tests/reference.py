@@ -60,12 +60,12 @@ class TupleTaylorComplex:
     lazily above that.  Read-only after construction.
     """
 
-    def __init__(self, I: MonomialIdeal, precompute_cap: int = PRECOMPUTE_CAP):
+    def __init__(self, I: MonomialIdeal):
         self.ideal = I
         self.r = I.r
         self._gen_exps = [g.exponents for g in I.generators]
         self._nvars = I.nvars
-        if I.r <= precompute_cap:
+        if I.r <= PRECOMPUTE_CAP:
             self._degrees: list[tuple[int, ...]] | None = self._precompute()
             self._cache: dict[int, tuple[int, ...]] = {}
         else:
@@ -113,8 +113,8 @@ class PolarizedTupleTable(TupleTaylorComplex):
     per unit of exponent read off its tuples: an encoding independent of
     the rank-compressed one, for the code that reads `degree` and `decode`."""
 
-    def __init__(self, I, precompute_cap=PRECOMPUTE_CAP):
-        super().__init__(I, precompute_cap)
+    def __init__(self, I):
+        super().__init__(I)
         widths = [
             max((g[k] for g in self._gen_exps), default=0) for k in range(I.nvars)
         ]

@@ -103,6 +103,18 @@ def test_f2_shifted_ranges_rank_independently(blocks):
     assert sorted(got) == sorted(expected)
 
 
+@pytest.mark.parametrize(
+    "rows, shifts, keys",
+    [
+        ([1, 1], [0, 1], [1, 2]),  # one row of one column in each block
+        ([0b11, 0b10, 0b01], [0, 0, 2], [1, 2, 3]),
+        ([0b10, 0b11, 0b01], [5, 5, 0], [1, 6, 7]),
+    ],
+)
+def test_f2_shifted_known_keys(rows, shifts, keys):
+    assert sorted(linalg.pivots_f2_packed(rows, shifts)) == keys
+
+
 def _dict_kernel(char):
     if char == 0:
         return linalg.pivots_rational
@@ -149,9 +161,7 @@ def test_f2_extended_echelon_has_the_keys_of_one_call(blocks, data):
     )
 
 
-@settings(max_examples=400, deadline=None)
-@given(matrices())
-def test_unit_pivots_bound_every_rank(rows):
+def _unit_pivots_bound_every_rank(rows):
     before = [dict(r) for r in rows]
     pivots = linalg.pivots_unit(rows)
     assert rows == before  # the input is not modified
@@ -163,6 +173,24 @@ def test_unit_pivots_bound_every_rank(rows):
         rank = rescan_rank(rows, char)
         assert len(pivots) <= rank
         assert rescan_rank(rows + pivot_rows, char) == rank
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_unit_pivots_bound_every_rank(rows):
+    _unit_pivots_bound_every_rank(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{1: -1, 0: 1}],  # a -1 lead: the pivot row is the row negated
+        [{2: 1, 1: 3}, {2: 1, 1: 2, 0: -1}],  # reduced to -x_1 - x_0
+        [{0: -1}, {3: 2, 0: 1}, {3: -1, 2: 5}],
+    ],
+)
+def test_unit_pivot_rows_lie_in_the_span(rows):
+    _unit_pivots_bound_every_rank(rows)
 
 
 @st.composite
@@ -254,6 +282,9 @@ def test_f2_known_ranks(rows, expected):
         # pivot entry 2 over Q, and the lead 2 subtracted mod 3
         ([{0: 1, 1: 2}, {0: 3, 1: 3}], 0, 2),
         ([{0: 1, 1: 1}, {0: 1, 1: 2}], 3, 2),
+        # the lead 4 met by the pivot entry 2 over Q: the row less twice the
+        # pivot row, 4 / gcd(2, 4), vanishes
+        ([{1: 2, 0: 1}, {1: 4, 0: 2}], 0, 1),
     ],
 )
 def test_known_ranks(rows, char, expected):

@@ -914,16 +914,25 @@ class TestDSquaredAgainstReference:
     def _all(self, I, C, corrupt=True):
         """C, built by morse_differential, and with `corrupt` its changes:
         (how many of them check_d_squared rejects, how many keep the
-        contract with d*d != 0 over the integers)."""
+        contract with d*d != 0 over the integers).  Every change of
+        `_corruptions` but a raised degree keeps the contract; whether the
+        monomial and row changes do is left to the contract pass."""
         assert C._facts.homogeneous is True and _contract_holds(_fresh(C))
         products = {}
         assert self._same(C, I, products) == (True, True)
         rejected = nonzero = 0
         if corrupt:
-            changed = [(name, B) for name, B, _ in _corruptions(C)]
-            changed += [*_monomial_corruptions(C), *_row_corruptions(C)]
-            for name, B in changed:
+            changed = [
+                (name, B, not name.startswith("raise degree"))
+                for name, B, _ in _corruptions(C)
+            ]
+            changed += [
+                (name, B, None)
+                for name, B in (*_monomial_corruptions(C), *_row_corruptions(C))
+            ]
+            for name, B, keeps in changed:
                 verdict, kept = self._same(B, I, products, name)
+                assert keeps is None or kept == keeps, name
                 rejected += not verdict
                 nonzero += kept and not verdict
         return rejected, nonzero
@@ -1158,6 +1167,23 @@ class TestCertificateOverF2:
         assert exact0 == reference.exactness(I, B, 0)
         assert exact2 == reference.exactness(I, B, 2)
         assert exact0 or not exact2
+
+    @pytest.mark.parametrize("name", ["cycle:5", "rp2"])
+    def test_top_column_doubled_and_another_deleted(self, builtin_resolutions, name):
+        # the doubled column fails its strands over F_2 alone, the deleted
+        # one over every field: Q must rank every strand that F_2 fails, in
+        # either order of the two columns
+        for I, _, C in builtin_resolutions[name]:
+            top = C.length - 1
+            last = len(C.cells[top]) - 1
+            for a, b in ((0, last), (last, 0)):
+                d = {}
+                for (row, col), (coeff, exps) in C.diff(top).items():
+                    if col != b:
+                        d[(row, col)] = (2 * coeff if col == a else coeff, exps)
+                B = _with_diff(C, top, d)
+                assert check_d_squared(B) and not reference.exactness(I, B, 0)
+                assert not check_exactness(I, B, 0) and not check_exactness(I, B, 2)
 
     def test_unsound_strand_ranked_over_q(self):
         # F0 = {e}, F1 = {a, b}, F2 = {c} over the ideal (x), with degrees

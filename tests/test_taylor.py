@@ -169,6 +169,19 @@ def test_indices_of_on_both_sides_of_the_wide_walk(bits, top):
         assert indices_of(mask) == sorted(members)
 
 
+@pytest.mark.parametrize(
+    "members",
+    [
+        {WIDE_MASK_BITS - 2},
+        {WIDE_MASK_BITS - 1},
+        {0, WIDE_MASK_BITS},
+        {0, 1, WIDE_MASK_BITS - 1, WIDE_MASK_BITS, 3 * WIDE_MASK_BITS},
+    ],
+)
+def test_indices_of_known_masks(members):
+    assert indices_of(sum(1 << b for b in members)) == sorted(members)
+
+
 class TestLattice:
     """`TaylorComplex.lattice`, the OR closure of the generator degrees,
     against the walk over all 2^r faces of the reference table."""
