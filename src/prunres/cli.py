@@ -1,7 +1,9 @@
 """Command-line front end: parse ideals, run the pipelines, render reports.
 
-Exit codes: 0 success / all checks passed, 1 usage or parse error, 2 a
-requested check failed.
+Exit codes: 0 success / all checks passed, 1 a parse error or an input the
+run refuses (a bad characteristic, split point or generator count), 2 a
+requested check failed; the option parser also exits 2, on an unknown or
+missing option and on a flag the subcommand refuses.
 """
 from __future__ import annotations
 
@@ -245,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check":
         if args.what == "matching" and args.dump_complex:
             parser.error("check matching builds no complex: --dump-complex is unread")
+        if args.method == "nu":
+            parser.error("check does not accept the nu approximation")
         if args.char is None:
             args.char = 0
         elif args.what in ("matching", "dsquared"):
@@ -257,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
             "--method nu pairs faces of different degrees, so its Morse"
             " differential has no monomial entries: no --dump-complex"
         )
-    if getattr(args, "method", None) == "nu" and args.command == "check":
-        print("check does not accept the nu approximation", file=sys.stderr)
-        return 1
     try:
         return args.func(args, sys.stdout)
     except ideals.ParseError as exc:

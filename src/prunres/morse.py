@@ -140,9 +140,8 @@ def critical_complex(
         report = verify_matching(r, matching, I)
         if not report.all_ok:
             raise InvalidMatchingError(f"rejected matching: {report}")
-    survivors = sorted(matching.survivors())
     buckets: dict[int, list[int]] = {}
-    for mask in survivors:
+    for mask in matching._survivor_list():
         buckets.setdefault(mask.bit_count(), []).append(mask)
     top = max(buckets) if buckets else 0
     cells = tuple(tuple(buckets.get(i, ())) for i in range(top + 1))
@@ -216,7 +215,7 @@ def morse_differential(
     for sigma, _ in matching.edges:
         lower.setdefault(sigma.bit_count(), []).append(sigma)
     roots = _flow_roots(base.cells, lower, matching.r)
-    succ, weights = _flow_graph(matching.edges, roots, weighted=True)
+    succ, weights = _flow_graph(matching.edges, roots)
     order = _topological_order(succ)
     if order is None:
         raise InvalidMatchingError("cycle detected in gradient flow")

@@ -56,9 +56,20 @@ class Matching:
     sweeps: tuple[int, ...] = ()
 
     def survivors(self) -> frozenset[int]:
-        dead = {sigma for sigma, _ in self.edges}
-        dead.update(sigma | (1 << j) for sigma, j in self.edges)
-        return frozenset(range(1 << self.r)) - dead
+        """The faces on no edge.  ValueError for an edge that is no facet
+        pair of the simplex on r vertices (sigma < 0, sigma >= 2^r, j
+        outside range(r) or j in sigma)."""
+        r = self.r
+        for sigma, j in self.edges:
+            if sigma < 0 or sigma >> r or not 0 <= j < r or sigma >> j & 1:
+                raise ValueError(f"edge {(sigma, j)} is not a facet pair")
+        return frozenset(self._survivor_list())
+
+    def _survivor_list(self) -> list[int]:
+        """The faces on no edge, ascending.  The edges must be facet pairs
+        of the simplex on r vertices."""
+        _, ends = _lower_ends(self.r, self.edges)
+        return indices_of(((1 << (1 << self.r)) - 1) ^ ends)
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,20 @@ def _bitset(faces: Iterable[int], r: int) -> int:
     for f in faces:
         buf[f >> 3] |= 1 << (f & 7)
     return int.from_bytes(buf, "little")
+
+
+def _lower_ends(r: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """L_j for each step j, the lower ends sigma of the edges (sigma, j) as
+    a bitset, set in one pass over the edges in byte buffers as `_bitset`
+    does; and the OR of every L_j and L_j << 2^j, the faces on an edge
+    when each edge is a facet pair."""
+    bufs = [bytearray(((1 << r) + 7) >> 3) for _ in range(r)]
+    for sigma, j in edges:
+        bufs[j][sigma >> 3] |= 1 << (sigma & 7)
+    ends, lower = 0, [int.from_bytes(buf, "little") for buf in bufs]
+    for j, low in enumerate(lower):
+        ends |= low | low << (1 << j)
+    return lower, ends
 
 
 def _prune(r: int, masks: list[int]) -> Matching:
@@ -314,24 +339,38 @@ def partial_prune_intersection(J: MonomialIdeal, K: MonomialIdeal) -> Matching:
 
 def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingReport:
     """Check that the edges form a homogeneous acyclic matching on the Taylor
-    complex of I.
+    complex of I.  All three verdicts read the bitsets L_j of the lower ends
+    of each step j (`_lower_ends`).
 
     `is_matching`: every edge (sigma, j) joins a face of the complex to the
-    face sigma + e_j, no face lies on two edges, and `matching.r == I.r`.  An
-    edge outside the complex (sigma < 0, sigma >= 2^r or j outside
-    range(r)) makes all three verdicts False before any degree is read.
+    face sigma + e_j (no L_j meets has[j], the faces holding j), no face
+    lies on two edges (the L_j and L_j << 2^j hold 2 len(edges) faces
+    between them), and `matching.r == I.r`.  An edge outside the complex
+    (sigma < 0, sigma >= 2^r or j outside range(r)) makes all three
+    verdicts False before any degree is read.
 
     `is_homogeneous`: both ends of every edge have the same lcm degree, read
-    as the lower end of each edge with j outside sigma lying in the step
-    mask M_j of the module docstring.
+    as L_j less has[j] lying in the step mask M_j of the module docstring.
 
     `is_acyclic`: no closed V-path (Forman; Chari).  A V-path runs from a
     matched-lower face sigma to its partner sigma + e_j and down to another
-    facet of that partner, so the matching is acyclic exactly when the flow
-    graph of `_flow_graph`, built without weights, has a topological order.
-    The test reads no degrees, so it covers degree-shift and partial
-    matchings alike.  Acyclicity is defined for matchings only: when the
-    edges are not vertex-disjoint, `is_acyclic` is False.
+    facet of that partner, so the flow graph on the matched-lower faces has
+    an arc from sigma in L_j to sigma + 2^j - 2^b for each member b of
+    sigma, and the matching is acyclic exactly when peeling the sinks of
+    that graph empties it (`_peel`).  The test reads no degrees, so it
+    covers degree-shift and partial matchings alike.  Acyclicity is defined
+    for matchings only: when the edges are not vertex-disjoint,
+    `is_acyclic` is False.
+
+    The peel takes one round per cell of the longest V-path, plus one, and a
+    round costs about r^2 shifts of a 2^r-bit int.  The sweeps' matchings
+    have short V-paths: 15 rounds on the pruned matching of cycle:15, 1 on
+    its Lyubeznik matching, and at most 4 on example-4-1 and the random
+    corpus.  A hand-built matching with a V-path of hundreds of cells costs
+    more than a topological sort of a flow-graph dict: one V-path of 140
+    edges through the 6-faces at r = 12 takes about 10 ms against 0.8 ms
+    for the sort, and one of 459 edges at r = 15 about 250 ms against
+    2.5 ms (CPython 3.11, one core).
 
     `r` must equal `I.r` (ValueError otherwise); it is read only for that.
     """
@@ -342,52 +381,66 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
     ):
         return MatchingReport(False, False, False)
 
-    seen: set[int] = set()
-    lower: list[list[int]] = [[] for _ in range(r)]
-    is_matching = matching.r == r
-    for sigma, j in matching.edges:
-        tau = sigma | (1 << j)
-        if sigma == tau or sigma in seen or tau in seen:
-            is_matching = False
-        if sigma != tau:
-            lower[j].append(sigma)
-        seen.add(sigma)
-        seen.add(tau)
-
+    lower, ends = _lower_ends(r, matching.edges)
+    has = _holders(r)
+    is_matching = (
+        matching.r == r
+        and not any(low & has[j] for j, low in enumerate(lower))
+        and ends.bit_count() == 2 * len(matching.edges)
+    )
     masks = _step_masks(TaylorComplex(I))
-    is_homogeneous = all(
-        not _bitset(faces, r) & ~mask for faces, mask in zip(lower, masks) if faces
+    # less has[j]: an edge with j in sigma fails the matching test alone
+    is_homogeneous = not any(
+        low & ~(mask | has[j]) for j, (low, mask) in enumerate(zip(lower, masks))
     )
-    is_acyclic = (
-        is_matching and _topological_order(_flow_graph(matching.edges)[0]) is not None
-    )
+    is_acyclic = is_matching and _peel(lower, has)
     return MatchingReport(is_matching, is_homogeneous, is_acyclic)
 
 
-def _flow_graph(
-    edges: Iterable[tuple[int, int]],
-    roots: Iterable[int] | None = None,
-    weighted: bool = False,
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """The gradient-flow graph of matched edges (sigma, j): succ maps sigma
-    to every facet f != sigma of up = sigma + e_j, in the order of `facets`.
-    Its paths are the V-paths of the matching.  With `weighted`, weights
-    maps sigma to the weights of those arcs, -[up : sigma] * [up : f] in the
-    signs of `facets`; otherwise it is empty.  The head f = up - e_b has
-    weight (-1)^m, m the number of members of sigma strictly between b and
-    j, so the weights are read in the same walk over sigma as the heads.
+def _peel(lower: list[int], has: list[int]) -> bool:
+    """Whether the flow graph of a matching, its nodes the lower ends L_j of
+    each step j, has no cycle: remove every live node with no live head
+    until none is left (acyclic) or a round removes nothing (a cycle).
 
-    With `roots`, only the matched-lower faces reachable from the roots are
-    nodes; otherwise every matched-lower face is.  No edge may have j in
-    sigma.
+    Node sigma in L_j has the heads sigma + 2^j - 2^b for the members b of
+    sigma, so its arcs to a live head through b are one shift of the live
+    set by 2^j - 2^b, masked by has[b]; heads that are no node are never
+    live."""
+    r = len(lower)
+    live = reduce(or_, lower, 0)
+    while live:
+        keep = 0
+        for j, low in enumerate(lower):
+            nodes = low & live
+            if nodes:
+                w, heads = 1 << j, 0
+                for b in range(r):
+                    if b != j:
+                        d = w - (1 << b)
+                        heads |= (live >> d if d > 0 else live << -d) & has[b]
+                keep |= nodes & heads
+        if keep == live:
+            return False
+        live = keep
+    return True
+
+
+def _flow_graph(
+    edges: Iterable[tuple[int, int]], roots: Iterable[int]
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The gradient-flow graph of matched edges (sigma, j) on the
+    matched-lower faces reachable from the roots: succ maps sigma to every
+    facet f != sigma of up = sigma + e_j, in the order of `facets`, and
+    weights maps sigma to the weights of those arcs, -[up : sigma] *
+    [up : f] in the signs of `facets`.  Its paths are the V-paths of the
+    matching.  The head f = up - e_b has weight (-1)^m, m the number of
+    members of sigma strictly between b and j, so the weights are read in
+    the same walk over sigma as the heads.  No edge may have j in sigma.
     """
     step = dict(edges)
     succ: dict[int, list[int]] = {}
     weights: dict[int, list[int]] = {}
-    if roots is None:
-        stack = list(step)
-    else:
-        stack = [c for c in roots if c in step]
+    stack = [c for c in roots if c in step]
     while stack:
         cell = stack.pop()
         if cell in succ:
@@ -397,16 +450,13 @@ def _flow_graph(
         members = indices_of(cell)
         # up less one member of sigma
         succ[cell] = heads = [up ^ 1 << b for b in members]
-        if weighted:
-            # members[t] has t members of sigma below it and j has `below`,
-            # so below - t - 1 lie between them when t < below, else t - below
-            below = (cell & (1 << j) - 1).bit_count()
-            weights[cell] = [
-                -1 if (below - t - (t < below)) & 1 else 1
-                for t in range(len(members))
-            ]
-        if roots is not None:
-            stack += [f for f in heads if f in step and f not in succ]
+        # members[t] has t members of sigma below it and j has `below`,
+        # so below - t - 1 lie between them when t < below, else t - below
+        below = (cell & (1 << j) - 1).bit_count()
+        weights[cell] = [
+            -1 if (below - t - (t < below)) & 1 else 1 for t in range(len(members))
+        ]
+        stack += [f for f in heads if f in step and f not in succ]
     return succ, weights
 
 

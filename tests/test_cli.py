@@ -284,8 +284,12 @@ class TestCommands:
         assert err == "error: split point 40 out of range for 18 generators\n"
 
     def test_check_rejects_nu(self, capsys):
-        code, _, err = run(capsys, "check", "exact", "--ideal", "path:5", "--method", "nu")
-        assert code == 1
+        # a refused flag value is a usage error, exit 2 like any other
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "exact", "--ideal", "path:5", "--method", "nu"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nu approximation" in captured.err
 
     @pytest.mark.parametrize("spec", ["rp2", "example-4-1"])
     def test_betti_nu_dump_complex_refused_before_pruning(

@@ -1,11 +1,12 @@
 """The matched-lower flow graph against the reference.
 
-`verify_matching` decides acyclicity by sorting the V-path graph on the
-matched-lower faces, and `morse_differential` walks the same graph, only
-the part reachable from critical facets.  Both are compared with
-`reference`: the topological sort of the full modified Hasse diagram over
-all 2^r faces, and the per-dimension flow walk over the whole topological
-order, on the tuple table.
+`verify_matching` decides acyclicity by peeling the sinks of the V-path
+graph on the matched-lower faces, held as one bitset per step, and
+`morse_differential` builds the part of the same graph reachable from
+critical facets and walks it in topological order.  Both are compared
+with `reference`: the topological sort of the full modified Hasse diagram
+over all 2^r faces, and the per-dimension flow walk over the whole
+topological order, on the tuple table.
 """
 import random
 
@@ -17,6 +18,7 @@ from prunres.monomials import MonomialIdeal
 from prunres.morse import InvalidMatchingError, morse_differential
 from prunres.pruning import (
     Matching,
+    MatchingReport,
     nu_prune,
     partial_prune_intersection,
     prune_lyubeznik,
@@ -71,6 +73,31 @@ def random_matchings(I, count, rng):
                 kept.append((sigma, j))
         out.append(Matching(I.r, tuple(kept)))
     return out
+
+
+def snake(r, k, steps, seed):
+    """A seeded random walk of at most `steps` V-path steps through the
+    k-faces of the simplex on r vertices, as its edges and its k-faces in
+    order.  A step from sigma takes a partner sigma + e_j that no edge has
+    yet and none of whose other facets the walk has visited, so every flow
+    arc runs forward along the walk and the edges are an acyclic matching.
+    """
+    rng = random.Random(seed)
+    sigma = sum(1 << b for b in rng.sample(range(r), k))
+    cells, edges, ups = [sigma], [], set()
+    while len(edges) < steps:
+        moves = []
+        for j in indices_of((1 << r) - 1 ^ sigma):
+            heads = [(sigma | 1 << j) ^ 1 << b for b in indices_of(sigma)]
+            if sigma | 1 << j not in ups and not any(f in cells for f in heads):
+                moves += [(j, f) for f in heads]
+        if not moves:
+            break
+        j, nxt = rng.choice(moves)
+        edges.append((sigma, j))
+        ups.add(sigma | 1 << j)
+        cells.append(sigma := nxt)
+    return edges, cells
 
 
 def _same_acyclicity(I, matching):
@@ -148,6 +175,53 @@ class TestAgainstReference:
                 cyclic += not _same_acyclicity(I, m)
                 _same_differential(I, m)
         assert cyclic >= 100
+
+
+class TestPeel:
+    """Deterministic inputs for the sink peel of `verify_matching`, whose
+    rounds follow the longest V-path."""
+
+    R = 12
+    EQUAL = parse_ideal("ring x\ngens " + ", ".join(["x"] * R))
+
+    def _snake(self):
+        # every face but the empty one has degree x, so each edge is
+        # homogeneous; cut the walk at the last cell adjacent to its first
+        edges, cells = snake(self.R, 6, 145, seed=53)
+        n = max(
+            i
+            for i, c in enumerate(cells)
+            if (c ^ cells[0]).bit_count() == 2
+            and c | cells[0] not in {s | 1 << j for s, j in edges[:i]}
+        )
+        return edges[:n], cells[: n + 1]
+
+    def test_long_snake_is_acyclic(self):
+        edges, _ = self._snake()
+        assert len(edges) == 140
+        m = Matching(self.R, tuple(edges))
+        assert verify_matching(self.R, m, self.EQUAL) == MatchingReport(True, True, True)
+        assert _same_acyclicity(self.EQUAL, m)
+
+    def test_snake_closed_into_a_cycle(self):
+        # one more edge pairs the last cell with the union of it and the
+        # first, whose facets include the first: a closed V-path of 141 cells
+        edges, cells = self._snake()
+        first, last = cells[0], cells[-1]
+        j = (first & ~last).bit_length() - 1
+        m = Matching(self.R, (*edges, (last, j)))
+        assert verify_matching(self.R, m, self.EQUAL) == MatchingReport(True, True, False)
+        assert not _same_acyclicity(self.EQUAL, m)
+
+    def test_duplicated_edge_is_no_matching(self):
+        I = parse_ideal("ring x y\ngens x, y")
+        m = Matching(2, ((0, 0), (0, 0)))
+        want = reference.verify_matching(I, m)
+        assert not want.is_matching
+        got = verify_matching(2, m, I)
+        assert (got.is_matching, got.is_homogeneous) == (False, want.is_homogeneous)
+        # acyclicity is defined for matchings only
+        assert not got.is_acyclic
 
 
 def test_facets_as_the_reference():

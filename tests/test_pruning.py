@@ -399,6 +399,13 @@ class TestVerifyMatching:
         with pytest.raises(morse.InvalidMatchingError, match="not a facet pair"):
             build(I, Matching(2, (edge,)), validate=validate)
 
+    @pytest.mark.parametrize("edge", OUTSIDE_EDGES + [(1, 0), (3, 1)])
+    def test_survivors_reject_edge_outside_the_complex(self, edge):
+        # the survivors are read from bitsets indexed by the edges' faces,
+        # where a negative face or step would wrap to another
+        with pytest.raises(ValueError, match="not a facet pair"):
+            Matching(2, (edge,)).survivors()
+
     def test_matching_on_another_complex(self):
         I = parse_ideal("ring x y\ngens x, y")
         other = Matching(3, ())
