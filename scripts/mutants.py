@@ -123,10 +123,47 @@ MUTANTS = [
     {
         "what": "verify_matching's homogeneity test dropped",
         "file": PRUNING,
-        "old": "    is_homogeneous = all(\n        not _bitset(faces, r) & ~mask",
-        "new": "    is_homogeneous = True or all(\n        not _bitset(faces, r) & ~mask",
+        "old": "        low & ~(mask | has[j]) for j, (low, mask)",
+        "new": "        False and low & ~(mask | has[j]) for j, (low, mask)",
         "recorded": "4c4ebf0",
         "nodes": [T_PRUNING + "TestVerifyMatching::test_inhomogeneous_detected"],
+    },
+    {
+        "what": "verify_matching's count of the faces on an edge dropped",
+        "file": PRUNING,
+        "old": "and ends.bit_count() == 2 * len(matching.edges)",
+        "new": "and True",
+        "recorded": "fa2afa3",
+        "nodes": [
+            T_FLOW + "TestPeel::test_duplicated_edge_is_no_matching",
+            T_PRUNING + "TestVerifyMatching::test_shared_vertex_rejected",
+        ],
+    },
+    # --- the acyclicity peel -------------------------------------------------
+    # The peel's b != j test has no mutant: the b = j term is masked by
+    # has[j], which no lower end of step j meets once the matching test has
+    # passed, so dropping the test changes no verdict.
+    {
+        "what": "the peel's shift sign flipped for b > j",
+        "file": PRUNING,
+        "old": "live >> d if d > 0 else live << -d",
+        "new": "live >> d if d > 0 else live >> -d",
+        "recorded": "fa2afa3",
+        "nodes": [
+            T_FLOW + "TestPeel::test_snake_closed_into_a_cycle",
+            T_PRUNING + "TestVerifyMatching::test_closed_v_path_is_cyclic",
+        ],
+    },
+    {
+        "what": "a peel round that keeps its sinks",
+        "file": PRUNING,
+        "old": "keep |= nodes & heads",
+        "new": "keep |= nodes",
+        "recorded": "fa2afa3",
+        "nodes": [
+            T_FLOW + "TestPeel::test_long_snake_is_acyclic",
+            T_PRUNING + "TestVerifyMatching::test_valid_examples",
+        ],
     },
     # --- gradient flow and the Morse differential --------------------------
     {
