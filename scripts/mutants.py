@@ -69,10 +69,52 @@ MUTANTS = [
     {
         "what": "a step's edges recorded out of the order of sigma",
         "file": PRUNING,
-        "old": "pruned += [(sigma, j) for sigma in indices_of(cand)]",
-        "new": "pruned += [(sigma, j) for sigma in reversed(indices_of(cand))]",
+        "old": "            for sigma in indices_of(low)\n        )",
+        "new": "            for sigma in reversed(indices_of(low))\n        )",
         "recorded": "23df57b",
-        "nodes": [T_PRUNING + "TestPruneTaylor::test_sweep_records_each_step_sorted"],
+        "nodes": [
+            T_PRUNING + "TestPruneTaylor::test_sweep_records_each_step_sorted",
+            T_PRUNING + "TestPruneTaylor::test_path5_trace",
+        ],
+    },
+    # --- the matching's bitsets and its edges view -------------------------
+    {
+        "what": "the edges view listed by step before sweep",
+        "file": PRUNING,
+        "old": (
+            "            for sweep in self.lower\n"
+            "            for j, low in enumerate(sweep)\n"
+            "            for sigma in indices_of(low)\n"
+        ),
+        "new": (
+            "            for j in range(self.r)\n"
+            "            for sweep in self.lower\n"
+            "            for sigma in indices_of(sweep[j])\n"
+        ),
+        "recorded": "this change",
+        "nodes": [T_PRUNING + "TestEdgesView::test_simplicial_cycle5_by_sweep_then_step"],
+    },
+    {
+        "what": "the edges view without the last sweep",
+        "file": PRUNING,
+        "old": "            for sweep in self.lower\n            for j, low in enumerate(sweep)\n",
+        "new": "            for sweep in self.lower[:-1]\n            for j, low in enumerate(sweep)\n",
+        "recorded": "this change",
+        "nodes": [
+            T_PRUNING + "TestPruneTaylor::test_path5_trace",
+            T_PRUNING + "TestEdgesView::test_builtins",
+        ],
+    },
+    {
+        "what": "the constructor's has[j] test removed (an edge with j in sigma accepted)",
+        "file": PRUNING,
+        "old": "                if wrong := low & has[j]:\n",
+        "new": "                if wrong := 0:\n",
+        "recorded": "this change",
+        "nodes": [
+            T_PRUNING + "TestVerifyMatching::test_edge_outside_the_complex",
+            T_PRUNING + "TestVerifyMatching::test_constructor_rejects_bitsets_outside_the_simplex",
+        ],
     },
     {
         "what": "the lowest bit of each run of g_j tested in place of the top bit",
@@ -112,27 +154,38 @@ MUTANTS = [
         "recorded": "db68fef",
         "nodes": [T_PRUNING + "TestPruneTaylor::test_path5_trace"],
     },
+    # The coface rule's "one step late" mutant (243d46a) read a per-edge dict
+    # of death steps, which the bitset filter replaced; these two take its
+    # place.
     {
-        "what": "the coface rule of simplicial pruning one step late",
+        "what": "the coface rule of simplicial pruning blind to earlier steps' kills",
         "file": PRUNING,
-        "old": "killed_at.get(up, r + 1) <= j + 1",
-        "new": "killed_at.get(up, r + 1) <= j + 2",
-        "recorded": "243d46a",
+        "old": "                live ^= low | low << (1 << j)\n",
+        "new": "                live = alive ^ low << (1 << j)\n",
+        "recorded": "this change",
         "nodes": [T_PRUNING + "TestSweepsAgainstReference::test_corpus200"],
+    },
+    {
+        "what": "the coface rule of simplicial pruning without has[k]",
+        "file": PRUNING,
+        "old": "(live & has[k]) >> (1 << k)",
+        "new": "live >> (1 << k)",
+        "recorded": "this change",
+        "nodes": [T_PRUNING + "TestPruneSimplicial::test_path5"],
     },
     {
         "what": "verify_matching's homogeneity test dropped",
         "file": PRUNING,
-        "old": "        low & ~(mask | has[j]) for j, (low, mask)",
-        "new": "        False and low & ~(mask | has[j]) for j, (low, mask)",
+        "old": "        low & ~mask for sweep in matching.lower",
+        "new": "        False and low & ~mask for sweep in matching.lower",
         "recorded": "4c4ebf0",
         "nodes": [T_PRUNING + "TestVerifyMatching::test_inhomogeneous_detected"],
     },
     {
         "what": "verify_matching's count of the faces on an edge dropped",
         "file": PRUNING,
-        "old": "and ends.bit_count() == 2 * len(matching.edges)",
-        "new": "and True",
+        "old": "is_matching = matching._critical().bit_count() == (1 << r) - 2 * edges",
+        "new": "is_matching = True",
         "recorded": "fa2afa3",
         "nodes": [
             T_FLOW + "TestPeel::test_duplicated_edge_is_no_matching",
@@ -166,6 +219,25 @@ MUTANTS = [
         ],
     },
     # --- gradient flow and the Morse differential --------------------------
+    # Roots are only where the walk starts: a superset of them, as every
+    # matched-lower face, leaves the differential as it is, so the mutant
+    # drops some.
+    {
+        "what": "the flow roots without the facets that lack the last generator",
+        "file": PRUNING,
+        "old": "(critical & has[b]) >> (1 << b) for b in range(r)]",
+        "new": "(critical & has[b]) >> (1 << b) for b in range(r - 1)]",
+        "recorded": "this change",
+        "nodes": [T_FLOW + "TestAgainstReference::test_builtins"],
+    },
+    {
+        "what": "a flow node's step taken as the lowest step missing from it",
+        "file": PRUNING,
+        "old": "        while not step_bytes[j][at] & bit:\n",
+        "new": "        while cell >> j & 1:\n",
+        "recorded": "this change",
+        "nodes": [T_FLOW + "TestAgainstReference::test_builtins"],
+    },
     {
         "what": "the flow heads taken from the partner's members, sigma among them",
         "file": PRUNING,

@@ -36,7 +36,6 @@ from .pruning import (
     Matching,
     empty_matching,
     lyubeznik_direct,
-    nu_prune,
     partial_prune_intersection,
     prune_lyubeznik,
     prune_simplicial,
@@ -76,7 +75,6 @@ __all__ = [
     "lyubeznik_direct",
     "minimal_generators",
     "morse_differential",
-    "nu_prune",
     "parse_ideal",
     "partial_prune_intersection",
     "path_ideal",

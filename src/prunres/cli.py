@@ -22,7 +22,6 @@ SWEEPS = {
     "pruned": pruning.prune_taylor,
     "simplicial": pruning.prune_simplicial,
     "lyubeznik": pruning.prune_lyubeznik,
-    "nu": pruning.nu_prune,
 }
 METHODS = tuple(SWEEPS)
 
@@ -64,8 +63,6 @@ def cmd_betti(args, out) -> int:
     else:
         complex_ = morse.critical_complex(I, matching, validate=False)
     table = betti_mod.betti_of_complex(complex_)
-    if args.method == "nu":
-        print("note: nu pruning is a degree-shift approximation", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(table.to_json_dict(), sort_keys=True), file=out)
     else:
@@ -123,13 +120,8 @@ def cmd_compare(args, out) -> int:
         matching = SWEEPS[method](I)
         C = morse.critical_complex(I, matching, validate=False)
         table = betti_mod.betti_of_complex(C)
-        flags = []
-        if table.same_entries(oracle):
-            flags.append("MINIMAL")
-        if method == "nu":
-            flags.append("(approximation)")
-        flag_s = (" " + " ".join(flags)) if flags else ""
-        print(f"{method:<11} totals {table.totals()}{flag_s}", file=out)
+        flag = " MINIMAL" if table.same_entries(oracle) else ""
+        print(f"{method:<11} totals {table.totals()}{flag}", file=out)
     return 0
 
 
@@ -247,8 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check":
         if args.what == "matching" and args.dump_complex:
             parser.error("check matching builds no complex: --dump-complex is unread")
-        if args.method == "nu":
-            parser.error("check does not accept the nu approximation")
         if args.char is None:
             args.char = 0
         elif args.what in ("matching", "dsquared"):
@@ -256,11 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "betti" and args.format == "json":
         if args.trace or args.dump_complex:
             parser.error("--format json prints JSON only: no --trace, --dump-complex")
-    if args.command == "betti" and args.method == "nu" and args.dump_complex:
-        parser.error(
-            "--method nu pairs faces of different degrees, so its Morse"
-            " differential has no monomial entries: no --dump-complex"
-        )
     try:
         return args.func(args, sys.stdout)
     except ideals.ParseError as exc:

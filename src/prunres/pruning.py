@@ -3,12 +3,13 @@
 All sweeps share the same skeleton: for step j = 1..r, prune the edge
 sigma -> sigma+e_j, sigma_j = 0, when both endpoints are still unmatched and
 the step's condition holds.  Pruning an edge removes both endpoints
-from the survivor pool immediately.  Each step's edges are recorded in
-canonical order of sigma.
+from the survivor pool immediately.
 
 The pool is a bitset over the 2^r faces, bit sigma being face sigma, and
-step j's condition is a mask M_j of lower ends (`_sweep`).  The masks are
-read from the generator degrees g_k alone, never from the degree table.
+step j's condition is a mask M_j of lower ends (`_sweep`).  What a step
+prunes is one bitset too, L_j, its lower ends, and a `Matching` is stored
+as those bitsets alone: its edges are read from them on demand.  The masks
+are read from the generator degrees g_k alone, never from the degree table.
 Let has[k] be the faces that hold generator k, and H_b the OR of has[k]
 over the k whose g_k has bit b.  The plain rule is M_j = ~has[j] & AND H_b
 over the top bits b of g_j: its set bits b with b + 1 not in g_j, or with
@@ -30,7 +31,7 @@ some generator holding b + 1 but not b.  Three facts make it the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable
 
@@ -40,36 +41,108 @@ from .taylor import TaylorComplex, indices_of
 
 @dataclass(frozen=True)
 class Matching:
-    """Pruned edges (sigma, j), sigma -> sigma + e_j, in pruning order: by
-    sweep, then by step, then by sigma.  Edge (sigma, j) was pruned at step
-    j + 1 of its sweep.
+    """A set of edges sigma -> sigma + e_j on the Taylor complex of r
+    generators, held as the bitsets of their lower ends: `lower[k][j]` is
+    L_j of sweep k + 1, bit sigma set when the sweep pruned (sigma, j) at
+    step j + 1.  `prune_simplicial` repeats its sweep until one prunes
+    nothing and lists only the sweeps before that one.
 
-    `sweeps[k]` is how many edges sweep k + 1 pruned, so the edges of one
-    sweep are a slice of `edges` and `sum(sweeps) == len(edges)`.
-    `prune_simplicial` repeats its sweep until one prunes nothing and lists
-    only the sweeps before that one; a hand-built `Matching(r, edges)` has
-    no sweeps.
+    Every sweep has r bitsets, and every L_j holds faces of the simplex
+    without j, so each bit is a facet pair; anything else raises ValueError
+    here, the one place that checks it.  A hand-built matching is given by
+    its edges through `from_edges`.  Its edges may share faces, which
+    `verify_matching` reports.
     """
 
     r: int
-    edges: tuple[tuple[int, int], ...]
-    sweeps: tuple[int, ...] = ()
+    lower: tuple[tuple[int, ...], ...] = ()
+
+    def __repr__(self) -> str:
+        # the bitsets of r >= 14 have more digits than str(int) allows
+        return f"Matching(r={self.r}, sweeps={self.sweeps})"
+
+    def __post_init__(self) -> None:
+        lower = tuple(map(tuple, self.lower))
+        object.__setattr__(self, "lower", lower)
+        if not lower:
+            return
+        has, width = _holders(self.r), 1 << self.r
+        for sweep in lower:
+            if len(sweep) != self.r:
+                raise ValueError(f"a sweep of {len(sweep)} steps on {self.r} generators")
+            for j, low in enumerate(sweep):
+                if low < 0 or low >> width:
+                    raise ValueError(f"step {j + 1} holds a face outside the simplex")
+                if wrong := low & has[j]:
+                    sigma = (wrong & -wrong).bit_length() - 1
+                    raise ValueError(f"edge {(sigma, j)} is not a facet pair")
+
+    @classmethod
+    def from_edges(
+        cls, r: int, edges: Iterable[tuple[int, int]], sweeps: Iterable[int] = ()
+    ) -> Matching:
+        """The edges (sigma, j), sigma -> sigma + e_j, as a matching:
+        `sweeps[k]` edges of `edges` after those of the sweeps before it
+        belong to sweep k + 1, and with no `sweeps` all of them belong to
+        one (none when there is no edge).  Within a sweep they may come in
+        any order.  ValueError for counts that do not add up to the edges,
+        an edge outside the simplex (sigma < 0, sigma >= 2^r or j outside
+        range(r)), before its bit is set, and an edge given twice in one
+        sweep, which its bitset cannot tell from one copy."""
+        edges, sweeps = list(edges), list(sweeps)
+        if not sweeps and edges:
+            sweeps = [len(edges)]
+        if sum(sweeps) != len(edges) or min(sweeps, default=0) < 0:
+            raise ValueError(f"sweeps of {sweeps} edges for {len(edges)} edges")
+        lower, start, size = [], 0, ((1 << r) + 7) >> 3
+        for n in sweeps:
+            bufs = [bytearray(size) for _ in range(r)]
+            for sigma, j in edges[start : start + n]:
+                if sigma < 0 or sigma >> r or not 0 <= j < r:
+                    raise ValueError(f"edge {(sigma, j)} is not a facet pair")
+                at, bit = sigma >> 3, 1 << (sigma & 7)
+                if bufs[j][at] & bit:
+                    raise ValueError(f"edge {(sigma, j)} is given twice in a sweep")
+                bufs[j][at] |= bit
+            lower.append([int.from_bytes(buf, "little") for buf in bufs])
+            start += n
+        return cls(r, tuple(lower))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (sigma, j), in pruning order: by sweep, then by step,
+        then by sigma.  Built from `lower` on first read."""
+        return tuple(
+            (sigma, j)
+            for sweep in self.lower
+            for j, low in enumerate(sweep)
+            for sigma in indices_of(low)
+        )
+
+    @property
+    def sweeps(self) -> tuple[int, ...]:
+        """How many edges each sweep pruned, so the edges of one sweep are a
+        slice of `edges`."""
+        return tuple(sum(map(int.bit_count, sweep)) for sweep in self.lower)
 
     def survivors(self) -> frozenset[int]:
-        """The faces on no edge.  ValueError for an edge that is no facet
-        pair of the simplex on r vertices (sigma < 0, sigma >= 2^r, j
-        outside range(r) or j in sigma)."""
-        r = self.r
-        for sigma, j in self.edges:
-            if sigma < 0 or sigma >> r or not 0 <= j < r or sigma >> j & 1:
-                raise ValueError(f"edge {(sigma, j)} is not a facet pair")
-        return frozenset(self._survivor_list())
+        """The faces on no edge."""
+        return frozenset(indices_of(self._critical()))
 
-    def _survivor_list(self) -> list[int]:
-        """The faces on no edge, ascending.  The edges must be facet pairs
-        of the simplex on r vertices."""
-        _, ends = _lower_ends(self.r, self.edges)
-        return indices_of(((1 << (1 << self.r)) - 1) ^ ends)
+    def _critical(self) -> int:
+        """The faces on no edge as a bitset: all 2^r faces less every L_j
+        and L_j << 2^j."""
+        ends = 0
+        for sweep in self.lower:
+            for j, low in enumerate(sweep):
+                ends |= low | low << (1 << j)
+        return ((1 << (1 << self.r)) - 1) ^ ends
+
+    def _steps(self) -> tuple[int, ...]:
+        """L_j of each step j over all sweeps."""
+        if len(self.lower) == 1:
+            return self.lower[0]
+        return tuple(reduce(or_, col, 0) for col in zip(*self.lower, [0] * self.r))
 
 
 @dataclass(frozen=True)
@@ -84,10 +157,11 @@ class MatchingReport:
 
 
 def empty_matching(I: MonomialIdeal) -> Matching:
-    return Matching(I.r, ())
+    return Matching(I.r)
 
 
-def _holders(r: int) -> list[int]:
+@lru_cache(maxsize=4)
+def _holders(r: int) -> tuple[int, ...]:
     """has[k] for each generator k, by doubling its period of 2^(k+1) faces,
     2^k without k and then 2^k with it."""
     out = []
@@ -96,7 +170,7 @@ def _holders(r: int) -> list[int]:
         while bits.bit_length() < 1 << r:  # the length is the period
             bits |= bits << bits.bit_length()
         out.append(bits)
-    return out
+    return tuple(out)
 
 
 def _step_masks(tc: TaylorComplex, above: bool = False) -> list[int]:
@@ -132,47 +206,23 @@ def _step_masks(tc: TaylorComplex, above: bool = False) -> list[int]:
     return masks
 
 
-def _sweep(masks: list[int], alive: int) -> tuple[list[tuple[int, int]], int]:
+def _sweep(masks: list[int], alive: int) -> list[int]:
     """One sweep of the survivor bitset `alive`, step j pruning the lower
-    ends in `masks[j]` whose partner is alive: its edges and the survivors.
-    A lower end lacks j and an upper end holds it, so no two candidates of
-    a step share an end, and all are pruned at once, in order of sigma."""
-    pruned: list[tuple[int, int]] = []
+    ends in `masks[j]` whose partner is alive: the lower ends L_j of each
+    step.  A lower end lacks j and an upper end holds it, so no two
+    candidates of a step share an end, and all are pruned at once."""
+    lower = []
     for j, mask in enumerate(masks):
         w = 1 << j
         cand = alive & alive >> w & mask
         if cand:
             alive ^= cand | cand << w
-            pruned += [(sigma, j) for sigma in indices_of(cand)]
-    return pruned, alive
-
-
-def _bitset(faces: Iterable[int], r: int) -> int:
-    """The faces as a bitset, set in a byte buffer: setting one bit of an
-    int costs its whole width."""
-    buf = bytearray(((1 << r) + 7) >> 3)
-    for f in faces:
-        buf[f >> 3] |= 1 << (f & 7)
-    return int.from_bytes(buf, "little")
-
-
-def _lower_ends(r: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """L_j for each step j, the lower ends sigma of the edges (sigma, j) as
-    a bitset, set in one pass over the edges in byte buffers as `_bitset`
-    does; and the OR of every L_j and L_j << 2^j, the faces on an edge
-    when each edge is a facet pair."""
-    bufs = [bytearray(((1 << r) + 7) >> 3) for _ in range(r)]
-    for sigma, j in edges:
-        bufs[j][sigma >> 3] |= 1 << (sigma & 7)
-    ends, lower = 0, [int.from_bytes(buf, "little") for buf in bufs]
-    for j, low in enumerate(lower):
-        ends |= low | low << (1 << j)
-    return lower, ends
+        lower.append(cand)
+    return lower
 
 
 def _prune(r: int, masks: list[int]) -> Matching:
-    edges, _ = _sweep(masks, (1 << (1 << r)) - 1)
-    return Matching(r, tuple(edges), (len(edges),))
+    return Matching(r, (_sweep(masks, (1 << (1 << r)) - 1),))
 
 
 def prune_taylor(I: MonomialIdeal) -> Matching:
@@ -220,27 +270,6 @@ def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
     return frozenset(out)
 
 
-def nu_prune(I: MonomialIdeal) -> Matching:
-    """Pruned matching followed by a total-degree-shift pass on the survivors.
-
-    The second pass prunes sigma -> sigma+e_j when the total degrees differ by
-    exactly one; it is a degree-shift matching, so the combined result is an
-    approximation only and is excluded from exactness claims.  The empty face
-    never participates as a lower endpoint.
-    """
-    tc = TaylorComplex(I)
-    r = I.r
-    first, alive = _sweep(_step_masks(tc), (1 << (1 << r)) - 1)
-    total = [sum(tc.exponents(f)) for f in tc.faces()]
-    lower: list[list[int]] = [[] for _ in range(r)]
-    for sigma in range(1, 1 << r):
-        for j in indices_of((1 << r) - 1 ^ sigma):
-            if total[sigma | 1 << j] == total[sigma] + 1:
-                lower[j].append(sigma)
-    second, _ = _sweep([_bitset(faces, r) for faces in lower], alive)
-    return Matching(r, tuple(first + second), (len(first), len(second)))
-
-
 def prune_simplicial(I: MonomialIdeal) -> Matching:
     """Pruning filtered so the surviving faces stay closed under subsets.
 
@@ -269,40 +298,37 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
     The live set starts as every face and stays closed under subsets: the
     superfaces of a lower end sigma of a self-consistent edge all die with
     it, and those of its upper end are superfaces of sigma too.
+
+    The filter runs on the step bitsets.  Let B_j be the faces still live
+    after step j + 1, those alive when the sweep began less both ends of
+    each edge kept at steps up to j + 1.  A lower end sigma of step j has a
+    live coface sigma + e_k, k not in sigma, iff sigma lies in the OR over
+    k of (B_j & has[k]) >> 2^k; k = j adds nothing, sigma + e_j being
+    gone with its edge.
     """
-    r, full = I.r, (1 << I.r) - 1
-    masks = _step_masks(TaylorComplex(I))
-    alive, dead = (1 << (1 << r)) - 1, set()
-    edges: list[tuple[int, int]] = []
-    sweeps: list[int] = []
+    r = I.r
+    masks, has = _step_masks(TaylorComplex(I)), _holders(I.r)
+    alive, lower = (1 << (1 << r)) - 1, []
     for sweep_no in range(1, (1 << r) + 2):
         if sweep_no == (1 << r) + 1:
             raise RuntimeError("simplicial pruning failed to reach a fixpoint")
-        kept, _ = _sweep(masks, alive)
+        kept = _sweep(masks, alive)
         while True:
-            killed_at: dict[int, int] = {}  # cell -> step when it dies this sweep
-            for sigma, j in kept:
-                killed_at[sigma] = killed_at[sigma | (1 << j)] = j + 1
-            ok = [
-                (sigma, j)
-                for sigma, j in kept
-                if all(
-                    killed_at.get(up, r + 1) <= j + 1
-                    for k in indices_of(full ^ sigma ^ 1 << j)
-                    if (up := sigma | 1 << k) not in dead
-                )
-            ]
-            if len(ok) == len(kept):
+            live, ok = alive, []
+            for j, low in enumerate(kept):
+                live ^= low | low << (1 << j)
+                if low:
+                    cofaces = [(live & has[k]) >> (1 << k) for k in range(r)]
+                    low &= ~reduce(or_, cofaces)
+                ok.append(low)
+            if ok == kept:
                 break
             kept = ok
-        if not kept:
+        if not any(kept):
             break
-        sweeps.append(len(kept))
-        ends = [sigma | b for sigma, j in kept for b in (0, 1 << j)]
-        alive ^= _bitset(ends, r)
-        dead.update(ends)
-        edges += kept
-    return Matching(r, tuple(edges), tuple(sweeps))
+        lower.append(kept)
+        alive ^= reduce(or_, [low | low << (1 << j) for j, low in enumerate(kept)])
+    return Matching(r, tuple(lower))
 
 
 def intersection_generators(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
@@ -340,17 +366,15 @@ def partial_prune_intersection(J: MonomialIdeal, K: MonomialIdeal) -> Matching:
 def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingReport:
     """Check that the edges form a homogeneous acyclic matching on the Taylor
     complex of I.  All three verdicts read the bitsets L_j of the lower ends
-    of each step j (`_lower_ends`).
+    of each step j, whose edges are facet pairs (`Matching`).
 
-    `is_matching`: every edge (sigma, j) joins a face of the complex to the
-    face sigma + e_j (no L_j meets has[j], the faces holding j), no face
-    lies on two edges (the L_j and L_j << 2^j hold 2 len(edges) faces
-    between them), and `matching.r == I.r`.  An edge outside the complex
-    (sigma < 0, sigma >= 2^r or j outside range(r)) makes all three
+    `is_matching`: no face lies on two edges (the L_j and L_j << 2^j of
+    every sweep hold twice as many faces between them as there are edges,
+    so 2^r less that many are on none), and `matching.r == I.r`.  A matching on another r makes all three
     verdicts False before any degree is read.
 
     `is_homogeneous`: both ends of every edge have the same lcm degree, read
-    as L_j less has[j] lying in the step mask M_j of the module docstring.
+    as each L_j lying in the step mask M_j of the module docstring.
 
     `is_acyclic`: no closed V-path (Forman; Chari).  A V-path runs from a
     matched-lower face sigma to its partner sigma + e_j and down to another
@@ -376,28 +400,19 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
     """
     if r != I.r:
         raise ValueError(f"r = {r} but the ideal has {I.r} generators")
-    if any(
-        sigma < 0 or sigma >> r or not 0 <= j < r for sigma, j in matching.edges
-    ):
+    if matching.r != r:
         return MatchingReport(False, False, False)
-
-    lower, ends = _lower_ends(r, matching.edges)
-    has = _holders(r)
-    is_matching = (
-        matching.r == r
-        and not any(low & has[j] for j, low in enumerate(lower))
-        and ends.bit_count() == 2 * len(matching.edges)
-    )
+    edges = sum(map(int.bit_count, (low for sweep in matching.lower for low in sweep)))
+    is_matching = matching._critical().bit_count() == (1 << r) - 2 * edges
     masks = _step_masks(TaylorComplex(I))
-    # less has[j]: an edge with j in sigma fails the matching test alone
     is_homogeneous = not any(
-        low & ~(mask | has[j]) for j, (low, mask) in enumerate(zip(lower, masks))
+        low & ~mask for sweep in matching.lower for low, mask in zip(sweep, masks)
     )
-    is_acyclic = is_matching and _peel(lower, has)
+    is_acyclic = is_matching and _peel(matching._steps(), _holders(r))
     return MatchingReport(is_matching, is_homogeneous, is_acyclic)
 
 
-def _peel(lower: list[int], has: list[int]) -> bool:
+def _peel(lower: tuple[int, ...], has: tuple[int, ...]) -> bool:
     """Whether the flow graph of a matching, its nodes the lower ends L_j of
     each step j, has no cycle: remove every live node with no live head
     until none is left (acyclic) or a round removes nothing (a cycle).
@@ -426,26 +441,43 @@ def _peel(lower: list[int], has: list[int]) -> bool:
 
 
 def _flow_graph(
-    edges: Iterable[tuple[int, int]], roots: Iterable[int]
+    steps: tuple[int, ...], critical: int
 ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """The gradient-flow graph of matched edges (sigma, j) on the
-    matched-lower faces reachable from the roots: succ maps sigma to every
-    facet f != sigma of up = sigma + e_j, in the order of `facets`, and
-    weights maps sigma to the weights of those arcs, -[up : sigma] *
+    """The gradient-flow graph of a matching on the matched-lower faces
+    reachable from the facets of critical cells, given the lower ends L_j of
+    each step j and the critical cells as bitsets: succ maps sigma in L_j to
+    every facet f != sigma of up = sigma + e_j, in the order of `facets`,
+    and weights maps sigma to the weights of those arcs, -[up : sigma] *
     [up : f] in the signs of `facets`.  Its paths are the V-paths of the
     matching.  The head f = up - e_b has weight (-1)^m, m the number of
     members of sigma strictly between b and j, so the weights are read in
-    the same walk over sigma as the heads.  No edge may have j in sigma.
-    """
-    step = dict(edges)
+    the same walk over sigma as the heads.
+
+    The roots, the matched-lower facets of critical cells, are one bitset:
+    the faces of some L_j in the OR over b of (critical & has[b]) >> 2^b.
+    A complex whose critical cells are closed under faces has none, and
+    then no graph is built.  The walk reads the bitsets as bytes: a head is
+    a node when its bit is set in the OR of the L_j, and a node's step j
+    is the first whose L_j has its bit."""
+    r = len(steps)
+    has = _holders(r)
+    nodes = reduce(or_, steps, 0)
+    roots = nodes & reduce(or_, [(critical & has[b]) >> (1 << b) for b in range(r)], 0)
     succ: dict[int, list[int]] = {}
     weights: dict[int, list[int]] = {}
-    stack = [c for c in roots if c in step]
+    if not roots:
+        return succ, weights
+    size = ((1 << r) + 7) >> 3
+    is_node = nodes.to_bytes(size, "little")
+    step_bytes = [low.to_bytes(size, "little") for low in steps]
+    stack = indices_of(roots)
     while stack:
         cell = stack.pop()
         if cell in succ:
             continue
-        j = step[cell]
+        at, bit, j = cell >> 3, 1 << (cell & 7), 0
+        while not step_bytes[j][at] & bit:
+            j += 1
         up = cell | 1 << j
         members = indices_of(cell)
         # up less one member of sigma
@@ -456,7 +488,7 @@ def _flow_graph(
         weights[cell] = [
             -1 if (below - t - (t < below)) & 1 else 1 for t in range(len(members))
         ]
-        stack += [f for f in heads if f in step and f not in succ]
+        stack += [f for f in heads if is_node[f >> 3] >> (f & 7) & 1 and f not in succ]
     return succ, weights
 
 

@@ -128,8 +128,9 @@ def check_pruned_splitting(
 
 
 def check_last_generator(I: MonomialIdeal) -> bool:
-    """True iff the pruned matching never prunes at the final step; this is
-    the sufficient condition for splitting off the last generator."""
+    """True iff the pruned matching never prunes at the final step, its last
+    bitset of lower ends being empty; this is the sufficient condition for
+    splitting off the last generator."""
     if I.r < 2:
         raise ValueError("need at least two generators")
-    return all(j != I.r - 1 for _, j in prune_taylor(I).edges)
+    return not any(sweep[-1] for sweep in prune_taylor(I).lower)

@@ -13,8 +13,9 @@ is recorded in `scripts/mutants.py`, which checks that it is still caught.
   faces.  `PolarizedTupleTable` gives it degree bitmasks in plain
   polarization, for the library code that reads `degree` and `decode`.
 - The set-based sweeps on that table: `prune_taylor`, `prune_lyubeznik`,
-  `nu_prune`, `prune_simplicial` and `partial_prune_intersection`, each
-  step testing every surviving face through callbacks.
+  `prune_simplicial` and `partial_prune_intersection`, each step testing
+  every surviving face through callbacks and listing its edges, handed to
+  `Matching.from_edges`.
 - `verify_matching`, by a topological sort of the modified Hasse diagram
   over all 2^r faces, and `morse_differential`, by the per-dimension flow
   walk over the whole topological order.
@@ -157,7 +158,7 @@ def _sweep(
 
     Within step j a lower end has bit j clear and an upper end has it set,
     so pruning one edge never removes another candidate's end: the step's
-    edges do not depend on the scan order, and only they are sorted.
+    edges do not depend on the scan order.
     """
     pruned: list[tuple[int, int]] = []
     for j in range(tc.r):
@@ -175,7 +176,6 @@ def _sweep(
                 alive.discard(sigma)
                 alive.discard(tau)
                 lower.append(sigma)
-        lower.sort()
         pruned += [(sigma, j) for sigma in lower]
     return pruned
 
@@ -191,7 +191,7 @@ def _prune_with(
     """One pruning sweep; `eligible(sigma, j)` filters candidate edges before
     the homogeneity test, and None gives the plain pruned matching."""
     edges = _sweep(tc, set(tc.faces()), eligible, _same_degree(tc))
-    return Matching(tc.r, tuple(edges), (len(edges),))
+    return Matching.from_edges(tc.r, edges, (len(edges),))
 
 
 def prune_taylor(I: MonomialIdeal) -> Matching:
@@ -211,19 +211,6 @@ def prune_lyubeznik(I: MonomialIdeal) -> Matching:
         return _divides(gens[j], tc.exponents(sigma & ~((1 << (j + 1)) - 1)))
 
     return _prune_with(tc, eligible)
-
-
-def nu_prune(I: MonomialIdeal) -> Matching:
-    """Pruned matching followed by a total-degree-shift pass on the survivors:
-    sigma -> sigma+e_j when the total degrees differ by exactly one, the
-    empty face never a lower end."""
-    tc = _table(I)
-    alive = set(tc.faces())
-    first = _sweep(tc, alive, None, _same_degree(tc))
-    total = lambda mask: sum(tc.exponents(mask))
-    shift = lambda s, t: s != 0 and total(s) == total(t) - 1
-    second = _sweep(tc, alive, None, shift)
-    return Matching(I.r, tuple(first + second), (len(first), len(second)))
 
 
 def prune_simplicial(I: MonomialIdeal) -> Matching:
@@ -271,7 +258,7 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
             alive.discard(sigma)
             alive.discard(sigma | (1 << j))
         edges += kept
-    return Matching(r, tuple(edges), tuple(sweeps))
+    return Matching.from_edges(r, edges, sweeps)
 
 
 def partial_prune_intersection(J: MonomialIdeal, K: MonomialIdeal) -> Matching:
@@ -298,7 +285,7 @@ def partial_prune_intersection(J: MonomialIdeal, K: MonomialIdeal) -> Matching:
         lambda sigma, j: involved(sigma) & pair_masks[j] == pair_masks[j],
         lambda sigma, tau: True,
     )
-    return Matching(grid.r, tuple(edges), (len(edges),))
+    return Matching.from_edges(grid.r, edges, (len(edges),))
 
 
 # --- the Morse complex -------------------------------------------------------

@@ -196,6 +196,9 @@ class TestCommands:
         assert code == 0
         lines = out.splitlines()
         assert "(1, 10, 15, 7, 1)" in lines[0]
+        assert [l.split()[0] for l in lines[1:]] == [
+            "taylor", "pruned", "simplicial", "lyubeznik"
+        ]
         pruned_line = next(l for l in lines if l.startswith("pruned"))
         assert "(1, 10, 15, 7, 1)" in pruned_line and "MINIMAL" in pruned_line
         lyub_line = next(l for l in lines if l.startswith("lyubeznik"))
@@ -283,30 +286,6 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == "error: split point 40 out of range for 18 generators\n"
 
-    def test_check_rejects_nu(self, capsys):
-        # a refused flag value is a usage error, exit 2 like any other
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "exact", "--ideal", "path:5", "--method", "nu"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "nu approximation" in captured.err
-
-    @pytest.mark.parametrize("spec", ["rp2", "example-4-1"])
-    def test_betti_nu_dump_complex_refused_before_pruning(
-        self, capsys, monkeypatch, spec
-    ):
-        # a degree-shift matching has no monomial Morse differential: the
-        # pair once pruned and then failed with a non-divisible entry
-        def sweep(I):
-            raise AssertionError("pruned before the flags were checked")
-
-        monkeypatch.setitem(cli.SWEEPS, "nu", sweep)
-        with pytest.raises(SystemExit) as exc:
-            main(["betti", "--ideal", spec, "--method", "nu", "--dump-complex"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--dump-complex" in captured.err
-
     def test_true_betti_json(self, capsys):
         code, out, _ = run(
             capsys,
@@ -326,19 +305,8 @@ class TestCommands:
             totals[i] = totals.get(i, 0) + c
         assert [totals[i] for i in sorted(totals)] == [1, 10, 15, 7, 1]
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_nu_note_on_stderr(self, capsys, fmt):
-        code, out, err = run(
-            capsys, "betti", "--ideal", "rp2", "--method", "nu", "--format", fmt
-        )
-        assert code == 0
-        assert err == "note: nu pruning is a degree-shift approximation\n"
-        assert "note" not in out
-        if fmt == "json":
-            assert set(json.loads(out)) == {"graded", "multigraded"}
-
     def test_betti_json_is_one_document(self, capsys):
-        for method in ("pruned", "nu"):
+        for method in cli.METHODS:
             code, out, _ = run(
                 capsys, "betti", "--ideal", "rp2", "--method", method,
                 "--format", "json",

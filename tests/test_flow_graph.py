@@ -13,13 +13,18 @@ import random
 import pytest
 
 import reference
-from prunres.ideals import cycle_ideal, parse_ideal, path_ideal, random_corpus
+from prunres.ideals import (
+    builtin_ideal,
+    cycle_ideal,
+    parse_ideal,
+    path_ideal,
+    random_corpus,
+)
 from prunres.monomials import MonomialIdeal
 from prunres.morse import InvalidMatchingError, morse_differential
 from prunres.pruning import (
     Matching,
     MatchingReport,
-    nu_prune,
     partial_prune_intersection,
     prune_lyubeznik,
     prune_simplicial,
@@ -32,7 +37,7 @@ from prunres.taylor import facets, indices_of
 
 # --- inputs -----------------------------------------------------------------
 
-SWEEPS = (prune_taylor, prune_simplicial, prune_lyubeznik, nu_prune)
+SWEEPS = (prune_taylor, prune_simplicial, prune_lyubeznik)
 
 
 def _split(I, s):
@@ -71,7 +76,7 @@ def random_matchings(I, count, rng):
             if sigma not in used and tau not in used:
                 used |= {sigma, tau}
                 kept.append((sigma, j))
-        out.append(Matching(I.r, tuple(kept)))
+        out.append(Matching.from_edges(I.r, kept))
     return out
 
 
@@ -167,6 +172,23 @@ class TestAgainstReference:
             for sweep in SWEEPS:
                 _check(I, sweep(I))
 
+    @pytest.mark.parametrize(
+        "spec, shifts",
+        [
+            ("path:5", ((2, 0), (4, 1), (9, 1), (8, 2))),
+            ("path:6", ((2, 0), (18, 0), (4, 1), (9, 1), (25, 1), (8, 2), (16, 3))),
+        ],
+    )
+    def test_degree_shift_matching(self, builtins, spec, shifts):
+        # the pruned matching, then a second sweep of edges whose ends differ
+        # by one in total degree: acyclic but not homogeneous, so path:6's
+        # flow reaches an entry whose row degree does not divide its column's
+        I = builtin_ideal(spec)
+        first = prune_taylor(I).edges
+        m = Matching.from_edges(I.r, first + shifts, (len(first), len(shifts)))
+        assert verify_matching(I.r, m, I) == MatchingReport(True, False, True)
+        _check(I, m)
+
     def test_random_matchings(self, corpus200):
         rng = random.Random(20250808)
         cyclic = 0
@@ -199,7 +221,7 @@ class TestPeel:
     def test_long_snake_is_acyclic(self):
         edges, _ = self._snake()
         assert len(edges) == 140
-        m = Matching(self.R, tuple(edges))
+        m = Matching.from_edges(self.R, edges)
         assert verify_matching(self.R, m, self.EQUAL) == MatchingReport(True, True, True)
         assert _same_acyclicity(self.EQUAL, m)
 
@@ -209,13 +231,18 @@ class TestPeel:
         edges, cells = self._snake()
         first, last = cells[0], cells[-1]
         j = (first & ~last).bit_length() - 1
-        m = Matching(self.R, (*edges, (last, j)))
+        m = Matching.from_edges(self.R, (*edges, (last, j)))
         assert verify_matching(self.R, m, self.EQUAL) == MatchingReport(True, True, False)
         assert not _same_acyclicity(self.EQUAL, m)
 
     def test_duplicated_edge_is_no_matching(self):
+        # one sweep's bitset cannot hold an edge twice, so it is refused;
+        # the same edge in two sweeps puts both its faces on two edges
+        with pytest.raises(ValueError, match="given twice"):
+            Matching.from_edges(2, ((0, 0), (0, 0)))
         I = parse_ideal("ring x y\ngens x, y")
-        m = Matching(2, ((0, 0), (0, 0)))
+        m = Matching.from_edges(2, ((0, 0), (0, 0)), (1, 1))
+        assert (m.edges, m.sweeps) == (((0, 0), (0, 0)), (1, 1))
         want = reference.verify_matching(I, m)
         assert not want.is_matching
         got = verify_matching(2, m, I)

@@ -57,7 +57,7 @@ class TestCriticalComplex:
 
     def test_invalid_matching_rejected(self):
         I = parse_ideal("ring x y\ngens x, y")
-        bad = Matching(2, ((0, 0), (0, 1)))
+        bad = Matching.from_edges(2, ((0, 0), (0, 1)))
         with pytest.raises(InvalidMatchingError):
             critical_complex(I, bad)
 
@@ -74,22 +74,16 @@ class TestCriticalComplex:
 class TestMorseDifferential:
     def test_closed_v_path_rejected(self):
         I = parse_ideal("ring x\ngens x, x, x")
-        cyclic = Matching(3, ((0b001, 1), (0b010, 2), (0b100, 0)))
+        cyclic = Matching.from_edges(3, ((0b001, 1), (0b010, 2), (0b100, 0)))
         with pytest.raises(InvalidMatchingError):
             morse_differential(I, cyclic, validate=True)
-
-    def test_edge_inside_its_face_rejected(self):
-        # (sigma, j) with j in sigma pairs a face with itself
-        I = parse_ideal("ring x y\ngens x, y")
-        with pytest.raises(InvalidMatchingError):
-            morse_differential(I, Matching(2, ((1, 0),)), validate=False)
 
     def test_boundary_column_skips_a_matched_upper_facet(self):
         # the top cell {0,1,2} has no flow node among its facets, so its
         # column is the boundary walk; its first facet {1,2} is matched-upper
         # and has no row, but still flips the sign of the facets after it
         I = parse_ideal("ring a b c; gens a, b*c, b")
-        m = Matching(3, ((0b010, 2),))
+        m = Matching.from_edges(3, ((0b010, 2),))
         assert verify_matching(3, m, I).all_ok
         C = morse_differential(I, m)
         assert C.cells[2:] == ((0b011, 0b101), (0b111,))

@@ -25,7 +25,6 @@ from prunres.pruning import (
     empty_matching,
     intersection_generators,
     lyubeznik_direct,
-    nu_prune,
     partial_prune_intersection,
     prune_lyubeznik,
     prune_simplicial,
@@ -39,7 +38,7 @@ from conftest import METHODS
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SWEEPS = ("prune_taylor", "prune_lyubeznik", "prune_simplicial", "nu_prune")
+SWEEPS = ("prune_taylor", "prune_lyubeznik", "prune_simplicial")
 
 
 def vec(mask, r):
@@ -119,13 +118,14 @@ class TestPruneTaylor:
                 assert len(cells) == len(set(cells))
 
     def test_sweep_records_each_step_sorted(self):
-        # a step takes all its edges at once: they are recorded in canonical
-        # order of sigma, and both ends of each leave the pool
+        # a step takes all its edges at once, both ends of each leaving the
+        # pool (else step 4 would pair 0b0001 with 0b1001), and the edges
+        # view lists them in canonical order of sigma
         tc = TaylorComplex(parse_ideal("ring x; gens x, x, x, x"))
-        alive = pruning._bitset([0b0001, 0b0101, 0b1001, 0b1101], 4)
-        edges, alive = pruning._sweep(pruning._step_masks(tc), alive)
-        assert edges == [(0b0001, 2), (0b1001, 2)]
-        assert not alive
+        alive = sum(1 << f for f in (0b0001, 0b0101, 0b1001, 0b1101))
+        lower = pruning._sweep(pruning._step_masks(tc), alive)
+        assert lower == [0, 0, 1 << 0b0001 | 1 << 0b1001, 0]
+        assert Matching(4, (lower,)).edges == ((0b0001, 2), (0b1001, 2))
 
 
 class TestPruneSimplicial:
@@ -160,6 +160,42 @@ class TestPruneSimplicial:
             m = prune_simplicial(I)
             first = set(m.edges[: m.sweeps[0]] if m.sweeps else ())
             assert first <= plain
+
+
+class TestEdgesView:
+    """`edges` and `sweeps` are read from the step bitsets, and give the
+    matching back through `Matching.from_edges`."""
+
+    @staticmethod
+    def _round_trip(ideals):
+        for I in ideals:
+            for name in SWEEPS:
+                m = getattr(pruning, name)(I)
+                assert Matching.from_edges(I.r, m.edges, m.sweeps) == m, (name, I)
+
+    def test_corpus200(self, corpus200):
+        self._round_trip(corpus200)
+
+    def test_builtins(self, builtins):
+        self._round_trip(builtins.values())
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycles(self, n):
+        self._round_trip([cycle_ideal(n)])
+
+    def test_simplicial_cycle5_by_sweep_then_step(self, cycle5):
+        m = prune_simplicial(cycle5)
+        assert m.sweeps == (6, 2)
+        assert [(vec(s, 5), j + 1) for s, j in m.edges] == [
+            ("01001", 1),
+            ("01101", 1),
+            ("01011", 1),
+            ("01111", 1),
+            ("00101", 4),
+            ("10101", 4),
+            ("10100", 2),
+            ("10110", 2),
+        ]
 
 
 class TestSweepsAgainstReference:
@@ -253,33 +289,6 @@ class TestPruneLyubeznik:
             assert prune_lyubeznik(I).survivors() == lyubeznik_direct(I)
 
 
-class TestNuPrune:
-    def test_x_y(self):
-        I = parse_ideal("ring x y\ngens x, y")
-        m = nu_prune(I)
-        # canonical order prunes the step-1 candidate ({y}, 1) first
-        assert m.edges == ((0b10, 0),)
-        assert m.survivors() == frozenset({0b00, 0b01})
-        rep = verify_matching(I.r, m, I)
-        assert rep.is_matching and rep.is_acyclic
-
-    def test_single_generator_no_second_pass(self):
-        I = parse_ideal("ring x1 x2\ngens x1*x2")
-        assert nu_prune(I).edges == ()
-
-    def test_path5_golden_trace(self, path5):
-        m = nu_prune(path5)
-        second = list(m.edges[m.sweeps[0] :])
-        assert second == [(2, 0), (4, 1), (9, 1), (8, 2)]
-        assert len(m.survivors()) == 2
-
-    def test_combined_graph_valid(self, corpus40):
-        for I in corpus40[:25]:
-            m = nu_prune(I)
-            rep = verify_matching(I.r, m, I)
-            assert rep.is_matching and rep.is_acyclic
-
-
 class TestPartialPruning:
     @staticmethod
     def _split(I, s):
@@ -360,7 +369,7 @@ class TestVerifyMatching:
 
     def test_shared_vertex_rejected(self):
         I = parse_ideal("ring x y\ngens x, y")
-        bad = Matching(2, ((0, 0), (0, 1)))
+        bad = Matching.from_edges(2, ((0, 0), (0, 1)))
         rep = verify_matching(2, bad, I)
         assert not rep.is_matching
         # acyclicity is defined for matchings only
@@ -368,7 +377,7 @@ class TestVerifyMatching:
 
     def test_inhomogeneous_detected(self):
         I = parse_ideal("ring x y\ngens x, y")
-        bad = Matching(2, ((0b01, 1),))  # {x} -> {x,y} shifts degree
+        bad = Matching.from_edges(2, ((0b01, 1),))  # {x} -> {x,y} shifts degree
         rep = verify_matching(2, bad, I)
         assert rep.is_matching and not rep.is_homogeneous
 
@@ -376,35 +385,41 @@ class TestVerifyMatching:
         # {0} -> {0,1} -> {1} -> {1,2} -> {2} -> {0,2} -> {0}, through
         # homogeneous edges, since the three generators are equal
         I = parse_ideal("ring x\ngens x, x, x")
-        cyclic = Matching(3, ((0b001, 1), (0b010, 2), (0b100, 0)))
+        cyclic = Matching.from_edges(3, ((0b001, 1), (0b010, 2), (0b100, 0)))
         rep = verify_matching(3, cyclic, I)
         assert rep.is_matching and rep.is_homogeneous
         assert not rep.is_acyclic and not rep.all_ok
 
-    @pytest.mark.parametrize("edge", OUTSIDE_EDGES)
+    @pytest.mark.parametrize("edge", OUTSIDE_EDGES + [(1, 0), (3, 1)])
     def test_edge_outside_the_complex(self, edge):
-        I = parse_ideal("ring x y\ngens x, y")
-        rep = verify_matching(2, Matching(2, (edge,)), I)
-        assert (rep.is_matching, rep.is_homogeneous, rep.is_acyclic) == (False,) * 3
-
-    @pytest.mark.parametrize("validate", [True, False])
-    @pytest.mark.parametrize("build", [critical_complex, morse_differential])
-    @pytest.mark.parametrize("edge", OUTSIDE_EDGES + [(1, 0), (3, 1)])
-    def test_builders_reject_edge_outside_the_complex(self, edge, build, validate):
-        # without validation, (0, 5) once dropped the empty face, (1, 2) gave
-        # ranks (1, 1, 1), (4, 0) and (-2, 0) were ignored and (0, -1) raised
-        # a bare ValueError; an edge whose j lies in sigma pairs a face with
-        # itself
-        I = parse_ideal("ring x y\ngens x, y")
-        with pytest.raises(morse.InvalidMatchingError, match="not a facet pair"):
-            build(I, Matching(2, (edge,)), validate=validate)
-
-    @pytest.mark.parametrize("edge", OUTSIDE_EDGES + [(1, 0), (3, 1)])
-    def test_survivors_reject_edge_outside_the_complex(self, edge):
-        # the survivors are read from bitsets indexed by the edges' faces,
-        # where a negative face or step would wrap to another
+        # every matching is built from bitsets of lower ends, where a
+        # negative face or step would wrap to another; an edge whose j lies
+        # in sigma pairs a face with itself.  Before the bitsets, without
+        # validation, (0, 5) dropped the empty face, (1, 2) gave ranks
+        # (1, 1, 1), and (4, 0) and (-2, 0) were ignored
         with pytest.raises(ValueError, match="not a facet pair"):
-            Matching(2, (edge,)).survivors()
+            Matching.from_edges(2, (edge,))
+
+    @pytest.mark.parametrize(
+        "r, lower",
+        [
+            (2, ((0, 0, 0),)),  # a sweep of three steps
+            (2, ((1 << 4, 0),)),  # face 4 outside the simplex
+            (2, ((-1, 0),)),
+            (2, ((0, 1 << 0b10),)),  # (0b10, 1) pairs {y} with itself
+        ],
+    )
+    def test_constructor_rejects_bitsets_outside_the_simplex(self, r, lower):
+        with pytest.raises(ValueError):
+            Matching(r, lower)
+
+    def test_from_edges_counts(self):
+        with pytest.raises(ValueError, match="sweeps"):
+            Matching.from_edges(2, ((0, 0),), (2,))
+        assert Matching.from_edges(2, ()) == Matching(2) == empty_matching(
+            parse_ideal("ring x y\ngens x, y")
+        )
+        assert Matching.from_edges(2, (), (0,)) == Matching(2, ((0, 0),))
 
     def test_matching_on_another_complex(self):
         I = parse_ideal("ring x y\ngens x, y")
