@@ -91,7 +91,7 @@ MUTANTS = [
             "            for sweep in self.lower\n"
             "            for sigma in indices_of(sweep[j])\n"
         ),
-        "recorded": "this change",
+        "recorded": "4c6ff71",
         "nodes": [T_PRUNING + "TestEdgesView::test_simplicial_cycle5_by_sweep_then_step"],
     },
     {
@@ -99,7 +99,7 @@ MUTANTS = [
         "file": PRUNING,
         "old": "            for sweep in self.lower\n            for j, low in enumerate(sweep)\n",
         "new": "            for sweep in self.lower[:-1]\n            for j, low in enumerate(sweep)\n",
-        "recorded": "this change",
+        "recorded": "4c6ff71",
         "nodes": [
             T_PRUNING + "TestPruneTaylor::test_path5_trace",
             T_PRUNING + "TestEdgesView::test_builtins",
@@ -110,7 +110,7 @@ MUTANTS = [
         "file": PRUNING,
         "old": "                if wrong := low & has[j]:\n",
         "new": "                if wrong := 0:\n",
-        "recorded": "this change",
+        "recorded": "4c6ff71",
         "nodes": [
             T_PRUNING + "TestVerifyMatching::test_edge_outside_the_complex",
             T_PRUNING + "TestVerifyMatching::test_constructor_rejects_bitsets_outside_the_simplex",
@@ -162,7 +162,7 @@ MUTANTS = [
         "file": PRUNING,
         "old": "                live ^= low | low << (1 << j)\n",
         "new": "                live = alive ^ low << (1 << j)\n",
-        "recorded": "this change",
+        "recorded": "4c6ff71",
         "nodes": [T_PRUNING + "TestSweepsAgainstReference::test_corpus200"],
     },
     {
@@ -170,7 +170,7 @@ MUTANTS = [
         "file": PRUNING,
         "old": "(live & has[k]) >> (1 << k)",
         "new": "live >> (1 << k)",
-        "recorded": "this change",
+        "recorded": "4c6ff71",
         "nodes": [T_PRUNING + "TestPruneSimplicial::test_path5"],
     },
     {
@@ -219,15 +219,15 @@ MUTANTS = [
         ],
     },
     # --- gradient flow and the Morse differential --------------------------
-    # Roots are only where the walk starts: a superset of them, as every
-    # matched-lower face, leaves the differential as it is, so the mutant
+    # Roots are only where the walk starts: extra ones, as every
+    # matched-lower face, leave the differential as it is, so the mutant
     # drops some.
     {
         "what": "the flow roots without the facets that lack the last generator",
         "file": PRUNING,
         "old": "(critical & has[b]) >> (1 << b) for b in range(r)]",
         "new": "(critical & has[b]) >> (1 << b) for b in range(r - 1)]",
-        "recorded": "this change",
+        "recorded": "4c6ff71",
         "nodes": [T_FLOW + "TestAgainstReference::test_builtins"],
     },
     {
@@ -235,7 +235,7 @@ MUTANTS = [
         "file": PRUNING,
         "old": "        while not step_bytes[j][at] & bit:\n",
         "new": "        while cell >> j & 1:\n",
-        "recorded": "this change",
+        "recorded": "4c6ff71",
         "nodes": [T_FLOW + "TestAgainstReference::test_builtins"],
     },
     {

@@ -69,7 +69,9 @@ class Matching:
         has, width = _holders(self.r), 1 << self.r
         for sweep in lower:
             if len(sweep) != self.r:
-                raise ValueError(f"a sweep of {len(sweep)} steps on {self.r} generators")
+                raise ValueError(
+                    f"a sweep of {len(sweep)} steps on {self.r} generators"
+                )
             for j, low in enumerate(sweep):
                 if low < 0 or low >> width:
                     raise ValueError(f"step {j + 1} holds a face outside the simplex")
@@ -370,8 +372,9 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
 
     `is_matching`: no face lies on two edges (the L_j and L_j << 2^j of
     every sweep hold twice as many faces between them as there are edges,
-    so 2^r less that many are on none), and `matching.r == I.r`.  A matching on another r makes all three
-    verdicts False before any degree is read.
+    so 2^r less that many are on none), and `matching.r == I.r`.  A
+    matching on another r makes all three verdicts False before any degree
+    is read.
 
     `is_homogeneous`: both ends of every edge have the same lcm degree, read
     as each L_j lying in the step mask M_j of the module docstring.
@@ -402,7 +405,7 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
         raise ValueError(f"r = {r} but the ideal has {I.r} generators")
     if matching.r != r:
         return MatchingReport(False, False, False)
-    edges = sum(map(int.bit_count, (low for sweep in matching.lower for low in sweep)))
+    edges = sum(matching.sweeps)
     is_matching = matching._critical().bit_count() == (1 << r) - 2 * edges
     masks = _step_masks(TaylorComplex(I))
     is_homogeneous = not any(

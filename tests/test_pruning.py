@@ -394,9 +394,7 @@ class TestVerifyMatching:
     def test_edge_outside_the_complex(self, edge):
         # every matching is built from bitsets of lower ends, where a
         # negative face or step would wrap to another; an edge whose j lies
-        # in sigma pairs a face with itself.  Before the bitsets, without
-        # validation, (0, 5) dropped the empty face, (1, 2) gave ranks
-        # (1, 1, 1), and (4, 0) and (-2, 0) were ignored
+        # in sigma pairs a face with itself
         with pytest.raises(ValueError, match="not a facet pair"):
             Matching.from_edges(2, (edge,))
 
