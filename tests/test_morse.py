@@ -78,6 +78,13 @@ class TestMorseDifferential:
         with pytest.raises(InvalidMatchingError):
             morse_differential(I, cyclic, validate=True)
 
+    def test_edge_inside_its_face_rejected(self):
+        # (sigma, j) with j in sigma pairs a face with itself, refused when
+        # the matching is built, before the differential sees it
+        I = parse_ideal("ring x y\ngens x, y")
+        with pytest.raises(ValueError, match="not a facet pair"):
+            morse_differential(I, Matching.from_edges(2, ((1, 0),)), validate=False)
+
     def test_boundary_column_skips_a_matched_upper_facet(self):
         # the top cell {0,1,2} has no flow node among its facets, so its
         # column is the boundary walk; its first facet {1,2} is matched-upper

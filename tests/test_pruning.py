@@ -398,6 +398,25 @@ class TestVerifyMatching:
         with pytest.raises(ValueError, match="not a facet pair"):
             Matching.from_edges(2, (edge,))
 
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("build", [critical_complex, morse_differential])
+    @pytest.mark.parametrize("edge", OUTSIDE_EDGES + [(1, 0), (3, 1)])
+    def test_builders_reject_edge_outside_the_complex(self, edge, build, validate):
+        # without validation, (0, 5) once dropped the empty face, (1, 2) gave
+        # ranks (1, 1, 1), (4, 0) and (-2, 0) were ignored and (0, -1) raised
+        # a bare ValueError; now no builder is handed such an edge, with or
+        # without validation, since the matching carrying it is refused
+        I = parse_ideal("ring x y\ngens x, y")
+        with pytest.raises(ValueError, match="not a facet pair"):
+            build(I, Matching.from_edges(2, (edge,)), validate=validate)
+
+    @pytest.mark.parametrize("edge", OUTSIDE_EDGES + [(1, 0), (3, 1)])
+    def test_survivors_reject_edge_outside_the_complex(self, edge):
+        # the survivors are read from bitsets indexed by the edges' faces,
+        # where a negative face or step would wrap to another
+        with pytest.raises(ValueError, match="not a facet pair"):
+            Matching.from_edges(2, (edge,)).survivors()
+
     @pytest.mark.parametrize(
         "r, lower",
         [
