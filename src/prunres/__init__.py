@@ -35,7 +35,6 @@ from .morse import (
 from .pruning import (
     Matching,
     empty_matching,
-    lyubeznik_direct,
     partial_prune_intersection,
     prune_lyubeznik,
     prune_simplicial,
@@ -72,7 +71,6 @@ __all__ = [
     "example_4_1_ideal",
     "hochster_betti",
     "lcm",
-    "lyubeznik_direct",
     "minimal_generators",
     "morse_differential",
     "parse_ideal",

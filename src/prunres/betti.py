@@ -8,8 +8,6 @@ from .monomials import Monomial, MonomialIdeal, monomial_str
 from .morse import ChainComplex
 from .taylor import TaylorComplex, indices_of
 
-DEFAULT_PRIMES = (2, 3, 5)
-
 
 @dataclass(frozen=True)
 class BettiTable:
@@ -101,10 +99,10 @@ def tor_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
     """
     linalg.check_characteristic(char)
     tc = TaylorComplex(I)
-    deg = tc.degree
+    deg = tc.face_degrees()
     classes: dict[int, list[int]] = {}
-    for mask in tc.faces():
-        classes.setdefault(deg(mask), []).append(mask)
+    for mask, d in enumerate(deg):
+        classes.setdefault(d, []).append(mask)
 
     multi: dict[tuple[int, tuple[int, ...]], int] = {}
     for alpha_deg, masks in classes.items():
@@ -113,11 +111,11 @@ def tor_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
             continue
         top = masks[-1]
         j = next(
-            1 << b for b in indices_of(top) if deg(top ^ 1 << b) == alpha_deg
+            1 << b for b in indices_of(top) if deg[top ^ 1 << b] == alpha_deg
         )
         by_h: dict[int, list[int]] = {}
         for m in masks:
-            if m & j and deg(m ^ j) != alpha_deg:
+            if m & j and deg[m ^ j] != alpha_deg:
                 by_h.setdefault(m.bit_count(), []).append(m)
         if not by_h:
             continue

@@ -252,19 +252,3 @@ def random_corpus(
         random_ideal(rng, max_vars, max_gens, max_exp, squarefree)
         for _ in range(count)
     ]
-
-
-def pad_with_redundant(
-    I: MonomialIdeal, rng: random.Random, extra: int
-) -> MonomialIdeal:
-    """Insert 1..extra redundant generators (multiples of existing ones) at
-    random positions, preserving the relative order of the originals."""
-    gens = list(I.generators)
-    n = I.nvars
-    for _ in range(extra):
-        base = rng.choice(I.generators)
-        bump = [0] * n
-        bump[rng.randrange(n)] = rng.randint(0, 2)
-        new = Monomial(tuple(a + b for a, b in zip(base.exponents, bump)))
-        gens.insert(rng.randint(0, len(gens)), new)
-    return MonomialIdeal(I.variables, tuple(gens))

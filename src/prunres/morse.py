@@ -126,6 +126,15 @@ def critical_complex(
     degree.  InvalidMatchingError for a matching with another r than I,
     whatever `validate` is, and with `validate` for one that
     `verify_matching` rejects."""
+    return _critical_levels(I, matching, validate)[0]
+
+
+def _critical_levels(
+    I: MonomialIdeal, matching: Matching, validate: bool
+) -> tuple[ChainComplex, list[list[int]], TaylorComplex]:
+    """`critical_complex`, the degree bitmask of each of its cells, one list
+    per level, each degree computed once, and the table they were read
+    from."""
     r = I.r
     if matching.r != r:
         raise InvalidMatchingError(
@@ -141,9 +150,9 @@ def critical_complex(
     top = max(buckets) if buckets else 0
     cells = tuple(tuple(buckets.get(i, ())) for i in range(top + 1))
     tc = TaylorComplex(I)
-    deg, decode = tc.degree, tc.decode
-    degrees = tuple(tuple(decode(deg(m)) for m in level) for level in cells)
-    return ChainComplex(I.variables, cells, degrees)
+    degs = [list(map(tc.degree, level)) for level in cells]
+    degrees = tuple(tuple(map(tc.decode, level)) for level in degs)
+    return ChainComplex(I.variables, cells, degrees), degs, tc
 
 
 def morse_differential(
@@ -182,8 +191,11 @@ def morse_differential(
     predecessors have pushed their coefficient sums into it.
 
     The monomial part of an entry is the exponent difference of its
-    endpoints, and once the row's degree divides the column's, that
-    difference depends only on the XOR of the two degree bitmasks: in the
+    endpoints.  Each critical cell's degree bitmask is computed once, in one
+    list per level (`_critical_levels`), and an entry reads its row's and
+    its column's from those lists.  Once the row's degree divides the
+    column's, that difference depends only on the XOR of the two degree
+    bitmasks: in the
     rank-compressed encoding of `taylor`, each variable's bits are a prefix
     of its segment, so the XOR of two nested prefixes is the run of bits
     from the shorter prefix's length to the longer's, and the two lengths
@@ -201,9 +213,8 @@ def morse_differential(
     monomial is the decoded degree difference.  That is stored on it, and
     the checks skip their contract pass.
     """
-    base = critical_complex(I, matching, validate)
-    tc = TaylorComplex(I)
-    deg, decode = tc.degree, tc.decode
+    base, cell_degs, tc = _critical_levels(I, matching, validate)
+    decode = tc.decode
 
     succ, weights = _flow_graph(matching._steps(), matching._critical())
     order = _topological_order(succ)
@@ -231,9 +242,10 @@ def morse_differential(
         entries: dict[tuple[int, int], Entry] = {}
         rows = dict(zip(base.cells[i - 1], count()))
         get_row = rows.get
+        row_deg, col_deg = cell_degs[i - 1], cell_degs[i]
         order_i = by_dim.get(i - 1)
         for col, sigma in enumerate(base.cells[i]):
-            sig_deg = deg(sigma)
+            sig_deg = col_deg[col]
             pending = 0
             if order_i:
                 column = facets(sigma)
@@ -251,7 +263,7 @@ def morse_differential(
                     facet = sigma ^ low
                     row = get_row(facet)
                     if row is not None:
-                        cell_deg = deg(facet)
+                        cell_deg = row_deg[row]
                         entry = memo.get(sig_deg ^ cell_deg)
                         if entry is None:
                             sign = 1 if memo is plus else -1
@@ -277,7 +289,7 @@ def morse_differential(
                 row = get_row(cell)
                 if row is None or not val:
                     continue  # matched-upper cells absorb nothing
-                cell_deg = deg(cell)
+                cell_deg = row_deg[row]
                 if cell_deg & ~sig_deg:
                     raise InvalidMatchingError("non-divisible differential entry")
                 entries[(row, col)] = (val, ratio_of(sig_deg, cell_deg))

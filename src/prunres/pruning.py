@@ -9,7 +9,7 @@ The pool is a bitset over the 2^r faces, bit sigma being face sigma, and
 step j's condition is a mask M_j of lower ends (`_sweep`).  What a step
 prunes is one bitset too, L_j, its lower ends, and a `Matching` is stored
 as those bitsets alone: its edges are read from them on demand.  The masks
-are read from the generator degrees g_k alone, never from the degree table.
+are read from the generator degrees g_k alone, never from a face's degree.
 Let has[k] be the faces that hold generator k, and H_b the OR of has[k]
 over the k whose g_k has bit b.  The plain rule is M_j = ~has[j] & AND H_b
 over the top bits b of g_j: its set bits b with b + 1 not in g_j, or with
@@ -244,34 +244,6 @@ def prune_lyubeznik(I: MonomialIdeal) -> Matching:
     return _prune(I.r, _step_masks(TaylorComplex(I), above=True))
 
 
-def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
-    """Independent construction of the Lyubeznik subcomplex.
-
-    A face {i_0 < ... < i_s} belongs iff for every tail {i_t, ..., i_s} and
-    every j < i_t, generator j does not divide the tail's lcm.  Used only as
-    an oracle for prune_lyubeznik.
-    """
-    tc = TaylorComplex(I)
-    gens = tc.gen_degrees
-    out = set()
-    for mask in tc.faces():
-        idx = indices_of(mask)
-        ok = True
-        for t in range(len(idx)):
-            tail_deg = 0
-            for i in idx[t:]:
-                tail_deg |= gens[i]
-            for j in range(idx[t]):
-                if gens[j] & ~tail_deg == 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(mask)
-    return frozenset(out)
-
-
 def prune_simplicial(I: MonomialIdeal) -> Matching:
     """Pruning filtered so the surviving faces stay closed under subsets.
 
@@ -280,7 +252,9 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
     k not in sigma and k != j, are all gone by the end of step j + 1,
     counting cells removed by kept edges of this sweep.  The filter is
     shrunk to a self-consistent fixpoint before the sweep is applied, and
-    whole sweeps repeat until one prunes nothing.
+    whole sweeps repeat until one prunes nothing.  A sweep that keeps an
+    edge removes at least its two live ends, so that takes at most
+    2^(r-1) + 1 sweeps.
 
     This coface rule keeps the edges of the superface rule it stands for:
     every live strict superface of sigma other than sigma + e_j is gone by
@@ -311,9 +285,7 @@ def prune_simplicial(I: MonomialIdeal) -> Matching:
     r = I.r
     masks, has = _step_masks(TaylorComplex(I)), _holders(I.r)
     alive, lower = (1 << (1 << r)) - 1, []
-    for sweep_no in range(1, (1 << r) + 2):
-        if sweep_no == (1 << r) + 1:
-            raise RuntimeError("simplicial pruning failed to reach a fixpoint")
+    while True:
         kept = _sweep(masks, alive)
         while True:
             live, ok = alive, []

@@ -15,6 +15,13 @@ the exponents.  Plain polarization would spend one bit per unit of
 exponent, 2**31 bits for `x^(2**31 - 1)`.  The exponent vectors appear only
 at the output boundary, decoded through a memo sized by the lattice.
 
+No table over the 2^r faces is kept.  A face's degree is the OR of its
+members' generator degrees, read as the OR of two lookups in tables over
+the two halves of the generators, of about 2^(r/2) entries each; the
+lattice is closed from the generator degrees alone (`lattice`).  Only a
+caller that walks every face, as `betti.tor_betti` does, builds the whole
+table, for the length of its call (`face_degrees`).
+
 The set bits of each variable's segment are a prefix: the lowest c bits,
 where c is how many of its values the exponent reaches.  So when a divides
 b, within each segment a's prefix is no longer than b's, and `a ^ b` there
@@ -26,7 +33,6 @@ and `morse.morse_differential` memoizes its entry monomials by that XOR.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable
 from weakref import WeakKeyDictionary
 
 from .monomials import MonomialIdeal
@@ -88,34 +94,31 @@ def facets(mask: int) -> list[tuple[int, int]]:
     return out
 
 
-class _SetOnFirstRead:
-    """A method run on the first read of its name, whose result is then
-    stored on the instance under that name, where every later read finds
-    it.  `functools.cached_property` stores it through the instance
-    `__dict__`, which under CPython 3.11 made later attribute reads of a
-    `TaylorComplex` about twice as slow (a `decode` call and three reads:
-    197 ns against 104 ns); `setattr` keeps them as fast as before."""
-
-    def __init__(self, build: Callable) -> None:
-        self.build = build
-        self.name = build.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.build(obj)
-        setattr(obj, self.name, value)
-        return value
+def _or_table(degrees: list[int]) -> list[int]:
+    """table[mask]: the OR of degrees[k] over the members k of mask.  The
+    masks on the first k + 1 degrees are those on the first k, each with
+    and without member k, so the table doubles once per degree."""
+    table = [0]
+    for g in degrees:
+        table += [d | g for d in table]
+    return table
 
 
 class TaylorComplex:
-    """The degree table over all 2^r faces of the full simplex of one ideal.
+    """The lcm degrees of the faces of the full simplex of one ideal,
+    without a table over its 2^r faces.
 
     One per ideal: the first `TaylorComplex(I)` builds it, every later call
     on I or an equal ideal returns it, and it is freed with I (`_TABLES`).
-    `degree(mask)` is a face's lcm degree as an int bitmask, in the
-    rank-compressed encoding of the module docstring, and `gen_degrees[j]`
-    is the degree of generator j.  `decode(deg)` and `exponents(mask)` give
+    `gen_degrees[j]` is the degree of generator j as an int bitmask, in the
+    rank-compressed encoding of the module docstring.  `degree(mask)` is a
+    face's lcm degree: the OR of two lookups, in the OR table of the
+    generators [0, h) at the mask's low h bits and in that of [h, r) at the
+    rest, h = r // 2, so the two tables hold 2^h + 2^(r - h) entries.  It
+    is a closure stored on the instance rather than a method, so reading it
+    binds nothing and `tc.degree is tc.degree`.  A caller that walks every
+    face takes the whole table from `face_degrees()`, its own list, freed
+    when the caller drops it.  `decode(deg)` and `exponents(mask)` give
     exponent vectors.  Read-only once built, apart from the memos, the
     pruning step masks among them (`pruning._step_masks`).
     """
@@ -146,19 +149,17 @@ class TaylorComplex:
             )
             for g in I.generators
         ]
+        h = I.r // 2
+        low = (1 << h) - 1
+        lo, hi = _or_table(tc.gen_degrees[:h]), _or_table(tc.gen_degrees[h:])
+        tc.degree = lambda mask: lo[mask & low] | hi[mask >> h]
         tc._decoded = {}
         return tc
 
-    @_SetOnFirstRead
-    def degree(self) -> Callable[[int], int]:
-        """`degree(mask)`: the face's lcm degree.  The table over all 2^r
-        faces, whatever r, is built on the first read of this attribute,
-        which stores the lookup on the instance, so a caller that reads only
-        `gen_degrees`, `decode` or `lattice()` never pays for it."""
-        table = [0]
-        for g in self.gen_degrees:
-            table += [d | g for d in table]
-        return table.__getitem__
+    def face_degrees(self) -> list[int]:
+        """The degree of every face, indexed by its mask: a new list of 2^r
+        ints on each call, for a caller that walks every face."""
+        return _or_table(self.gen_degrees)
 
     def decode(self, deg: int) -> tuple[int, ...]:
         """The exponent vector of a degree bitmask."""

@@ -1,5 +1,6 @@
 """Shared fixtures: seeded corpora, builtin ideals, and their resolutions,
 each built once per session."""
+import random
 from typing import Callable, NamedTuple
 
 import pytest
@@ -11,7 +12,7 @@ from prunres.ideals import (
     random_corpus,
     rp2_ideal,
 )
-from prunres.monomials import MonomialIdeal
+from prunres.monomials import Monomial, MonomialIdeal
 from prunres.morse import ChainComplex, morse_differential
 from prunres.pruning import prune_lyubeznik, prune_simplicial, prune_taylor
 
@@ -24,6 +25,22 @@ class Resolution(NamedTuple):
     ideal: MonomialIdeal
     method: Callable
     complex: ChainComplex
+
+
+def pad_with_redundant(
+    I: MonomialIdeal, rng: random.Random, extra: int
+) -> MonomialIdeal:
+    """Insert 1..extra redundant generators (multiples of existing ones) at
+    random positions, preserving the relative order of the originals."""
+    gens = list(I.generators)
+    n = I.nvars
+    for _ in range(extra):
+        base = rng.choice(I.generators)
+        bump = [0] * n
+        bump[rng.randrange(n)] = rng.randint(0, 2)
+        new = Monomial(tuple(a + b for a, b in zip(base.exponents, bump)))
+        gens.insert(rng.randint(0, len(gens)), new)
+    return MonomialIdeal(I.variables, tuple(gens))
 
 
 def resolutions(ideals) -> list[Resolution]:

@@ -15,7 +15,8 @@ is recorded in `scripts/mutants.py`, which checks that it is still caught.
 - The set-based sweeps on that table: `prune_taylor`, `prune_lyubeznik`,
   `prune_simplicial` and `partial_prune_intersection`, each step testing
   every surviving face through callbacks and listing its edges, handed to
-  `Matching.from_edges`.
+  `Matching.from_edges`; and `lyubeznik_direct`, the Lyubeznik subcomplex
+  read off its definition, face by face.
 - `verify_matching`, by a topological sort of the modified Hasse diagram
   over all 2^r faces, and `morse_differential`, by the per-dimension flow
   walk over the whole topological order.
@@ -132,6 +133,9 @@ class PolarizedTupleTable(TupleTaylorComplex):
     def decode(self, deg):
         return self._tuples[deg]
 
+    def face_degrees(self):
+        return [self.degree(mask) for mask in self.faces()]
+
 
 def facets(mask: int) -> list[tuple[int, int]]:
     """(facet, sign) pairs for the simplicial boundary of a face."""
@@ -211,6 +215,23 @@ def prune_lyubeznik(I: MonomialIdeal) -> Matching:
         return _divides(gens[j], tc.exponents(sigma & ~((1 << (j + 1)) - 1)))
 
     return _prune_with(tc, eligible)
+
+
+def lyubeznik_direct(I: MonomialIdeal) -> frozenset[int]:
+    """The Lyubeznik subcomplex from its definition, without a sweep: a face
+    {i_0 < ... < i_s} belongs iff for every tail {i_t, ..., i_s} and every
+    j < i_t, generator j does not divide the tail's lcm."""
+    tc = _table(I)
+    gens = [g.exponents for g in I.generators]
+    return frozenset(
+        mask
+        for mask in tc.faces()
+        if not any(
+            _divides(gens[j], tc.exponents(mask >> i << i))
+            for i in indices_of(mask)
+            for j in range(i)
+        )
+    )
 
 
 def prune_simplicial(I: MonomialIdeal) -> Matching:

@@ -12,11 +12,10 @@ from collections import Counter
 from itertools import combinations
 
 from prunres import linalg
-from prunres.betti import DEFAULT_PRIMES, betti_of_complex, hochster_betti, tor_betti
+from prunres.betti import betti_of_complex, hochster_betti, tor_betti
 from prunres.ideals import (
     cycle_ideal,
     example_4_1_ideal,
-    pad_with_redundant,
     path_ideal,
     random_corpus,
     rp2_ideal,
@@ -31,7 +30,6 @@ from prunres.morse import (
 )
 from prunres.pruning import (
     intersection_generators,
-    lyubeznik_direct,
     partial_prune_intersection,
     prune_lyubeznik,
     prune_simplicial,
@@ -40,6 +38,8 @@ from prunres.pruning import (
 )
 from prunres.splitting import check_last_generator, check_pruned_splitting
 from prunres.taylor import TaylorComplex, facets
+from conftest import pad_with_redundant
+from reference import lyubeznik_direct
 
 SEED = 20250808
 METHODS = (prune_taylor, prune_simplicial, prune_lyubeznik)
@@ -220,7 +220,7 @@ def test_criterion_06_resolution_properties():
             C = morse_differential(I, method(I), validate=False)
             if not check_d_squared(C):
                 ok = False
-            for char in (0, *DEFAULT_PRIMES):
+            for char in (0, 2, 3, 5):
                 if not check_exactness(I, C, char):
                     ok = False
     assert _report(6, "d^2 = 0 and exactness on corpus", ok)

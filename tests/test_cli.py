@@ -166,6 +166,29 @@ class TestBuiltins:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "total: 1 1" in " ".join(proc.stdout.split())
 
+    def test_cycle23_betti_under_memory_limit(self):
+        # 2^23 faces under 384 MiB of address space: a face's degree is read
+        # from two tables over the halves of the generators (about 190 MB
+        # peak RSS on CPython 3.11, Linux, x86-64); a table over every face
+        # raised MemoryError
+        limit = 384 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "prunres.cli", "betti", "--ideal", "cycle:23",
+             "--method", "pruned"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert (
+            "total: 1 23 230 1334 5061 13423 25911 37303 40582 33494 20869 9661"
+            " 3227 749 113 7"
+        ) in " ".join(proc.stdout.split())
+
     @pytest.mark.parametrize(
         "text, line",
         [

@@ -13,7 +13,6 @@ from prunres import betti, morse, pruning
 from prunres.betti import betti_of_complex, tor_betti
 from prunres.ideals import (
     cycle_ideal,
-    pad_with_redundant,
     parse_ideal,
     path_ideal,
     random_corpus,
@@ -24,7 +23,6 @@ from prunres.pruning import (
     Matching,
     empty_matching,
     intersection_generators,
-    lyubeznik_direct,
     partial_prune_intersection,
     prune_lyubeznik,
     prune_simplicial,
@@ -34,7 +32,8 @@ from prunres.pruning import (
 )
 from prunres.taylor import TaylorComplex
 import reference
-from conftest import METHODS
+from conftest import METHODS, pad_with_redundant
+from reference import lyubeznik_direct
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

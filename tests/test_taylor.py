@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import sys
 import weakref
 from math import comb
 from time import perf_counter
@@ -84,12 +85,36 @@ def test_multidegree_monotone(rows):
 
 
 def _assert_same_table(I):
-    # same exponents for every face; and lcm, divisibility and equality of
-    # the bitmask degrees agree with the exponent tuples
+    # same exponents for every face, through `degree` and through the whole
+    # table of `face_degrees`
     ref, tc = TupleTaylorComplex(I), TaylorComplex(I)
+    whole = tc.face_degrees()
+    assert len(whole) == 1 << I.r
     for mask in tc.faces():
         assert tc.exponents(mask) == ref.exponents(mask)
         assert tc.decode(tc.degree(mask)) == ref.exponents(mask)
+        assert tc.decode(whole[mask]) == ref.exponents(mask)
+
+
+def _odd_wide_ideal():
+    """r = 15, halves of 7 and 8 generators: generator k is
+    x_k^a * x_(k+1)^b around a 15-cycle, a among 1, 2, 3 and b among 1, 2,
+    so most variables have two distinct exponents."""
+    n = 15
+    rows = [[0] * n for _ in range(n)]
+    for k in range(n):
+        rows[k][k] = 1 + k % 3
+        rows[k][(k + 1) % n] = 1 + (k + 1) % 2
+    return ideal([f"x{v}" for v in range(n)], rows)
+
+
+# r = 0, 1 and 2, where a half holds no generator or one; and odd r = 15
+EDGE_R = [
+    MonomialIdeal(("x", "y"), ()),
+    ideal(["x", "y"], [(2, 1)]),
+    ideal(["x", "y", "z"], [(1, 3, 0), (2, 0, 1)]),
+    _odd_wide_ideal(),
+]
 
 
 wide_rows = st.integers(1, 4).flatmap(
@@ -122,7 +147,7 @@ def test_same_table_as_tuple_table(rows):
 
 
 def test_same_table_as_tuple_table_corpus(corpus200, builtins):
-    for I in list(corpus200) + list(builtins.values()):
+    for I in [*corpus200, *builtins.values(), *EDGE_R]:
         _assert_same_table(I)
 
 
@@ -214,40 +239,50 @@ def _unheld_cycle(n, name):
     return MonomialIdeal(tuple(f"{name}{k}" for k in range(I.nvars)), I.generators)
 
 
-class TestDegreeTableOnFirstUse:
-    """The 2^r degree table is built on the first read of `degree`, so the
-    callers that read only `gen_degrees`, `decode` and `lattice()` never
-    pay for it."""
+def _face_degree_callers(monkeypatch) -> list[str]:
+    """The name of the function behind each call of
+    `TaylorComplex.face_degrees` from now on, in order."""
+    callers = []
+    whole = TaylorComplex.face_degrees
 
-    def test_lattice_and_decode_leave_it_unbuilt(self):
+    def recording(tc):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return whole(tc)
+
+    monkeypatch.setattr(TaylorComplex, "face_degrees", recording)
+    return callers
+
+
+class TestDegreeTableOnFirstUse:
+    """No table over the 2^r faces is kept: `degree` ORs two lookups in the
+    tables of the two halves of the generators, and the whole table is
+    built only by `tor_betti`, which walks every face, once per call
+    (`face_degrees`)."""
+
+    def test_lattice_and_decode_leave_it_unbuilt(self, monkeypatch):
+        callers = _face_degree_callers(monkeypatch)
         I = _unheld_cycle(18, "lattice")
         tc = TaylorComplex(I)
         points = {tc.decode(d) for d in tc.lattice()}
         assert len(points) == 24914
         assert max(points) == (1,) * I.nvars
-        assert "degree" not in vars(tc)
         # one bit per variable, all set on the full face
         assert tc.degree((1 << I.r) - 1) == (1 << I.nvars) - 1
-        assert "degree" in vars(tc)
+        assert callers == []
+        # the two half tables, 2^9 entries each, are all that degree reads
+        held = [cell.cell_contents for cell in tc.degree.__closure__]
+        assert sorted(len(t) for t in held if type(t) is list) == [512, 512]
 
     def test_strand_degrees_and_hochster_leave_it_unbuilt(self, monkeypatch):
         from prunres import betti, morse
 
-        tables = []
-
-        def recording(I):
-            tables.append(TaylorComplex(I))
-            return tables[-1]
-
+        callers = _face_degree_callers(monkeypatch)
         I = _unheld_cycle(10, "strands")
-        for mod in (betti, morse):
-            monkeypatch.setattr(mod, "TaylorComplex", recording)
         morse._strand_degrees(I, [])
         betti.hochster_betti(I, 0)
-        assert len(tables) == 2
-        assert not any("degree" in vars(tc) for tc in tables)
+        assert callers == []
         betti.tor_betti(I, 0)
-        assert "degree" in vars(tables[-1])
+        assert callers == ["tor_betti"]
 
     def test_one_table_per_complex(self):
         I = cycle_ideal(8)
@@ -268,19 +303,30 @@ class TestOneTablePerIdeal:
         assert TaylorComplex(I) is not TaylorComplex(path_ideal(6))
 
     def test_one_degree_table_per_pipeline(self, monkeypatch):
+        # only tor_betti builds the table over every face, a new one on
+        # each call
         from prunres import betti, morse, pruning
 
-        built = []
-        table = vars(TaylorComplex)["degree"]
-        build = table.build
-        monkeypatch.setattr(table, "build", lambda tc: built.append(tc) or build(tc))
+        callers = _face_degree_callers(monkeypatch)
         I = _unheld_cycle(7, "pipeline")
-        m = pruning.prune_taylor(I)
-        assert pruning.verify_matching(I.r, m, I).all_ok
-        C = morse.morse_differential(I, m)
-        assert morse.check_exactness(I, C, 0)
+        for sweep in (pruning.prune_taylor, pruning.prune_lyubeznik,
+                      pruning.prune_simplicial):
+            m = sweep(I)
+            assert pruning.verify_matching(I.r, m, I).all_ok
+            C = morse.morse_differential(I, m)
+            assert morse.check_d_squared(C)
+            for char in (0, 2, 3):
+                assert morse.check_exactness(I, C, char)
+            morse.check_minimal(C)
+            betti.betti_of_complex(morse.critical_complex(I, m))
+        betti.hochster_betti(I, 0)
+        assert callers == []
         assert betti.tor_betti(I, 0).totals() == (1, 7, 14, 14, 7, 1)
-        assert len(built) == 1
+        assert callers == ["tor_betti"]
+        assert betti.tor_betti(I, 2).totals() == (1, 7, 14, 14, 7, 1)
+        assert callers == ["tor_betti", "tor_betti"]
+        tc = TaylorComplex(I)
+        assert tc.face_degrees() is not tc.face_degrees()
 
     def test_table_dies_with_its_ideal(self):
         I = _unheld_cycle(9, "dies")
