@@ -314,6 +314,14 @@ MUTANTS = [
         "nodes": [T_FLOW + "TestAgainstReference::test_random_matchings"],
     },
     {
+        "what": "a flow entry's degree read from the column level",
+        "file": MORSE,
+        "old": "                cell_deg = row_deg[row]\n                if cell_deg & ~sig_deg:\n",
+        "new": "                cell_deg = col_deg[row]\n                if cell_deg & ~sig_deg:\n",
+        "recorded": "f8fac84",
+        "nodes": [T_FLOW + "TestAgainstReference::test_builtins"],
+    },
+    {
         "what": "the boundary sign flipped only on facets with a row",
         "file": MORSE,
         "old": (
@@ -597,6 +605,25 @@ MUTANTS = [
         "nodes": [T_LINALG + "test_unit_pivot_rows_lie_in_the_span"],
     },
     # --- the degree table --------------------------------------------------
+    {
+        "what": "the high half table indexed by mask >> (h + 1)",
+        "file": TAYLOR,
+        "old": "hi[mask >> h]",
+        "new": "hi[mask >> (h + 1)]",
+        "recorded": "f8fac84",
+        "nodes": [T_TAYLOR + "test_same_table_as_tuple_table_corpus"],
+    },
+    {
+        "what": "face_degrees built over the low half of the generators only",
+        "file": TAYLOR,
+        "old": "        return _or_table(self.gen_degrees)\n",
+        "new": "        return _or_table(self.gen_degrees[: self.r // 2])\n",
+        "recorded": "f8fac84",
+        "nodes": [
+            T_TAYLOR + "test_same_table_as_tuple_table_corpus",
+            T_BETTI + "TestAgainstReference::test_builtins",
+        ],
+    },
     {
         "what": "bisect_left in the degree encoder (bisect_right of e - 1)",
         "file": TAYLOR,

@@ -195,11 +195,10 @@ def morse_differential(
     list per level (`_critical_levels`), and an entry reads its row's and
     its column's from those lists.  Once the row's degree divides the
     column's, that difference depends only on the XOR of the two degree
-    bitmasks: in the
-    rank-compressed encoding of `taylor`, each variable's bits are a prefix
-    of its segment, so the XOR of two nested prefixes is the run of bits
-    from the shorter prefix's length to the longer's, and the two lengths
-    fix both exponents.  The ratios are memoized by that XOR, on a flow
+    bitmasks: in the rank-compressed encoding of `taylor`, each variable's
+    bits are a prefix of its segment, so the XOR of two nested prefixes is
+    the run of bits from the shorter prefix's length to the longer's, and
+    the two lengths fix both exponents.  The ratios are memoized by that XOR, on a flow
     column after the divisibility test: the Lyubeznik complex of cycle:15
     has 36,447 pairs of degrees but 31 XORs.  A boundary entry is ±1 times
     that ratio, so its whole (coefficient, ratio) tuple is memoized too,

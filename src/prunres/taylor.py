@@ -15,12 +15,9 @@ the exponents.  Plain polarization would spend one bit per unit of
 exponent, 2**31 bits for `x^(2**31 - 1)`.  The exponent vectors appear only
 at the output boundary, decoded through a memo sized by the lattice.
 
-No table over the 2^r faces is kept.  A face's degree is the OR of its
-members' generator degrees, read as the OR of two lookups in tables over
-the two halves of the generators, of about 2^(r/2) entries each; the
-lattice is closed from the generator degrees alone (`lattice`).  Only a
-caller that walks every face, as `betti.tor_betti` does, builds the whole
-table, for the length of its call (`face_degrees`).
+No table over the 2^r faces is kept: a face's degree is read from two
+tables over the halves of the generators (`TaylorComplex`), and the lcm
+lattice is closed from the generator degrees alone (`lattice`).
 
 The set bits of each variable's segment are a prefix: the lowest c bits,
 where c is how many of its values the exponent reaches.  So when a divides

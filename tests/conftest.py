@@ -1,5 +1,6 @@
 """Shared fixtures: seeded corpora, builtin ideals, and their resolutions,
-each built once per session."""
+each built once per session; and `pad_with_redundant`, which adds redundant
+generators to an ideal."""
 import random
 from typing import Callable, NamedTuple
 
