@@ -17,8 +17,8 @@ from typing import Iterator, Mapping
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
-from .pruning import Matching, _flow_graph, _topological_order, verify_matching
-from .taylor import TaylorComplex, facets, indices_of
+from .pruning import Matching, _flow, verify_matching
+from .taylor import TaylorComplex, indices_of
 
 
 class InvalidMatchingError(ValueError):
@@ -125,16 +125,18 @@ def critical_complex(
     """Basis of the reduced complex: critical cells ordered canonically per
     degree.  InvalidMatchingError for a matching with another r than I,
     whatever `validate` is, and with `validate` for one that
-    `verify_matching` rejects."""
-    return _critical_levels(I, matching, validate)[0]
+    `verify_matching` rejects.  Without `validate` nothing else is checked:
+    a matching whose V-paths close into a cycle still gives its critical
+    cells."""
+    return _critical_levels(I, matching, validate, matching._critical())[0]
 
 
 def _critical_levels(
-    I: MonomialIdeal, matching: Matching, validate: bool
+    I: MonomialIdeal, matching: Matching, validate: bool, critical: int
 ) -> tuple[ChainComplex, list[list[int]], TaylorComplex]:
-    """`critical_complex`, the degree bitmask of each of its cells, one list
-    per level, each degree computed once, and the table they were read
-    from."""
+    """`critical_complex` on the critical cells of `matching`, given as
+    their bitset, the degree bitmask of each of its cells, one list per
+    level, each degree computed once, and the table they were read from."""
     r = I.r
     if matching.r != r:
         raise InvalidMatchingError(
@@ -145,7 +147,7 @@ def _critical_levels(
         if not report.all_ok:
             raise InvalidMatchingError(f"rejected matching: {report}")
     buckets: dict[int, list[int]] = {}
-    for mask in indices_of(matching._critical()):
+    for mask in indices_of(critical):
         buckets.setdefault(mask.bit_count(), []).append(mask)
     top = max(buckets) if buckets else 0
     cells = tuple(tuple(buckets.get(i, ())) for i in range(top + 1))
@@ -163,10 +165,16 @@ def morse_differential(
     The coefficient of critical sigma' in d(sigma) sums the weights of all
     gradient paths from the facets of sigma down to sigma'.  A gradient path
     is a V-path: cell -> another facet of the cell's match partner, with
-    weight -[partner : cell] * [partner : facet] (`pruning._flow_graph`).
-    The flow graph is built once, on the matched-lower cells reachable from
-    the matched-lower facets of critical cells, read from the matching's
-    bitsets, and sorted topologically; a cycle raises InvalidMatchingError.
+    weight -[partner : cell] * [partner : facet].  `pruning._flow` sums
+    those weights once per matched-lower cell reachable from the
+    matched-lower facets of critical cells, read from the matching's
+    bitsets: flow[c] maps each critical cell to the summed weight of the
+    V-paths from c down to it.  A cycle among those cells raises
+    InvalidMatchingError.  A cycle that no facet of a critical cell reaches
+    is never walked, so with `validate` off it goes unnoticed: on the ideal
+    (x, x, x), the three edges ({0}, 1), ({1}, 2), ({2}, 0) form one, and
+    the complex of the empty face and {0, 1, 2} comes back (ranks 1, 0, 0,
+    1).  `validate` rejects every cycle (`verify_matching`).
 
     A column of d_i never leaves the faces with i - 1 members: the facets of
     its cell sigma have i - 1, and so does every head of a flow arc out of a
@@ -174,21 +182,22 @@ def morse_differential(
     c.  So its rows are read from one {mask: row} dict of level i - 1, and
     no entry can land in another level.
 
-    A column with no flow node among its facets, as every column of a
-    complex whose critical cells are closed under faces (Batzies-Welker), is
-    the simplicial boundary of its cell sigma, written in one walk over the
-    members of sigma, lowest first: the facet is sigma less that member,
-    its row comes from the level's dict, and the sign, +1 for the first
-    member, flips on every member, as in `taylor.facets`.  A facet with no
-    row is matched-upper and absorbs nothing, but its member still flips
-    the sign.  Such a column needs no divisibility test: a facet is a
-    subset of sigma, so its lcm divides sigma's.  `check_d_squared`
-    certifies d*d = 0 on these differentials by ∂∂ = 0, but reads that they
-    are boundaries from their entries (`_is_boundary`); nothing is stored
-    here for it.  Any other column, a flow column, walks only the cells it
-    reaches: an int of pending topological positions within the facet
-    dimension, lowest set bit first, so each cell is popped after all its
-    predecessors have pushed their coefficient sums into it.
+    Every column is written in one walk over the members of its cell
+    sigma, lowest first: the facet is sigma less that member, and the sign,
+    +1 for the first member, flips on every member, as in `taylor.facets`.
+    A facet with a row in the level's dict is critical and gets the sign as
+    its entry.  Such an entry needs no divisibility test: a facet is a
+    subset of sigma, so its lcm divides sigma's.  A facet that is a flow
+    node adds the sign times its flow, summed over the column after the
+    walk onto the entries of the walk; only these summed entries take the
+    divisibility test, and one that sums to zero is dropped.  Any other
+    facet is matched-upper and absorbs nothing, but its member still flips
+    the sign.  A column with no flow node among its facets, as every column
+    of a complex whose critical cells are closed under faces
+    (Batzies-Welker), is so the simplicial boundary of sigma.
+    `check_d_squared` certifies d*d = 0 on these differentials by ∂∂ = 0,
+    but reads that they are boundaries from their entries (`_is_boundary`);
+    nothing is stored here for it.
 
     The monomial part of an entry is the exponent difference of its
     endpoints.  Each critical cell's degree bitmask is computed once, in one
@@ -198,31 +207,27 @@ def morse_differential(
     bitmasks: in the rank-compressed encoding of `taylor`, each variable's
     bits are a prefix of its segment, so the XOR of two nested prefixes is
     the run of bits from the shorter prefix's length to the longer's, and
-    the two lengths fix both exponents.  The ratios are memoized by that XOR, on a flow
-    column after the divisibility test: the Lyubeznik complex of cycle:15
-    has 36,447 pairs of degrees but 31 XORs.  A boundary entry is ±1 times
-    that ratio, so its whole (coefficient, ratio) tuple is memoized too,
-    one memo per sign, and every entry of one sign and XOR is the same
-    tuple object: the 176,128 entries of that complex share 59 tuples
-    instead of holding one each.
+    the two lengths fix both exponents.  The ratios are memoized by that
+    XOR, on a summed entry after the divisibility test: the Lyubeznik
+    complex of cycle:15 has 36,447 pairs of degrees but 31 XORs.  The entry
+    of a critical facet is ±1 times that ratio, so its whole (coefficient,
+    ratio) tuple is memoized too, one memo per sign, and every such entry
+    of one sign and XOR is the same tuple object: the 176,128 entries of
+    that complex share 59 tuples instead of holding one each.
 
     So the complex keeps the contract of `ChainComplex` by construction:
-    rows come from the level below, every flow entry passes the
-    divisibility test and every boundary entry needs none, and its
+    rows come from the level below, every summed entry passes the
+    divisibility test and every facet's entry needs none, and its
     monomial is the decoded degree difference.  That is stored on it, and
     the checks skip their contract pass.
     """
-    base, cell_degs, tc = _critical_levels(I, matching, validate)
+    critical = matching._critical()
+    base, cell_degs, tc = _critical_levels(I, matching, validate, critical)
     decode = tc.decode
-
-    succ, weights = _flow_graph(matching._steps(), matching._critical())
-    order = _topological_order(succ)
-    if order is None:
+    flow = _flow(matching._steps(), critical)
+    if flow is None:
         raise InvalidMatchingError("cycle detected in gradient flow")
-    by_dim: dict[int, list[int]] = {}
-    for cell in order:
-        by_dim.setdefault(cell.bit_count(), []).append(cell)
-    pos = {cell: p for cells in by_dim.values() for p, cell in enumerate(cells)}
+    get_flow = flow.get
 
     ratios: dict[int, tuple[int, ...]] = {}
     # the shared boundary entries (1, ratio) and (-1, ratio), by degree XOR
@@ -242,52 +247,36 @@ def morse_differential(
         rows = dict(zip(base.cells[i - 1], count()))
         get_row = rows.get
         row_deg, col_deg = cell_degs[i - 1], cell_degs[i]
-        order_i = by_dim.get(i - 1)
         for col, sigma in enumerate(base.cells[i]):
             sig_deg = col_deg[col]
-            pending = 0
-            if order_i:
-                column = facets(sigma)
-                for facet, _ in column:
-                    p = pos.get(facet)
-                    if p is not None:
-                        pending |= 1 << p
-            if not pending:
-                # the simplicial boundary: the sign flips on every member,
-                # a matched-upper facet's too, which has no row
-                rest, memo, other = sigma, plus, minus
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    facet = sigma ^ low
-                    row = get_row(facet)
-                    if row is not None:
-                        cell_deg = row_deg[row]
-                        entry = memo.get(sig_deg ^ cell_deg)
-                        if entry is None:
-                            sign = 1 if memo is plus else -1
-                            entry = (sign, ratio_of(sig_deg, cell_deg))
-                            memo[sig_deg ^ cell_deg] = entry
-                        entries[(row, col)] = entry
-                    memo, other = other, memo
-                continue
-            coeffs = dict(column)
-            while pending:
-                low = pending & -pending
-                pending ^= low
-                c = order_i[low.bit_length() - 1]
-                val = coeffs.pop(c)
+            # the sign flips on every member, a matched-upper facet's too,
+            # which has no row; a flow node's flow is summed in `patch`
+            rest, memo, other, patch = sigma, plus, minus, {}
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                facet = sigma ^ low
+                row = get_row(facet)
+                if row is not None:
+                    cell_deg = row_deg[row]
+                    entry = memo.get(sig_deg ^ cell_deg)
+                    if entry is None:
+                        sign = 1 if memo is plus else -1
+                        entry = (sign, ratio_of(sig_deg, cell_deg))
+                        memo[sig_deg ^ cell_deg] = entry
+                    entries[(row, col)] = entry
+                elif (reached := get_flow(facet)) is not None:
+                    sign = 1 if memo is plus else -1
+                    for cell, val in reached.items():
+                        patch[cell] = patch.get(cell, 0) + sign * val
+                memo, other = other, memo
+            for cell, val in patch.items():
+                row = rows[cell]
+                if (entry := entries.get((row, col))) is not None:
+                    val += entry[0]
                 if not val:
+                    entries.pop((row, col), None)
                     continue
-                for nxt, w in zip(succ[c], weights[c]):
-                    coeffs[nxt] = coeffs.get(nxt, 0) + val * w
-                    p = pos.get(nxt)
-                    if p is not None:
-                        pending |= 1 << p
-            for cell, val in coeffs.items():
-                row = get_row(cell)
-                if row is None or not val:
-                    continue  # matched-upper cells absorb nothing
                 cell_deg = row_deg[row]
                 if cell_deg & ~sig_deg:
                     raise InvalidMatchingError("non-divisible differential entry")

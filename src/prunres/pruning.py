@@ -415,78 +415,85 @@ def _peel(lower: tuple[int, ...], has: tuple[int, ...]) -> bool:
     return True
 
 
-def _flow_graph(
-    steps: tuple[int, ...], critical: int
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """The gradient-flow graph of a matching on the matched-lower faces
-    reachable from the facets of critical cells, given the lower ends L_j of
-    each step j and the critical cells as bitsets: succ maps sigma in L_j to
-    every facet f != sigma of up = sigma + e_j, in the order of `facets`,
-    and weights maps sigma to the weights of those arcs, -[up : sigma] *
-    [up : f] in the signs of `facets`.  Its paths are the V-paths of the
-    matching.  The head f = up - e_b has weight (-1)^m, m the number of
+def _flow(steps: tuple[int, ...], critical: int) -> dict[int, dict[int, int]] | None:
+    """The gradient flow of a matching, given the lower ends L_j of each
+    step j and the critical cells as bitsets: flow[c] maps each critical
+    cell to the summed weight of the V-paths from c down to it, for every
+    matched-lower face c reachable from a facet of a critical cell.  None
+    when those V-paths close into a cycle.
+
+    A V-path steps from sigma in L_j to a facet f != sigma of its partner
+    up = sigma + e_j, with weight -[up : sigma] * [up : f] in the signs of
+    `facets`.  The head f = up - e_b has weight (-1)^m, m the number of
     members of sigma strictly between b and j, so the weights are read in
-    the same walk over sigma as the heads.
+    the same walk over sigma as the heads.  A critical head ends the path,
+    a head in some L_j carries on along its own flow, and any other head,
+    matched-upper, absorbs it.
 
     The roots, the matched-lower facets of critical cells, are one bitset:
     the faces of some L_j in the OR over b of (critical & has[b]) >> 2^b.
     A complex whose critical cells are closed under faces has none, and
-    then no graph is built.  The walk reads the bitsets as bytes: a head is
+    then the flow is empty.  The walk reads the bitsets as bytes: a head is
     a node when its bit is set in the OR of the L_j, and a node's step j
-    is the first whose L_j has its bit."""
+    is the first whose L_j has its bit.
+
+    The flow is summed in one post-order walk from the roots, on a stack
+    rather than by recursion, since a V-path can be longer than the
+    recursion limit.  A node's arcs are built on its first visit, which
+    opens it, and its flow is summed once each node among its heads has
+    one.  Every entry above an open node on the stack was pushed from one
+    of its descendants, so a head that is open but has no flow closes a
+    V-path."""
     r = len(steps)
     has = _holders(r)
     nodes = reduce(or_, steps, 0)
     roots = nodes & reduce(or_, [(critical & has[b]) >> (1 << b) for b in range(r)], 0)
-    succ: dict[int, list[int]] = {}
-    weights: dict[int, list[int]] = {}
+    flow: dict[int, dict[int, int]] = {}
     if not roots:
-        return succ, weights
+        return flow
     size = ((1 << r) + 7) >> 3
     is_node = nodes.to_bytes(size, "little")
+    is_critical = critical.to_bytes(size, "little")
     step_bytes = [low.to_bytes(size, "little") for low in steps]
+    arcs: dict[int, list[tuple[int, int]]] = {}  # (head, weight) of the open nodes
     stack = indices_of(roots)
     while stack:
-        cell = stack.pop()
-        if cell in succ:
+        cell = stack[-1]
+        if cell in flow:
+            stack.pop()
             continue
-        at, bit, j = cell >> 3, 1 << (cell & 7), 0
-        while not step_bytes[j][at] & bit:
-            j += 1
-        up = cell | 1 << j
-        members = indices_of(cell)
-        # up less one member of sigma
-        succ[cell] = heads = [up ^ 1 << b for b in members]
-        # members[t] has t members of sigma below it and j has `below`,
-        # so below - t - 1 lie between them when t < below, else t - below
-        below = (cell & (1 << j) - 1).bit_count()
-        weights[cell] = [
-            -1 if (below - t - (t < below)) & 1 else 1 for t in range(len(members))
-        ]
-        stack += [f for f in heads if is_node[f >> 3] >> (f & 7) & 1 and f not in succ]
-    return succ, weights
-
-
-def _topological_order(succ: dict[int, list[int]]) -> list[int] | None:
-    """Kahn's sort of the nodes of a flow graph (arcs to non-nodes are
-    ignored); None when the graph has a cycle."""
-    indeg = dict.fromkeys(succ, 0)
-    for heads in succ.values():
-        for f in heads:
-            if f in indeg:
-                indeg[f] += 1
-    stack = [c for c, n in indeg.items() if not n]
-    order = []
-    while stack:
-        cell = stack.pop()
-        order.append(cell)
-        for f in succ[cell]:
-            n = indeg.get(f)
-            if n is not None:
-                indeg[f] = n - 1
-                if n == 1:
+        out = arcs.get(cell)
+        if out is None:
+            at, bit, j = cell >> 3, 1 << (cell & 7), 0
+            while not step_bytes[j][at] & bit:
+                j += 1
+            up = cell | 1 << j
+            # up less one member of sigma: members[t] has t members of sigma
+            # below it and j has `below`, so below - t - 1 lie between them
+            # when t < below, else t - below
+            below = (cell & (1 << j) - 1).bit_count()
+            arcs[cell] = out = [
+                (up ^ 1 << b, -1 if (below - t - (t < below)) & 1 else 1)
+                for t, b in enumerate(indices_of(cell))
+            ]
+            for f, _ in out:
+                if is_node[f >> 3] >> (f & 7) & 1 and f not in flow:
+                    if f in arcs:
+                        return None
                     stack.append(f)
-    return order if len(order) == len(succ) else None
+            continue
+        stack.pop()
+        del arcs[cell]
+        total: dict[int, int] = {}
+        for f, w in out:
+            reached = flow.get(f)
+            if reached is not None:
+                for c, v in reached.items():
+                    total[c] = total.get(c, 0) + w * v
+            elif is_critical[f >> 3] >> (f & 7) & 1:
+                total[f] = total.get(f, 0) + w
+        flow[cell] = total
+    return flow
 
 
 def render_trace(matching: Matching, I: MonomialIdeal) -> list[str]:

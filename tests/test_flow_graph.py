@@ -2,11 +2,11 @@
 
 `verify_matching` decides acyclicity by peeling the sinks of the V-path
 graph on the matched-lower faces, held as one bitset per step, and
-`morse_differential` builds the part of the same graph reachable from
-critical facets and walks it in topological order.  Both are compared
-with `reference`: the topological sort of the full modified Hasse diagram
-over all 2^r faces, and the per-dimension flow walk over the whole
-topological order, on the tuple table.
+`morse_differential` sums, once per node of the same graph reachable from
+critical facets, the weights of its V-paths down to each critical cell.
+Both are compared with `reference`: the topological sort of the full
+modified Hasse diagram over all 2^r faces, and the per-dimension flow walk
+over the whole topological order, on the tuple table.
 """
 import random
 
@@ -201,7 +201,9 @@ class TestAgainstReference:
 
 class TestPeel:
     """Deterministic inputs for the sink peel of `verify_matching`, whose
-    rounds follow the longest V-path."""
+    rounds follow the longest V-path, and for the flow walk of
+    `morse_differential` on the same V-paths, run without `validate` so
+    that the walk alone must find a cycle."""
 
     R = 12
     EQUAL = parse_ideal("ring x\ngens " + ", ".join(["x"] * R))
@@ -218,6 +220,14 @@ class TestPeel:
         )
         return edges[:n], cells[: n + 1]
 
+    def _closed(self):
+        # one more edge pairs the last cell with the union of it and the
+        # first, whose facets include the first: a closed V-path of 141 cells
+        edges, cells = self._snake()
+        first, last = cells[0], cells[-1]
+        j = (first & ~last).bit_length() - 1
+        return Matching.from_edges(self.R, (*edges, (last, j)))
+
     def test_long_snake_is_acyclic(self):
         edges, _ = self._snake()
         assert len(edges) == 140
@@ -226,14 +236,40 @@ class TestPeel:
         assert _same_acyclicity(self.EQUAL, m)
 
     def test_snake_closed_into_a_cycle(self):
-        # one more edge pairs the last cell with the union of it and the
-        # first, whose facets include the first: a closed V-path of 141 cells
-        edges, cells = self._snake()
-        first, last = cells[0], cells[-1]
-        j = (first & ~last).bit_length() - 1
-        m = Matching.from_edges(self.R, (*edges, (last, j)))
+        m = self._closed()
         assert verify_matching(self.R, m, self.EQUAL) == MatchingReport(True, True, False)
         assert not _same_acyclicity(self.EQUAL, m)
+
+    def test_long_snake_differential(self):
+        # the flow of the walk's first cell runs along all 140 of its edges
+        edges, _ = self._snake()
+        _same_differential(self.EQUAL, Matching.from_edges(self.R, edges))
+
+    def test_closed_snake_differential_raises(self):
+        with pytest.raises(
+            InvalidMatchingError, match="cycle detected in gradient flow"
+        ):
+            morse_differential(self.EQUAL, self._closed(), validate=False)
+
+    def test_cycle_reached_from_a_critical_facet(self):
+        # {0} -> {0,1}, {1} -> {1,2}, {2} -> {0,2} close a V-path, and the
+        # critical cells {0,3}, {1,3}, {2,3} have its cells as facets
+        I = parse_ideal("ring x\ngens x, x, x, x")
+        m = Matching.from_edges(4, ((0b0001, 1), (0b0010, 2), (0b0100, 0)))
+        with pytest.raises(
+            InvalidMatchingError, match="cycle detected in gradient flow"
+        ):
+            morse_differential(I, m, validate=False)
+        _same_differential(I, m)
+
+    def test_unreached_cycle_goes_unnoticed(self):
+        # the same cycle at r = 3: no critical cell has a facet on it, so
+        # without `validate` the flow never walks it
+        I = parse_ideal("ring x\ngens x, x, x")
+        m = Matching.from_edges(3, ((0b001, 1), (0b010, 2), (0b100, 0)))
+        assert morse_differential(I, m, validate=False).ranks() == (1, 0, 0, 1)
+        with pytest.raises(InvalidMatchingError, match="rejected matching"):
+            morse_differential(I, m)
 
     def test_duplicated_edge_is_no_matching(self):
         # one sweep's bitset cannot hold an edge twice, so it is refused;
