@@ -233,16 +233,16 @@ MUTANTS = [
     {
         "what": "a flow node's step taken as the lowest step missing from it",
         "file": PRUNING,
-        "old": "        while not step_bytes[j][at] & bit:\n",
-        "new": "        while cell >> j & 1:\n",
+        "old": "            while not step_bytes[j][at] & bit:\n",
+        "new": "            while cell >> j & 1:\n",
         "recorded": "4c6ff71",
         "nodes": [T_FLOW + "TestAgainstReference::test_builtins"],
     },
     {
         "what": "the flow heads taken from the partner's members, sigma among them",
         "file": PRUNING,
-        "old": "        members = indices_of(cell)\n",
-        "new": "        members = indices_of(up)\n",
+        "old": "for t, b in enumerate(indices_of(cell))",
+        "new": "for t, b in enumerate(indices_of(up))",
         "recorded": "9a389ce",
         "nodes": [
             T_FLOW + "TestAgainstReference::test_builtins",
@@ -266,18 +266,20 @@ MUTANTS = [
         "nodes": [T_FLOW + "TestAgainstReference::test_builtins"],
     },
     {
-        "what": "the last successor of a flow cell left out of the pending set",
-        "file": MORSE,
-        "old": (
-            "                    if p is not None:\n"
-            "                        pending |= 1 << p\n            for cell"
-        ),
-        "new": (
-            "                    if p is not None and nxt != succ[c][-1]:\n"
-            "                        pending |= 1 << p\n            for cell"
-        ),
-        "recorded": "9a389ce",
+        "what": "a flow node's last arc left out of its flow sum",
+        "file": PRUNING,
+        "old": "        for f, w in out:\n            reached = flow.get(f)\n",
+        "new": "        for f, w in out[:-1]:\n            reached = flow.get(f)\n",
+        "recorded": "7da077d",
         "nodes": [T_FLOW + "TestAgainstReference::test_corpus200_sweeps"],
+    },
+    {
+        "what": "the flow walk's cycle check dropped",
+        "file": PRUNING,
+        "old": "                    if f in arcs:\n                        return None\n",
+        "new": "",
+        "recorded": "7da077d",
+        "nodes": [T_FLOW + "TestPeel::test_cycle_reached_from_a_critical_facet"],
     },
     {
         "what": "entry ratios memoized by the row degree alone",
@@ -325,12 +327,24 @@ MUTANTS = [
         "what": "the boundary sign flipped only on facets with a row",
         "file": MORSE,
         "old": (
-            "                        entries[(row, col)] = entry\n"
-            "                    memo, other = other, memo\n"
+            "                    entries[(row, col)] = entry\n"
+            "                elif (reached := get_flow(facet)) is not None:\n"
+            "                    if patch is None:\n"
+            "                        patch = {}\n"
+            "                    sign = 1 if memo is plus else -1\n"
+            "                    for cell, val in reached.items():\n"
+            "                        patch[cell] = patch.get(cell, 0) + sign * val\n"
+            "                memo, other = other, memo\n"
         ),
         "new": (
-            "                        entries[(row, col)] = entry\n"
-            "                        memo, other = other, memo\n"
+            "                    entries[(row, col)] = entry\n"
+            "                    memo, other = other, memo\n"
+            "                elif (reached := get_flow(facet)) is not None:\n"
+            "                    if patch is None:\n"
+            "                        patch = {}\n"
+            "                    sign = 1 if memo is plus else -1\n"
+            "                    for cell, val in reached.items():\n"
+            "                        patch[cell] = patch.get(cell, 0) + sign * val\n"
         ),
         "recorded": "528c9b7",
         "nodes": [
@@ -341,18 +355,18 @@ MUTANTS = [
         "what": "one memo for both boundary signs, the first sign stored for an XOR winning",
         "file": MORSE,
         "old": (
-            "                        entry = memo.get(sig_deg ^ cell_deg)\n"
-            "                        if entry is None:\n"
-            "                            sign = 1 if memo is plus else -1\n"
-            "                            entry = (sign, ratio_of(sig_deg, cell_deg))\n"
-            "                            memo[sig_deg ^ cell_deg] = entry\n"
+            "                    entry = memo.get(sig_deg ^ cell_deg)\n"
+            "                    if entry is None:\n"
+            "                        sign = 1 if memo is plus else -1\n"
+            "                        entry = (sign, ratio_of(sig_deg, cell_deg))\n"
+            "                        memo[sig_deg ^ cell_deg] = entry\n"
         ),
         "new": (
-            "                        entry = plus.get(sig_deg ^ cell_deg)\n"
-            "                        if entry is None:\n"
-            "                            sign = 1 if memo is plus else -1\n"
-            "                            entry = (sign, ratio_of(sig_deg, cell_deg))\n"
-            "                            plus[sig_deg ^ cell_deg] = entry\n"
+            "                    entry = plus.get(sig_deg ^ cell_deg)\n"
+            "                    if entry is None:\n"
+            "                        sign = 1 if memo is plus else -1\n"
+            "                        entry = (sign, ratio_of(sig_deg, cell_deg))\n"
+            "                        plus[sig_deg ^ cell_deg] = entry\n"
         ),
         "recorded": "528c9b7",
         "nodes": [T_MORSE + "TestMorseDifferential::test_empty_matching_is_taylor_boundary"],
@@ -360,8 +374,8 @@ MUTANTS = [
     {
         "what": "no skip of boundary facets without a row",
         "file": MORSE,
-        "old": "                    row = get_row(facet)\n                    if row is not None:\n",
-        "new": "                    row = get_row(facet)\n                    if True:\n",
+        "old": "                row = get_row(facet)\n                if row is not None:\n",
+        "new": "                row = get_row(facet)\n                if True:\n",
         "recorded": "528c9b7",
         "nodes": [
             T_MORSE + "TestMorseDifferential::test_boundary_column_skips_a_matched_upper_facet"

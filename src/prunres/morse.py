@@ -251,7 +251,7 @@ def morse_differential(
             sig_deg = col_deg[col]
             # the sign flips on every member, a matched-upper facet's too,
             # which has no row; a flow node's flow is summed in `patch`
-            rest, memo, other, patch = sigma, plus, minus, {}
+            rest, memo, other, patch = sigma, plus, minus, None
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -266,10 +266,14 @@ def morse_differential(
                         memo[sig_deg ^ cell_deg] = entry
                     entries[(row, col)] = entry
                 elif (reached := get_flow(facet)) is not None:
+                    if patch is None:
+                        patch = {}
                     sign = 1 if memo is plus else -1
                     for cell, val in reached.items():
                         patch[cell] = patch.get(cell, 0) + sign * val
                 memo, other = other, memo
+            if patch is None:
+                continue
             for cell, val in patch.items():
                 row = rows[cell]
                 if (entry := entries.get((row, col))) is not None:
