@@ -268,8 +268,8 @@ MUTANTS = [
     {
         "what": "a flow node's last arc left out of its flow sum",
         "file": PRUNING,
-        "old": "        for f, w in out:\n            reached = flow.get(f)\n",
-        "new": "        for f, w in out[:-1]:\n            reached = flow.get(f)\n",
+        "old": "            for f, w in arcs.pop(cell):\n",
+        "new": "            for f, w in arcs.pop(cell)[:-1]:\n",
         "recorded": "7da077d",
         "nodes": [T_FLOW + "TestAgainstReference::test_corpus200_sweeps"],
     },
@@ -328,7 +328,7 @@ MUTANTS = [
         "file": MORSE,
         "old": (
             "                    entries[(row, col)] = entry\n"
-            "                elif (reached := get_flow(facet)) is not None:\n"
+            "                elif (reached := flow.get(facet)) is not None:\n"
             "                    if patch is None:\n"
             "                        patch = {}\n"
             "                    sign = 1 if memo is plus else -1\n"
@@ -339,7 +339,7 @@ MUTANTS = [
         "new": (
             "                    entries[(row, col)] = entry\n"
             "                    memo, other = other, memo\n"
-            "                elif (reached := get_flow(facet)) is not None:\n"
+            "                elif (reached := flow.get(facet)) is not None:\n"
             "                    if patch is None:\n"
             "                        patch = {}\n"
             "                    sign = 1 if memo is plus else -1\n"

@@ -227,7 +227,6 @@ def morse_differential(
     flow = _flow(matching._steps(), critical)
     if flow is None:
         raise InvalidMatchingError("cycle detected in gradient flow")
-    get_flow = flow.get
 
     ratios: dict[int, tuple[int, ...]] = {}
     # the shared boundary entries (1, ratio) and (-1, ratio), by degree XOR
@@ -265,7 +264,7 @@ def morse_differential(
                         entry = (sign, ratio_of(sig_deg, cell_deg))
                         memo[sig_deg ^ cell_deg] = entry
                     entries[(row, col)] = entry
-                elif (reached := get_flow(facet)) is not None:
+                elif (reached := flow.get(facet)) is not None:
                     if patch is None:
                         patch = {}
                     sign = 1 if memo is plus else -1

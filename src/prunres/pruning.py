@@ -461,9 +461,18 @@ def _flow(steps: tuple[int, ...], critical: int) -> dict[int, dict[int, int]] | 
         cell = stack[-1]
         if cell in flow:
             stack.pop()
-            continue
-        out = arcs.get(cell)
-        if out is None:
+        elif cell in arcs:
+            stack.pop()
+            total: dict[int, int] = {}
+            for f, w in arcs.pop(cell):
+                reached = flow.get(f)
+                if reached is not None:
+                    for c, v in reached.items():
+                        total[c] = total.get(c, 0) + w * v
+                elif is_critical[f >> 3] >> (f & 7) & 1:
+                    total[f] = total.get(f, 0) + w
+            flow[cell] = total
+        else:
             at, bit, j = cell >> 3, 1 << (cell & 7), 0
             while not step_bytes[j][at] & bit:
                 j += 1
@@ -481,18 +490,6 @@ def _flow(steps: tuple[int, ...], critical: int) -> dict[int, dict[int, int]] | 
                     if f in arcs:
                         return None
                     stack.append(f)
-            continue
-        stack.pop()
-        del arcs[cell]
-        total: dict[int, int] = {}
-        for f, w in out:
-            reached = flow.get(f)
-            if reached is not None:
-                for c, v in reached.items():
-                    total[c] = total.get(c, 0) + w * v
-            elif is_critical[f >> 3] >> (f & 7) & 1:
-                total[f] = total.get(f, 0) + w
-        flow[cell] = total
     return flow
 
 
