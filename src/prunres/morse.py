@@ -229,7 +229,7 @@ def morse_differential(
         raise InvalidMatchingError("cycle detected in gradient flow")
 
     ratios: dict[int, tuple[int, ...]] = {}
-    # the shared boundary entries (1, ratio) and (-1, ratio), by degree XOR
+    # the shared (1, ratio) and (-1, ratio) of critical facets, by degree XOR
     plus: dict[int, Entry] = {}
     minus: dict[int, Entry] = {}
 

@@ -366,10 +366,10 @@ def verify_matching(r: int, matching: Matching, I: MonomialIdeal) -> MatchingRep
     have short V-paths: 15 rounds on the pruned matching of cycle:15, 1 on
     its Lyubeznik matching, and at most 4 on example-4-1 and the random
     corpus.  A hand-built matching with a V-path of hundreds of cells costs
-    more than a topological sort of a flow-graph dict: one V-path of 140
-    edges through the 6-faces at r = 12 takes about 10 ms against 0.8 ms
-    for the sort, and one of 459 edges at r = 15 about 250 ms against
-    2.5 ms (CPython 3.11, one core).
+    more than one walk over the nodes of its flow graph: one V-path of 140
+    edges through the 6-faces at r = 12 takes about 10 ms, where Kahn's
+    sort of the graph held as dicts took 0.8 ms, and one of 459 edges at
+    r = 15 about 250 ms against 2.5 ms (CPython 3.11, one core).
 
     `r` must equal `I.r` (ValueError otherwise); it is read only for that.
     """
@@ -477,8 +477,8 @@ def _flow(steps: tuple[int, ...], critical: int) -> dict[int, dict[int, int]] | 
             while not step_bytes[j][at] & bit:
                 j += 1
             up = cell | 1 << j
-            # up less one member of sigma: members[t] has t members of sigma
-            # below it and j has `below`, so below - t - 1 lie between them
+            # up less the t-th member b of sigma: t members of sigma lie
+            # below b and `below` below j, so below - t - 1 lie between them
             # when t < below, else t - below
             below = (cell & (1 << j) - 1).bit_count()
             arcs[cell] = out = [
