@@ -128,15 +128,15 @@ def critical_complex(
     `verify_matching` rejects.  Without `validate` nothing else is checked:
     a matching whose V-paths close into a cycle still gives its critical
     cells."""
-    return _critical_levels(I, matching, validate, matching._critical())[0]
+    return _critical_levels(I, matching, validate)[0]
 
 
 def _critical_levels(
-    I: MonomialIdeal, matching: Matching, validate: bool, critical: int
-) -> tuple[ChainComplex, list[list[int]], TaylorComplex]:
-    """`critical_complex` on the critical cells of `matching`, given as
-    their bitset, the degree bitmask of each of its cells, one list per
-    level, each degree computed once, and the table they were read from."""
+    I: MonomialIdeal, matching: Matching, validate: bool
+) -> tuple[ChainComplex, list[list[int]], TaylorComplex, int]:
+    """`critical_complex`, the degree bitmask of each of its cells, one list
+    per level, each degree computed once, the table they were read from,
+    and the bitset of its cells."""
     r = I.r
     if matching.r != r:
         raise InvalidMatchingError(
@@ -147,6 +147,7 @@ def _critical_levels(
         if not report.all_ok:
             raise InvalidMatchingError(f"rejected matching: {report}")
     buckets: dict[int, list[int]] = {}
+    critical = matching._critical()
     for mask in indices_of(critical):
         buckets.setdefault(mask.bit_count(), []).append(mask)
     top = max(buckets) if buckets else 0
@@ -154,7 +155,7 @@ def _critical_levels(
     tc = TaylorComplex(I)
     degs = [list(map(tc.degree, level)) for level in cells]
     degrees = tuple(tuple(map(tc.decode, level)) for level in degs)
-    return ChainComplex(I.variables, cells, degrees), degs, tc
+    return ChainComplex(I.variables, cells, degrees), degs, tc, critical
 
 
 def morse_differential(
@@ -221,8 +222,7 @@ def morse_differential(
     monomial is the decoded degree difference.  That is stored on it, and
     the checks skip their contract pass.
     """
-    critical = matching._critical()
-    base, cell_degs, tc = _critical_levels(I, matching, validate, critical)
+    base, cell_degs, tc, critical = _critical_levels(I, matching, validate)
     decode = tc.decode
     flow = _flow(matching._steps(), critical)
     if flow is None:
