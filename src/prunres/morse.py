@@ -185,7 +185,7 @@ def morse_differential(
 
     Every column is written in one walk over the members of its cell
     sigma, lowest first: the facet is sigma less that member, and the sign,
-    +1 for the first member, flips on every member, as in `taylor.facets`.
+    +1 for the first member, flips on every member (the `taylor` signs).
     A facet with a row in the level's dict is critical and gets the sign as
     its entry.  Such an entry needs no divisibility test: a facet is a
     subset of sigma, so its lcm divides sigma's.  A facet that is a flow
@@ -442,7 +442,7 @@ def _is_boundary(C: ChainComplex, i: int) -> bool:
     i onto those of level i - 1.  It is when:
     - row: each entry's row mask is its column's mask less one member;
     - sign: its coefficient is (-1)^t when that member is the (t+1)-th
-      smallest, the sign `taylor.facets` gives;
+      smallest, the sign convention of `taylor`;
     - distinct masks: the masks of level i - 1 are all different;
     - count: d_i has as many entries as the members of level i's masks.
 

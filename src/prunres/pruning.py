@@ -12,17 +12,12 @@ as those bitsets alone: its edges are read from them on demand.  The masks
 are read from the generator degrees g_k alone, never from a face's degree.
 Let has[k] be the faces that hold generator k, and H_b the OR of has[k]
 over the k whose g_k has bit b.  The plain rule is M_j = ~has[j] & AND H_b
-over the top bits b of g_j: its set bits b with b + 1 not in g_j, or with
-some generator holding b + 1 but not b.  Three facts make it the rule.
+over the set bits b of g_j.  Two facts make it the rule.
 
 - m_j divides lcm(sigma) iff deg sigma = deg(sigma + e_j), for j not in
   sigma: the latter is deg sigma | g_j, and the encoding is exact on the
   lcm lattice (`taylor`).  deg sigma is the OR of its members' g_k, so it
   has bit b iff sigma is in H_b.
-- A segment's top bit suffices.  When every generator holding b + 1 holds
-  b, every lcm degree does too, so H_{b+1} lies inside H_b.  Inside one
-  variable's segment that always holds, its set bits being a prefix
-  (`taylor`), so of each run of bits of g_j only the top one is tested.
 - The Lyubeznik masks read only holders above j.  m_j must divide the lcm
   of the members above j, which has bit b iff one of them has it, so H_b
   is taken over k > j.  That lcm divides lcm(sigma), so the plain test is
@@ -185,8 +180,6 @@ def _step_masks(tc: TaylorComplex, above: bool = False) -> list[int]:
         return kept
     gens, r = tc.gen_degrees, tc.r
     has, full = _holders(r), (1 << (1 << r)) - 1
-    # bit b: some generator holds b + 1 without b
-    unlinked = reduce(or_, [g >> 1 & ~g for g in gens], 0)
     held: dict[int, int] = {}  # bit b -> H_b over the generators read so far
 
     def read(k: int) -> None:
@@ -199,7 +192,7 @@ def _step_masks(tc: TaylorComplex, above: bool = False) -> list[int]:
     masks = [0] * r
     for j in reversed(range(r)):
         g, mask = gens[j], full ^ has[j]
-        for b in indices_of(g & ~(g >> 1 & ~unlinked)):
+        for b in indices_of(g):
             mask &= held.get(b, 0)
         masks[j] = mask
         if above:
@@ -424,7 +417,7 @@ def _flow(steps: tuple[int, ...], critical: int) -> dict[int, dict[int, int]] | 
 
     A V-path steps from sigma in L_j to a facet f != sigma of its partner
     up = sigma + e_j, with weight -[up : sigma] * [up : f] in the signs of
-    `facets`.  The head f = up - e_b has weight (-1)^m, m the number of
+    `taylor`.  The head f = up - e_b has weight (-1)^m, m the number of
     members of sigma strictly between b and j, so the weights are read in
     the same walk over sigma as the heads.  A critical head ends the path,
     a head in some L_j carries on along its own flow, and any other head,

@@ -1,14 +1,25 @@
 """Betti splittings via pruning: region decomposition, the intersection ideal,
-the same-region sufficiency check, and the last-generator shortcut."""
+the same-region sufficiency check, and the last-generator shortcut.
+
+A split point s cuts I = J + K, J on the first s generators and K on the
+rest.  A face of the Taylor complex of I lies in X_J when it holds no
+generator of K, in X_K when it holds none of J, and in X' when it meets
+both.  When no pruned edge of I crosses between these regions, the pruned
+matching of I restricted to X_J is that of J, and restricted to X_K that of
+K (`check_pruned_splitting` proves it), so the splitting formula reduces to
+I's critical cells in X' against the pruned table of J cap K, and J and K
+are never pruned on their own."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from .betti import BettiTable, betti_of_complex
 from .monomials import MonomialIdeal, minimal_generators
 from .morse import critical_complex
 from .pruning import intersection_generators, prune_taylor
-from .taylor import GENERATOR_CAP
+from .taylor import GENERATOR_CAP, TaylorComplex, indices_of
 
 X_J = "X_J"
 X_K = "X_K"
@@ -24,7 +35,10 @@ def classify_regions(r: int, s: int, sigma: int) -> str:
     if not 1 <= s <= r - 1:
         raise ValueError(f"split point {s} out of range for {r} generators")
     j_mask = (1 << s) - 1
-    k_mask = ((1 << r) - 1) & ~j_mask
+    return _region(j_mask, ((1 << r) - 1) ^ j_mask, sigma)
+
+
+def _region(j_mask: int, k_mask: int, sigma: int) -> str:
     if sigma & k_mask == 0:
         return X_J
     if sigma & j_mask == 0:
@@ -72,59 +86,67 @@ def _refuse_wide_grid(r: int, s: int) -> None:
 def check_pruned_splitting(
     I: MonomialIdeal, s: int, *, force: bool = False
 ) -> SplitReport:
-    """Label every pruned edge by its endpoint regions; if all edges stay
-    inside one region, verify the splitting formula on pruned Betti tables.
+    """Label every pruned edge of I by its endpoint regions; if all edges
+    stay inside one region, verify the splitting formula on pruned Betti
+    tables.
 
     The formula compares, for homological degree h >= 1,
     table(I) against table(J) + table(K) + table(J cap K) shifted up by one
     homological degree (the intersection's empty-face row does not shift).
+    When no edge crosses, I's critical cells in X_J are J's, and those in
+    X_K are K's, shifted by s bits with the same degrees.  So the residual
+    of the formula is I's critical cells in X', counted by (|sigma|,
+    degree), less the shifted table of the J cap K grid, and only the grid
+    and its minimalization are pruned.
+
+    Step j of the sweep of I prunes edges sigma -> sigma + e_j, j not in
+    sigma, and the empty face is on no edge.  An upper end holds j, so:
+
+    - A step j < s, a step of J, meets X_J only on edges with both ends
+      in X_J; an edge from X_K at such a step crosses into X'.  These
+      steps all run before any step that could cross out of X_J.
+    - A step j >= s, a step of K, meets X_K only on edges with both ends
+      in X_K; an edge from X_J at such a step crosses into X'.  So before
+      step s, a face of X_K can lose its partner only through a crossing
+      edge.
+    - Whether a step prunes an edge depends on the degrees of its ends,
+      which are the same in I, J and K, and on both ends being alive.
+      With no crossing edge, by induction over the steps, the faces of
+      X_J alive at each step are those alive in J's sweep, and the faces
+      of X_K, all alive when step s begins, are those alive in K's sweep,
+      so both prune the same edges there.
 
     A split point out of range, or one whose intersection grid has more
     than GENERATOR_CAP generators, raises `ValueError` before any table is
     built; `force` lifts the grid check.
     """
-    r = I.r
     J, K = split_parts(I, s)
     if not force:
-        _refuse_wide_grid(r, s)
+        _refuse_wide_grid(I.r, s)
     matching = prune_taylor(I)
-    regions = []
-    ok = True
-    for sigma, j in matching.edges:
-        tau = sigma | (1 << j)
-        reg_lo = classify_regions(r, s, sigma)
-        reg_hi = classify_regions(r, s, tau)
-        regions.append(((sigma, j), reg_lo, reg_hi))
-        if reg_lo != reg_hi:
-            ok = False
-
-    residuals = None
-    grid_matches_minimal = None
-    if ok:
-        JK = intersection_generators(J, K)
-        t_i = betti_of_complex(critical_complex(I, matching, validate=False))
-        t_j = _pruned_table(J)
-        t_k = _pruned_table(K)
-        t_jk = _pruned_table(JK)
-        t_jk_min = _pruned_table(minimal_generators(JK))
-        grid_matches_minimal = t_jk.same_entries(t_jk_min)
-
-        residuals = {}
-        keys = set(t_i.multigraded) | set(t_j.multigraded) | set(t_k.multigraded)
-        keys |= {(h + 1, alpha) for (h, alpha) in t_jk.multigraded if h >= 1}
-        for h, alpha in keys:
-            if h < 1:
-                continue
-            shifted = t_jk.entry(h - 1, alpha) if h >= 2 else 0
-            res = (
-                t_i.entry(h, alpha)
-                - t_j.entry(h, alpha)
-                - t_k.entry(h, alpha)
-                - shifted
-            )
-            if res:
-                residuals[(h, alpha)] = res
-    return SplitReport(s, ok, tuple(regions), residuals, grid_matches_minimal)
+    j_mask = (1 << s) - 1
+    k_mask = ((1 << I.r) - 1) ^ j_mask
+    region = partial(_region, j_mask, k_mask)
+    regions = tuple(
+        ((sigma, j), region(sigma), region(sigma | 1 << j))
+        for sigma, j in matching.edges
+    )
+    if any(lo != hi for _, lo, hi in regions):
+        return SplitReport(s, False, regions, None, None)
+    tc = TaylorComplex(I)
+    cells = Counter(
+        (sigma.bit_count(), tc.exponents(sigma))
+        for sigma in indices_of(matching._critical())
+        if sigma & j_mask and sigma & k_mask
+    )
+    JK = intersection_generators(J, K)
+    t_jk = _pruned_table(JK)
+    for (h, alpha), n in t_jk.multigraded.items():
+        if h:
+            cells[h + 1, alpha] -= n
+    residuals = {key: n for key, n in cells.items() if n}
+    grid_matches_minimal = t_jk.same_entries(_pruned_table(minimal_generators(JK)))
+    return SplitReport(s, True, regions, residuals, grid_matches_minimal)
 
 
 def check_last_generator(I: MonomialIdeal) -> bool:

@@ -2,7 +2,11 @@
 
 A face is a subset of {0..r-1} stored as an int bitmask; bit k corresponds to
 generator k, so the canonical face order (characteristic vector read with the
-first generator least significant) is plain integer order.
+first generator least significant) is plain integer order.  The boundary of
+a face removes one member at a time, with the incidence sign (-1)^t for the
+(t+1)-th smallest member.  Any consistent convention works; this one is
+pinned by the d*d = 0 tests, and `morse`, `betti` and the gradient-flow
+weights of `pruning` all use it.
 
 Multidegrees are int bitmasks too, in a rank-compressed polarization.  For
 each variable, take the distinct nonzero exponents v_1 < ... < v_m it has
@@ -68,26 +72,6 @@ def indices_of(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def facets(mask: int) -> list[tuple[int, int]]:
-    """(facet, sign) pairs for the simplicial boundary of a face, removing
-    its members in increasing order.
-
-    The sign [mask : facet] is (-1)^k when the removed member is the
-    (k+1)-th smallest of the face.  Any consistent convention works; this
-    one is pinned by the d*d = 0 tests, and the gradient-flow weights read
-    it from here.
-    """
-    out = []
-    sign = 1
-    rest = mask
-    while rest:
-        low = rest & -rest
-        out.append((mask ^ low, sign))
-        rest ^= low
-        sign = -sign
     return out
 
 

@@ -29,6 +29,9 @@ is recorded in `scripts/mutants.py`, which checks that it is still caught.
 - `tor_betti` and `hochster_betti`: the Betti oracles that rank each degree
   piece at the asked characteristic alone, and test every subset of
   supp(alpha) for a face.
+- `check_pruned_splitting`: the splitting formula on five pruned tables,
+  those of I, J, K, the J cap K grid and its minimalization, with J and K
+  pruned on their own; I's matching comes from the set-based sweep here.
 
 The strand loop and the oracles rank through `linalg.rank`, whose kernels
 are compared with `rank` in `test_linalg.py`.
@@ -41,10 +44,17 @@ from operator import add, le, sub
 from typing import Callable
 
 from prunres import linalg
-from prunres.betti import BettiTable, SquarefreeRequiredError
-from prunres.monomials import MonomialIdeal
-from prunres.morse import ChainComplex, Entry, InvalidMatchingError
+from prunres.betti import BettiTable, SquarefreeRequiredError, betti_of_complex
+from prunres.monomials import MonomialIdeal, minimal_generators
+from prunres.morse import ChainComplex, Entry, InvalidMatchingError, critical_complex
 from prunres.pruning import Matching, MatchingReport, intersection_generators
+from prunres.splitting import (
+    SplitReport,
+    _pruned_table,
+    _refuse_wide_grid,
+    classify_regions,
+    split_parts,
+)
 from prunres.taylor import indices_of
 
 # Tables over more generators are filled lazily, face by face.
@@ -645,3 +655,64 @@ def hochster_betti(I: MonomialIdeal, char: int = 0) -> BettiTable:
                 i = support.bit_count() - d - 1
                 multi[(i, alpha)] = multi.get((i, alpha), 0) + h
     return BettiTable(I.variables, multi)
+
+
+# --- splitting ---------------------------------------------------------------
+
+
+def check_pruned_splitting(
+    I: MonomialIdeal, s: int, *, force: bool = False
+) -> SplitReport:
+    """Label every pruned edge by its endpoint regions; if all edges stay
+    inside one region, verify the splitting formula on pruned Betti tables.
+
+    The formula compares, for homological degree h >= 1,
+    table(I) against table(J) + table(K) + table(J cap K) shifted up by one
+    homological degree (the intersection's empty-face row does not shift).
+
+    A split point out of range, or one whose intersection grid has more
+    than GENERATOR_CAP generators, raises `ValueError` before any table is
+    built; `force` lifts the grid check.
+    """
+    r = I.r
+    J, K = split_parts(I, s)
+    if not force:
+        _refuse_wide_grid(r, s)
+    matching = prune_taylor(I)
+    regions = []
+    ok = True
+    for sigma, j in matching.edges:
+        tau = sigma | (1 << j)
+        reg_lo = classify_regions(r, s, sigma)
+        reg_hi = classify_regions(r, s, tau)
+        regions.append(((sigma, j), reg_lo, reg_hi))
+        if reg_lo != reg_hi:
+            ok = False
+
+    residuals = None
+    grid_matches_minimal = None
+    if ok:
+        JK = intersection_generators(J, K)
+        t_i = betti_of_complex(critical_complex(I, matching, validate=False))
+        t_j = _pruned_table(J)
+        t_k = _pruned_table(K)
+        t_jk = _pruned_table(JK)
+        t_jk_min = _pruned_table(minimal_generators(JK))
+        grid_matches_minimal = t_jk.same_entries(t_jk_min)
+
+        residuals = {}
+        keys = set(t_i.multigraded) | set(t_j.multigraded) | set(t_k.multigraded)
+        keys |= {(h + 1, alpha) for (h, alpha) in t_jk.multigraded if h >= 1}
+        for h, alpha in keys:
+            if h < 1:
+                continue
+            shifted = t_jk.entry(h - 1, alpha) if h >= 2 else 0
+            res = (
+                t_i.entry(h, alpha)
+                - t_j.entry(h, alpha)
+                - t_k.entry(h, alpha)
+                - shifted
+            )
+            if res:
+                residuals[(h, alpha)] = res
+    return SplitReport(s, ok, tuple(regions), residuals, grid_matches_minimal)

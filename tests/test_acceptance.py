@@ -37,9 +37,9 @@ from prunres.pruning import (
     verify_matching,
 )
 from prunres.splitting import check_last_generator, check_pruned_splitting
-from prunres.taylor import TaylorComplex, facets
+from prunres.taylor import TaylorComplex
 from conftest import pad_with_redundant
-from reference import lyubeznik_direct
+from reference import facets, lyubeznik_direct
 
 SEED = 20250808
 METHODS = (prune_taylor, prune_simplicial, prune_lyubeznik)

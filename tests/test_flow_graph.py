@@ -32,7 +32,7 @@ from prunres.pruning import (
     intersection_generators,
     verify_matching,
 )
-from prunres.taylor import facets, indices_of
+from prunres.taylor import indices_of
 
 
 # --- inputs -----------------------------------------------------------------
@@ -285,13 +285,3 @@ class TestPeel:
         assert (got.is_matching, got.is_homogeneous) == (False, want.is_homogeneous)
         # acyclicity is defined for matchings only
         assert not got.is_acyclic
-
-
-def test_facets_as_the_reference():
-    # and the one bit-member walker, which reference.facets and the
-    # exactness strands read, on masks past the width of a machine word too
-    wide = 1 << 70 | 1 << 64 | 1 << 63 | 0b101
-    for mask in [*range(1 << 12), wide]:
-        assert facets(mask) == reference.facets(mask)
-        assert indices_of(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
-    assert indices_of(wide) == [0, 2, 63, 64, 70]

@@ -36,7 +36,8 @@ from prunres.pruning import (
     prune_taylor,
     verify_matching,
 )
-from prunres.taylor import TaylorComplex, facets, indices_of
+from prunres.taylor import TaylorComplex, indices_of
+from reference import facets
 from test_betti import counting
 
 

@@ -5,21 +5,27 @@ import sys
 import time
 from pathlib import Path
 
+from collections import Counter
+
 import pytest
 
-from prunres.ideals import cycle_ideal, parse_ideal, path_ideal
+import reference
+from prunres import splitting
+from prunres.ideals import cycle_ideal, parse_ideal, path_ideal, rp2_ideal
 from prunres.monomials import MonomialIdeal, minimal_generators, monomial_str
-from prunres.morse import check_minimal, morse_differential
+from prunres.morse import check_minimal, critical_complex, morse_differential
 from prunres.pruning import intersection_generators, prune_taylor
 from prunres.splitting import (
     X_J,
     X_K,
     X_PRIME,
+    _pruned_table,
     check_last_generator,
     check_pruned_splitting,
     classify_regions,
     split_parts,
 )
+from prunres.taylor import GENERATOR_CAP
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -155,6 +161,107 @@ class TestPrunedSplitting:
             assert ti.entry(h, alpha) == tj.entry(h, alpha) + tk.entry(
                 h, alpha
             ) + shifted
+
+
+def _squarefree_key(I, h, monomial):
+    """The residual key (h, alpha) of a squarefree monomial written
+    x1*x2*..."""
+    names = monomial.split("*")
+    return h, tuple(int(v in names) for v in I.variables)
+
+
+@pytest.fixture(scope="module")
+def split_points(corpus200, squarefree_corpus):
+    """Every split point of corpus-200, the squarefree corpus, rp2,
+    cycle:3..9 and path:2..10 whose grid is not refused."""
+    ideals = [
+        *corpus200,
+        *squarefree_corpus,
+        rp2_ideal(),
+        *map(cycle_ideal, range(3, 10)),
+        *map(path_ideal, range(2, 11)),
+    ]
+    return [
+        (I, s)
+        for I in ideals
+        for s in range(1, I.r)
+        if s * (I.r - s) <= GENERATOR_CAP
+    ]
+
+
+class TestAgainstReference:
+    """The report read from I's own critical cells in X' against the
+    reference, which prunes J and K again and compares five tables."""
+
+    def test_every_split_point(self, split_points):
+        kinds = Counter()
+        for I, s in split_points:
+            got = check_pruned_splitting(I, s)
+            assert got == reference.check_pruned_splitting(I, s), (I.generators, s)
+            kinds[got.is_pruned_splitting, got.residuals_zero] += 1
+        # crossing edges, zero residuals and nonzero ones all occur
+        assert set(kinds) == {(False, False), (True, True), (True, False)}
+
+    def test_restriction_identity(self, split_points):
+        # with no crossing edge, I's critical cells in X_J are J's, and
+        # those in X_K are K's less K's empty face, which X_J holds
+        for I, s in split_points:
+            if not check_pruned_splitting(I, s).is_pruned_splitting:
+                continue
+            C = critical_complex(I, prune_taylor(I), validate=False)
+            cells = {X_J: Counter(), X_K: Counter(), X_PRIME: Counter()}
+            for h, (level, degrees) in enumerate(zip(C.cells, C.degrees)):
+                for sigma, alpha in zip(level, degrees):
+                    cells[classify_regions(I.r, s, sigma)][h, alpha] += 1
+            cells[X_K][0, (0,) * I.nvars] += 1
+            J, K = split_parts(I, s)
+            assert _pruned_table(J).multigraded == cells[X_J], (I.generators, s)
+            assert _pruned_table(K).multigraded == cells[X_K], (I.generators, s)
+
+    def test_prunes_the_grids_alone(self, path5, cycle5, monkeypatch):
+        pruned = []
+
+        def counting(I):
+            pruned.append(I)
+            return _pruned_table(I)
+
+        monkeypatch.setattr(splitting, "_pruned_table", counting)
+        assert check_pruned_splitting(path5, 3).is_pruned_splitting
+        grid = intersection_generators(*split_parts(path5, 3))
+        assert pruned == [grid, minimal_generators(grid)]
+        pruned.clear()
+        assert not check_pruned_splitting(cycle5, 4).is_pruned_splitting
+        assert pruned == []
+
+
+class TestNonzeroResiduals:
+    def test_path7_at_2(self):
+        I = path_ideal(7)
+        rep = check_pruned_splitting(I, 2)
+        assert rep.is_pruned_splitting and rep.grid_matches_minimal
+        top = "x1*x2*x3*x4*x5*x6*x7"
+        assert rep.residuals == {
+            _squarefree_key(I, 4, top): -1,
+            _squarefree_key(I, 5, top): -1,
+        }
+
+    def test_cycle8_at_4(self):
+        I = cycle_ideal(8)
+        rep = check_pruned_splitting(I, 4)
+        assert rep.is_pruned_splitting and rep.grid_matches_minimal is False
+        assert rep.residuals == {
+            _squarefree_key(I, h, m): -1
+            for h, m in [
+                (3, "x1*x2*x4*x5*x7*x8"),
+                (4, "x1*x3*x4*x5*x6*x7*x8"),
+                (4, "x1*x2*x4*x5*x7*x8"),
+                (4, "x1*x2*x4*x5*x6*x7*x8"),
+                (5, "x1*x3*x4*x5*x6*x7*x8"),
+                (5, "x1*x2*x4*x5*x6*x7*x8"),
+                (5, "x1*x2*x3*x4*x5*x6*x7*x8"),
+                (6, "x1*x2*x3*x4*x5*x6*x7*x8"),
+            ]
+        }
 
 
 class TestLastGenerator:

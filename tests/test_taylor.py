@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from prunres.ideals import cycle_ideal, path_ideal
 from prunres.monomials import Monomial, MonomialIdeal, divides, ideal, monomial_str
-from prunres.taylor import WIDE_MASK_BITS, TaylorComplex, facets, indices_of
-from reference import PRECOMPUTE_CAP, TupleTaylorComplex, face_lattice
+from prunres.taylor import WIDE_MASK_BITS, TaylorComplex, indices_of
+from reference import PRECOMPUTE_CAP, TupleTaylorComplex, face_lattice, facets
 
 
 def test_face_multidegree_path5(path5):
@@ -201,6 +201,7 @@ def test_indices_of_on_both_sides_of_the_wide_walk(bits, top):
         {WIDE_MASK_BITS - 1},
         {0, WIDE_MASK_BITS},
         {0, 1, WIDE_MASK_BITS - 1, WIDE_MASK_BITS, 3 * WIDE_MASK_BITS},
+        {0, 2, 63, 64, 70},
     ],
 )
 def test_indices_of_known_masks(members):
