@@ -37,6 +37,7 @@ MORSE = "src/prunres/morse.py"
 PRUNING = "src/prunres/pruning.py"
 TAYLOR = "src/prunres/taylor.py"
 BETTI = "src/prunres/betti.py"
+SPLITTING = "src/prunres/splitting.py"
 
 T_MORSE = "tests/test_morse.py::"
 T_LINALG = "tests/test_linalg.py::"
@@ -44,6 +45,7 @@ T_PRUNING = "tests/test_pruning.py::"
 T_FLOW = "tests/test_flow_graph.py::"
 T_TAYLOR = "tests/test_taylor.py::"
 T_BETTI = "tests/test_betti.py::"
+T_SPLITTING = "tests/test_splitting.py::"
 
 MUTANTS = [
     # --- pruning sweeps ----------------------------------------------------
@@ -116,12 +118,14 @@ MUTANTS = [
             T_PRUNING + "TestVerifyMatching::test_constructor_rejects_bitsets_outside_the_simplex",
         ],
     },
+    # The mutant recorded in db68fef tested the lowest bit of each run of
+    # g_j in place of the top bit; every bit is tested now.
     {
-        "what": "the lowest bit of each run of g_j tested in place of the top bit",
+        "what": "the lowest bit of g_j left untested in the step mask",
         "file": PRUNING,
-        "old": "for b in indices_of(g & ~(g >> 1 & ~unlinked)):",
-        "new": "for b in indices_of(g & ~(g << 1)):",
-        "recorded": "db68fef",
+        "old": "for b in indices_of(g):",
+        "new": "for b in indices_of(g)[1:]:",
+        "recorded": "e632d95",
         "nodes": [
             T_PRUNING + "TestPruneTaylor::test_path5_trace",
             T_PRUNING + "TestSweepsAgainstReference::test_builtins",
@@ -678,6 +682,42 @@ MUTANTS = [
         "new": "    if True:\n",
         "recorded": "06d65cf",
         "nodes": [T_BETTI + "TestTorBetti::test_rp2_characteristics"],
+    },
+    # --- splitting ---------------------------------------------------------
+    {
+        "what": "the X' test of the residual widened to faces of X_J or X_K",
+        "file": SPLITTING,
+        "old": "        if sigma & j_mask and sigma & k_mask\n",
+        "new": "        if sigma & j_mask or sigma & k_mask\n",
+        "recorded": "e632d95",
+        "nodes": [
+            T_SPLITTING + "TestPrunedSplitting::test_path5_last_edge",
+            T_SPLITTING + "TestNonzeroResiduals::test_path7_at_2",
+        ],
+    },
+    {
+        "what": "the grid table subtracted unshifted",
+        "file": SPLITTING,
+        "old": "cells[h + 1, alpha] -= n",
+        "new": "cells[h, alpha] -= n",
+        "recorded": "e632d95",
+        "nodes": [T_SPLITTING + "TestPrunedSplitting::test_path5_last_edge"],
+    },
+    {
+        "what": "the grid's empty-face row shifted too",
+        "file": SPLITTING,
+        "old": "        if h:\n            cells[",
+        "new": "        if True:\n            cells[",
+        "recorded": "e632d95",
+        "nodes": [T_SPLITTING + "TestPrunedSplitting::test_path5_last_edge"],
+    },
+    {
+        "what": "grid_matches_minimal read from the unminimized grid twice",
+        "file": SPLITTING,
+        "old": "_pruned_table(minimal_generators(JK))",
+        "new": "_pruned_table(JK)",
+        "recorded": "e632d95",
+        "nodes": [T_SPLITTING + "TestNonzeroResiduals::test_cycle8_at_4"],
     },
 ]
 
