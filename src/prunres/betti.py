@@ -134,7 +134,8 @@ def _homology_ranks(
 
     Sorts each level in place and builds the boundary rows of each level
     once, as `{row: sign}` dicts over the level below, with the sign
-    (-1)^t of the `taylor` convention for removing the (t+1)-th member of a face.
+    (-1)^t of the `taylor` convention for removing the (t+1)-th member of
+    a face.
     Each level is ranked through `linalg.rank`, skipping empty ones: at an
     odd prime p over F_p, at chars 0 and 2 over F_2.  At char 2 that is the
     answer.  At char 0 it is the answer too when the F_2 homology is

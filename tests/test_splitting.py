@@ -3,9 +3,8 @@ import resource
 import subprocess
 import sys
 import time
-from pathlib import Path
-
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
