@@ -314,16 +314,16 @@ MUTANTS = [
     {
         "what": "the divisibility test of flow entries dropped",
         "file": MORSE,
-        "old": "                if cell_deg & ~sig_deg:\n",
-        "new": "                if False:\n",
+        "old": "                    if cell_deg & ~sig_deg:\n",
+        "new": "                    if False:\n",
         "recorded": "8e13089",
         "nodes": [T_FLOW + "TestAgainstReference::test_random_matchings"],
     },
     {
         "what": "a flow entry's degree read from the column level",
         "file": MORSE,
-        "old": "                cell_deg = row_deg[row]\n                if cell_deg & ~sig_deg:\n",
-        "new": "                cell_deg = col_deg[row]\n                if cell_deg & ~sig_deg:\n",
+        "old": "                    cell_deg = row_deg[row]\n                    if cell_deg & ~sig_deg:\n",
+        "new": "                    cell_deg = col_deg[row]\n                    if cell_deg & ~sig_deg:\n",
         "recorded": "f8fac84",
         "nodes": [T_FLOW + "TestAgainstReference::test_builtins"],
     },
@@ -331,7 +331,7 @@ MUTANTS = [
         "what": "the boundary sign flipped only on facets with a row",
         "file": MORSE,
         "old": (
-            "                    entries[(row, col)] = entry\n"
+            "                    add_entry(entry)\n"
             "                elif (reached := flow.get(facet)) is not None:\n"
             "                    if patch is None:\n"
             "                        patch = {}\n"
@@ -341,7 +341,7 @@ MUTANTS = [
             "                memo, other = other, memo\n"
         ),
         "new": (
-            "                    entries[(row, col)] = entry\n"
+            "                    add_entry(entry)\n"
             "                    memo, other = other, memo\n"
             "                elif (reached := flow.get(facet)) is not None:\n"
             "                    if patch is None:\n"
@@ -386,12 +386,42 @@ MUTANTS = [
         ],
     },
     {
-        "what": "a differential handed in wrapped without a copy",
+        "what": "a differential handed in kept without a copy",
         "file": MORSE,
-        "old": "MappingProxyType(dict(d))",
-        "new": "MappingProxyType(d)",
+        "old": "d if type(d) is Differential else Differential(d)",
+        "new": "d if isinstance(d, Mapping) else Differential(d)",
         "recorded": "3285ef5",
-        "nodes": [T_MORSE + "TestStoredResults::test_differentials_are_read_only"],
+        "nodes": [
+            T_MORSE + "TestStoredResults::test_differentials_are_read_only",
+            T_MORSE + "TestDifferential::test_kept_by_the_complex",
+        ],
+    },
+    {
+        "what": "a summed flow entry searched from the start of the whole row list",
+        "file": MORSE,
+        "old": "k = rows.index(row, start)",
+        "new": "k = rows.index(row)",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestMorseDifferential::test_summed_entry_lands_in_its_own_column"],
+    },
+    {
+        "what": "a zero sum left in place",
+        "file": MORSE,
+        "old": "                            del rows[k], entries[k]\n",
+        "new": "                            entries[k] = (0, entries[k][1])\n",
+        "recorded": "this change",
+        "nodes": [
+            T_MORSE
+            + "TestMorseDifferential::test_summed_entry_cancelling_a_facet_entry_is_deleted"
+        ],
+    },
+    {
+        "what": "a Differential lookup searching every column's rows",
+        "file": MORSE,
+        "old": "self.rows.index(row, start, stop)",
+        "new": "self.rows.index(row)",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestDifferential::test_mapping_contract"],
     },
     # --- the homogeneity contract and d*d ----------------------------------
     {
@@ -666,6 +696,14 @@ MUTANTS = [
         "recorded": "75da9e7",
         "nodes": [T_TAYLOR + "test_indices_of_known_masks"],
     },
+    {
+        "what": "the dense read of wide masks taking the digits highest first",
+        "file": TAYLOR,
+        "old": "digits[:1:-1].encode()",
+        "new": "digits[2:].encode()",
+        "recorded": "this change",
+        "nodes": [T_TAYLOR + "test_indices_of_against_the_lowest_bit_walk"],
+    },
     # --- the Betti oracles -------------------------------------------------
     {
         "what": "a shifted Tor key",
@@ -714,10 +752,18 @@ MUTANTS = [
     {
         "what": "grid_matches_minimal read from the unminimized grid twice",
         "file": SPLITTING,
-        "old": "_pruned_table(minimal_generators(JK))",
-        "new": "_pruned_table(JK)",
+        "old": "t_jk.same_entries(_pruned_table(minimal))",
+        "new": "t_jk.same_entries(_pruned_table(JK))",
         "recorded": "e632d95",
         "nodes": [T_SPLITTING + "TestNonzeroResiduals::test_cycle8_at_4"],
+    },
+    {
+        "what": "a grid that is its own minimalization pruned a second time",
+        "file": SPLITTING,
+        "old": "minimal == JK or t_jk",
+        "new": "t_jk",
+        "recorded": "this change",
+        "nodes": [T_SPLITTING + "TestAgainstReference::test_prunes_the_grids_alone"],
     },
 ]
 

@@ -2,18 +2,20 @@
 d*d = 0 / exactness / minimality checks.
 
 Homological degree i >= 1 is spanned by the critical (i-1)-dimensional faces;
-degree 0 by the empty face.  Differential entries are signed monomials stored
-sparsely as (row, col) -> (coefficient, degree-ratio exponents).
+degree 0 by the empty face.  Differential entries are signed monomials,
+(row, col) -> (coefficient, degree-ratio exponents), and each differential
+is held column-major (`Differential`): the column starts, the row of each
+entry and the entry itself, with no (row, col) key stored.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, count, pairwise, repeat
 from operator import itemgetter, le, sub
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
@@ -28,14 +30,139 @@ class InvalidMatchingError(ValueError):
 Entry = tuple[int, tuple[int, ...]]  # coefficient, exponent vector of the monomial
 
 
+class Differential(Mapping):
+    """One differential d_i as a read-only mapping (row, col) -> Entry, held
+    column-major.  Column col is the slice starts[col]:starts[col + 1] of
+    `rows`, the row of each entry, and of `entries`, its Entry; `starts`
+    has one item more than there are columns.  The three lists belong to
+    the Differential, and nothing changes them once it is built.
+
+    It iterates as its (row, col) keys in column order, and within a column
+    in the order the entries were given; `items()` and `values()` read the
+    tuples directly.  Equality is that of mappings, so a Differential equals
+    a dict with the same entries.  No key is stored: a dict of (row, col)
+    tuples costs a slot and a fresh tuple per entry, about 110 bytes, while
+    an entry here is two list slots, and the Entry and row objects it
+    points to are shared (`morse_differential`).  A lookup `d[row, col]`
+    searches the rows of column col alone.
+
+    `Differential(d)` copies a mapping, or an iterable of (key, Entry)
+    pairs, grouping its entries by column.  A key that is not a pair of
+    ints, or whose column is negative, raises ValueError naming it, since
+    there is no place to hold it.  Any other row is stored as given, and so
+    is a column beyond the level the differential maps from:
+    `ChainComplex`'s contract pass turns those down."""
+
+    __slots__ = ("starts", "rows", "entries")
+
+    def __init__(
+        self,
+        d: Mapping[tuple[int, int], Entry] | Iterable[tuple[tuple[int, int], Entry]] = (),
+    ) -> None:
+        by_col: dict[int, list[tuple[int, Entry]]] = {}
+        for key, entry in d.items() if isinstance(d, Mapping) else dict(d).items():
+            if not (
+                isinstance(key, tuple) and len(key) == 2
+                and isinstance(key[0], int) and isinstance(key[1], int)
+                and key[1] >= 0
+            ):
+                raise ValueError(
+                    f"differential key {key!r} is not a pair (row, col) of"
+                    f" ints with col >= 0"
+                )
+            by_col.setdefault(key[1], []).append((key[0], entry))
+        starts, rows, entries = [0], [], []
+        for col in range(max(by_col, default=-1) + 1):
+            for row, entry in by_col.get(col, ()):
+                rows.append(row)
+                entries.append(entry)
+            starts.append(len(rows))
+        self.starts, self.rows, self.entries = starts, rows, entries
+
+    @classmethod
+    def _of_columns(
+        cls, starts: list[int], rows: list[int], entries: list[Entry]
+    ) -> Differential:
+        """The differential with these column starts, rows and entries, no
+        two rows of one column equal: the lists are taken, not copied, and
+        the caller keeps no reference to them."""
+        d = object.__new__(cls)
+        d.starts, d.rows, d.entries = starts, rows, entries
+        return d
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.rows, _entry_cells(self, count()))
+
+    def __getitem__(self, key: tuple[int, int]) -> Entry:
+        try:
+            row, col = key
+            if col >= 0:
+                start, stop = self.starts[col], self.starts[col + 1]
+                return self.entries[self.rows.index(row, start, stop)]
+        except (TypeError, ValueError, IndexError):
+            pass  # no pair, no column col, or no such row in it
+        raise KeyError(key)
+
+    def items(self) -> _Items:
+        return _Items(self)
+
+    def values(self) -> _Values:
+        return _Values(self)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Differential) and (
+            self.starts == other.starts
+            and self.rows == other.rows
+            and self.entries == other.entries
+        ):
+            return True
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and dict(self.items()) == dict(other.items())
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Differential({dict(self.items())!r})"
+
+
+def _entry_cells(d: Differential, cells: Iterable[object]) -> Iterator[object]:
+    """For each entry of d, in the order of `d.rows`, the item of `cells` at
+    its column: `count()` gives the column itself.  Each item is repeated
+    once per entry of its column, all in C, so a consumer reads the entries
+    in one flat loop and slices no column; most columns hold a few
+    entries."""
+    starts = d.starts
+    return chain.from_iterable(map(repeat, cells, map(sub, starts[1:], starts)))
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], Entry]]:
+        d = self._mapping
+        return zip(iter(d), d.entries)
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Entry]:
+        return iter(self._mapping.entries)
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """Critical cells per homological degree plus (optionally) differentials.
 
-    The differentials are read-only: each diffs[i] is a mapping proxy.  A
-    plain dict handed in is copied once into one; a mapping proxy is kept as
-    it is, so whoever builds one over a dict of their own must not change
-    that dict afterwards.  The other fields are made tuples down to each
+    The differentials are read-only: each diffs[i] is a `Differential`,
+    held column-major.  A Differential handed in is kept as it is, and any
+    other mapping is copied once into one, so changing a dict after handing
+    it in changes nothing; a key that is not a pair of ints (row, col) with
+    col >= 0 raises ValueError.  The other fields are made tuples down to each
     degree vector, so a list handed in is copied and changing it later
     changes nothing; `tuple()` hands a tuple back as it is.  Since no field
     can change, the checks store what they learn about a complex on it,
@@ -54,7 +181,7 @@ class ChainComplex:
     variables: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]
     degrees: tuple[tuple[tuple[int, ...], ...], ...]
-    diffs: tuple[Mapping[tuple[int, int], Entry], ...] | None = None
+    diffs: tuple[Differential, ...] | None = None
     # diffs[i] is d_{i+1}: F_{i+1} -> F_i, so len(diffs) == len(cells) - 1
 
     def __post_init__(self) -> None:
@@ -66,7 +193,9 @@ class ChainComplex:
             tuple(tuple(map(tuple, level)) for level in self.degrees),
         )
         if self.diffs is not None:
-            set_field(self, "diffs", tuple(map(_read_only, self.diffs)))
+            set_field(self, "diffs", tuple(
+                d if type(d) is Differential else Differential(d) for d in self.diffs
+            ))
 
     @cached_property
     def _facts(self) -> _Facts:
@@ -80,7 +209,7 @@ class ChainComplex:
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
 
-    def diff(self, i: int) -> Mapping[tuple[int, int], Entry]:
+    def diff(self, i: int) -> Differential:
         """d_i: F_i -> F_{i-1}, for 1 <= i < length."""
         if self.diffs is None:
             raise ValueError("differentials not set")
@@ -96,11 +225,6 @@ class ChainComplex:
                     sign = "+" if coeff >= 0 else "-"
                     lines.append(f"d{i}[{row},{col}] = {sign}{abs(coeff)}*{mono}")
         return lines
-
-
-def _read_only(d: Mapping[tuple[int, int], Entry]) -> MappingProxyType:
-    """d as a mapping proxy: a proxy is kept, anything else copied once."""
-    return d if type(d) is MappingProxyType else MappingProxyType(dict(d))
 
 
 class _Facts:
@@ -191,7 +315,10 @@ def morse_differential(
     subset of sigma, so its lcm divides sigma's.  A facet that is a flow
     node adds the sign times its flow, summed over the column after the
     walk onto the entries of the walk; only these summed entries take the
-    divisibility test, and one that sums to zero is dropped.  Any other
+    divisibility test, and one that sums to zero is dropped.  The column is
+    appended to d_i's lists as it is written (`Differential`), so a summed
+    entry finds the walk's entry at its row by a search of the column's own
+    slice, the last of the lists, and a zero sum is deleted there.  Any other
     facet is matched-upper and absorbs nothing, but its member still flips
     the sign.  A column with no flow node among its facets, as every column
     of a complex whose critical cells are closed under faces
@@ -214,7 +341,10 @@ def morse_differential(
     of a critical facet is ±1 times that ratio, so its whole (coefficient,
     ratio) tuple is memoized too, one memo per sign, and every such entry
     of one sign and XOR is the same tuple object: the 176,128 entries of
-    that complex share 59 tuples instead of holding one each.
+    that complex share 59 tuples instead of holding one each.  The rows are
+    the ints of the level's {mask: row} dict, shared by every entry at that
+    row, so an entry costs two list slots: that complex keeps about 5.7 MB
+    where a dict of (row, col) keys kept 19.3 MB.
 
     So the complex keeps the contract of `ChainComplex` by construction:
     rows come from the level below, every summed entry passes the
@@ -240,11 +370,14 @@ def morse_differential(
             ratios[sig_deg ^ cell_deg] = ratio
         return ratio
 
-    diffs: list[Mapping[tuple[int, int], Entry]] = []
+    diffs: list[Differential] = []
     for i in range(1, base.length):
-        entries: dict[tuple[int, int], Entry] = {}
-        rows = dict(zip(base.cells[i - 1], count()))
-        get_row = rows.get
+        # d_i column-major: the column starts, and the row and entry of each
+        # entry, appended column by column
+        starts, rows, entries = [0], [], []
+        add_row, add_entry = rows.append, entries.append
+        row_of = dict(zip(base.cells[i - 1], count()))
+        get_row = row_of.get
         row_deg, col_deg = cell_degs[i - 1], cell_degs[i]
         for col, sigma in enumerate(base.cells[i]):
             sig_deg = col_deg[col]
@@ -263,7 +396,8 @@ def morse_differential(
                         sign = 1 if memo is plus else -1
                         entry = (sign, ratio_of(sig_deg, cell_deg))
                         memo[sig_deg ^ cell_deg] = entry
-                    entries[(row, col)] = entry
+                    add_row(row)
+                    add_entry(entry)
                 elif (reached := flow.get(facet)) is not None:
                     if patch is None:
                         patch = {}
@@ -271,20 +405,33 @@ def morse_differential(
                     for cell, val in reached.items():
                         patch[cell] = patch.get(cell, 0) + sign * val
                 memo, other = other, memo
-            if patch is None:
-                continue
-            for cell, val in patch.items():
-                row = rows[cell]
-                if (entry := entries.get((row, col))) is not None:
-                    val += entry[0]
-                if not val:
-                    entries.pop((row, col), None)
-                    continue
-                cell_deg = row_deg[row]
-                if cell_deg & ~sig_deg:
-                    raise InvalidMatchingError("non-divisible differential entry")
-                entries[(row, col)] = (val, ratio_of(sig_deg, cell_deg))
-        diffs.append(MappingProxyType(entries))
+            if patch is not None:
+                # a summed entry adds onto the walk's entry at its row, which
+                # only this column's slice, from `start`, can hold
+                start = starts[-1]
+                for cell, val in patch.items():
+                    row = row_of[cell]
+                    try:
+                        k = rows.index(row, start)
+                    except ValueError:
+                        k = None
+                    else:
+                        val += entries[k][0]
+                    if not val:
+                        if k is not None:
+                            del rows[k], entries[k]
+                        continue
+                    cell_deg = row_deg[row]
+                    if cell_deg & ~sig_deg:
+                        raise InvalidMatchingError("non-divisible differential entry")
+                    entry = (val, ratio_of(sig_deg, cell_deg))
+                    if k is None:
+                        add_row(row)
+                        add_entry(entry)
+                    else:
+                        entries[k] = entry
+            starts.append(len(rows))
+        diffs.append(Differential._of_columns(starts, rows, entries))
 
     C = ChainComplex(base.variables, base.cells, base.degrees, tuple(diffs))
     C._facts.homogeneous = True
@@ -414,25 +561,18 @@ def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
     1,171,456 product terms.  The verdict comes from the entries alone,
     never from who built C.
 
-    Every other pair is multiplied.  The columns of each differential are
-    listed by their position in its level, which is where the rows of the
-    one above point (`_columns`), and a level's are kept only while a pair
-    still needs them."""
+    Every other pair is multiplied, reading the columns of both
+    differentials where they are stored (`_composes_to_zero`)."""
     top = max(C.length - 1, 0)
     if top < 2:
         return True
     # a cell that is no int >= 0 is no finite set, so no level is tested
     masks = all(type(m) is int and m >= 0 for m in chain.from_iterable(C.cells))
     boundary = [False] + [masks and _is_boundary(C, i) for i in range(1, top + 1)]
-    columns: dict[int, list[list[tuple[int, int]]]] = {}
     for i in range(2, top + 1):
         if not (boundary[i - 1] and boundary[i]):
-            for k in (i - 1, i):
-                if k not in columns:
-                    columns[k] = _columns(C.diff(k), len(C.cells[k]))
-            if not _composes_to_zero(columns[i - 1], columns[i], char):
+            if not _composes_to_zero(C.diff(i - 1), C.diff(i), char):
                 return False
-        columns.pop(i - 1, None)
     return True
 
 
@@ -456,8 +596,8 @@ def _is_boundary(C: ChainComplex, i: int) -> bool:
     below, here, d = C.cells[i - 1], C.cells[i], C.diffs[i - 1]
     if len({*below}) != len(below) or len(d) != sum(map(int.bit_count, here)):
         return False
-    for (row, col), (coeff, _) in d.items():
-        sigma = here[col]
+    # the contract keeps every entry in a column of `here`
+    for sigma, row, (coeff, _) in zip(_entry_cells(d, here), d.rows, d.entries):
         low = sigma ^ below[row]  # the member removed, when it is one
         if low & (low - 1) or not low & sigma:
             return False
@@ -466,31 +606,24 @@ def _is_boundary(C: ChainComplex, i: int) -> bool:
     return True
 
 
-def _columns(
-    d: Mapping[tuple[int, int], Entry], n: int
-) -> list[list[tuple[int, int]]]:
-    """columns[col]: (row, coeff) for the entries of one column of d, a
-    differential with n columns."""
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (row, col), (coeff, _) in d.items():
-        columns[col].append((row, coeff))
-    return columns
-
-
-def _composes_to_zero(
-    lower: list[list[tuple[int, int]]],
-    upper: list[list[tuple[int, int]]],
-    char: int,
-) -> bool:
-    """Whether the product of two differentials given by their columns,
-    `lower` after `upper`, has every sum of terms at one row of one column
-    zero mod char (char 0: over the integers)."""
-    for terms in upper:
+def _composes_to_zero(lower: Differential, upper: Differential, char: int) -> bool:
+    """Whether the product of two differentials of a complex that keeps the
+    contract, `lower` after `upper`, has every sum of terms at one row of
+    one column zero mod char (char 0: over the integers).  Each column of
+    `upper` is read by slice.  The columns of `lower`, each read by many
+    of them, are first cut once into lists of (row, coeff); a row of
+    `upper` past the last column `lower` stores is an empty column."""
+    rows, coeffs = lower.rows, [coeff for coeff, _ in lower.entries]
+    columns = [list(zip(rows[a:b], coeffs[a:b])) for a, b in pairwise(lower.starts)]
+    stored = len(columns)
+    up_rows, up_entries = upper.rows, upper.entries
+    for start, stop in pairwise(upper.starts):
         acc: dict[int, int] = {}
         get = acc.get
-        for mid, c1 in terms:
-            for row, c2 in lower[mid]:
-                acc[row] = get(row, 0) + c1 * c2
+        for mid, (c1, _) in zip(up_rows[start:stop], up_entries[start:stop]):
+            if mid < stored:
+                for row, c2 in columns[mid]:
+                    acc[row] = get(row, 0) + c1 * c2
         if char:
             if any(v % char for v in acc.values()):
                 return False
@@ -728,9 +861,10 @@ class _StrandIndex:
         # packed[g]: the rows of the odd entries of the column of cell g, as
         # a bitmask from shift[g]
         packed = [0] * len(cells)
-        for g, row, coeff in _column_entries(C.diffs, off):
-            if coeff & 1:
-                packed[g] |= 1 << row
+        for i, d in zip(range(1, C.length), C.diffs):
+            for g, row, (coeff, _) in zip(_entry_cells(d, count(off[i])), d.rows, d.entries):
+                if coeff & 1:
+                    packed[g] |= 1 << row
         self.packed = packed
         self.columns: list[dict[int, int]] | None = None  # for the dict kernels
         self.not_exact_over_f2: list[int] | None = None
@@ -775,25 +909,16 @@ class _StrandIndex:
         columns = self.columns
         if columns is None:
             columns = self.columns = [{} for _ in shift]
-            for g, row, coeff in _column_entries(self.diffs, self.off):
-                columns[g][shift[g] + row] = coeff
+            off = self.off
+            for i, d in zip(range(1, len(off) - 1), self.diffs):
+                for g, row, (coeff, _) in zip(_entry_cells(d, count(off[i])), d.rows, d.entries):
+                    columns[g][shift[g] + row] = coeff
         rows = [columns[g] for g in strand]
         if char is None:
             return linalg.pivots_unit(rows, base)
         if char:
             return linalg.pivots_mod(rows, char, base)
         return linalg.pivots_rational(rows, base)
-
-
-def _column_entries(
-    diffs: tuple[Mapping[tuple[int, int], Entry], ...], off: list[int]
-) -> Iterator[tuple[int, int, int]]:
-    """(g, row, coeff) for each entry of each d_i = diffs[i - 1], on a
-    complex that keeps the contract: g is the cell of its column, numbered
-    from `off`, and row its row within level i - 1."""
-    for i, d in zip(range(1, len(off) - 1), diffs):
-        for (row, col), (coeff, _) in d.items():
-            yield off[i] + col, row, coeff
 
 
 def check_minimal(C: ChainComplex, char: int = 0) -> bool:
@@ -806,7 +931,7 @@ def check_minimal(C: ChainComplex, char: int = 0) -> bool:
     if not _homogeneous(C):
         return False
     for d in C.diffs:
-        for coeff, exps in d.values():
+        for coeff, exps in d.entries:
             if all(e == 0 for e in exps) and (coeff % char if char else coeff):
                 return False
     return True

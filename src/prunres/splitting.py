@@ -145,7 +145,9 @@ def check_pruned_splitting(
         if h:
             cells[h + 1, alpha] -= n
     residuals = {key: n for key, n in cells.items() if n}
-    grid_matches_minimal = t_jk.same_entries(_pruned_table(minimal_generators(JK)))
+    # a grid that is its own minimalization is not pruned a second time
+    minimal = minimal_generators(JK)
+    grid_matches_minimal = minimal == JK or t_jk.same_entries(_pruned_table(minimal))
     return SplitReport(s, True, regions, residuals, grid_matches_minimal)
 
 

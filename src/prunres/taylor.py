@@ -34,6 +34,7 @@ and `morse.morse_differential` memoizes its entry monomials by that XOR.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import compress
 from weakref import WeakKeyDictionary
 
 from .monomials import MonomialIdeal
@@ -43,6 +44,8 @@ from .monomials import MonomialIdeal
 _TABLES: WeakKeyDictionary[MonomialIdeal, TaylorComplex] = WeakKeyDictionary()
 # ints at least this wide are walked in their binary string (`indices_of`)
 WIDE_MASK_BITS = 1024
+# the binary digits "0" and "1" as the bytes 0 and 1 (`indices_of`)
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # the most generators whose 2^r faces are built unless the caller forces it:
 # the command line refuses a larger ideal, and
 # `splitting.check_pruned_splitting` a larger intersection grid
@@ -56,9 +59,16 @@ def indices_of(mask: int) -> list[int]:
     k set bits of a W-bit int cost about k * W.  An int of at least
     WIDE_MASK_BITS bits, as a strand of a complex with thousands of cells,
     is read from `bin` instead: one pass over its digits and one `find` per
-    set bit."""
+    set bit.  When more than a sixth of its digits are ones, as the 24,576
+    of 32,766 critical faces of the Lyubeznik sweep of cycle:15, the
+    digits, lowest first, are made bytes 0 and 1 and select the positions
+    by `compress`, all in C: 0.7 ms there, against 3.1 ms for a `find` per
+    set bit.  At a sixth the two cost about the same."""
     if mask.bit_length() >= WIDE_MASK_BITS:
         digits = bin(mask)
+        if 6 * mask.bit_count() > len(digits) - 2:
+            flags = digits[:1:-1].encode().translate(_BIT_BYTES)  # byte k is bit k
+            return list(compress(range(len(flags)), flags))
         top = len(digits) - 1
         out = []
         i = digits.find("1", 2)

@@ -8,6 +8,8 @@ characteristic the copy was compared on; a layer keeps one reference, not
 one copy per change.  Every mutant of the library that such a test catches
 is recorded in `scripts/mutants.py`, which checks that it is still caught.
 
+- `lowest_bits`: the members of a face by the walk by lowest set bit, for
+  `taylor.indices_of`'s reads of wide ints.
 - `TupleTaylorComplex`: the degree table as exponent tuples built by max
   over zip, and `face_lattice`, the lcm lattice by a walk over all 2^r
   faces.  `PolarizedTupleTable` gives it degree bitmasks in plain
@@ -62,6 +64,16 @@ PRECOMPUTE_CAP = 20
 
 
 # --- the Taylor complex ------------------------------------------------------
+
+
+def lowest_bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first, one at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class TupleTaylorComplex:

@@ -1,6 +1,9 @@
+import gc
 import inspect
+import re
 import sys
 import time
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -16,6 +19,7 @@ from prunres.monomials import MAX_EXPONENT
 
 from prunres.morse import (
     ChainComplex,
+    Differential,
     _contract_holds,
     _d_squared_vanishes,
     _homogeneous,
@@ -97,6 +101,34 @@ class TestMorseDifferential:
         assert C.cells[2:] == ((0b011, 0b101), (0b111,))
         assert C.diff(3) == {(1, 0): (-1, (0, 0, 1)), (0, 0): (1, (0, 0, 0))}
         assert C == reference.morse_differential(I, m)
+
+    def test_summed_entry_lands_in_its_own_column(self):
+        # {1} -> {0, 1} on (x, x, x): in d_2 the column of {1, 2} sums the
+        # flow of its facet {1} at the row of {0}, a row that the column of
+        # {0, 2} before it holds too, so only its own column is searched
+        I = parse_ideal("ring x\ngens x, x, x")
+        m = Matching.from_edges(3, ((0b010, 0),))
+        C = morse_differential(I, m)
+        assert C.cells[1:3] == ((0b001, 0b100), (0b101, 0b110))
+        assert list(C.diff(2).items()) == [
+            ((1, 0), (1, (0,))),
+            ((0, 0), (-1, (0,))),
+            ((1, 1), (1, (0,))),
+            ((0, 1), (-1, (0,))),
+        ]
+        assert C == reference.morse_differential(I, m)
+
+    def test_summed_entry_cancelling_a_facet_entry_is_deleted(self):
+        # {0} -> {0, 2} and {2} -> {1, 2} on (x, x, x): the column of {0, 1}
+        # holds its critical facet {1}, and the flow of its facet {0} runs
+        # to {1} too and cancels it, so d_2 has no entry at all
+        I = parse_ideal("ring x\ngens x, x, x")
+        m = Matching.from_edges(3, ((0b001, 2), (0b100, 1)))
+        C = morse_differential(I, m)
+        assert C.cells == ((0,), (0b010,), (0b011,), (0b111,))
+        assert len(C.diff(2)) == 0 and (0, 0) not in C.diff(2)
+        assert C == reference.morse_differential(I, m)
+        assert check_d_squared(C) and check_exactness(I, C, 0)
 
     def test_empty_matching_is_taylor_boundary(self, path5):
         C = morse_differential(path5, empty_matching(path5))
@@ -1029,23 +1061,17 @@ def _product_terms(monkeypatch, C):
     summed for d_{i-1} d_i} over the pairs it multiplied: each column's
     entries times the entries of the lower columns they point to."""
     B = _fresh(C)
-    level = {}  # id of the columns that morse._columns returned -> i of d_i
     terms = {}
-    real_columns, real_product = morse._columns, morse._composes_to_zero
-
-    def columns(d, n):
-        out = real_columns(d, n)
-        level[id(out)] = next(i for i, e in enumerate(B.diffs, 1) if e is d)
-        return out
+    real_product = morse._composes_to_zero
 
     def product(lower, upper, char):
-        i = level[id(upper)]
-        assert level[id(lower)] == i - 1 and i not in terms
-        terms[i] = sum(len(lower[mid]) for column in upper for mid, _ in column)
+        i = next(i for i, e in enumerate(B.diffs, 1) if e is upper)
+        assert B.diff(i - 1) is lower and i not in terms
+        starts = lower.starts
+        terms[i] = sum(starts[mid + 1] - starts[mid] for mid in upper.rows)
         return real_product(lower, upper, char)
 
     with monkeypatch.context() as m:
-        m.setattr(morse, "_columns", columns)
         m.setattr(morse, "_composes_to_zero", product)
         verdict = check_d_squared(B)
     return verdict, terms
@@ -1707,3 +1733,140 @@ def test_dump_lines_format(path5):
     lines = C.dump_lines()
     assert lines[0] == "F0: 1 cells"
     assert any(line.startswith("d1[0,0] = ") for line in lines)
+
+
+class TestDifferential:
+    """Each d_i held column-major (`morse.Differential`): a read-only
+    mapping (row, col) -> Entry that stores no key."""
+
+    D = {
+        (2, 1): (1, (0, 1)),
+        (0, 0): (-1, (1, 0)),
+        (1, 1): (3, (0, 0)),
+        (0, 3): (1, (1, 1)),
+    }
+
+    def test_mapping_contract(self):
+        d = Differential(self.D)
+        # column order, and within a column the order given; column 2 is
+        # an empty gap
+        assert list(d) == [(0, 0), (2, 1), (1, 1), (0, 3)]
+        assert d.starts == [0, 1, 3, 3, 4] and d.rows == [0, 2, 1, 0]
+        assert list(d.items()) == [(key, self.D[key]) for key in d]
+        assert list(d.values()) == [self.D[key] for key in d]
+        assert len(d) == 4 and dict(d) == self.D
+        assert d == self.D and self.D == d and not d != self.D
+        assert (1, 1) in d and d[1, 1] == (3, (0, 0)) and d.get((5, 5)) is None
+        for key in [(1, 2), (2, 0), (0, 4), (0, -1), (0, 1.5), (0,), (0, 0, 0), "ab", None, 7]:
+            assert key not in d, key
+            with pytest.raises(KeyError):
+                d[key]
+        assert d != {**self.D, (0, 0): (1, (1, 0))} and d != {} and d != list(self.D)
+        # equal entries in another order within a column: an equal mapping
+        swapped = Differential({(1, 1): (3, (0, 0)), **self.D})
+        assert list(swapped)[1:3] == [(1, 1), (2, 1)] and swapped == d
+        assert repr(d) == f"Differential({dict(d)!r})"
+        assert eval(repr(d), {"Differential": Differential}) == d
+        with pytest.raises(TypeError):
+            d[0, 0] = (1, (1, 0))
+        with pytest.raises(TypeError):
+            del d[0, 0]
+        with pytest.raises(TypeError):
+            hash(d)
+        assert d == self.D
+        assert Differential() == {} and not Differential()
+        assert Differential(d) == d and Differential(list(self.D.items())) == d
+
+    def test_kept_by_the_complex(self, path5):
+        C = morse_differential(path5, prune_taylor(path5))
+        assert all(type(d) is Differential for d in C.diffs)
+        B = ChainComplex(C.variables, C.cells, C.degrees, C.diffs)
+        assert all(b is d for b, d in zip(B.diffs, C.diffs))
+        copied = ChainComplex(C.variables, C.cells, C.degrees, [dict(d) for d in C.diffs])
+        assert all(type(d) is Differential for d in copied.diffs) and copied == C
+
+    @pytest.mark.parametrize(
+        "key", [(0, -1), (-1, -2), (0.5, 1), (0, "1"), (0,), (0, 1, 2), "01", 5]
+    )
+    def test_malformed_key_refused(self, path5, key):
+        # no column can hold such a key, so it is refused, not dropped
+        C = morse_differential(path5, prune_taylor(path5))
+        d = dict(C.diff(1))
+        d[key] = (1, (0,) * 5)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            ChainComplex(C.variables, C.cells, C.degrees, (d, *C.diffs[1:]))
+
+    # (contract, d*d, exact at 0, 2 and 3, minimal at 0 and 2) of each
+    # hand-built complex, as when each differential was a dict of its keys
+    VERDICTS = {
+        "reversed": {
+            ("cycle:5", prune_taylor): (True, True, True, True, True, True, True),
+            ("cycle:5", prune_lyubeznik): (True, True, True, True, True, False, False),
+            ("path:5", prune_taylor): (True, True, True, True, True, True, True),
+        },
+        "gaps": {
+            ("cycle:5", prune_taylor): (True, False, False, False, False, True, True),
+            ("cycle:5", prune_lyubeznik): (True, False, False, False, False, False, False),
+            ("path:5", prune_taylor): (True, False, False, False, False, True, True),
+        },
+        "top": {
+            ("cycle:5", prune_taylor): (True, True, False, False, False, True, True),
+            ("cycle:5", prune_lyubeznik): (True, True, False, False, False, False, False),
+            ("path:5", prune_taylor): (True, True, False, False, False, True, True),
+        },
+        "below-top": {
+            ("cycle:5", prune_taylor): (True, False, False, False, False, True, True),
+            ("cycle:5", prune_lyubeznik): (True, False, False, False, False, False, False),
+            ("path:5", prune_taylor): (True, False, False, False, False, True, True),
+        },
+    }
+
+    @pytest.mark.parametrize("how", list(VERDICTS))
+    def test_hand_built_columns_out_of_order_and_with_gaps(self, how):
+        # every differential handed in as a dict with its entries reversed,
+        # so its columns come last first; "gaps" drops two columns of d_2,
+        # one of them the last, "top" the last column of the top
+        # differential and "below-top" that of the one under it
+        for (spec, method), expected in self.VERDICTS[how].items():
+            I = builtin_ideal(spec)
+            C = morse_differential(I, method(I))
+            top = len(C.diffs)
+            diffs = []
+            for i, d in enumerate(C.diffs, 1):
+                last = len(C.cells[i]) - 1
+                drop = {
+                    "reversed": (),
+                    "gaps": (1, last) if i == 2 else (),
+                    "top": (last,) if i == top else (),
+                    "below-top": (last,) if i == top - 1 else (),
+                }[how]
+                diffs.append({
+                    key: entry for key, entry in list(d.items())[::-1] if key[1] not in drop
+                })
+            B = ChainComplex(C.variables, C.cells, C.degrees, tuple(diffs))
+            got = (
+                _contract_holds(B),
+                check_d_squared(B),
+                *(check_exactness(I, B, char) for char in (0, 2, 3)),
+                check_minimal(B, 0),
+                check_minimal(B, 2),
+            )
+            assert got == expected, (spec, method.__name__)
+            assert B.diffs == tuple(diffs)
+
+    def test_lyubeznik_cycle15_keeps_under_8_mb(self):
+        # 176,128 entries: two list slots each, with rows and entries
+        # shared; a dict of (row, col) keys kept 19.3 MB
+        I = cycle_ideal(15)
+        m = prune_lyubeznik(I)
+        morse_differential(I, m, validate=False)  # the tables it reads, built once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            C = morse_differential(I, m, validate=False)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, C.diffs)) == 176_128
+        assert kept < 8_000_000, kept

@@ -231,6 +231,13 @@ class TestAgainstReference:
         pruned.clear()
         assert not check_pruned_splitting(cycle5, 4).is_pruned_splitting
         assert pruned == []
+        # a grid that is its own minimalization is pruned once
+        I = parse_ideal("ring x y z; gens x, y, z")
+        grid = intersection_generators(*split_parts(I, 1))
+        assert minimal_generators(grid) == grid
+        rep = check_pruned_splitting(I, 1)
+        assert rep.is_pruned_splitting and rep.grid_matches_minimal is True
+        assert pruned == [grid]
 
 
 class TestNonzeroResiduals:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from prunres.ideals import cycle_ideal, path_ideal
 from prunres.monomials import Monomial, MonomialIdeal, divides, ideal, monomial_str
 from prunres.taylor import WIDE_MASK_BITS, TaylorComplex, indices_of
-from reference import PRECOMPUTE_CAP, TupleTaylorComplex, face_lattice, facets
+from reference import PRECOMPUTE_CAP, TupleTaylorComplex, face_lattice, facets, lowest_bits
 
 
 def test_face_multidegree_path5(path5):
@@ -206,6 +206,26 @@ def test_indices_of_on_both_sides_of_the_wide_walk(bits, top):
 )
 def test_indices_of_known_masks(members):
     assert indices_of(sum(1 << b for b in members)) == sorted(members)
+
+
+@pytest.mark.parametrize("width", [0, 1, 1023, 1024, 1025, 4096])
+@pytest.mark.parametrize(
+    "keep",
+    [
+        lambda k: False,  # no bit below the top one
+        lambda k: k % 37 == 5,  # sparse, below a sixth
+        lambda k: k % 2 == 0,  # half, through `compress`
+        lambda k: k % 4 != 3,  # three quarters
+        lambda k: True,  # all ones
+    ],
+    ids=["top-only", "sparse", "half", "three-quarters", "all-ones"],
+)
+def test_indices_of_against_the_lowest_bit_walk(width, keep):
+    # every read of `indices_of`, narrow or wide, sparse or dense, gives the
+    # members the walk by lowest set bit gives
+    mask = sum(1 << k for k in range(width) if keep(k) or k == width - 1)
+    assert mask.bit_length() == width
+    assert indices_of(mask) == lowest_bits(mask)
 
 
 class TestLattice:
