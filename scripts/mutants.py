@@ -401,7 +401,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "k = rows.index(row, start)",
         "new": "k = rows.index(row)",
-        "recorded": "this change",
+        "recorded": "8e7db90",
         "nodes": [T_MORSE + "TestMorseDifferential::test_summed_entry_lands_in_its_own_column"],
     },
     {
@@ -409,7 +409,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "                            del rows[k], entries[k]\n",
         "new": "                            entries[k] = (0, entries[k][1])\n",
-        "recorded": "this change",
+        "recorded": "8e7db90",
         "nodes": [
             T_MORSE
             + "TestMorseDifferential::test_summed_entry_cancelling_a_facet_entry_is_deleted"
@@ -420,7 +420,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "self.rows.index(row, start, stop)",
         "new": "self.rows.index(row)",
-        "recorded": "this change",
+        "recorded": "8e7db90",
         "nodes": [T_MORSE + "TestDifferential::test_mapping_contract"],
     },
     # --- the homogeneity contract and d*d ----------------------------------
@@ -701,7 +701,7 @@ MUTANTS = [
         "file": TAYLOR,
         "old": "digits[:1:-1].encode()",
         "new": "digits[2:].encode()",
-        "recorded": "this change",
+        "recorded": "8e7db90",
         "nodes": [T_TAYLOR + "test_indices_of_against_the_lowest_bit_walk"],
     },
     # --- the Betti oracles -------------------------------------------------
@@ -762,7 +762,7 @@ MUTANTS = [
         "file": SPLITTING,
         "old": "minimal == JK or t_jk",
         "new": "t_jk",
-        "recorded": "this change",
+        "recorded": "8e7db90",
         "nodes": [T_SPLITTING + "TestAgainstReference::test_prunes_the_grids_alone"],
     },
 ]
