@@ -423,6 +423,22 @@ MUTANTS = [
         "recorded": "8e7db90",
         "nodes": [T_MORSE + "TestDifferential::test_mapping_contract"],
     },
+    {
+        "what": "a missing differential accepted",
+        "file": MORSE,
+        "old": "if len(self.diffs) < len(self.cells) - 1:",
+        "new": "if len(self.diffs) < len(self.cells) - 2:",
+        "recorded": "this commit",
+        "nodes": [T_MORSE + "TestShape::test_missing_differential_refused"],
+    },
+    {
+        "what": "level lengths not compared",
+        "file": MORSE,
+        "old": "            if len(level) != len(degs):\n",
+        "new": "            if False:\n",
+        "recorded": "this commit",
+        "nodes": [T_MORSE + "TestShape::test_level_with_fewer_degrees_refused"],
+    },
     # --- the homogeneity contract and d*d ----------------------------------
     {
         "what": "the contract pass without the negative-exponent test",

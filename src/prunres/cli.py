@@ -1,9 +1,15 @@
 """Command-line front end: parse ideals, run the pipelines, render reports.
 
+Each command, and each of the four `check` commands, declares only the
+flags it reads, so a flag it would ignore is refused like an unknown one.
+Every output has one command that prints it: the sweep trace and the
+complex come from `betti --trace --dump-complex`, and
+`scripts/compare_builtin_ideals.py` prints its tables by calling `main`.
+
 Exit codes: 0 success / all checks passed, 1 a parse error or an input the
 run refuses (a bad characteristic, split point or generator count), 2 a
 requested check failed; the option parser also exits 2, on an unknown or
-missing option and on a flag the subcommand refuses.
+missing option and on a flag the command refuses.
 """
 from __future__ import annotations
 
@@ -42,24 +48,16 @@ def load_ideal(spec: str, force: bool = False) -> MonomialIdeal:
     return I
 
 
-def _emit_trace(I: MonomialIdeal, matching: pruning.Matching, out) -> None:
-    for line in pruning.render_trace(matching, I):
-        print(line, file=out)
-
-
-def _emit_complex(C: morse.ChainComplex, out) -> None:
-    for line in C.dump_lines():
-        print(line, file=out)
-
-
 def cmd_betti(args, out) -> int:
     I = load_ideal(args.ideal, args.force)
     matching = SWEEPS[args.method](I)
     if args.trace:
-        _emit_trace(I, matching, out)
+        for line in pruning.render_trace(matching, I):
+            print(line, file=out)
     if args.dump_complex:
         complex_ = morse.morse_differential(I, matching, validate=False)
-        _emit_complex(complex_, out)
+        for line in complex_.dump_lines():
+            print(line, file=out)
     else:
         complex_ = morse.critical_complex(I, matching, validate=False)
     table = betti_mod.betti_of_complex(complex_)
@@ -84,11 +82,10 @@ def cmd_true_betti(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    linalg.check_characteristic(args.char)
+    if "char" in args:
+        linalg.check_characteristic(args.char)
     I = load_ideal(args.ideal, args.force)
     matching = SWEEPS[args.method](I)
-    if args.trace:
-        _emit_trace(I, matching, out)
     if args.what == "matching":
         report = pruning.verify_matching(I.r, matching, I)
         print(
@@ -98,8 +95,6 @@ def cmd_check(args, out) -> int:
         )
         return 0 if report.all_ok else 2
     C = morse.morse_differential(I, matching, validate=False)
-    if args.dump_complex:
-        _emit_complex(C, out)
     if args.what == "dsquared":
         ok = morse.check_d_squared(C)
         print(f"dsquared={ok}", file=out)
@@ -184,26 +179,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, method=False, trace=False, fmt=False, char=False):
-        """--ideal and --force, plus the flags that the subcommand reads."""
+    def common(sp, method=False, fmt=False, char=False):
+        """--ideal and --force, plus the flags that the command reads."""
         sp.add_argument("--ideal", required=True, help="builtin, file, or inline text")
         sp.add_argument("--force", action="store_true", help="lift the generator cap")
         if method:
             sp.add_argument("--method", choices=METHODS, default="pruned")
-        if trace:
-            sp.add_argument(
-                "--trace", action="store_true", help="print prune log lines"
-            )
-            sp.add_argument(
-                "--dump-complex", action="store_true", help="print cells and entries"
-            )
         if fmt:
             sp.add_argument("--format", choices=("text", "json"), default="text")
         if char:
             sp.add_argument("--char", type=int, default=0, help="field characteristic")
 
     sp = sub.add_parser("betti", help="Betti diagram of a chosen resolution")
-    common(sp, method=True, trace=True, fmt=True)
+    common(sp, method=True, fmt=True)
+    sp.add_argument("--trace", action="store_true", help="print prune log lines")
+    sp.add_argument(
+        "--dump-complex", action="store_true", help="print cells and entries"
+    )
     sp.set_defaults(func=cmd_betti)
 
     sp = sub.add_parser("true-betti", help="true Betti numbers from an oracle")
@@ -211,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", choices=("tor", "hochster"), default="tor")
     sp.set_defaults(func=cmd_true_betti)
 
-    sp = sub.add_parser("check", help="run a verification")
-    sp.add_argument(
-        "what", choices=("matching", "dsquared", "exact", "minimal")
+    checks = sub.add_parser("check", help="run a verification").add_subparsers(
+        dest="what", required=True
     )
-    common(sp, method=True, trace=True, char=True)
-    # None until main knows whether the check reads --char
-    sp.set_defaults(func=cmd_check, char=None)
+    for what in ("matching", "dsquared", "exact", "minimal"):
+        sp = checks.add_parser(what)
+        common(sp, method=True, char=what in ("exact", "minimal"))
+        sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("compare", help="all methods side by side vs the oracle")
     common(sp, char=True)
@@ -236,13 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check":
-        if args.what == "matching" and args.dump_complex:
-            parser.error("check matching builds no complex: --dump-complex is unread")
-        if args.char is None:
-            args.char = 0
-        elif args.what in ("matching", "dsquared"):
-            parser.error(f"check {args.what} ranks nothing: --char is unread")
     if args.command == "betti" and args.format == "json":
         if args.trace or args.dump_complex:
             parser.error("--format json prints JSON only: no --trace, --dump-complex")

@@ -60,7 +60,7 @@ class Differential(Mapping):
         d: Mapping[tuple[int, int], Entry] | Iterable[tuple[tuple[int, int], Entry]] = (),
     ) -> None:
         by_col: dict[int, list[tuple[int, Entry]]] = {}
-        for key, entry in d.items() if isinstance(d, Mapping) else dict(d).items():
+        for key, entry in dict(d).items():
             if not (
                 isinstance(key, tuple) and len(key) == 2
                 and isinstance(key[0], int) and isinstance(key[1], int)
@@ -112,19 +112,6 @@ class Differential(Mapping):
     def values(self) -> _Values:
         return _Values(self)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Differential) and (
-            self.starts == other.starts
-            and self.rows == other.rows
-            and self.entries == other.entries
-        ):
-            return True
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return len(self) == len(other) and dict(self.items()) == dict(other.items())
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"Differential({dict(self.items())!r})"
 
@@ -164,8 +151,13 @@ class ChainComplex:
     it in changes nothing; a key that is not a pair of ints (row, col) with
     col >= 0 raises ValueError.  The other fields are made tuples down to each
     degree vector, so a list handed in is copied and changing it later
-    changes nothing; `tuple()` hands a tuple back as it is.  Since no field
-    can change, the checks store what they learn about a complex on it,
+    changes nothing; `tuple()` hands a tuple back as it is.  `degrees` has
+    one level per level of `cells` and one degree per cell, and `diffs`, when
+    set, at least one differential per level above F_0; a complex of any
+    other shape raises ValueError naming the counts.  An extra differential
+    is kept as it is, and the contract below turns down one with entries.
+    The shape is read from the lengths alone, not from any entry.  Since no
+    field can change, the checks store what they learn about a complex on it,
     outside the fields (`_Facts`), and a later check of the same complex
     reuses it.
 
@@ -182,7 +174,7 @@ class ChainComplex:
     cells: tuple[tuple[int, ...], ...]
     degrees: tuple[tuple[tuple[int, ...], ...], ...]
     diffs: tuple[Differential, ...] | None = None
-    # diffs[i] is d_{i+1}: F_{i+1} -> F_i, so len(diffs) == len(cells) - 1
+    # diffs[i] is d_{i+1}: F_{i+1} -> F_i, so len(diffs) >= len(cells) - 1
 
     def __post_init__(self) -> None:
         set_field = object.__setattr__
@@ -192,7 +184,22 @@ class ChainComplex:
             self, "degrees",
             tuple(tuple(map(tuple, level)) for level in self.degrees),
         )
+        if len(self.degrees) != len(self.cells):
+            raise ValueError(
+                f"{len(self.cells)} levels of cells but {len(self.degrees)}"
+                f" levels of degrees"
+            )
+        for i, (level, degs) in enumerate(zip(self.cells, self.degrees)):
+            if len(level) != len(degs):
+                raise ValueError(
+                    f"level {i} has {len(level)} cells but {len(degs)} degrees"
+                )
         if self.diffs is not None:
+            if len(self.diffs) < len(self.cells) - 1:
+                raise ValueError(
+                    f"{len(self.cells)} levels of cells need"
+                    f" {len(self.cells) - 1} differentials, got {len(self.diffs)}"
+                )
             set_field(self, "diffs", tuple(
                 d if type(d) is Differential else Differential(d) for d in self.diffs
             ))

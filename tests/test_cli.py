@@ -344,6 +344,15 @@ class TestCommands:
         assert code == 0
         assert out.splitlines()[0] == "step=2 sigma=1010 j=2 deg=x1*x2*x3*x4"
 
+    def test_empty_trace_prints_nothing(self, capsys):
+        # the Taylor sweep prunes no edge: no trace line, and no empty one
+        _, plain, _ = run(capsys, "betti", "--ideal", "path:5", "--method", "taylor")
+        code, out, _ = run(
+            capsys, "betti", "--ideal", "path:5", "--method", "taylor", "--trace"
+        )
+        assert code == 0
+        assert out == plain and out.split("\n")[0].split() == ["0", "1", "2", "3", "4"]
+
     def test_dump_complex(self, capsys):
         code, out, _ = run(
             capsys,
@@ -421,7 +430,7 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr[-2000:]
         rp2 = proc.stdout.split("== rp2")[1].split("==")[0].splitlines()
         assert any(l.split()[:1] == ["pruned"] and "MINIMAL" in l for l in rp2)
-        assert "   pruned differential minimal: True" in rp2
+        assert "minimal=True char=2" in rp2
 
     def test_seed_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -444,6 +453,9 @@ class TestCommands:
             "check matching --ideal rp2 --dump-complex",
             "check matching --ideal rp2 --char 2",
             "check dsquared --ideal rp2 --char 4",
+            "check exact --ideal path:3 --trace",
+            "check minimal --ideal path:3 --dump-complex",
+            "check dsquared --ideal path:3 --char 3",
             "betti --ideal path:3 --format json --trace",
             "betti --ideal path:3 --format json --dump-complex",
             "betti --ideal path:3 --dump-complex --format json --trace",

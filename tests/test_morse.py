@@ -323,6 +323,59 @@ class TestContract:
         assert check_d_squared(B) and B._facts.homogeneous is True
 
 
+# S/(x, y) resolved by its Koszul complex: F0 = {e}, F1 = {a, b}, F2 = {ab}
+KOSZUL_XY = {
+    "variables": ("x", "y"),
+    "cells": ((0,), (1, 2), (3,)),
+    "degrees": (((0, 0),), ((1, 0), (0, 1)), ((1, 1),)),
+    "diffs": (
+        {(0, 0): (1, (1, 0)), (0, 1): (1, (0, 1))},
+        {(0, 0): (1, (0, 1)), (1, 0): (-1, (1, 0))},
+    ),
+}
+
+
+class TestShape:
+    """A complex whose levels of cells, degrees and differentials do not
+    line up is refused when it is built, with the counts named: a check of
+    it would index past a level, or give a verdict or a Betti table for the
+    part it reads."""
+
+    def test_koszul_complex_is_a_minimal_resolution(self):
+        I = parse_ideal("ring x y; gens x, y")
+        C = ChainComplex(**KOSZUL_XY)
+        assert check_d_squared(C) and check_exactness(I, C, 0) and check_minimal(C)
+        assert betti_of_complex(C).totals() == (1, 2, 1)
+
+    def test_missing_differential_refused(self):
+        with pytest.raises(ValueError, match="3 levels of cells need 2 differentials, got 1"):
+            ChainComplex(**{**KOSZUL_XY, "diffs": KOSZUL_XY["diffs"][:1]})
+
+    def test_fewer_levels_of_degrees_refused(self):
+        degrees = KOSZUL_XY["degrees"][:2]
+        with pytest.raises(ValueError, match="3 levels of cells but 2 levels of degrees"):
+            ChainComplex(**{**KOSZUL_XY, "degrees": degrees})
+
+    def test_level_with_fewer_degrees_refused(self):
+        # cells (1, 2) over the degrees of F0 and of a alone
+        with pytest.raises(ValueError, match="level 1 has 2 cells but 1 degrees"):
+            ChainComplex(
+                ("x", "y"),
+                KOSZUL_XY["cells"][:2],
+                (((0, 0),), ((1, 0),)),
+                KOSZUL_XY["diffs"][:1],
+            )
+
+    def test_extra_level_of_degrees_refused(self):
+        with pytest.raises(ValueError, match="2 levels of cells but 3 levels of degrees"):
+            ChainComplex(
+                ("x", "y"),
+                KOSZUL_XY["cells"][:2],
+                KOSZUL_XY["degrees"],
+                KOSZUL_XY["diffs"][:1],
+            )
+
+
 class TestExactness:
     def test_pruned_exact_all_chars(self, corpus40):
         for I in corpus40[:10]:
