@@ -428,7 +428,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "if len(self.diffs) < len(self.cells) - 1:",
         "new": "if len(self.diffs) < len(self.cells) - 2:",
-        "recorded": "this commit",
+        "recorded": "b4a5748",
         "nodes": [T_MORSE + "TestShape::test_missing_differential_refused"],
     },
     {
@@ -436,7 +436,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "            if len(level) != len(degs):\n",
         "new": "            if False:\n",
-        "recorded": "this commit",
+        "recorded": "b4a5748",
         "nodes": [T_MORSE + "TestShape::test_level_with_fewer_degrees_refused"],
     },
     # --- the homogeneity contract and d*d ----------------------------------
