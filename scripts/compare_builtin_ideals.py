@@ -5,7 +5,8 @@ For each builtin, runs `prunres compare`, `prunres check minimal --method
 pruned` and `prunres betti --method pruned` at the given characteristic: the
 Taylor / pruned / simplicial / Lyubeznik totals next to the true Betti
 numbers, whether the pruned differential is minimal, and the pruned diagram.
-Exits 1 when a command does; a differential that is not minimal (exit 2 of
+Exits 1 when a command does, and 141, as the command does, when the reader
+closes standard output; a differential that is not minimal (exit 2 of
 `check minimal`) is a result, not a failure.
 
 Usage: python scripts/compare_builtin_ideals.py [--char P]
@@ -30,8 +31,9 @@ def main() -> int:
             ["check", "minimal", "--ideal", spec, "--method", "pruned", "--char", char],
             ["betti", "--ideal", spec, "--method", "pruned"],
         ):
-            if prunres(argv) == 1:
-                return 1
+            code = prunres(argv)
+            if code in (1, 141):
+                return code
         print()
     return 0
 

@@ -38,6 +38,7 @@ PRUNING = "src/prunres/pruning.py"
 TAYLOR = "src/prunres/taylor.py"
 BETTI = "src/prunres/betti.py"
 SPLITTING = "src/prunres/splitting.py"
+CLI = "src/prunres/cli.py"
 
 T_MORSE = "tests/test_morse.py::"
 T_LINALG = "tests/test_linalg.py::"
@@ -46,6 +47,7 @@ T_FLOW = "tests/test_flow_graph.py::"
 T_TAYLOR = "tests/test_taylor.py::"
 T_BETTI = "tests/test_betti.py::"
 T_SPLITTING = "tests/test_splitting.py::"
+T_CLI = "tests/test_cli.py::"
 
 MUTANTS = [
     # --- pruning sweeps ----------------------------------------------------
@@ -424,6 +426,17 @@ MUTANTS = [
         "nodes": [T_MORSE + "TestDifferential::test_mapping_contract"],
     },
     {
+        "what": "a complex of the critical cells built before the Morse complex",
+        "file": MORSE,
+        "old": "    cells, degrees, cell_degs, tc, critical = _critical_levels(I, matching, validate)\n",
+        "new": (
+            "    cells, degrees, cell_degs, tc, critical = _critical_levels(I, matching, validate)\n"
+            "    critical_complex(I, matching, validate=False)\n"
+        ),
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestStoredAnswers::test_morse_differential_builds_one_complex"],
+    },
+    {
         "what": "a missing differential accepted",
         "file": MORSE,
         "old": "if len(self.diffs) < len(self.cells) - 1:",
@@ -517,25 +530,33 @@ MUTANTS = [
     {
         "what": "the d*d verdict over Z deciding every characteristic",
         "file": MORSE,
-        "old": "    if known[0] or not char:\n        return known[0]\n",
-        "new": "    return known[0]\n",
+        "old": "    if g % char if char else g:\n",
+        "new": "    if g:\n",
         "recorded": "3285ef5",
         "nodes": [T_MORSE + "TestStoredResults::test_d_squared_nonzero_over_z_decided_mod_p"],
+    },
+    {
+        "what": "the d*d gcd read from the first nonzero column only",
+        "file": MORSE,
+        "old": "            g = gcd(g, *acc.values())\n",
+        "new": "            g = g or gcd(*acc.values())\n",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestStoredAnswers::test_gcd_of_every_column"],
     },
     # --- exactness ---------------------------------------------------------
     {
         "what": "check_exactness without its d*d requirement",
         "file": MORSE,
-        "old": "    if not _homogeneous(C) or not _d_squared_holds(C, char):\n",
-        "new": "    if not _homogeneous(C):\n",
+        "old": "    if g % char if char else g:\n        return False\n",
+        "new": "",
         "recorded": "1e0a672",
         "nodes": [T_MORSE + "TestExactnessMutations::test_top_differential_without_d_squared"],
     },
     {
         "what": "check_exactness without its contract guard (the soundness guard it replaced)",
         "file": MORSE,
-        "old": "    if not _homogeneous(C) or not _d_squared_holds(C, char):\n",
-        "new": "    if not _d_squared_holds(C, char):\n",
+        "old": "    if not C._homogeneous:\n        return False\n    g = C._d_squared_gcd",
+        "new": "    g = C._d_squared_gcd",
         "recorded": "c717f2d 14c48c1",
         "nodes": [T_MORSE + "TestSummedStrandTest::test_unsound_column_cancels_in_the_sum"],
     },
@@ -550,8 +571,8 @@ MUTANTS = [
     {
         "what": "the list of strands not exact over F_2 cut after its first strand",
         "file": MORSE,
-        "old": "enumerate(index.verdicts(2, every)) if not exact\n        ]",
-        "new": "enumerate(index.verdicts(2, every)) if not exact\n        ][:1]",
+        "old": "enumerate(index.verdicts(certifier, every)) if not exact\n        ]",
+        "new": "enumerate(index.verdicts(certifier, every)) if not exact\n        ][:1]",
         "recorded": "3285ef5",
         "nodes": [
             T_MORSE + "TestCertificateOverF2::test_top_column_doubled_and_another_deleted"
@@ -560,8 +581,8 @@ MUTANTS = [
     {
         "what": "char 0 reading the F_2 list without ranking over Q (no Q fallback)",
         "file": MORSE,
-        "old": "    return all(index.verdicts(0, index.not_exact_over_f2))\n",
-        "new": "    return not index.not_exact_over_f2\n",
+        "old": "    if char == certifier:\n",
+        "new": "    if char in (0, certifier):\n",
         "recorded": "33ab435 3285ef5",
         "nodes": [T_MORSE + "TestExactnessMutations::test_doubled_top_column"],
     },
@@ -587,15 +608,15 @@ MUTANTS = [
     {
         "what": "odd p reading the unit list alone (no F_p fallback)",
         "file": MORSE,
-        "old": "        return all(index.verdicts(char, index.not_exact_over_units))\n",
-        "new": "        return not index.not_exact_over_units\n",
+        "old": "    if char == certifier:\n",
+        "new": "    if char == certifier or certifier is None:\n",
         "recorded": "8746990",
         "nodes": [T_MORSE + "TestCertificateOverUnits::test_strand_whose_only_entry_is_3"],
     },
     {
         "what": "the unit list built from the first p's F_p verdicts",
         "file": MORSE,
-        "old": "enumerate(index.verdicts(None, every))",
+        "old": "enumerate(index.verdicts(certifier, every))",
         "new": "enumerate(index.verdicts(char, every))",
         "recorded": "8746990",
         "nodes": [T_MORSE + "TestCertificateOverUnits::test_unit_entry_ranks_nothing_over_fp"],
@@ -603,10 +624,28 @@ MUTANTS = [
     {
         "what": "odd p sent down the F_2-then-Q route",
         "file": MORSE,
-        "old": "    if char not in (0, 2):\n",
-        "new": "    if False:\n",
+        "old": "    certifier = 2 if char in (0, 2) else None\n",
+        "new": "    certifier = 2\n",
         "recorded": "8746990",
         "nodes": [T_MORSE + "TestCertificateOverUnits::test_strand_whose_only_entry_is_3"],
+    },
+    {
+        "what": "the certified lists keyed by char instead of by certifying pass",
+        "file": MORSE,
+        "old": (
+            "    uncertified = index.not_exact.get(certifier)\n"
+            "    if uncertified is None:\n"
+            "        every = range(len(index.strands))\n"
+            "        uncertified = index.not_exact[certifier] = [\n"
+        ),
+        "new": (
+            "    uncertified = index.not_exact.get(char)\n"
+            "    if uncertified is None:\n"
+            "        every = range(len(index.strands))\n"
+            "        uncertified = index.not_exact[char] = [\n"
+        ),
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestStoredAnswers::test_one_full_pass_per_certifier"],
     },
     # --- linear algebra ----------------------------------------------------
     {
@@ -780,6 +819,31 @@ MUTANTS = [
         "new": "t_jk",
         "recorded": "8e7db90",
         "nodes": [T_SPLITTING + "TestAgainstReference::test_prunes_the_grids_alone"],
+    },
+    {
+        "what": "a split scan that sweeps I again at every point",
+        "file": SPLITTING,
+        "old": "_split_report(I, s, J, K, matching) for s, (J, K)",
+        "new": "_split_report(I, s, J, K, prune_taylor(I)) for s, (J, K)",
+        "recorded": "this change",
+        "nodes": [T_CLI + "TestCommands::test_split_scan_sweeps_once"],
+    },
+    # --- command line ------------------------------------------------------
+    {
+        "what": "a closed standard output reported as an input error",
+        "file": CLI,
+        "old": "    except BrokenPipeError:\n",
+        "new": "    except ZeroDivisionError:\n",
+        "recorded": "this change",
+        "nodes": [T_CLI + "TestCommands::test_closed_stdout"],
+    },
+    {
+        "what": "the last buffered write left to the interpreter's flush at exit",
+        "file": CLI,
+        "old": "        sys.stdout.flush()\n",
+        "new": "",
+        "recorded": "this change",
+        "nodes": [T_CLI + "TestCommands::test_stdout_closed_before_any_write"],
     },
 ]
 

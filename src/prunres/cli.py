@@ -8,8 +8,10 @@ complex come from `betti --trace --dump-complex`, and
 
 Exit codes: 0 success / all checks passed, 1 a parse error or an input the
 run refuses (a bad characteristic, split point or generator count), 2 a
-requested check failed; the option parser also exits 2, on an unknown or
-missing option and on a flag the command refuses.
+requested check failed, and 141, the status of a process ended by SIGPIPE,
+when the reader closes standard output before all of it is written (as
+`| head` does), with nothing printed; the option parser also exits 2, on an
+unknown or missing option and on a flag the command refuses.
 """
 from __future__ import annotations
 
@@ -125,16 +127,8 @@ def cmd_split(args, out) -> int:
     points = [args.at] if args.at is not None else list(range(1, I.r))
     if not points:
         raise ValueError("one generator has no split point; --scan needs two or more")
-    # every point is refused before any work, so --scan reports none first
-    if not args.force:
-        for s in points:
-            splitting._refuse_wide_grid(I.r, s)
-    all_ok = True
-    reports = []
-    for s in points:
-        rep = splitting.check_pruned_splitting(I, s, force=args.force)
-        reports.append(rep)
-        all_ok = all_ok and rep.is_pruned_splitting and rep.residuals_zero
+    reports = splitting._check_splittings(I, points, force=args.force)
+    all_ok = all(rep.is_pruned_splitting and rep.residuals_zero for rep in reports)
     if args.format == "json":
         payload = []
         for rep in reports:
@@ -232,10 +226,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.trace or args.dump_complex:
             parser.error("--format json prints JSON only: no --trace, --dump-complex")
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        # a reader gone before the last buffered write shows here, not in
+        # the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except ideals.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone: standard output now writes to os.devnull, so
+        # that the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,8 +14,9 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, pairwise, repeat
+from math import gcd
 from operator import itemgetter, le, sub
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from . import linalg
 from .monomials import Monomial, MonomialIdeal, monomial_str
@@ -157,17 +158,20 @@ class ChainComplex:
     other shape raises ValueError naming the counts.  An extra differential
     is kept as it is, and the contract below turns down one with entries.
     The shape is read from the lengths alone, not from any entry.  Since no
-    field can change, the checks store what they learn about a complex on it,
-    outside the fields (`_Facts`), and a later check of the same complex
-    reuses it.
+    field can change, each answer the checks learn about a complex is stored
+    on it once, outside the fields, and a later check of the same complex
+    reads it: whether it keeps the contract below (`_homogeneous`), the gcd
+    that decides d*d at every characteristic (`_d_squared_gcd`), and the
+    strand index of the last ideal it was checked with (`_index`).  Equality,
+    repr and digests see the fields alone.
 
     The complex is multigraded, as a cellular resolution is: every entry of
     d_i has its row in level i - 1 and its column in level i, and its
     monomial `exps` is deg(col) - deg(row), with no negative exponent.
     `check_d_squared`, `check_exactness` and `check_minimal` return False
     on a complex that breaks this contract.  `morse_differential` keeps it
-    by construction and stores that on the complex; any other complex is
-    checked once, on first use (`_homogeneous`).
+    by construction and presets `_homogeneous`; any other complex is
+    checked once, on first use.
     """
 
     variables: tuple[str, ...]
@@ -175,6 +179,9 @@ class ChainComplex:
     degrees: tuple[tuple[tuple[int, ...], ...], ...]
     diffs: tuple[Differential, ...] | None = None
     # diffs[i] is d_{i+1}: F_{i+1} -> F_i, so len(diffs) >= len(cells) - 1
+    # the strand index of the last ideal `check_exactness` was given, set on
+    # the instance by that check
+    _index: ClassVar[_StrandIndex | None] = None
 
     def __post_init__(self) -> None:
         set_field = object.__setattr__
@@ -205,9 +212,16 @@ class ChainComplex:
             ))
 
     @cached_property
-    def _facts(self) -> _Facts:
-        """What the checks have stored on this complex, made on first use."""
-        return _Facts()
+    def _homogeneous(self) -> bool:
+        """Whether the complex keeps the contract (`_contract_holds`)."""
+        return _contract_holds(self)
+
+    @cached_property
+    def _d_squared_gcd(self) -> int:
+        """The gcd of the row sums of d*d, computed on first use by the
+        function `_d_squared_gcd`, on a complex that keeps the contract: d*d
+        vanishes over the integers iff it is 0, and mod p iff p divides it."""
+        return _d_squared_gcd(self)
 
     @property
     def length(self) -> int:
@@ -234,22 +248,6 @@ class ChainComplex:
         return lines
 
 
-class _Facts:
-    """What the checks have learned about one complex: whether it keeps the
-    contract of `ChainComplex`, the d*d verdicts and the strand index of the
-    last ideal it was checked with.  It lives and dies with the complex, and
-    is no field of it, so equality, repr and digests do not see it."""
-
-    __slots__ = ("homogeneous", "d_squared", "index")
-
-    def __init__(self) -> None:
-        # whether the contract holds; None until a check has asked
-        self.homogeneous: bool | None = None
-        # characteristic -> whether d*d vanishes; 0 is over the integers
-        self.d_squared: dict[int, bool] = {}
-        self.index: _StrandIndex | None = None
-
-
 def critical_complex(
     I: MonomialIdeal, matching: Matching, validate: bool = True
 ) -> ChainComplex:
@@ -259,15 +257,17 @@ def critical_complex(
     `verify_matching` rejects.  Without `validate` nothing else is checked:
     a matching whose V-paths close into a cycle still gives its critical
     cells."""
-    return _critical_levels(I, matching, validate)[0]
+    cells, degrees = _critical_levels(I, matching, validate)[:2]
+    return ChainComplex(I.variables, cells, degrees)
 
 
 def _critical_levels(
     I: MonomialIdeal, matching: Matching, validate: bool
-) -> tuple[ChainComplex, list[list[int]], TaylorComplex, int]:
-    """`critical_complex`, the degree bitmask of each of its cells, one list
-    per level, each degree computed once, the table they were read from,
-    and the bitset of its cells."""
+) -> tuple[tuple, tuple, list[list[int]], TaylorComplex, int]:
+    """The cells of `critical_complex` and their degrees, level by level,
+    the degree bitmask of each cell, one list per level, each degree
+    computed once, the table they were read from, and the bitset of the
+    cells.  No complex is built here, so each caller builds one."""
     r = I.r
     if matching.r != r:
         raise InvalidMatchingError(
@@ -286,7 +286,7 @@ def _critical_levels(
     tc = TaylorComplex(I)
     degs = [list(map(tc.degree, level)) for level in cells]
     degrees = tuple(tuple(map(tc.decode, level)) for level in degs)
-    return ChainComplex(I.variables, cells, degrees), degs, tc, critical
+    return cells, degrees, degs, tc, critical
 
 
 def morse_differential(
@@ -356,10 +356,12 @@ def morse_differential(
     So the complex keeps the contract of `ChainComplex` by construction:
     rows come from the level below, every summed entry passes the
     divisibility test and every facet's entry needs none, and its
-    monomial is the decoded degree difference.  That is stored on it, and
-    the checks skip their contract pass.
+    monomial is the decoded degree difference.  That is preset on it
+    (`_homogeneous`), and the checks skip their contract pass.  The cells
+    and degrees come from `_critical_levels`, and the complex is built once,
+    with its differentials.
     """
-    base, cell_degs, tc, critical = _critical_levels(I, matching, validate)
+    cells, degrees, cell_degs, tc, critical = _critical_levels(I, matching, validate)
     decode = tc.decode
     flow = _flow(matching._steps(), critical)
     if flow is None:
@@ -378,15 +380,15 @@ def morse_differential(
         return ratio
 
     diffs: list[Differential] = []
-    for i in range(1, base.length):
+    for i in range(1, len(cells)):
         # d_i column-major: the column starts, and the row and entry of each
         # entry, appended column by column
         starts, rows, entries = [0], [], []
         add_row, add_entry = rows.append, entries.append
-        row_of = dict(zip(base.cells[i - 1], count()))
+        row_of = dict(zip(cells[i - 1], count()))
         get_row = row_of.get
         row_deg, col_deg = cell_degs[i - 1], cell_degs[i]
-        for col, sigma in enumerate(base.cells[i]):
+        for col, sigma in enumerate(cells[i]):
             sig_deg = col_deg[col]
             # the sign flips on every member, a matched-upper facet's too,
             # which has no row; a flow node's flow is summed in `patch`
@@ -440,8 +442,8 @@ def morse_differential(
             starts.append(len(rows))
         diffs.append(Differential._of_columns(starts, rows, entries))
 
-    C = ChainComplex(base.variables, base.cells, base.degrees, tuple(diffs))
-    C._facts.homogeneous = True
+    C = ChainComplex(I.variables, cells, degrees, tuple(diffs))
+    object.__setattr__(C, "_homogeneous", True)
     return C
 
 
@@ -460,23 +462,16 @@ def check_d_squared(C: ChainComplex) -> bool:
     mask, and d_i has one entry per member of each cell of level i.  Then
     each column holds a facet at most once, so the count leaves it the
     whole of ∂σ; and d_{i-1} d_i sends each cell σ to ∂∂σ = 0, carried onto
-    the rows of level i - 2, mod every p as well (`_d_squared_vanishes`).
-    Every other pair is multiplied term by term.
+    the rows of level i - 2 (`_d_squared_gcd`).  Every other pair is
+    multiplied term by term.
 
-    The verdict is stored on the complex, whose differentials cannot
-    change, so `check_exactness` of the same complex reads it at every
-    characteristic instead of computing d*d again, and a second call
-    returns it at once."""
-    return _homogeneous(C) and _d_squared_holds(C, 0)
-
-
-def _homogeneous(C: ChainComplex) -> bool:
-    """Whether C keeps the contract of `ChainComplex`: stored on C, and
-    checked on first use (`_contract_holds`) unless its builder stored it."""
-    facts = C._facts
-    if facts.homogeneous is None:
-        facts.homogeneous = _contract_holds(C)
-    return facts.homogeneous
+    What is stored on the complex is no verdict but the gcd of every row sum
+    of the multiplied products (`ChainComplex._d_squared_gcd`): d*d vanishes
+    over the integers iff it is 0, and mod p iff p divides it.  The
+    differentials cannot change, so `check_exactness` of the same complex
+    reads it at every characteristic instead of computing d*d again, and a
+    second call returns at once."""
+    return C._homogeneous and C._d_squared_gcd == 0
 
 
 def _contract_holds(C: ChainComplex) -> bool:
@@ -532,25 +527,11 @@ def _contract_holds(C: ChainComplex) -> bool:
     return True
 
 
-def _d_squared_holds(C: ChainComplex, char: int) -> bool:
-    """d*d = 0 with coefficients read mod char, from the verdicts stored on
-    C, which must keep the contract.  The verdict over the integers is
-    computed first and kept: when it holds, it holds mod every p, so only a
-    complex whose d*d is nonzero over the integers is checked again mod p
-    (and that verdict kept too)."""
-    known = C._facts.d_squared
-    if 0 not in known:
-        known[0] = _d_squared_vanishes(C, 0)
-    if known[0] or not char:
-        return known[0]
-    if char not in known:
-        known[char] = _d_squared_vanishes(C, char)
-    return known[char]
-
-
-def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
-    """d_{i-1} d_i = 0 for every i, with coefficients read mod char (char 0:
-    over the integers), on a complex that keeps the contract.
+def _d_squared_gcd(C: ChainComplex) -> int:
+    """The gcd over the integers of every row sum of every product
+    d_{i-1} d_i that is multiplied, on a complex that keeps the contract:
+    0 iff d*d = 0 over the integers, and divisible by p iff d*d = 0 mod p.
+    So one integer answers d*d at every characteristic.
 
     Every product term of d_{i-1} d_i at (row, col) then has the monomial
     deg(col) - deg(row), so the terms of one column are summed by row alone
@@ -563,24 +544,24 @@ def _d_squared_vanishes(C: ChainComplex, char: int) -> bool:
     with every facet f sent to the row φ(f).  The column of d_{i-1} at
     φ(f) is ∂f sent on by the map ψ of level i - 2.  So the coefficients of
     d_{i-1} d_i at the column of σ sum, row by row, to ψ applied to
-    sum over f and g of [σ : f][f : g] g = ∂∂σ = 0, over the integers and
-    so mod every p.  On the Lyubeznik complex of cycle:15 this skips all
-    1,171,456 product terms.  The verdict comes from the entries alone,
+    sum over f and g of [σ : f][f : g] g = ∂∂σ = 0, and the pair adds
+    nothing to the gcd.  On the Lyubeznik complex of cycle:15 this skips
+    all 1,171,456 product terms.  The gcd comes from the entries alone,
     never from who built C.
 
     Every other pair is multiplied, reading the columns of both
-    differentials where they are stored (`_composes_to_zero`)."""
+    differentials where they are stored (`_product_gcd`)."""
     top = max(C.length - 1, 0)
     if top < 2:
-        return True
+        return 0
     # a cell that is no int >= 0 is no finite set, so no level is tested
     masks = all(type(m) is int and m >= 0 for m in chain.from_iterable(C.cells))
     boundary = [False] + [masks and _is_boundary(C, i) for i in range(1, top + 1)]
+    g = 0
     for i in range(2, top + 1):
         if not (boundary[i - 1] and boundary[i]):
-            if not _composes_to_zero(C.diff(i - 1), C.diff(i), char):
-                return False
-    return True
+            g = gcd(g, _product_gcd(C.diff(i - 1), C.diff(i)))
+    return g
 
 
 def _is_boundary(C: ChainComplex, i: int) -> bool:
@@ -613,17 +594,19 @@ def _is_boundary(C: ChainComplex, i: int) -> bool:
     return True
 
 
-def _composes_to_zero(lower: Differential, upper: Differential, char: int) -> bool:
-    """Whether the product of two differentials of a complex that keeps the
-    contract, `lower` after `upper`, has every sum of terms at one row of
-    one column zero mod char (char 0: over the integers).  Each column of
-    `upper` is read by slice.  The columns of `lower`, each read by many
-    of them, are first cut once into lists of (row, coeff); a row of
-    `upper` past the last column `lower` stores is an empty column."""
+def _product_gcd(lower: Differential, upper: Differential) -> int:
+    """The gcd over the integers of the row sums of the product of two
+    differentials of a complex that keeps the contract, `lower` after
+    `upper`: each sum of the terms at one row of one column, over every
+    column, so 0 iff the product is zero.  Each column of `upper` is read
+    by slice.  The columns of `lower`, each read by many of them, are first
+    cut once into lists of (row, coeff); a row of `upper` past the last
+    column `lower` stores is an empty column."""
     rows, coeffs = lower.rows, [coeff for coeff, _ in lower.entries]
     columns = [list(zip(rows[a:b], coeffs[a:b])) for a, b in pairwise(lower.starts)]
     stored = len(columns)
     up_rows, up_entries = upper.rows, upper.entries
+    g = 0
     for start, stop in pairwise(upper.starts):
         acc: dict[int, int] = {}
         get = acc.get
@@ -631,12 +614,9 @@ def _composes_to_zero(lower: Differential, upper: Differential, char: int) -> bo
             if mid < stored:
                 for row, c2 in columns[mid]:
                     acc[row] = get(row, 0) + c1 * c2
-        if char:
-            if any(v % char for v in acc.values()):
-                return False
-        elif any(acc.values()):
-            return False
-    return True
+        if any(acc.values()):
+            g = gcd(g, *acc.values())
+    return g
 
 
 def _threshold_masks(
@@ -689,20 +669,21 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     L).  The complexes the library builds never have a cell degree outside
     L.
 
-    Five results are stored on C (`_Facts`) and reused by later checks of
-    the same complex, at any characteristic.  The differentials of C are
-    read-only and its fields cannot change, so they cannot go stale:
-    - whether C keeps the contract (`_homogeneous`);
-    - the d*d verdict over the integers (`_d_squared_holds`, which
-      `check_d_squared` fills too); only a complex whose verdict over the
-      integers is False is checked again mod p;
-    - the strand index (`_StrandIndex`), kept for the ideal it was built
-      for and rebuilt when a check passes an ideal not equal to it;
-    - the list of strands that are not exact over F_2.  Char 2 reads it,
-      and char 0 ranks over Q only the strands in it;
-    - the list of strands that unit pivots over Z do not certify
-      (`not_exact_over_units`), built by the first check at an odd p.
-      Every odd p ranks over F_p only the strands in it.
+    Each answer is stored once, on the object it describes, and reused by
+    later checks of the same complex at any characteristic.  The
+    differentials of C are read-only and its fields cannot change, so none
+    can go stale:
+    - on C, whether it keeps the contract (`_homogeneous`) and the gcd of
+      the row sums of d*d (`_d_squared_gcd`, which `check_d_squared` fills
+      too): d*d vanishes mod char iff char divides it, 0 over Q;
+    - on C, the strand index (`_StrandIndex`), kept for the ideal it was
+      built for and rebuilt when a check passes an ideal not equal to it;
+    - on the index, one list per certifying pass of the strands that pass
+      does not certify (`not_exact`): the packed F_2 pass for chars 0 and
+      2, and the unit pivots over Z for every odd p, each run over every
+      strand by the first check that needs it.  Char 2 reads its list as
+      the verdict; char 0 ranks over Q, and an odd p over F_p, only the
+      strands in theirs.
     Nothing is kept anywhere else: the results die with the complex.
 
     The index numbers the cells of all levels consecutively: cell k of
@@ -711,12 +692,13 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     variable.  Each column of d_i is read once per index: over F_2 as one
     int with the bits of its odd entries, packed from off[i - 1] and passed
     to the kernel with that shift, so that it is as wide as level i - 1 and
-    not as all the levels below; and as a {global row: coeff} dict once a
-    unit, Q or odd-p kernel first runs.  A strand is then one elimination
-    over all its columns.  The rows of a column of d_i all lie in level
-    i - 1, so every pivot lead falls in the range of the level whose d_i it
-    ranks, no elimination step mixes two levels, and the rank of d_i on the
-    strand is the number of leads in level i - 1.
+    not as all the levels below, once the F_2 kernel first runs; and as a
+    {global row: coeff} dict once a unit, Q or odd-p kernel first runs.  A
+    strand is then one elimination over all its columns.  The rows of a
+    column of d_i all lie in level i - 1, so every pivot lead falls in the
+    range of the level whose d_i it ranks, no elimination step mixes two
+    levels, and the rank of d_i on the strand is the number of leads in
+    level i - 1.
 
     By the contract, the rows of a column lie in the level below and their
     degrees divide the column's, so a strand holding a column holds all its
@@ -777,26 +759,27 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
         )
     if not C.cells:
         raise ValueError("the complex is empty: it has no levels, not even F_0")
-    if not _homogeneous(C) or not _d_squared_holds(C, char):
+    if not C._homogeneous:
         return False
-    facts = C._facts
-    index = facts.index
+    g = C._d_squared_gcd  # d*d vanishes mod char iff char divides it
+    if g % char if char else g:
+        return False
+    index = C._index
     if index is None or index.ideal != I:
-        index = facts.index = _StrandIndex(I, C)
-    every = range(len(index.strands))
-    if char not in (0, 2):
-        if index.not_exact_over_units is None:
-            index.not_exact_over_units = [
-                s for s, exact in enumerate(index.verdicts(None, every)) if not exact
-            ]
-        return all(index.verdicts(char, index.not_exact_over_units))
-    if index.not_exact_over_f2 is None:
-        index.not_exact_over_f2 = [
-            s for s, exact in enumerate(index.verdicts(2, every)) if not exact
+        index = _StrandIndex(I, C)
+        object.__setattr__(C, "_index", index)
+    # the certifying pass: packed F_2 (2) for chars 0 and 2, unit pivots
+    # over Z (None) for every odd p
+    certifier = 2 if char in (0, 2) else None
+    uncertified = index.not_exact.get(certifier)
+    if uncertified is None:
+        every = range(len(index.strands))
+        uncertified = index.not_exact[certifier] = [
+            s for s, exact in enumerate(index.verdicts(certifier, every)) if not exact
         ]
-    if char == 2:
-        return not index.not_exact_over_f2
-    return all(index.verdicts(0, index.not_exact_over_f2))
+    if char == certifier:
+        return not uncertified
+    return all(index.verdicts(char, uncertified))
 
 
 def _strand_degrees(
@@ -836,11 +819,11 @@ def _strand_degrees(
 class _StrandIndex:
     """The strand index of a complex for one ideal (see check_exactness):
     the strand degrees, one threshold mask per variable over the cells of
-    all levels, the packed F_2 columns and their shifts, the dict columns
-    once a unit, odd-p or Q kernel needs them, and the strands that are not
-    exact over F_2, or not certified by unit pivots, once a check has
-    ranked them all.  It holds the complex's differentials but not the
-    complex, which holds it."""
+    all levels, and the shifts of the columns.  The packed F_2 columns and
+    the dict columns are built the first time a kernel needs them, and
+    `not_exact` maps each certifying pass run so far (2: packed F_2, None:
+    unit pivots over Z) to the strands it leaves uncertified.  It holds the
+    complex's differentials but not the complex, which holds it."""
 
     def __init__(self, I: MonomialIdeal, C: ChainComplex) -> None:
         cells = [exps for level in C.degrees for exps in level]
@@ -864,18 +847,30 @@ class _StrandIndex:
             shift += [off[i - 1]] * (off[i + 1] - off[i])
         self.shift = shift
         self.diffs = C.diffs
+        self.not_exact: dict[int | None, list[int]] = {}
 
-        # packed[g]: the rows of the odd entries of the column of cell g, as
-        # a bitmask from shift[g]
-        packed = [0] * len(cells)
-        for i, d in zip(range(1, C.length), C.diffs):
+    @cached_property
+    def packed(self) -> list[int]:
+        """packed[g]: the rows of the odd entries of the column of cell g, as
+        a bitmask from shift[g]."""
+        off = self.off
+        packed = [0] * off[-1]
+        for i, d in zip(range(1, len(off) - 1), self.diffs):
             for g, row, (coeff, _) in zip(_entry_cells(d, count(off[i])), d.rows, d.entries):
                 if coeff & 1:
                     packed[g] |= 1 << row
-        self.packed = packed
-        self.columns: list[dict[int, int]] | None = None  # for the dict kernels
-        self.not_exact_over_f2: list[int] | None = None
-        self.not_exact_over_units: list[int] | None = None
+        return packed
+
+    @cached_property
+    def columns(self) -> list[dict[int, int]]:
+        """columns[g]: the column of cell g as {global row: coeff}, for the
+        dict kernels."""
+        off, shift = self.off, self.shift
+        columns: list[dict[int, int]] = [{} for _ in shift]
+        for i, d in zip(range(1, len(off) - 1), self.diffs):
+            for g, row, (coeff, _) in zip(_entry_cells(d, count(off[i])), d.rows, d.entries):
+                columns[g][shift[g] + row] = coeff
+        return columns
 
     def verdicts(
         self, char: int | None, positions: range | list[int]
@@ -909,17 +904,11 @@ class _StrandIndex:
     def _pivots(self, char: int | None, strand: list[int], base):
         """The echelon form over char (char None: unit pivots over Z) of the
         columns of the cells `strand`, extending `base` when given."""
-        shift = self.shift
         if char == 2:
-            rows = [self.packed[g] for g in strand]
+            packed, shift = self.packed, self.shift
+            rows = [packed[g] for g in strand]
             return linalg.pivots_f2_packed(rows, [shift[g] for g in strand], base)
         columns = self.columns
-        if columns is None:
-            columns = self.columns = [{} for _ in shift]
-            off = self.off
-            for i, d in zip(range(1, len(off) - 1), self.diffs):
-                for g, row, (coeff, _) in zip(_entry_cells(d, count(off[i])), d.rows, d.entries):
-                    columns[g][shift[g] + row] = coeff
         rows = [columns[g] for g in strand]
         if char is None:
             return linalg.pivots_unit(rows, base)
@@ -935,7 +924,7 @@ def check_minimal(C: ChainComplex, char: int = 0) -> bool:
     of `ChainComplex`, whose monomials then need not follow from the cell
     degrees."""
     linalg.check_characteristic(char)
-    if not _homogeneous(C):
+    if not C._homogeneous:
         return False
     for d in C.diffs:
         for coeff, exps in d.entries:

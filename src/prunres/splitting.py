@@ -18,7 +18,7 @@ from functools import partial
 from .betti import BettiTable, betti_of_complex
 from .monomials import MonomialIdeal, minimal_generators
 from .morse import critical_complex
-from .pruning import intersection_generators, prune_taylor
+from .pruning import Matching, intersection_generators, prune_taylor
 from .taylor import GENERATOR_CAP, TaylorComplex, indices_of
 
 X_J = "X_J"
@@ -88,7 +88,7 @@ def check_pruned_splitting(
 ) -> SplitReport:
     """Label every pruned edge of I by its endpoint regions; if all edges
     stay inside one region, verify the splitting formula on pruned Betti
-    tables.
+    tables.  `_check_splittings` at the one point s.
 
     The formula compares, for homological degree h >= 1,
     table(I) against table(J) + table(K) + table(J cap K) shifted up by one
@@ -120,10 +120,31 @@ def check_pruned_splitting(
     than GENERATOR_CAP generators, raises `ValueError` before any table is
     built; `force` lifts the grid check.
     """
-    J, K = split_parts(I, s)
+    return _check_splittings(I, [s], force=force)[0]
+
+
+def _check_splittings(
+    I: MonomialIdeal, points: list[int], *, force: bool = False
+) -> list[SplitReport]:
+    """`check_pruned_splitting` at each split point of `points`, in order.
+    Every point is refused, as out of range or, without `force`, for a
+    grid over the cap, before any work, so a scan reports no point first.
+    Then I is swept once, and its matching serves every point."""
+    parts = [split_parts(I, s) for s in points]
     if not force:
-        _refuse_wide_grid(I.r, s)
+        for s in points:
+            _refuse_wide_grid(I.r, s)
     matching = prune_taylor(I)
+    return [
+        _split_report(I, s, J, K, matching) for s, (J, K) in zip(points, parts)
+    ]
+
+
+def _split_report(
+    I: MonomialIdeal, s: int, J: MonomialIdeal, K: MonomialIdeal, matching: Matching
+) -> SplitReport:
+    """The report of `check_pruned_splitting` at s, for I = J + K, read from
+    the pruned matching of I."""
     j_mask = (1 << s) - 1
     k_mask = ((1 << I.r) - 1) ^ j_mask
     region = partial(_region, j_mask, k_mask)

@@ -385,6 +385,64 @@ class TestCommands:
         payload = json.loads(out)
         assert [entry["s"] for entry in payload] == [1, 2]
 
+    def test_split_scan_sweeps_once(self, capsys, monkeypatch):
+        # every point of the scan reads the one pruned matching of I; the
+        # grids J cap K are swept on their own
+        I = builtin_ideal("path:5")
+        swept = []
+        real = splitting.prune_taylor
+        monkeypatch.setattr(
+            splitting, "prune_taylor", lambda J: swept.append(J) or real(J)
+        )
+        code, scan, _ = run(capsys, "split", "--ideal", "path:5", "--scan")
+        assert code == 0 and swept.count(I) == 1
+        # the scan prints the report of each point, as --at does
+        at = [
+            run(capsys, "split", "--ideal", "path:5", "--at", str(s)) for s in range(1, I.r)
+        ]
+        assert scan == "".join(out for _, out, _ in at)
+        assert swept.count(I) == I.r
+
+    def test_closed_stdout(self):
+        # the reader takes one line of the 2.4 MB trace and closes the pipe:
+        # no error is printed, and the exit status is that of SIGPIPE, not
+        # the 1 of a refused input
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "prunres.cli", "betti", "--ideal", "cycle:16",
+             "--trace"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout.readline().startswith(b"step=1 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+    def test_stdout_closed_before_any_write(self):
+        # a short output stays in the buffer of a piped stdout until the
+        # end, and its reader is gone before then
+        read, write = os.pipe()
+        os.close(read)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "prunres.cli", "betti", "--ideal", "path:5"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=dict(env, PYTHONPATH=str(SRC)),
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_unreadable_edges_file(self, tmp_path, capsys):
+        code, out, err = run(capsys, "betti", "--ideal", f"edges:{tmp_path}/missing")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2]")
+
     def test_split_scan_one_generator(self, capsys):
         code, out, err = run(capsys, "split", "--scan", "--ideal", "ring x; gens x")
         assert code == 1

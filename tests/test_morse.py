@@ -21,8 +21,7 @@ from prunres.morse import (
     ChainComplex,
     Differential,
     _contract_holds,
-    _d_squared_vanishes,
-    _homogeneous,
+    _d_squared_gcd,
     _is_boundary,
     _threshold_masks,
     InvalidMatchingError,
@@ -316,11 +315,13 @@ class TestContract:
         assert _contract_holds(_with_diffs(C, (*C.diffs, {})))
 
     def test_stored_by_morse_differential(self, path5):
+        # preset by morse_differential; computed on first use for any other
+        # complex, then stored
         C = morse_differential(path5, prune_taylor(path5))
-        assert C._facts.homogeneous is True
+        assert vars(C)["_homogeneous"] is True
         B = _fresh(C)
-        assert B._facts.homogeneous is None
-        assert check_d_squared(B) and B._facts.homogeneous is True
+        assert "_homogeneous" not in vars(B)
+        assert check_d_squared(B) and vars(B)["_homogeneous"] is True
 
 
 # S/(x, y) resolved by its Koszul complex: F0 = {e}, F1 = {a, b}, F2 = {ab}
@@ -948,9 +949,10 @@ def _carry_pair(nvars, k, bound):
 class TestDSquaredAgainstReference:
     """check_d_squared against `reference.d_squared`, which keys a product
     term by its row and exponent sum and so reads every monomial, at chars
-    0, 2, 3 and 5.  On a complex that keeps the contract, the row-keyed d*d
-    of `_d_squared_vanishes` gives the reference verdict at every char,
-    whether it multiplies a pair or certifies it by ∂∂ = 0, and
+    0, 2, 3 and 5.  On a complex that keeps the contract, the gcd of the
+    row sums of d*d (`_d_squared_gcd`) gives the reference verdict at every
+    char, which divides it exactly when d*d vanishes there (0 divides only
+    0), whether it multiplies a pair or certifies it by ∂∂ = 0, and
     check_d_squared gives it over the integers.  Any other complex, such
     as one with a monomial, a row or a cell degree changed, or a column
     that is not sound, check_d_squared, check_minimal and check_exactness
@@ -986,11 +988,12 @@ class TestDSquaredAgainstReference:
         expected = self._expected(C, {} if products is None else products)
         B = _fresh(C)
         verdict = check_d_squared(B)
-        kept = _homogeneous(B)  # the contract, as the check stored it on B
+        kept = B._homogeneous  # the contract, as the check stored it on B
         if kept:
             # check_d_squared's verdict is the row-keyed d*d over the integers
-            got = [verdict] + [_d_squared_vanishes(C, c) for c in self.CHARS[1:]]
-            assert got == expected, name
+            assert verdict == expected[0], name
+            g = _d_squared_gcd(C)
+            assert [g % c == 0 if c else g == 0 for c in self.CHARS] == expected, name
         else:
             assert not verdict and not check_minimal(B), name
             if I is not None:
@@ -1004,7 +1007,7 @@ class TestDSquaredAgainstReference:
         contract with d*d != 0 over the integers).  Every change of
         `_corruptions` but a raised degree keeps the contract; whether the
         monomial and row changes do is left to the contract pass."""
-        assert C._facts.homogeneous is True and _contract_holds(_fresh(C))
+        assert vars(C)["_homogeneous"] is True and _contract_holds(_fresh(C))
         products = {}
         assert self._same(C, I, products) == (True, True)
         rejected = nonzero = 0
@@ -1115,17 +1118,17 @@ def _product_terms(monkeypatch, C):
     entries times the entries of the lower columns they point to."""
     B = _fresh(C)
     terms = {}
-    real_product = morse._composes_to_zero
+    real_product = morse._product_gcd
 
-    def product(lower, upper, char):
+    def product(lower, upper):
         i = next(i for i, e in enumerate(B.diffs, 1) if e is upper)
         assert B.diff(i - 1) is lower and i not in terms
         starts = lower.starts
         terms[i] = sum(starts[mid + 1] - starts[mid] for mid in upper.rows)
-        return real_product(lower, upper, char)
+        return real_product(lower, upper)
 
     with monkeypatch.context() as m:
-        m.setattr(morse, "_composes_to_zero", product)
+        m.setattr(morse, "_product_gcd", product)
         verdict = check_d_squared(B)
     return verdict, terms
 
@@ -1178,12 +1181,13 @@ class TestBoundaryCertificate:
         assert verdict and _boundary_levels(C) == [1, 2]
         assert sorted(terms) == list(range(3, C.length))
         assert all(terms.values())
-        # a sign flipped in d_1 takes the pair d_1 d_2 off the boundary
+        # a sign flipped in d_1 takes the pair d_1 d_2 off the boundary; the
+        # gcd reads every pair off it, past the first that is nonzero
         diffs = [dict(d) for d in C.diffs]
         coeff, exps = diffs[0][(0, 0)]
         diffs[0][(0, 0)] = (-coeff, exps)
         verdict, terms = _product_terms(monkeypatch, _with_diffs(C, diffs))
-        assert not verdict and list(terms) == [2]
+        assert not verdict and sorted(terms) == list(range(2, C.length))
 
     def test_distinct_masks(self):
         # two cells of F_1 share the mask 2, and d_2 hits both: row, sign
@@ -1285,7 +1289,7 @@ class TestCertificateOverF2:
                 {(0, 0): (1, (0,)), (1, 0): (1, (0,))},
             ),
         )
-        assert _d_squared_vanishes(C, 0) and not _all_sound(C)
+        assert _d_squared_gcd(C) == 0 and not _all_sound(C)
         assert not _contract_holds(C) and not check_d_squared(C)
         assert not reference.exactness(I, C, 0)
         assert not check_exactness(I, C, 0)
@@ -1309,7 +1313,7 @@ class TestCertificateOverF2:
                 {(0, 0): (1, (1,)), (1, 1): (1, (0,))},
             ),
         )
-        assert _d_squared_vanishes(C, 2) and not _all_sound(C)
+        assert _d_squared_gcd(C) % 2 == 0 and not _all_sound(C)
         assert not _contract_holds(C) and not check_d_squared(C)
         assert not reference.exactness(I, C, 2)
         assert not check_exactness(I, C, 2)
@@ -1341,7 +1345,7 @@ class TestCertificateOverUnits:
             assert {c: check_exactness(I, B, c) for c in order} == {
                 c: expected[c] for c in order
             }, order
-            assert B._facts.index.not_exact_over_units == [1]
+            assert B._index.not_exact[None] == [1]
         TestExactnessAgainstStrandLoop()._same(monkeypatch, I, C, 3)
         mod_calls = counting(monkeypatch, "pivots_mod")
         assert check_exactness(I, _fresh(C), 5)
@@ -1352,7 +1356,7 @@ class TestCertificateOverUnits:
         I, C = _one_entry(coeff)
         mod_calls = counting(monkeypatch, "pivots_mod")
         assert all(check_exactness(I, C, c) for c in (3, 5, 7))
-        assert C._facts.index.not_exact_over_units == [] and not mod_calls
+        assert C._index.not_exact[None] == [] and not mod_calls
 
     def test_tripled_top_column(self, resolutions40, monkeypatch):
         # d*d stays 0 over Z, the complex stays exact over F_5 and F_7, and
@@ -1409,7 +1413,7 @@ class TestCertificateOverUnits:
                 if not _contract_holds(B):
                     continue
                 for char in (3, 5, 7):
-                    if not _d_squared_vanishes(B, char):
+                    if _d_squared_gcd(B) % char:
                         assert not check_exactness(I, B, char), name
                         continue
                     verdict = check_exactness(I, B, char)
@@ -1449,7 +1453,7 @@ class TestSummedStrandTest:
                 {(1, 0): (1, (0, 1))},
             ),
         )
-        assert _d_squared_vanishes(C, 0) and not _all_sound(C)
+        assert _d_squared_gcd(C) == 0 and not _all_sound(C)
         assert not _contract_holds(C) and not check_d_squared(C)
         for char in (0, 2, 3):
             assert not reference.exactness(I, C, char)
@@ -1508,7 +1512,7 @@ class TestChainedStrands:
                 {(2, 0): (1, (0, 0)), (1, 0): (-1, (0, 1)), (0, 0): (1, (0, 0))},
             ),
         )
-        assert _d_squared_vanishes(C, 0) and not _all_sound(C)
+        assert _d_squared_gcd(C) == 0 and not _all_sound(C)
         assert not _contract_holds(C)
         assert not check_d_squared(C) and not check_minimal(C)
         for char in (0, 2, 3, 5):
@@ -1525,9 +1529,10 @@ def _verdict(I, C, char):
 
 
 class TestStoredResults:
-    """check_d_squared and check_exactness store the d*d verdict, the strand
-    index and the strands that are not exact over F_2 on the complex.  Later
-    checks of the same complex must give the verdicts of a fresh one."""
+    """check_d_squared and check_exactness store the d*d gcd and the strand
+    index on the complex, and each certifying pass's list of strands it
+    leaves uncertified on the index.  Later checks of the same complex must
+    give the verdicts of a fresh one."""
 
     CHARS = (0, 2, 3, 5)
     ORDERS = ((0, 2, 3, 5), (5, 3, 2, 0), ("d*d", 0, 2, 3, 5))
@@ -1637,11 +1642,12 @@ class TestStoredResults:
     def test_d_squared_nonzero_over_z_decided_mod_p(self, resolutions40):
         # A flipped sign leaves d*d = 0 mod 2 but not over the integers: it
         # is not exact over Q, and over F_2 it is the same complex.  The
-        # stored verdict over Z must not decide char 2, whatever ran first.
+        # stored gcd must decide char 2 by divisibility, not by being zero,
+        # whatever ran first.
         seen = exact2 = 0
         for I, _, C in resolutions40[:60]:
             for name, B, _ in _corruptions(C):
-                if check_d_squared(_fresh(B)) or not _d_squared_vanishes(B, 2):
+                if check_d_squared(_fresh(B)) or _d_squared_gcd(B) % 2:
                     continue
                 seen += 1
                 fresh = {c: check_exactness(I, _fresh(B), c) for c in self.CHARS}
@@ -1652,6 +1658,85 @@ class TestStoredResults:
                     assert check_exactness(I, B, char) == fresh[char], name
                 exact2 += fresh[2]
         assert seen > 20 and exact2 > 0
+
+
+def _sums_6_and_10():
+    """The ideal (x) and a complex that keeps the contract: F0 = {e}, F1 =
+    {a}, F2 = {s, t}, with degrees 1, x, x, x, d1 = 2x, and d2 sending s
+    to 3a and t to 5a.  The row sums of d1 d2 are 6 in the column of s and
+    10 in that of t, so d*d vanishes mod 2 alone; the first column alone
+    would pass mod 3 as well."""
+    I = parse_ideal("ring x; gens x")
+    C = ChainComplex(
+        ("x",),
+        ((0,), (1,), (3, 5)),
+        (((0,),), ((1,),), ((1,), (1,))),
+        ({(0, 0): (2, (1,))}, {(0, 0): (3, (0,)), (0, 1): (5, (0,))}),
+    )
+    return I, C
+
+
+class TestStoredAnswers:
+    """Each answer the checks learn is stored once, on the object it
+    describes: one d*d gcd per complex for every characteristic, one list
+    per certifying pass on its strand index, and one complex built per
+    `morse_differential` call."""
+
+    def test_gcd_of_every_column(self):
+        I, C = _sums_6_and_10()
+        assert C._homogeneous and C._d_squared_gcd == 2
+        for char in (0, 2, 3, 5, 7):
+            gate = C._d_squared_gcd % char == 0 if char else C._d_squared_gcd == 0
+            assert gate == reference.d_squared(C, char) == (char == 2), char
+        assert not check_d_squared(_fresh(C))
+        # the d*d gate of check_exactness: only char 2 goes on to the strands
+        for char in (0, 3, 5, 7, 2):
+            B = _fresh(C)
+            verdict = check_exactness(I, B, char)
+            assert (B._index is not None) == (char == 2), char
+            assert verdict == reference.exactness(I, C, char), char
+
+    @pytest.mark.parametrize("build", ["cycle:5", "entry 3"])
+    def test_one_full_pass_per_certifier(self, monkeypatch, build):
+        if build == "entry 3":
+            I, C = _one_entry(3)  # the unit pass leaves its strand to F_p
+        else:
+            I = cycle_ideal(5)
+            C = morse_differential(I, prune_taylor(I))
+        full = []
+        real = morse._StrandIndex.verdicts
+
+        def verdicts(index, char, positions):
+            if positions == range(len(index.strands)):
+                full.append((index, char))
+            return real(index, char, positions)
+
+        monkeypatch.setattr(morse._StrandIndex, "verdicts", verdicts)
+        expected = {c: reference.exactness(I, C, c) for c in (0, 2, 3, 5, 7)}
+        for order in ((0, 2, 3, 5, 7), (7, 5, 3, 2, 0)):
+            B = _fresh(C)
+            full.clear()
+            assert {c: check_exactness(I, B, c) for c in order} == expected, order
+            # one pass over every strand by packed F_2, one by unit pivots
+            assert sorted(full, key=lambda f: f[1] is None) == [
+                (B._index, 2), (B._index, None)
+            ], order
+
+    def test_morse_differential_builds_one_complex(self, monkeypatch):
+        I = cycle_ideal(8)
+        matching = prune_taylor(I)
+        built = []
+        real = ChainComplex.__post_init__
+        monkeypatch.setattr(
+            ChainComplex, "__post_init__", lambda C: built.append(C) or real(C)
+        )
+        C = morse_differential(I, matching)
+        assert len(built) == 1 and built[0] is C
+        assert vars(C)["_homogeneous"] is True
+        built.clear()
+        B = critical_complex(I, matching)
+        assert len(built) == 1 and built[0] is B
+        assert (B.cells, B.degrees) == (C.cells, C.degrees)
 
 
 @pytest.fixture(scope="module")
