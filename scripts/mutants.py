@@ -433,7 +433,7 @@ MUTANTS = [
             "    cells, degrees, cell_degs, tc, critical = _critical_levels(I, matching, validate)\n"
             "    critical_complex(I, matching, validate=False)\n"
         ),
-        "recorded": "this change",
+        "recorded": "7d77034",
         "nodes": [T_MORSE + "TestStoredAnswers::test_morse_differential_builds_one_complex"],
     },
     {
@@ -540,7 +540,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "            g = gcd(g, *acc.values())\n",
         "new": "            g = g or gcd(*acc.values())\n",
-        "recorded": "this change",
+        "recorded": "7d77034",
         "nodes": [T_MORSE + "TestStoredAnswers::test_gcd_of_every_column"],
     },
     # --- exactness ---------------------------------------------------------
@@ -644,7 +644,7 @@ MUTANTS = [
             "        every = range(len(index.strands))\n"
             "        uncertified = index.not_exact[char] = [\n"
         ),
-        "recorded": "this change",
+        "recorded": "7d77034",
         "nodes": [T_MORSE + "TestStoredAnswers::test_one_full_pass_per_certifier"],
     },
     # --- linear algebra ----------------------------------------------------
@@ -825,7 +825,7 @@ MUTANTS = [
         "file": SPLITTING,
         "old": "_split_report(I, s, J, K, matching) for s, (J, K)",
         "new": "_split_report(I, s, J, K, prune_taylor(I)) for s, (J, K)",
-        "recorded": "this change",
+        "recorded": "7d77034",
         "nodes": [T_CLI + "TestCommands::test_split_scan_sweeps_once"],
     },
     # --- command line ------------------------------------------------------
@@ -834,7 +834,7 @@ MUTANTS = [
         "file": CLI,
         "old": "    except BrokenPipeError:\n",
         "new": "    except ZeroDivisionError:\n",
-        "recorded": "this change",
+        "recorded": "7d77034",
         "nodes": [T_CLI + "TestCommands::test_closed_stdout"],
     },
     {
@@ -842,7 +842,7 @@ MUTANTS = [
         "file": CLI,
         "old": "        sys.stdout.flush()\n",
         "new": "",
-        "recorded": "this change",
+        "recorded": "7d77034",
         "nodes": [T_CLI + "TestCommands::test_stdout_closed_before_any_write"],
     },
 ]
