@@ -594,16 +594,57 @@ MUTANTS = [
         "recorded": "3285ef5",
         "nodes": [T_MORSE + "TestOtherIdeal::test_cell_degree_outside_the_lattice"],
     },
+    # The mutant recorded in aea61ed skipped the test that restarted the
+    # running dict; a strand now backs out of the stack of nested strands.
     {
         "what": "a strand chained on one it does not contain",
         "file": MORSE,
-        "old": "            if prev & ~present:\n",
-        "new": "            if False:\n",
+        "old": "            while stack[-1][0] & ~present:\n",
+        "new": "            while False:\n",
         "recorded": "aea61ed",
         "nodes": [
             T_MORSE
             + "TestChainedStrands::test_strand_that_does_not_contain_the_last_starts_afresh"
         ],
+    },
+    {
+        "what": "a strand backed out of without popping its keys",
+        "file": MORSE,
+        "old": (
+            "                size = stack.pop()[1]\n"
+            "                while len(pivots) > size:\n"
+            "                    pop()\n"
+        ),
+        "new": "                stack.pop()\n",
+        "recorded": "this change",
+        "nodes": [
+            T_MORSE
+            + "TestChainedStrands::test_strand_that_contains_the_one_two_back_resumes_from_it"
+        ],
+    },
+    {
+        "what": "an F_2 column cleared by the key g of the row below it",
+        "file": MORSE,
+        "old": "kernel(_uncleared(rows, new, pivots, lift), pivots)",
+        "new": "kernel(_uncleared(rows, new, pivots, 0), pivots)",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestExactnessAgainstStrandLoop::test_builtins[cycle:5]"],
+    },
+    {
+        "what": "a dict-kernel column cleared by the key g + 1 of the row above it",
+        "file": MORSE,
+        "old": "kernel(_uncleared(rows, new, pivots, lift), pivots)",
+        "new": "kernel(_uncleared(rows, new, pivots, 1), pivots)",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestExactnessAgainstStrandLoop::test_builtins[example-4-1]"],
+    },
+    {
+        "what": "a strand's columns handed over bottom level first",
+        "file": MORSE,
+        "old": "        g = cells.bit_length() - 1\n",
+        "new": "        g = (cells & -cells).bit_length() - 1\n",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestClearing::test_f2_pass_over_example_4_1"],
     },
     {
         "what": "odd p reading the unit list alone (no F_p fallback)",
@@ -679,6 +720,14 @@ MUTANTS = [
         "new": "lead = x.bit_length()",
         "recorded": "75da9e7",
         "nodes": [T_LINALG + "test_f2_shifted_known_keys"],
+    },
+    {
+        "what": "a kernel that reads all its rows before it reduces the first",
+        "file": LINALG,
+        "old": "    for x, shift in rows:\n",
+        "new": "    for x, shift in list(rows):\n",
+        "recorded": "this change",
+        "nodes": [T_LINALG + "test_rows_read_one_at_a_time[pivots_f2_packed]"],
     },
     {
         "what": "a non-unit lead accepted as a unit pivot",

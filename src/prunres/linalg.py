@@ -13,31 +13,39 @@ only its own eliminations, and return that dict:
   pivots are independent over every field at once: it bounds the rank
   from below at every characteristic;
 - `pivots_f2_packed` over F_2 takes rows already packed into ints, bit c set
-  when the entry at column c is odd, so an elimination step is one XOR and
-  the leading column is the bit length, which keys its dict.
+  when the entry at column c (moved by the row's shift) is odd, so an
+  elimination step is one XOR and the leading column is the bit length,
+  which keys its dict.
 
 A row only ever meets pivots keyed by its own leading column, so when the
 columns of a matrix fall into ranges that no row crosses, one call ranks
 each range at once: the rank of a range is the number of keys in it.
 `morse.check_exactness` eliminates all the levels of a strand in one call
-that way.  A packed row costs its bit length, so `pivots_f2_packed` takes a
-shift per row: each range is packed from bit 0, and the shift moves its keys
-into place.
+that way.  A packed row costs its bit length, so `pivots_f2_packed` takes
+each row as a pair (bits, shift): each range is packed from bit 0, and the
+shift moves its keys into place.
 
 Each kernel also takes the dict of an earlier call and extends it in place:
 an echelon form of rows A, extended by rows B, is an echelon form of A + B
-with the same keys as one call on A + B.  `morse.check_exactness` carries
-one such dict along strands that contain each other, and eliminates only
-the columns each strand adds.
+with the same keys as one call on A + B.  The kernels keep two promises
+that callers build on:
+- lazy: the rows are read one at a time, each reduced and, when it keeps
+  a lead, added before the next is read, so a generator of rows may read
+  the dict and see the keys that earlier rows of the same call added;
+- add-only: a key, once in the dict, is never replaced or removed, so the
+  keys are in the order they were added, and `popitem()` back to the size
+  the dict had before a call undoes that call.
+`morse.check_exactness` keeps one dict per pass on those two promises: its
+row generator drops every column whose own cell is already a key, and it
+backs up out of a strand by `popitem()`.
 
 The rank is the size of the dict, so the library has one elimination loop
 per field; the size of a `pivots_unit` dict is a lower bound.
 `rank(rows, char)` picks the kernel for a characteristic and returns the
-rank of the rows over that field.
+rank of the rows over that field; it packs each row with shift 0.
 """
 from __future__ import annotations
 
-from itertools import repeat
 from math import gcd
 from typing import Iterable
 
@@ -168,18 +176,17 @@ def pivots_unit(
 
 
 def pivots_f2_packed(
-    rows: Iterable[int],
-    shifts: Iterable[int] | None = None,
+    rows: Iterable[tuple[int, int]],
     pivots: dict[int, int] | None = None,
 ) -> dict[int, int]:
-    """Echelon form over F_2 of rows packed into ints, bit c for column c:
-    bit length -> pivot row, so the key of leading column c is c + 1.
+    """Echelon form over F_2 of rows packed into ints: each row is a pair
+    (bits, shift), bit c of bits standing for column c + shift.  The dict
+    maps bit length + shift -> pivot row, so the key of leading column c is
+    c + 1, and a pivot row is kept packed with its own row's shift.
 
-    With `shifts`, bit c of a row stands for column c + its shift, and its
-    keys move by the same amount.  Rows with different shifts must then
-    cover disjoint ranges of columns, so that a row only meets pivots packed
-    with its own shift.  Given `pivots`, the rows extend it in place, as in
-    `pivots_rational`.
+    Rows with different shifts must cover disjoint ranges of columns, so
+    that a row only meets pivots packed with its own shift.  Given
+    `pivots`, the rows extend it in place, as in `pivots_rational`.
 
     XOR with the pivot of a row's key clears its leading bit and leaves only
     lower ones, so the leading column only falls, as in the dict kernels.
@@ -188,7 +195,7 @@ def pivots_f2_packed(
     if pivots is None:
         pivots = {}
     get = pivots.get
-    for x, shift in zip(rows, repeat(0) if shifts is None else shifts):
+    for x, shift in rows:
         while x:
             lead = x.bit_length() + shift
             p = get(lead)
@@ -229,6 +236,6 @@ def rank(rows: list[dict[int, int]], char: int) -> int:
     if char == 0:
         return len(pivots_rational(rows))
     if char == 2:
-        packed = (sum((v & 1) << c for c, v in row.items()) for row in rows)
+        packed = ((sum((v & 1) << c for c, v in row.items()), 0) for row in rows)
         return len(pivots_f2_packed(packed))
     return len(pivots_mod(rows, char))

@@ -25,7 +25,9 @@ is recorded in `scripts/mutants.py`, which checks that it is still caught.
 - `d_squared`: d_{i-1} d_i with each product term keyed by its row and
   exponent sum, so it needs no homogeneity contract.
 - `exactness`: the strand loop, each strand's cells filtered and each of
-  its differentials ranked on its own.
+  its differentials ranked on its own; its parts `strand_degrees`,
+  `strand_level_ranks` and `strand_exact` give the ranks of each strand
+  to the tests that compare them with the library's.
 - `rank`: Gaussian elimination that rescans the remaining rows for the
   shortest one at every pivot, in integers over Q and mod p over F_p.
 - `tor_betti` and `hochster_betti`: the Betti oracles that rank each degree
@@ -499,13 +501,36 @@ def d_squared(C: ChainComplex, char: int) -> bool:
     )
 
 
-def strand_ranks(C, columns, alpha, char, in_ideal) -> bool:
-    """Whether the strand of C at alpha, the cells whose degree divides
-    x^alpha, is exact: zero homology in degrees >= 1 and a cokernel of 0 or
-    1 in degree 0 as x^alpha lies in the ideal or not.  `columns[i][col]`
-    holds the (row, coeff) entries of the column col of d_i; each d_i with
-    a cell in the strand is ranked by one `linalg.rank` call on its columns
-    in the strand, cut to the rows in the strand."""
+def strand_degrees(I: MonomialIdeal, C: ChainComplex) -> list[tuple[tuple[int, ...], bool]]:
+    """The degrees alpha whose strands `exactness` tests, ascending, each
+    with whether x^alpha lies in I: the lcm lattice of I.  A cell degree
+    outside the lattice can make a strand between lattice points differ
+    from every strand at one, so the strands are taken over the lcm closure
+    of the lattice and the cell degrees."""
+    lattice = face_lattice(I)
+    for d in {d for level in C.degrees for d in level}:
+        if d not in lattice:
+            lattice |= {tuple(map(max, a, d)) for a in lattice}
+    gens = [g.exponents for g in I.generators]
+    return [(alpha, any(_divides(g, alpha) for g in gens)) for alpha in sorted(lattice)]
+
+
+def strand_columns(C: ChainComplex) -> list[dict[int, list[tuple[int, int]]]]:
+    """columns[i][col]: the (row, coeff) entries of the column col of d_i."""
+    columns: list[dict[int, list[tuple[int, int]]]] = [{} for _ in C.cells]
+    for i in range(1, C.length):
+        for (row, col), (coeff, _) in C.diff(i).items():
+            columns[i].setdefault(col, []).append((row, coeff))
+    return columns
+
+
+def strand_level_ranks(C, columns, alpha, char) -> tuple[list[int], list[int]]:
+    """(sizes, ranks) of the strand of C at alpha, the cells whose degree
+    divides x^alpha: sizes[i] cells in level i, and ranks[i] the rank of d_i
+    on the strand for 1 <= i < C.length, 0 at i = 0 and i = C.length.
+    `columns` is `strand_columns(C)`; each d_i with a cell in the strand is
+    ranked by one `linalg.rank` call on its columns in the strand, cut to
+    the rows in the strand."""
     index = [
         {k: pos for pos, k in enumerate(
             k for k, exps in enumerate(level) if all(map(le, exps, alpha))
@@ -527,30 +552,25 @@ def strand_ranks(C, columns, alpha, char, in_ideal) -> bool:
             if row:
                 rows.append(row)
         ranks[i] = linalg.rank(rows, char)
-    for i in range(1, C.length):
-        if len(index[i]) - ranks[i] - ranks[i + 1] != 0:
+    return [len(level) for level in index], ranks
+
+
+def strand_exact(sizes: list[int], ranks: list[int], in_ideal: bool) -> bool:
+    """Whether a strand with these `strand_level_ranks` is exact: zero
+    homology in degrees >= 1 and a cokernel of 0 or 1 in degree 0 as x^alpha
+    lies in the ideal or not."""
+    for i in range(1, len(sizes)):
+        if sizes[i] - ranks[i] - ranks[i + 1] != 0:
             return False
-    return len(index[0]) - ranks[1] == (0 if in_ideal else 1)
+    return sizes[0] - ranks[1] == (0 if in_ideal else 1)
 
 
 def exactness(I: MonomialIdeal, C: ChainComplex, char: int) -> bool:
-    """Whether every strand of C is exact (`strand_ranks`), over the lcm
-    lattice of I.  A cell degree outside the lattice can make a strand
-    between lattice points differ from every strand at one, so the strands
-    are taken over the lcm closure of the lattice and the cell degrees.
-    Reads neither d*d nor the monomials."""
-    lattice = face_lattice(I)
-    for d in {d for level in C.degrees for d in level}:
-        if d not in lattice:
-            lattice |= {tuple(map(max, a, d)) for a in lattice}
-    gens = [g.exponents for g in I.generators]
-    columns: list[dict[int, list[tuple[int, int]]]] = [{} for _ in C.cells]
-    for i in range(1, C.length):
-        for (row, col), (coeff, _) in C.diff(i).items():
-            columns[i].setdefault(col, []).append((row, coeff))
-    for alpha in sorted(lattice):
-        in_ideal = any(_divides(g, alpha) for g in gens)
-        if not strand_ranks(C, columns, alpha, char, in_ideal):
+    """Whether every strand of C is exact (`strand_exact`), over the strand
+    degrees of `strand_degrees`.  Reads neither d*d nor the monomials."""
+    columns = strand_columns(C)
+    for alpha, in_ideal in strand_degrees(I, C):
+        if not strand_exact(*strand_level_ranks(C, columns, alpha, char), in_ideal):
             return False
     return True
 

@@ -3,9 +3,10 @@
 `reference.rank` rescans all remaining rows for the shortest one at every
 pivot, in integers over Q and mod p over F_p.  The kernels must give the
 same rank on every matrix, `linalg.rank(rows, 2)` and `pivots_f2_packed` (on
-the same rows packed into ints) included.  Each kernel, given the echelon
-form of an earlier call, must extend it in place to the keys of one call on
-all the rows.  `pivots_unit`, which takes only +-1 pivots over Z, must never
+the same rows packed into (int, shift) pairs) included.  Each kernel, given
+the echelon form of an earlier call, must extend it in place to the keys of
+one call on all the rows, read its rows one at a time, and only add keys,
+so that `popitem()` undoes an extension.  `pivots_unit`, which takes only +-1 pivots over Z, must never
 count more pivots than the rank at any characteristic.
 """
 import pytest
@@ -77,9 +78,9 @@ def test_f2_same_rank_as_rescan_kernel(rows):
     expected = rescan_rank(rows, 2)
     assert linalg.rank(rows, 2) == expected
     assert rows == before  # the input is not modified
-    packed = [_pack(row) for row in rows]
+    packed = [(_pack(row), 0) for row in rows]
     assert len(linalg.pivots_f2_packed(packed)) == expected
-    assert packed == [_pack(row) for row in before]
+    assert packed == [(_pack(row), 0) for row in before]
 
 
 @settings(max_examples=200, deadline=None)
@@ -92,14 +93,15 @@ def test_f2_shifted_ranges_rank_independently(blocks):
         width = 1 + max((c for row in block for c in row), default=0)
         packed = [_pack(row) for row in block]
         expected.update(
-            (key + shift, x) for key, x in linalg.pivots_f2_packed(packed).items()
+            (key + shift, x)
+            for key, x in linalg.pivots_f2_packed((x, 0) for x in packed).items()
         )
         rows += packed
         shifts += [shift] * len(packed)
         shift += width
     order = list(range(len(rows)))
     order.reverse()  # the blocks interleaved with each other
-    got = linalg.pivots_f2_packed([rows[k] for k in order], [shifts[k] for k in order])
+    got = linalg.pivots_f2_packed([(rows[k], shifts[k]) for k in order])
     assert sorted(got) == sorted(expected)
 
 
@@ -112,7 +114,7 @@ def test_f2_shifted_ranges_rank_independently(blocks):
     ],
 )
 def test_f2_shifted_known_keys(rows, shifts, keys):
-    assert sorted(linalg.pivots_f2_packed(rows, shifts)) == keys
+    assert sorted(linalg.pivots_f2_packed(zip(rows, shifts))) == keys
 
 
 def _dict_kernel(char):
@@ -148,16 +150,63 @@ def test_f2_extended_echelon_has_the_keys_of_one_call(blocks, data):
         shifts += [shift] * len(packed)
         shift += 1 + max((c for row in block for c in row), default=0)
     order = data.draw(st.permutations(range(len(rows))))
-    rows, shifts = [rows[j] for j in order], [shifts[j] for j in order]
-    k = data.draw(st.integers(0, len(rows)))
-    first = linalg.pivots_f2_packed(rows[:k], shifts[:k])
-    extended = linalg.pivots_f2_packed(rows[k:], shifts[k:], first)
+    pairs = [(rows[j], shifts[j]) for j in order]
+    k = data.draw(st.integers(0, len(pairs)))
+    first = linalg.pivots_f2_packed(pairs[:k])
+    extended = linalg.pivots_f2_packed(pairs[k:], first)
     assert extended is first
-    assert sorted(extended) == sorted(linalg.pivots_f2_packed(rows, shifts))
+    assert sorted(extended) == sorted(linalg.pivots_f2_packed(pairs))
     # unshifted, as linalg.rank calls it
-    first = linalg.pivots_f2_packed(rows[:k])
-    assert sorted(linalg.pivots_f2_packed(rows[k:], None, first)) == sorted(
-        linalg.pivots_f2_packed(rows)
+    unshifted = [(x, 0) for x, _ in pairs]
+    first = linalg.pivots_f2_packed(unshifted[:k])
+    assert sorted(linalg.pivots_f2_packed(unshifted[k:], first)) == sorted(
+        linalg.pivots_f2_packed(unshifted)
+    )
+
+
+# each kernel as (rows, pivots) -> pivots, with how it takes a dict row
+KERNELS = {
+    "pivots_rational": (linalg.pivots_rational, dict),
+    "pivots_mod": (lambda rows, pivots=None: linalg.pivots_mod(rows, 3, pivots), dict),
+    "pivots_unit": (linalg.pivots_unit, dict),
+    "pivots_f2_packed": (linalg.pivots_f2_packed, lambda row: (_pack(row), 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_rows_read_one_at_a_time(name):
+    # each row is reduced, and its key added, before the next is read: a
+    # generator of rows sees the keys of the rows it gave before
+    kernel, take = KERNELS[name]
+    rows = [{0: 1}, {0: 1}, {1: 1}, {2: 1, 0: 1}]
+    pivots, seen = {}, []
+
+    def reading():
+        for row in rows:
+            seen.append(sorted(pivots))
+            yield take(row)
+
+    assert kernel(reading(), pivots) is pivots
+    lift = 1 if name == "pivots_f2_packed" else 0
+    assert seen == [[], [lift], [lift], [lift, 1 + lift]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), matrices(), st.sampled_from(sorted(KERNELS)))
+def test_popitem_undoes_an_extension(first, then, name):
+    # the kernels only add keys, so popping the keys an extension added, last
+    # first, leaves the dict as it was: the same items in the same order
+    kernel, take = KERNELS[name]
+    pivots = kernel([take(row) for row in first])
+    before = list(pivots.items())
+    kernel([take(row) for row in then], pivots)
+    assert list(pivots.items())[: len(before)] == before
+    while len(pivots) > len(before):
+        pivots.popitem()
+    assert list(pivots.items()) == before
+    # and the dict extends again as it did the first time
+    assert sorted(kernel([take(row) for row in then], pivots)) == sorted(
+        kernel([take(row) for row in first + then])
     )
 
 
@@ -259,7 +308,7 @@ def test_unit_known_pivot_counts(rows, expected):
     ],
 )
 def test_f2_known_ranks(rows, expected):
-    assert len(linalg.pivots_f2_packed([_pack(row) for row in rows])) == expected
+    assert len(linalg.pivots_f2_packed([(_pack(row), 0) for row in rows])) == expected
     assert linalg.rank(rows, 2) == expected
     assert rescan_rank(rows, 2) == expected
 
