@@ -616,7 +616,7 @@ MUTANTS = [
             "                    pop()\n"
         ),
         "new": "                stack.pop()\n",
-        "recorded": "this change",
+        "recorded": "7c9127a",
         "nodes": [
             T_MORSE
             + "TestChainedStrands::test_strand_that_contains_the_one_two_back_resumes_from_it"
@@ -627,7 +627,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "kernel(_uncleared(rows, new, pivots, lift), pivots)",
         "new": "kernel(_uncleared(rows, new, pivots, 0), pivots)",
-        "recorded": "this change",
+        "recorded": "7c9127a",
         "nodes": [T_MORSE + "TestExactnessAgainstStrandLoop::test_builtins[cycle:5]"],
     },
     {
@@ -635,7 +635,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "kernel(_uncleared(rows, new, pivots, lift), pivots)",
         "new": "kernel(_uncleared(rows, new, pivots, 1), pivots)",
-        "recorded": "this change",
+        "recorded": "7c9127a",
         "nodes": [T_MORSE + "TestExactnessAgainstStrandLoop::test_builtins[example-4-1]"],
     },
     {
@@ -643,7 +643,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "        g = cells.bit_length() - 1\n",
         "new": "        g = (cells & -cells).bit_length() - 1\n",
-        "recorded": "this change",
+        "recorded": "7c9127a",
         "nodes": [T_MORSE + "TestClearing::test_f2_pass_over_example_4_1"],
     },
     {
@@ -726,7 +726,7 @@ MUTANTS = [
         "file": LINALG,
         "old": "    for x, shift in rows:\n",
         "new": "    for x, shift in list(rows):\n",
-        "recorded": "this change",
+        "recorded": "7c9127a",
         "nodes": [T_LINALG + "test_rows_read_one_at_a_time[pivots_f2_packed]"],
     },
     {
