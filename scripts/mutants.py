@@ -36,6 +36,7 @@ LINALG = "src/prunres/linalg.py"
 MORSE = "src/prunres/morse.py"
 PRUNING = "src/prunres/pruning.py"
 TAYLOR = "src/prunres/taylor.py"
+MONOMIALS = "src/prunres/monomials.py"
 BETTI = "src/prunres/betti.py"
 SPLITTING = "src/prunres/splitting.py"
 CLI = "src/prunres/cli.py"
@@ -571,8 +572,8 @@ MUTANTS = [
     {
         "what": "the list of strands not exact over F_2 cut after its first strand",
         "file": MORSE,
-        "old": "enumerate(index.verdicts(certifier, every)) if not exact\n        ]",
-        "new": "enumerate(index.verdicts(certifier, every)) if not exact\n        ][:1]",
+        "old": "            uncertified = index.lane_pass()\n",
+        "new": "            uncertified = index.lane_pass()[:1]\n",
         "recorded": "3285ef5",
         "nodes": [
             T_MORSE + "TestCertificateOverF2::test_top_column_doubled_and_another_deleted"
@@ -622,19 +623,23 @@ MUTANTS = [
             + "TestChainedStrands::test_strand_that_contains_the_one_two_back_resumes_from_it"
         ],
     },
+    # The F_2 pass cleared by a key one above the row (g + 1); the lane
+    # pass clears a column by the leads of its own cell, so the mutant that
+    # cleared by the key of the row below clears by the leads of the cell
+    # below.
     {
-        "what": "an F_2 column cleared by the key g of the row below it",
+        "what": "an F_2 column cleared by the leads of the cell below it",
         "file": MORSE,
-        "old": "kernel(_uncleared(rows, new, pivots, lift), pivots)",
-        "new": "kernel(_uncleared(rows, new, pivots, 0), pivots)",
+        "old": "        lane, led = lanes[k], leads[k]\n",
+        "new": "        lane, led = lanes[k], leads[k - 1]\n",
         "recorded": "7c9127a",
         "nodes": [T_MORSE + "TestExactnessAgainstStrandLoop::test_builtins[cycle:5]"],
     },
     {
         "what": "a dict-kernel column cleared by the key g + 1 of the row above it",
         "file": MORSE,
-        "old": "kernel(_uncleared(rows, new, pivots, lift), pivots)",
-        "new": "kernel(_uncleared(rows, new, pivots, 1), pivots)",
+        "old": "        if g not in pivots:\n",
+        "new": "        if g + 1 not in pivots:\n",
         "recorded": "7c9127a",
         "nodes": [T_MORSE + "TestExactnessAgainstStrandLoop::test_builtins[example-4-1]"],
     },
@@ -644,7 +649,64 @@ MUTANTS = [
         "old": "        g = cells.bit_length() - 1\n",
         "new": "        g = (cells & -cells).bit_length() - 1\n",
         "recorded": "7c9127a",
-        "nodes": [T_MORSE + "TestClearing::test_f2_pass_over_example_4_1"],
+        "nodes": [T_MORSE + "TestClearing::test_unit_pass_over_example_4_1"],
+    },
+    {
+        "what": "a shared-lead column's lanes left unreduced",
+        "file": MORSE,
+        "old": (
+            "        if entering & held:\n"
+            "            zero |= _reduce_lanes(entering & held, x, groups, pivots)\n"
+        ),
+        "new": "",
+        "recorded": "this change",
+        "nodes": [
+            T_MORSE + "TestLanePass::test_two_columns_of_one_strand_share_a_top_row"
+        ],
+    },
+    {
+        "what": "the level-0 rule swapped: one cell left where x^alpha lies in I",
+        "file": MORSE,
+        "old": "enumerate(strands) if not in_ideal)",
+        "new": "enumerate(strands) if in_ideal)",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestLanePass::test_level_0_counts"],
+    },
+    {
+        "what": "a pivot group XORed in lanes outside its own",
+        "file": MORSE,
+        "old": "            part = lanes & held\n",
+        "new": "            part = lanes\n",
+        "recorded": "this change",
+        "nodes": [
+            T_MORSE + "TestLanePass::test_reduced_against_the_group_of_its_own_lane"
+        ],
+    },
+    {
+        "what": "a cell's lanes read with < for <=",
+        "file": MORSE,
+        "old": "                j = bisect_left(vals, e)\n",
+        "new": "                j = bisect_left(vals, e + 1)\n",
+        "recorded": "this change",
+        "nodes": [
+            T_MORSE + "TestLanePass::test_reduced_column_becomes_a_pivot_lower_down"
+        ],
+    },
+    {
+        "what": "the lattice point 0 flagged in I",
+        "file": MORSE,
+        "old": "points = {tc.decode(d): d != 0 or unit for d in tc.lattice()}",
+        "new": "points = {tc.decode(d): True for d in tc.lattice()}",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestStrandDegrees::test_corpus40_and_builtins"],
+    },
+    {
+        "what": "the point 0 of the unit ideal flagged outside it",
+        "file": MORSE,
+        "old": "points = {tc.decode(d): d != 0 or unit for d in tc.lattice()}",
+        "new": "points = {tc.decode(d): d != 0 for d in tc.lattice()}",
+        "recorded": "this change",
+        "nodes": [T_MORSE + "TestStrandDegrees::test_unit_ideal"],
     },
     {
         "what": "odd p reading the unit list alone (no F_p fallback)",
@@ -676,14 +738,26 @@ MUTANTS = [
         "old": (
             "    uncertified = index.not_exact.get(certifier)\n"
             "    if uncertified is None:\n"
-            "        every = range(len(index.strands))\n"
-            "        uncertified = index.not_exact[certifier] = [\n"
+            "        if certifier == 2:\n"
+            "            uncertified = index.lane_pass()\n"
+            "        else:\n"
+            "            every = range(len(index.strands))\n"
+            "            uncertified = [\n"
+            "                s for s, exact in enumerate(index.verdicts(certifier, every)) if not exact\n"
+            "            ]\n"
+            "        index.not_exact[certifier] = uncertified\n"
         ),
         "new": (
             "    uncertified = index.not_exact.get(char)\n"
             "    if uncertified is None:\n"
-            "        every = range(len(index.strands))\n"
-            "        uncertified = index.not_exact[char] = [\n"
+            "        if certifier == 2:\n"
+            "            uncertified = index.lane_pass()\n"
+            "        else:\n"
+            "            every = range(len(index.strands))\n"
+            "            uncertified = [\n"
+            "                s for s, exact in enumerate(index.verdicts(certifier, every)) if not exact\n"
+            "            ]\n"
+            "        index.not_exact[char] = uncertified\n"
         ),
         "recorded": "7d77034",
         "nodes": [T_MORSE + "TestStoredAnswers::test_one_full_pass_per_certifier"],
@@ -714,18 +788,10 @@ MUTANTS = [
         "nodes": [T_LINALG + "test_known_ranks"],
     },
     {
-        "what": "the shift of packed F_2 rows ignored",
-        "file": LINALG,
-        "old": "lead = x.bit_length() + shift",
-        "new": "lead = x.bit_length()",
-        "recorded": "75da9e7",
-        "nodes": [T_LINALG + "test_f2_shifted_known_keys"],
-    },
-    {
         "what": "a kernel that reads all its rows before it reduces the first",
         "file": LINALG,
-        "old": "    for x, shift in rows:\n",
-        "new": "    for x, shift in list(rows):\n",
+        "old": "    for x in rows:\n",
+        "new": "    for x in list(rows):\n",
         "recorded": "7c9127a",
         "nodes": [T_LINALG + "test_rows_read_one_at_a_time[pivots_f2_packed]"],
     },
@@ -757,6 +823,22 @@ MUTANTS = [
         "nodes": [T_LINALG + "test_unit_pivot_rows_lie_in_the_span"],
     },
     # --- the degree table --------------------------------------------------
+    {
+        "what": "an ideal's hash computed again on every lookup",
+        "file": MONOMIALS,
+        "old": "        h = self._hash\n",
+        "new": "        h = None\n",
+        "recorded": "this change",
+        "nodes": [T_TAYLOR + "TestOneTablePerIdeal::test_hash_computed_once_per_ideal"],
+    },
+    {
+        "what": "an ideal's hash carried into its pickles and copies",
+        "file": MONOMIALS,
+        "old": "        state.pop(\"_hash\", None)\n",
+        "new": "",
+        "recorded": "this change",
+        "nodes": [T_TAYLOR + "TestOneTablePerIdeal::test_used_ideal_pickles_and_copies"],
+    },
     {
         "what": "the high half table indexed by mask >> (h + 1)",
         "file": TAYLOR,

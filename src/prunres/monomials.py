@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 MAX_EXPONENT = 2**31 - 1
 
@@ -68,10 +69,15 @@ def monomial_str(m: Monomial, variables: tuple[str, ...]) -> str:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """An ordered list of monomial generators; the order is semantically significant."""
+    """An ordered list of monomial generators; the order is semantically significant.
+
+    Its hash is computed once and kept outside the fields, since every
+    `TaylorComplex(I)` lookup hashes I; a pickle or copy leaves it out, as
+    str hashes differ from one process to the next."""
 
     variables: tuple[str, ...]
     generators: tuple[Monomial, ...]
+    _hash: ClassVar[int | None] = None
 
     def __post_init__(self) -> None:
         n = len(self.variables)
@@ -82,6 +88,18 @@ class MonomialIdeal:
                 raise AmbientError(
                     f"generator {g.exponents} does not match {n} variables"
                 )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.variables, self.generators))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state
 
     @property
     def r(self) -> int:

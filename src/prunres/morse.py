@@ -12,10 +12,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, count, pairwise, repeat
 from math import gcd
-from operator import itemgetter, le, sub
+from operator import getitem, itemgetter, le, or_, sub
 from typing import ClassVar, Iterable, Iterator
 
 from . import linalg
@@ -679,27 +679,12 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     - on C, the strand index (`_StrandIndex`), kept for the ideal it was
       built for and rebuilt when a check passes an ideal not equal to it;
     - on the index, one list per certifying pass of the strands that pass
-      does not certify (`not_exact`): the packed F_2 pass for chars 0 and
-      2, and the unit pivots over Z for every odd p, each run over every
-      strand by the first check that needs it.  Char 2 reads its list as
-      the verdict; char 0 ranks over Q, and an odd p over F_p, only the
-      strands in theirs.
+      does not certify (`not_exact`): the lane pass over F_2 for chars 0
+      and 2, and the unit pivots over Z for every odd p, each run over
+      every strand by the first check that needs it.  Char 2 reads its
+      list as the verdict; char 0 ranks over Q, and an odd p over F_p, only
+      the strands in theirs.
     Nothing is kept anywhere else: the results die with the complex.
-
-    The index numbers the cells of all levels consecutively: cell k of
-    level i is cell off[i] + k.  One threshold mask per variable over that
-    numbering gives the cells of a strand with one big-int AND per
-    variable.  Each column of d_i is read once per pass that needs it: over
-    F_2 as a pair of one int with the bits of its odd entries, packed from
-    off[i - 1], and that shift, so that it is as wide as level i - 1 and not
-    as all the levels below, built for the one F_2 pass of the index; and
-    as a {global row: coeff} dict, kept on the index once a unit, Q or
-    odd-p pass first runs.  A strand is then one elimination over all its
-    columns.  The rows of a
-    column of d_i all lie in level i - 1, so every pivot lead falls in the
-    range of the level whose d_i it ranks, no elimination step mixes two
-    levels, and the rank of d_i on the strand is the number of leads in
-    level i - 1.
 
     By the contract, the rows of a column lie in the level below and their
     degrees divide the column's, so a strand holding a column holds all its
@@ -710,31 +695,19 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     size of its level i and r_i the rank of its d_i, and all of it vanishes
     iff the sum does: n - 2R + r_1 = 0, with n the number of strand cells
     above level 0 and R the number of pivots.  The cokernel test reads
-    n_0 - r_1.
+    n_0 - r_1.  The rows of a column of d_i all lie in level i - 1, so
+    every pivot lead falls in the level whose d_i it ranks, and the rank of
+    d_i on the strand is the number of leads in level i - 1.
 
-    Strands are visited in the lex order of their degrees, where a strand
-    often contains the one before it, or one a few places back.  Each pass
-    keeps one pivot dict and a stack of (cells, size of the dict before
-    their columns went in) for nested strands, innermost last, so the dict
-    is an echelon form of the columns of the strand on top.  Before strand
-    P, every entry whose cells P does not contain is popped (one AND each),
-    and the dict is cut back with `popitem()` to the size recorded for it:
-    the kernels only ever add keys (see `linalg`), so that undoes exactly
-    the columns the entry added.  The columns of the cells P adds to the
-    entry left on top then extend that echelon form to one of P, and P is
-    pushed.  The summed test reads the dict.  Containment is all the stack
-    needs, so the Q pass over the strands that are not exact over F_2 runs
-    along that list the same way.
-
-    Within a strand the new columns reach the kernel top level first, one
-    at a time (`_uncleared`), and a column is left out when its own cell is
-    already a pivot key: key g + 1 over F_2, g in the dict kernels.  Such a
-    column would reduce to zero (clearing, as in persistent homology:
-    Chen and Kerber, "Persistent homology computation with a twist",
-    EuroCG 2011), and the verdict cannot change:
-    - a key j in the dict is the lead row of a pivot of d_{i+1} on a strand
-      Q that P contains; the pivot is a combination z of columns of Q with
-      top row j, whose rows lie in the strand by the contract;
+    Every elimination takes the columns top level first, and leaves out a
+    column whose own cell is already the lead of a pivot one level up: it
+    would reduce to zero (clearing, as in persistent homology: Chen and
+    Kerber, "Persistent homology computation with a twist", EuroCG 2011),
+    and the verdict cannot change:
+    - a lead j is the top row of a pivot of d_{i+1} on a strand that the
+      strand being ranked contains; the pivot is a combination z of columns
+      of that strand with top row j, whose rows lie in the strand by the
+      contract;
     - d_i z = 0 over the field, by the d*d gate, so column j of d_i lies in
       the span of strand columns of level i with a lower index;
     - by induction on the index, every column left out lies in the span of
@@ -742,10 +715,43 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
       summed test are unchanged.
     In the unit pass a column left out can only lose unit pivots, so u_i
     <= r_i still holds and its certificate stays sound; a strand it no
-    longer certifies is ranked over F_p.  On example-4-1 under the three
-    methods this takes the F_2 pass from 89,872 columns at the kernel and
-    141,970 XOR steps (44,369 columns reduced to zero) to 37,173 columns
-    and 62 steps.
+    longer certifies is ranked over F_p.
+
+    Over F_2 the lane pass (`_StrandIndex.lane_pass`) decides every strand
+    at once: each quantity in its one elimination over the cells is an int
+    whose bit s, lane s, stands for strands[s].  A cell's lanes, the strands
+    that contain it, are all lanes less one OR per variable of threshold
+    masks over the strand degrees, one mask per exponent that a cell has,
+    built as in `_threshold_masks`; a column of d_i is one int with the bits
+    of its odd rows.  The cells are taken highest first, so in each lane the
+    pass is the column reduction of that strand (`_lane_level`): a column
+    enters in its cell's lanes less those where the cell is a lead
+    (clearing), becomes the pivot at its top row where that row has none,
+    and is reduced only in the lanes left, against the pivots of that row,
+    which are groups (lanes, column) disjoint in their lanes
+    (`_reduce_lanes`): 8 of 2,649 columns over example-4-1 under the three
+    methods.  Clearing keeps pivot columns and leads apart, so the R pivot
+    columns and the R - r_1 leads above level 0 are distinct cells, and the
+    summed test holds iff every strand cell above level 0 is one of them:
+    iff no column reduced to zero in that lane.  The cokernel test holds iff
+    level 0 leaves no cell that is not a lead where x^alpha lies in I, and
+    one where it does not.  Only the lanes of one level and the leads of the
+    level below are held at a time.
+
+    The unit, Q and F_p passes rank one strand at a time, with one pivot
+    dict of their kernel (see `linalg`), on {global row: coeff} columns
+    over the cells of all levels numbered consecutively (cell k of level i
+    is off[i] + k), and find a strand's cells by one AND per variable of
+    threshold masks over the cells; the first such pass builds both.
+    Strands come in the lex order of their degrees, where a strand often
+    contains the one before it or one a few places back, so a pass keeps a
+    stack of (cells, size of the dict before their columns went in) for
+    nested strands, innermost last.  Before strand P it pops every entry
+    whose cells P does not contain and cuts the dict back with `popitem()`
+    to the recorded size: the kernels only ever add keys, so that undoes
+    exactly the columns the entry added.  The columns P adds then reach the
+    kernel top level first (`_uncleared`), each whose own cell is already a
+    key left out, and the summed test reads the dict.
 
     Over Q, the strands are certified over F_2 first.  With d*d = 0 over
     the integers, each strand is an integer subcomplex.  Write q_i and t_i
@@ -755,9 +761,9 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     for every i >= 1, so (q_i - t_i) + (q_{i+1} - t_{i+1}) <= 0 with both
     terms >= 0: every q_i = t_i, and the Q ranks give the same verdict, the
     cokernel test included.  Only a strand that is not exact over F_2, as
-    one with 2-torsion, is ranked again over Q.  The F_2 pass runs over
-    every strand, past the first that is not exact, so that its list serves
-    both characteristics.
+    one with 2-torsion, is ranked again over Q.  The lane pass decides
+    every strand, not only those up to the first that is not exact, so that
+    its list serves both characteristics.
 
     At an odd p, the strands are certified by unit pivots over Z first
     (`linalg.pivots_unit`), the unit-pivot cancellation of algebraic
@@ -772,8 +778,9 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     F_p, the cokernel test included.  Only d*d mod p is needed, not over
     the integers, and nothing in the pass depends on p, so one pass serves
     every odd p; each p ranks over F_p only the strands it does not
-    certify, along that list as the Q pass does.  Chars 0 and 2 keep
-    the F_2 pass, which costs a fraction of the unit pass.
+    certify, along that list as the Q pass does.  It is not run in lanes:
+    a reduced column over Z can differ from lane to lane in its
+    coefficients, where over F_2 it is one int shared by its group.
     """
     linalg.check_characteristic(char)
     if I.variables != C.variables:
@@ -792,15 +799,19 @@ def check_exactness(I: MonomialIdeal, C: ChainComplex, char: int = 0) -> bool:
     if index is None or index.ideal != I:
         index = _StrandIndex(I, C)
         object.__setattr__(C, "_index", index)
-    # the certifying pass: packed F_2 (2) for chars 0 and 2, unit pivots
-    # over Z (None) for every odd p
+    # the certifying pass: the lane pass over F_2 (2) for chars 0 and 2,
+    # unit pivots over Z (None) for every odd p
     certifier = 2 if char in (0, 2) else None
     uncertified = index.not_exact.get(certifier)
     if uncertified is None:
-        every = range(len(index.strands))
-        uncertified = index.not_exact[certifier] = [
-            s for s, exact in enumerate(index.verdicts(certifier, every)) if not exact
-        ]
+        if certifier == 2:
+            uncertified = index.lane_pass()
+        else:
+            every = range(len(index.strands))
+            uncertified = [
+                s for s, exact in enumerate(index.verdicts(certifier, every)) if not exact
+            ]
+        index.not_exact[certifier] = uncertified
     if char == certifier:
         return not uncertified
     return all(index.verdicts(char, uncertified))
@@ -813,15 +824,18 @@ def _strand_degrees(
     each with whether x^alpha lies in I: the lcm lattice L of I, and when
     some cell degree lies outside L, the lcm closure of L and those degrees.
 
+    A point of L lies in I with no generator scanned: a nonzero point is
+    the lcm of a nonempty set of generators, each of which divides it, and
+    the point 0, the lcm of the empty face, lies in I iff a generator is 1.
+    Only a point of the closure outside L is tested against the generators.
+
     L holds the lcm of the empty face, so adding a degree d to an
     lcm-closed set S gives the lcm-closed set S + {lcm(s, d) : s in S}.  The
     outside degrees are added one at a time, and `ValueError` is raised as
     soon as the closure holds more than 2^r points besides those of L."""
     tc = TaylorComplex(I)
-    gens = tc.gen_degrees
-    points = {
-        tc.decode(d): any(g & ~d == 0 for g in gens) for d in tc.lattice()
-    }
+    unit = 0 in tc.gen_degrees
+    points = {tc.decode(d): d != 0 or unit for d in tc.lattice()}
     outside = {*cells}.difference(points)
     if outside:
         cap, exps = len(points) + (1 << I.r), [g.exponents for g in I.generators]
@@ -842,68 +856,102 @@ def _strand_degrees(
 
 class _StrandIndex:
     """The strand index of a complex for one ideal (see check_exactness):
-    the strand degrees, one threshold mask per variable over the cells of
-    all levels, and the shifts of the columns.  The dict columns
-    (`columns`) are built by the first pass that needs them, and
-    `not_exact` maps each certifying pass run so far (2: packed F_2, None:
-    unit pivots over Z) to the strands it leaves uncertified.  It holds
-    the complex's differentials but not the complex, which holds it."""
+    the strand degrees and, per variable, their distinct exponents.
+    `not_exact` maps each certifying pass run so far (2: the lane pass over
+    F_2, None: unit pivots over Z) to the strands it leaves uncertified.
+    Only the unit, Q and F_p passes need the cell side (`_cells`), which
+    the first of them builds.  It holds the complex's degrees and
+    differentials but not the complex, which holds it."""
 
     def __init__(self, I: MonomialIdeal, C: ChainComplex) -> None:
-        cells = [exps for level in C.degrees for exps in level]
         self.ideal = I
-        self.strands = _strand_degrees(I, cells)
-        values = [sorted(set(column)) for column in zip(*(a for a, _ in self.strands))]
-        self.rank_of = [{v: j for j, v in enumerate(vals)} for vals in values]
-        # cell k of level i is cell off[i] + k
-        off = [0]
-        for level in C.degrees:
-            off.append(off[-1] + len(level))
-        self.off = off
-        self.masks = _threshold_masks(cells, values)
-        self.everything = (1 << len(cells)) - 1
-        self.level0 = (1 << off[1]) - 1  # the cells of level 0
-        # shift[g]: the first cell of the level below cell g.  A column is
-        # packed from there, so it is as wide as that level, not as the
-        # cells below it.
-        shift = [0] * off[1]
-        for i in range(1, C.length):
-            shift += [off[i - 1]] * (off[i + 1] - off[i])
-        self.shift = shift
+        self.strands = _strand_degrees(I, [exps for level in C.degrees for exps in level])
+        self.values = [sorted(set(column)) for column in zip(*(a for a, _ in self.strands))]
+        self.degrees = C.degrees
         self.diffs = C.diffs
         self.not_exact: dict[int | None, list[int]] = {}
-        self.columns: list[dict[int, int]] | None = None  # see _rows
+        self.columns: list[dict[int, int]] | None = None  # see _cells
 
-    def _rows(self, char: int | None) -> list:
-        """The columns of every cell as the kernel of char takes them.  Over
-        F_2, pairs[g] holds the rows of the odd entries of the column of
-        cell g, as a bitmask from shift[g], with that shift; they are built
-        for the one F_2 pass an index runs, and die with it.  Otherwise
-        columns[g] is the column of cell g as {global row: coeff}, built by
-        the first pass that needs it and kept for the passes over the
-        strands it leaves uncertified."""
-        off, shift = self.off, self.shift
-        if char == 2:
-            packed = [0] * len(shift)
-            for i, d in zip(range(1, len(off) - 1), self.diffs):
-                for g, row, (coeff, _) in zip(_entry_cells(d, count(off[i])), d.rows, d.entries):
-                    if coeff & 1:
-                        packed[g] |= 1 << row
-            return list(zip(packed, shift))
-        if self.columns is None:
-            columns: list[dict[int, int]] = [{} for _ in shift]
-            for i, d in zip(range(1, len(off) - 1), self.diffs):
-                for g, row, (coeff, _) in zip(_entry_cells(d, count(off[i])), d.rows, d.entries):
-                    columns[g][shift[g] + row] = coeff
-            self.columns = columns
-        return self.columns
+    def lane_pass(self) -> list[int]:
+        """The strands not exact over F_2, ascending (the lane pass, see
+        check_exactness)."""
+        strands, values, degrees = self.strands, self.values, self.degrees
+        everything = (1 << len(strands)) - 1
+        # lacking[k][e]: the lanes whose k-th exponent is below e, for each
+        # k-th exponent e of a cell, read from the ranks of the strands'
+        # k-th exponents with one translate, as in `_threshold_masks`
+        alphas = [alpha for alpha, _ in strands]
+        cells = [exps for level in degrees for exps in level]
+        lacking: list[dict[int, int]] = []
+        for k, vals in enumerate(values):
+            n = len(vals)
+            column = map(itemgetter(k), reversed(alphas))
+            ranks = "".join(map(chr, map(bisect_left, repeat(vals), column)))
+            lack = {}
+            for e in {*map(itemgetter(k), cells)}:
+                j = bisect_left(vals, e)
+                lack[e] = int(ranks.translate("1" * j + "0" * (n + 1 - j)), 2) if j else 0
+            lacking.append(lack)
+        del alphas, cells
+
+        def lanes_of(level: tuple[tuple[int, ...], ...]) -> list[int]:
+            # the lanes lacking none of each cell's exponents, computed once
+            # per degree of the level
+            lanes = {
+                exps: everything & ~reduce(or_, filter(None, map(getitem, lacking, exps)), 0)
+                for exps in {*level}
+            }
+            return list(map(lanes.__getitem__, level))
+
+        top = len(degrees) - 1
+        leads = [0] * len(degrees[top])  # no d_{top+1}, so no lead up there
+        zero = 0
+        for i in range(top, 0, -1):
+            columns = [0] * len(degrees[i])
+            d = self.diffs[i - 1]
+            for col, row, (coeff, _) in zip(_entry_cells(d, count()), d.rows, d.entries):
+                if coeff & 1:
+                    columns[col] |= 1 << row
+            leads, zeroed = _lane_level(columns, lanes_of(degrees[i]), leads, len(degrees[i - 1]))
+            zero |= zeroed
+        # level 0 leaves one cell uncovered where x^alpha lies outside I, and
+        # none where it lies in I
+        once = twice = 0
+        for lanes, led in zip(lanes_of(degrees[0]), leads):
+            uncovered = lanes & ~led
+            twice |= once & uncovered
+            once |= uncovered
+        outside_ideal = sum(1 << s for s, (_, in_ideal) in enumerate(strands) if not in_ideal)
+        return indices_of(zero | twice | once ^ outside_ideal)
+
+    def _cells(self) -> None:
+        """The cell side of the index: the cells of all levels numbered
+        consecutively, one threshold mask per variable over them, and the
+        column of every cell as {global row: coeff}."""
+        degrees = self.degrees
+        self.rank_of = [{v: j for j, v in enumerate(vals)} for vals in self.values]
+        cells = [exps for level in degrees for exps in level]
+        off = [0]
+        for level in degrees:
+            off.append(off[-1] + len(level))
+        self.off = off
+        self.masks = _threshold_masks(cells, self.values)
+        self.everything = (1 << len(cells)) - 1
+        self.level0 = (1 << off[1]) - 1  # the cells of level 0
+        columns: list[dict[int, int]] = [{} for _ in cells]
+        for i, d in zip(range(1, len(off) - 1), self.diffs):
+            base = off[i - 1]  # the rows of d_i are the cells of level i - 1
+            for g, row, (coeff, _) in zip(_entry_cells(d, count(off[i])), d.rows, d.entries):
+                columns[g][base + row] = coeff
+        self.columns = columns
 
     def verdicts(
         self, char: int | None, positions: range | list[int]
     ) -> Iterator[bool]:
         """Whether each strand at `positions` (ascending indices into
-        `strands`) is exact over the field of characteristic char, and for
-        char None whether its unit pivots over Z pass the strand test.
+        `strands`) is exact over the field of characteristic char, for char
+        0 or an odd p, and for char None whether its unit pivots over Z pass
+        the strand test.
 
         One pivot dict serves the pass.  `stack` holds, for the nested
         strands the dict is an echelon form of, innermost last, each one's
@@ -914,20 +962,18 @@ class _StrandIndex:
         already a key (clearing, see check_exactness)."""
         if not positions:
             return  # and builds no columns
+        if self.columns is None:
+            self._cells()
         masks, rank_of, level0 = self.masks, self.rank_of, self.level0
         above = self.everything ^ level0
-        rows = self._rows(char)
-        if char == 2:
-            kernel = linalg.pivots_f2_packed
-        elif char is None:
+        rows = self.columns
+        if char is None:
             kernel = linalg.pivots_unit
         elif char:
             kernel = lambda rows, pivots: linalg.pivots_mod(rows, char, pivots)
         else:
             kernel = linalg.pivots_rational
-        # the key of cell g as a row: over F_2 a key is the bit length
-        lift = char == 2
-        keys0 = range(lift, self.off[1] + lift)  # the keys of level-0 rows
+        keys0 = range(self.off[1])  # the keys of level-0 rows
         pivots: dict = {}
         pop = pivots.popitem
         stack = [(0, 0)]  # (cells, size of pivots before them); 0 is in all
@@ -943,23 +989,93 @@ class _StrandIndex:
             new = present & above & ~stack[-1][0]
             stack.append((present, len(pivots)))
             if new:
-                kernel(_uncleared(rows, new, pivots, lift), pivots)
+                kernel(_uncleared(rows, new, pivots), pivots)
             r1 = sum(map(pivots.__contains__, keys0))
             yield (present & above).bit_count() - 2 * len(pivots) + r1 == 0 and (
                 (present & level0).bit_count() - r1 == (0 if in_ideal else 1)
             )
 
 
-def _uncleared(rows: list, cells: int, pivots: dict, lift: int) -> Iterator:
+def _lane_level(
+    columns: list[int], lanes: list[int], leads: list[int], n_rows: int
+) -> tuple[list[int], int]:
+    """One level i of the lane pass (see check_exactness), given the
+    columns of d_i, each an int with bit t set when its entry at row t of
+    level i - 1 is odd, the lanes of each column's cell, and the lanes
+    where each cell is already the lead of a pivot of d_{i+1}.  Returns,
+    for each row, the lanes where it is the lead of a pivot of d_i, and the
+    lanes where a column reduced to zero.  It sets each item of `lanes` and
+    `leads` to 0 once read, so that no lane set outlives its use."""
+    pivots = [0] * n_rows
+    groups: dict[int, list[tuple[int, int]]] = {}
+    zero = 0
+    for k in range(len(columns) - 1, -1, -1):
+        # let each lane set go once read, and share the int where nothing
+        # is taken from it
+        lane, led = lanes[k], leads[k]
+        lanes[k] = leads[k] = 0
+        entering = lane & ~led if led else lane
+        if not entering:
+            continue
+        x = columns[k]
+        if not x:
+            zero |= entering
+            continue
+        top = x.bit_length() - 1
+        held = pivots[top]
+        new = entering & ~held if held else entering
+        if new:
+            pivots[top] = held | new if held else new
+            groups.setdefault(top, []).append((new, x))
+        if entering & held:
+            zero |= _reduce_lanes(entering & held, x, groups, pivots)
+    return pivots, zero
+
+
+def _reduce_lanes(
+    lanes: int, x: int, groups: dict[int, list[tuple[int, int]]], pivots: list[int]
+) -> int:
+    """Reduce the column x in `lanes`, where its top row already has a
+    pivot, and return the lanes where it reduced to zero.  In the lanes it
+    shares with each pivot group of its top row it is XORed with that
+    group's column, and the result vanishes there, becomes the pivot at its
+    new top row where that row has none, or goes on where it has, adding
+    to `groups` and `pivots` as `_lane_level` does."""
+    zero = 0
+    work = [(lanes, x)]
+    while work:
+        lanes, x = work.pop()
+        for held, y in groups[x.bit_length() - 1]:
+            part = lanes & held
+            if not part:
+                continue
+            lanes ^= part
+            z = x ^ y
+            if not z:
+                zero |= part
+            else:
+                top = z.bit_length() - 1
+                had = pivots[top]
+                if part & ~had:
+                    pivots[top] = had | part
+                    groups.setdefault(top, []).append((part & ~had, z))
+                if part & had:
+                    work.append((part & had, z))
+            if not lanes:
+                break
+    return zero
+
+
+def _uncleared(rows: list, cells: int, pivots: dict) -> Iterator:
     """The columns rows[g] of the cells g in the mask `cells`, highest cell
     first, so top level first, leaving out each column whose cell g is a key
-    of `pivots` (as g + lift) when its turn comes: clearing, see
-    check_exactness.  It reads `pivots` lazily, so it sees the keys that the
-    columns it gave before added."""
+    of `pivots` when its turn comes: clearing, see check_exactness.  It
+    reads `pivots` lazily, so it sees the keys that the columns it gave
+    before added."""
     while cells:
         g = cells.bit_length() - 1
         cells ^= 1 << g
-        if g + lift not in pivots:
+        if g not in pivots:
             yield rows[g]
 
 

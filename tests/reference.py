@@ -45,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, le, sub
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from prunres import linalg
 from prunres.betti import BettiTable, SquarefreeRequiredError, betti_of_complex
@@ -515,44 +515,69 @@ def strand_degrees(I: MonomialIdeal, C: ChainComplex) -> list[tuple[tuple[int, .
     return [(alpha, any(_divides(g, alpha) for g in gens)) for alpha in sorted(lattice)]
 
 
-def strand_columns(C: ChainComplex) -> list[dict[int, list[tuple[int, int]]]]:
-    """columns[i][col]: the (row, coeff) entries of the column col of d_i."""
+class StrandColumns(NamedTuple):
+    """What every strand of one complex reads, built once per complex:
+    columns[i][col], the (row, coeff) entries of the column col of d_i, and
+    cells, each distinct cell degree with its cells (i, k), cell k of level
+    i, so that a strand tests each degree once."""
+
+    columns: list[dict[int, list[tuple[int, int]]]]
+    cells: dict[tuple[int, ...], list[tuple[int, int]]]
+
+
+def strand_columns(C: ChainComplex) -> StrandColumns:
+    """The `StrandColumns` of C."""
     columns: list[dict[int, list[tuple[int, int]]]] = [{} for _ in C.cells]
     for i in range(1, C.length):
         for (row, col), (coeff, _) in C.diff(i).items():
             columns[i].setdefault(col, []).append((row, coeff))
-    return columns
+    cells: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, level in enumerate(C.degrees):
+        for k, exps in enumerate(level):
+            cells.setdefault(exps, []).append((i, k))
+    return StrandColumns(columns, cells)
 
 
-def strand_level_ranks(C, columns, alpha, char) -> tuple[list[int], list[int]]:
-    """(sizes, ranks) of the strand of C at alpha, the cells whose degree
-    divides x^alpha: sizes[i] cells in level i, and ranks[i] the rank of d_i
-    on the strand for 1 <= i < C.length, 0 at i = 0 and i = C.length.
-    `columns` is `strand_columns(C)`; each d_i with a cell in the strand is
-    ranked by one `linalg.rank` call on its columns in the strand, cut to
-    the rows in the strand."""
-    index = [
-        {k: pos for pos, k in enumerate(
-            k for k, exps in enumerate(level) if all(map(le, exps, alpha))
-        )}
-        for level in C.degrees
-    ]
-    ranks = [0] * (C.length + 1)
+def strand_matrices(
+    C: ChainComplex, columns: StrandColumns, alpha: tuple[int, ...]
+) -> tuple[list[int], list[list[dict[int, int]]]]:
+    """(sizes, matrices) of the strand of C at alpha, the cells whose degree
+    divides x^alpha: sizes[i] cells in level i, and matrices[i] the nonzero
+    columns of d_i on the strand for 1 <= i < C.length, cut to the rows in
+    the strand and numbered by position among its cells of level i - 1;
+    matrices[0] and matrices[C.length] are empty.  `columns` is
+    `strand_columns(C)`."""
+    members: list[list[int]] = [[] for _ in C.degrees]
+    for exps, cells in columns.cells.items():
+        if all(map(le, exps, alpha)):
+            for i, k in cells:
+                members[i].append(k)
+    index = [{k: pos for pos, k in enumerate(sorted(level))} for level in members]
+    matrices: list[list[dict[int, int]]] = [[] for _ in range(C.length + 1)]
     for i in range(1, C.length):
-        if not index[i]:
-            continue
         keep_rows = index[i - 1]
-        rows = []
         for col in index[i]:
             row = {
                 keep_rows[r]: coeff
-                for r, coeff in columns[i].get(col, ())
+                for r, coeff in columns.columns[i].get(col, ())
                 if r in keep_rows
             }
             if row:
-                rows.append(row)
-        ranks[i] = linalg.rank(rows, char)
-    return [len(level) for level in index], ranks
+                matrices[i].append(row)
+    return [len(level) for level in index], matrices
+
+
+def strand_level_ranks(C, columns, alpha, char) -> tuple[list[int], list[int]]:
+    """(sizes, ranks) of the strand of C at alpha: `strand_matrices`, with
+    each d_i ranked by one `linalg.rank` call (`matrix_ranks`)."""
+    sizes, matrices = strand_matrices(C, columns, alpha)
+    return sizes, matrix_ranks(matrices, char)
+
+
+def matrix_ranks(matrices: list[list[dict[int, int]]], char: int) -> list[int]:
+    """ranks[i]: the rank of d_i on a strand over the field, for the
+    `strand_matrices` of the strand, 0 at i = 0 and i = C.length."""
+    return [linalg.rank(m, char) for m in matrices]
 
 
 def strand_exact(sizes: list[int], ranks: list[int], in_ideal: bool) -> bool:

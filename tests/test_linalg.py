@@ -3,7 +3,7 @@
 `reference.rank` rescans all remaining rows for the shortest one at every
 pivot, in integers over Q and mod p over F_p.  The kernels must give the
 same rank on every matrix, `linalg.rank(rows, 2)` and `pivots_f2_packed` (on
-the same rows packed into (int, shift) pairs) included.  Each kernel, given
+the same rows packed into ints) included.  Each kernel, given
 the echelon form of an earlier call, must extend it in place to the keys of
 one call on all the rows, read its rows one at a time, and only add keys,
 so that `popitem()` undoes an extension.  `pivots_unit`, which takes only +-1 pivots over Z, must never
@@ -78,30 +78,28 @@ def test_f2_same_rank_as_rescan_kernel(rows):
     expected = rescan_rank(rows, 2)
     assert linalg.rank(rows, 2) == expected
     assert rows == before  # the input is not modified
-    packed = [(_pack(row), 0) for row in rows]
+    packed = [_pack(row) for row in rows]
     assert len(linalg.pivots_f2_packed(packed)) == expected
-    assert packed == [(_pack(row), 0) for row in before]
+    assert packed == [_pack(row) for row in before]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(matrices(), min_size=1, max_size=4))
 def test_f2_shifted_ranges_rank_independently(blocks):
-    # each block packed from bit 0 and shifted past the ones before it: the
-    # keys of block k are its own keys moved by its shift
-    rows, shifts, expected, shift = [], [], {}, 0
+    # each block shifted past the ones before it, so that no row crosses
+    # two blocks: the keys of block k are its own keys moved by its shift
+    rows, expected, shift = [], {}, 0
     for block in blocks:
         width = 1 + max((c for row in block for c in row), default=0)
         packed = [_pack(row) for row in block]
         expected.update(
-            (key + shift, x)
-            for key, x in linalg.pivots_f2_packed((x, 0) for x in packed).items()
+            (key + shift, x << shift)
+            for key, x in linalg.pivots_f2_packed(packed).items()
         )
-        rows += packed
-        shifts += [shift] * len(packed)
+        rows += [x << shift for x in packed]
         shift += width
-    order = list(range(len(rows)))
-    order.reverse()  # the blocks interleaved with each other
-    got = linalg.pivots_f2_packed([(rows[k], shifts[k]) for k in order])
+    rows.reverse()  # the blocks interleaved with each other
+    got = linalg.pivots_f2_packed(rows)
     assert sorted(got) == sorted(expected)
 
 
@@ -114,7 +112,8 @@ def test_f2_shifted_ranges_rank_independently(blocks):
     ],
 )
 def test_f2_shifted_known_keys(rows, shifts, keys):
-    assert sorted(linalg.pivots_f2_packed(zip(rows, shifts))) == keys
+    shifted = [x << shift for x, shift in zip(rows, shifts)]
+    assert sorted(linalg.pivots_f2_packed(shifted)) == keys
 
 
 def _dict_kernel(char):
@@ -150,18 +149,13 @@ def test_f2_extended_echelon_has_the_keys_of_one_call(blocks, data):
         shifts += [shift] * len(packed)
         shift += 1 + max((c for row in block for c in row), default=0)
     order = data.draw(st.permutations(range(len(rows))))
-    pairs = [(rows[j], shifts[j]) for j in order]
-    k = data.draw(st.integers(0, len(pairs)))
-    first = linalg.pivots_f2_packed(pairs[:k])
-    extended = linalg.pivots_f2_packed(pairs[k:], first)
-    assert extended is first
-    assert sorted(extended) == sorted(linalg.pivots_f2_packed(pairs))
-    # unshifted, as linalg.rank calls it
-    unshifted = [(x, 0) for x, _ in pairs]
-    first = linalg.pivots_f2_packed(unshifted[:k])
-    assert sorted(linalg.pivots_f2_packed(unshifted[k:], first)) == sorted(
-        linalg.pivots_f2_packed(unshifted)
-    )
+    k = data.draw(st.integers(0, len(rows)))
+    for taken in ([rows[j] << shifts[j] for j in order], [rows[j] for j in order]):
+        # shifted, and all from bit 0 as linalg.rank packs them
+        first = linalg.pivots_f2_packed(taken[:k])
+        extended = linalg.pivots_f2_packed(taken[k:], first)
+        assert extended is first
+        assert sorted(extended) == sorted(linalg.pivots_f2_packed(taken))
 
 
 # each kernel as (rows, pivots) -> pivots, with how it takes a dict row
@@ -169,7 +163,7 @@ KERNELS = {
     "pivots_rational": (linalg.pivots_rational, dict),
     "pivots_mod": (lambda rows, pivots=None: linalg.pivots_mod(rows, 3, pivots), dict),
     "pivots_unit": (linalg.pivots_unit, dict),
-    "pivots_f2_packed": (linalg.pivots_f2_packed, lambda row: (_pack(row), 0)),
+    "pivots_f2_packed": (linalg.pivots_f2_packed, _pack),
 }
 
 
@@ -308,7 +302,7 @@ def test_unit_known_pivot_counts(rows, expected):
     ],
 )
 def test_f2_known_ranks(rows, expected):
-    assert len(linalg.pivots_f2_packed([(_pack(row), 0) for row in rows])) == expected
+    assert len(linalg.pivots_f2_packed([_pack(row) for row in rows])) == expected
     assert linalg.rank(rows, 2) == expected
     assert rescan_rank(rows, 2) == expected
 

@@ -4,6 +4,7 @@ import re
 import sys
 import time
 import tracemalloc
+from itertools import pairwise
 from operator import le
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import METHODS
 from prunres import linalg, morse
 from prunres.betti import betti_of_complex, tor_betti
 from prunres.ideals import builtin_ideal, cycle_ideal, parse_ideal
-from prunres.monomials import MAX_EXPONENT
+from prunres.monomials import MAX_EXPONENT, ideal
 
 from prunres.morse import (
     ChainComplex,
@@ -23,6 +24,7 @@ from prunres.morse import (
     _contract_holds,
     _d_squared_gcd,
     _is_boundary,
+    _strand_degrees,
     _threshold_masks,
     InvalidMatchingError,
     check_d_squared,
@@ -530,6 +532,39 @@ class TestOtherIdeal:
                 assert {d for level in C.degrees for d in level} <= lattice
 
 
+class TestStrandDegrees:
+    """`_strand_degrees` flags the points of the lcm lattice that lie in I
+    without scanning the generators: a nonzero point is the lcm of a
+    nonempty set of them, and 0 lies in I iff a generator is 1."""
+
+    @staticmethod
+    def _same(I, cells=()):
+        level = tuple(cells)
+        want = reference.strand_degrees(I, ChainComplex(I.variables, (level,), (level,)))
+        got = _strand_degrees(I, list(cells))
+        assert got == want
+        # the flag against its definition: some generator divides alpha
+        for alpha, in_ideal in got:
+            assert in_ideal == any(all(map(le, g.exponents, alpha)) for g in I.generators)
+        return got
+
+    def test_corpus40_and_builtins(self, corpus40, builtins):
+        for I in [*corpus40, *builtins.values()]:
+            got = self._same(I)
+            assert [in_ideal for _, in_ideal in got] == [False] + [True] * (len(got) - 1)
+
+    def test_unit_ideal(self):
+        for rows in ([(0, 0)], [(1, 1), (0, 0)], [(0, 1), (0, 0), (2, 0)]):
+            got = self._same(ideal(("x", "y"), rows))
+            assert all(in_ideal for _, in_ideal in got)
+
+    def test_closure_points_outside_the_lattice(self):
+        # y and x*y are added to the lattice {1, x} of (x): x*y lies in I,
+        # y does not, and neither is flagged from the lattice
+        got = self._same(parse_ideal("ring x y; gens x"), [(0, 1)])
+        assert got == [((0, 0), False), ((0, 1), False), ((1, 0), True), ((1, 1), True)]
+
+
 class TestThresholdMasks:
     """`_threshold_masks` against its definition: bit idx of masks[k][j] is
     set when the k-th exponent of cell idx is at most values[k][j].  On the
@@ -601,38 +636,64 @@ def _corruptions(C):
 
 def _traced(monkeypatch, I, C, char):
     """check_exactness(I, C, char) and, for each pass over strands it made,
-    in order, (label, records): the label is the pass's char, None for the
-    unit pass over Z, and each record is (alpha, ranks, verdict) for one
-    strand at its verdict.  ranks[i - 1] is the rank of d_i on the strand
-    for 1 <= i < C.length, read from the pass's pivot dict at that moment:
-    the number of its keys that fall in the range of level i - 1, whose
-    rows every column of d_i holds.  An F_2 key is one above its leading
-    global row.  For the unit pass the ranks are its numbers of unit
-    pivots.
+    in order, (label, records): the label is the pass's char, 2 for the
+    lane pass over F_2 and None for the unit pass over Z, and each record
+    is (alpha, ranks, verdict) for one strand at its verdict.  ranks[i - 1]
+    is the rank of d_i on the strand for 1 <= i < C.length.  For the unit
+    pass the ranks are its numbers of unit pivots.
 
-    A pass keeps one pivot dict, which only the kernels change, so the
-    harness reads the dict that a kernel of the pass was last handed; until
-    one is, the dict is empty and every rank 0.
+    The lane pass decides every strand at once: the rank of d_i in lane s
+    is the number of rows of level i - 1 whose leads `_lane_level` returns
+    with bit s set, and the verdict of strand s is whether s is missing
+    from the list it returns.  A dict pass keeps one pivot dict, which only
+    the kernels change, so the harness reads, at each strand's verdict, the
+    number of keys of the dict a kernel of the pass was last handed that
+    fall in the range of each level; until one is handed one, the dict is
+    empty and every rank 0.
 
     check_exactness stores what it learns on the complex, so it runs on a
     fresh complex built from C's fields: each traced call does all its own
     work, whatever ran on C before."""
     passes = []
+    top = C.length - 1
     level_of = [i for i, level in enumerate(C.degrees) for _ in level]
-    current = []  # the state of the pass that runs, while it runs
+    current = []  # the state of the dict pass that runs, while it runs
     real_verdicts = morse._StrandIndex.verdicts
+    real_lane_pass = morse._StrandIndex.lane_pass
+    real_lane_level = morse._lane_level
+    leads = []  # the leads _lane_level returned, top level first
+
+    def lane_level(columns, lanes, led, n_rows):
+        out = real_lane_level(columns, lanes, led, n_rows)
+        leads.append(list(out[0]))  # the next level empties the list
+        return out
+
+    def lane_pass(index):
+        leads.clear()
+        not_exact = real_lane_pass(index)
+        assert len(leads) == top
+        ranks = [[0] * top for _ in index.strands]
+        for i, level in zip(range(top, 0, -1), leads):
+            for lanes in level:
+                for s in indices_of(lanes):
+                    ranks[s][i - 1] += 1
+        failed = set(not_exact)
+        passes.append((2, [
+            (alpha, ranks[s], s not in failed)
+            for s, (alpha, _) in enumerate(index.strands)
+        ]))
+        return not_exact
 
     def verdicts(index, ch, positions):
         state = {"pivots": {}}
         records = []
         passes.append((ch, records))
-        lift = ch == 2
         current.append(state)
         try:
             for s, verdict in zip(positions, real_verdicts(index, ch, positions)):
-                ranks = [0] * (C.length - 1)
+                ranks = [0] * top
                 for key in state["pivots"]:
-                    ranks[level_of[key - lift]] += 1
+                    ranks[level_of[key]] += 1
                 records.append((index.strands[s][0], ranks, verdict))
                 yield verdict
         finally:
@@ -652,32 +713,37 @@ def _traced(monkeypatch, I, C, char):
 
     with monkeypatch.context() as m:
         m.setattr(morse._StrandIndex, "verdicts", verdicts)
-        for name in ("pivots_rational", "pivots_mod", "pivots_f2_packed", "pivots_unit"):
+        m.setattr(morse._StrandIndex, "lane_pass", lane_pass)
+        m.setattr(morse, "_lane_level", lane_level)
+        for name in ("pivots_rational", "pivots_mod", "pivots_unit"):
             m.setattr(linalg, name, capturing(name))
         result = check_exactness(I, _fresh(C), char)
     return result, passes
 
 
 class _Reference:
-    """The strand loop of `reference` on one complex, each strand's ranks
-    at each char computed once: `ranks(alpha, char)` are the ranks of d_1
-    .. d_top on the strand at alpha (`reference.strand_level_ranks`),
-    `strand_exact` its verdict and `exact(char)` the loop's, which stops at
-    the first strand that is not exact, as `reference.exactness` does."""
+    """The strand loop of `reference` on one complex, each strand's
+    matrices built once and its ranks at each char computed once:
+    `ranks(alpha, char)` are the ranks of d_1 .. d_top on the strand at
+    alpha (`reference.strand_level_ranks`), `strand_exact` its verdict and
+    `exact(char)` the loop's, which stops at the first strand that is not
+    exact, as `reference.exactness` does."""
 
     def __init__(self, I, C):
         self.C = C
         self.strands = reference.strand_degrees(I, C)
         self.in_ideal = dict(self.strands)
         self.columns = reference.strand_columns(C)
+        self.matrices = {}
         self.computed = {}
 
     def _sizes_ranks(self, alpha, char):
         key = (alpha, char)
         if key not in self.computed:
-            self.computed[key] = reference.strand_level_ranks(
-                self.C, self.columns, alpha, char
-            )
+            if alpha not in self.matrices:
+                self.matrices[alpha] = reference.strand_matrices(self.C, self.columns, alpha)
+            sizes, matrices = self.matrices[alpha]
+            self.computed[key] = sizes, reference.matrix_ranks(matrices, char)
         return self.computed[key]
 
     def ranks(self, alpha, char):
@@ -714,14 +780,15 @@ class TestExactnessAgainstStrandLoop:
     """check_exactness against the strand loop of `reference.exactness`: the
     same verdict and, strand by strand and level by level, the same ranks.
 
-    Each pass of check_exactness keeps one pivot dict, and its ranks are
-    read from the dict at each strand's verdict (`_traced`).  Clearing and
-    the stack of nested strands change which columns a kernel call sees,
-    not the ranks, so no call is compared, only what the dict holds:
-    - chars 0 and 2 first rank every strand over F_2, and char 0 then ranks
-      over Q the strands that fail over F_2, up to the first that fails
-      over Q: each rank equals the loop's at that char, and so does each
-      strand's verdict;
+    The lane pass over F_2 gives every strand's ranks at once, read from
+    the leads it returns level by level, and each dict pass its ranks at
+    each strand's verdict, read from its pivot dict (`_traced`).  Clearing
+    and the stack of nested strands change which columns a kernel call
+    sees, not the ranks, so no call is compared, only the ranks:
+    - chars 0 and 2 first rank every strand over F_2 in the lane pass, and
+      char 0 then ranks over Q the strands that fail over F_2, up to the
+      first that fails over Q: each rank equals the loop's at that char,
+      and so does each strand's verdict;
     - an odd p first runs the unit pass over Z on every strand, whose
       counts must be at most the loop's ranks at chars 0, 2, 3, 5 and p,
       and whose verdict, when it passes a strand, must be the loop's at p;
@@ -1424,8 +1491,8 @@ class TestSummedStrandTest:
 
 
 class TestChainedStrands:
-    """check_exactness keeps, per pass, one pivot dict and a stack of the
-    nested strands it is an echelon form of.  A strand backs out of every
+    """Each dict pass of check_exactness (unit, Q and F_p) keeps one pivot
+    dict and a stack of the nested strands it is an echelon form of.  A strand backs out of every
     strand on the stack that it does not contain, popping the keys each
     added, and extends the one left on top with the cells that strand
     lacks.  Lattice degrees are visited in lex order of their exponents."""
@@ -1448,7 +1515,8 @@ class TestChainedStrands:
         # come in the order z, y, yz, x, xz, xy, xyz.  The strand at xy
         # contains the one at x, two back, but not the one at xz: it backs
         # out of xz alone and is handed the dict of x, which holds the key
-        # of the empty face, with only the columns of y and xy.
+        # of the empty face, with only the columns of y and xy.  The unit
+        # pass over Z runs over every strand.
         I = parse_ideal("ring x y z; gens x, y, z")
         C = morse_differential(I, empty_matching(I))
         cell = {mask: g for g, mask in enumerate(m for level in C.cells for m in level)}
@@ -1462,21 +1530,17 @@ class TestChainedStrands:
             cells(y, x | y), cells(z, x | z, y | z, x | y | z),
         ]
         real = morse._uncleared
-        # the certifying passes: packed F_2, whose key of a row is one above
-        # it, and unit pivots over Z
-        for char, lift in ((2, 1), (3, 0)):
-            handed = []
+        handed = []
 
-            def uncleared(rows, new, pivots, lift):
-                handed.append((new, sorted(pivots)))
-                return real(rows, new, pivots, lift)
+        def uncleared(rows, new, pivots):
+            handed.append((new, sorted(pivots)))
+            return real(rows, new, pivots)
 
-            with monkeypatch.context() as m:
-                m.setattr(morse, "_uncleared", uncleared)
-                assert check_exactness(I, _fresh(C), char)
-            assert [new for new, _ in handed] == expected, char
-            # x starts from no key; xz and then xy from that of x
-            assert [keys for _, keys in handed][3:6] == [[], [lift], [lift]], char
+        monkeypatch.setattr(morse, "_uncleared", uncleared)
+        assert check_exactness(I, _fresh(C), 3)
+        assert [new for new, _ in handed] == expected
+        # x starts from no key; xz and then xy from that of x
+        assert [keys for _, keys in handed][3:6] == [[], [0], [0]]
 
     def test_column_with_a_negative_exponent_is_rejected(self):
         # F0 = {e}, F1 = {g, h, u}, F2 = {gh, v, m}, F3 = {q} over the ideal
@@ -1522,37 +1586,165 @@ class TestChainedStrands:
 
 
 class TestClearing:
-    """Each pass hands a kernel the columns of a strand top level first and
-    leaves out every column whose own cell is already a pivot key: by d*d =
-    0 it would reduce to zero (see check_exactness).  Every rank is the
-    same (TestExactnessAgainstStrandLoop); here, the work left."""
+    """Every elimination takes the columns top level first and leaves out a
+    column whose own cell is already a lead one level up: by d*d = 0 it
+    would reduce to zero (see check_exactness).  Every rank is the same
+    (TestExactnessAgainstStrandLoop); here, the work left."""
 
     def test_f2_pass_over_example_4_1(self, builtin_resolutions, monkeypatch):
-        # 141,970 XOR steps over the three methods without clearing, of which
-        # 44,369 columns reduced to zero
-        counts = {"rows": 0, "xor": 0}
+        # The lane pass sees each column once, and reduces it only in the
+        # lanes where its top row already has a pivot: 8 of the 2,649
+        # columns over the three methods.  The packed F_2 pass it replaced
+        # handed its kernel 37,173 columns, 89,872 before clearing.
+        counts = {"columns": 0, "reduced": 0}
+        real_level, real_reduce = morse._lane_level, morse._reduce_lanes
 
-        def counting(rows, pivots=None):
-            # pivots_f2_packed, counting its rows and XOR steps
-            if pivots is None:
-                pivots = {}
-            for x, shift in rows:
-                counts["rows"] += 1
-                while x:
-                    lead = x.bit_length() + shift
-                    p = pivots.get(lead)
-                    if p is None:
-                        pivots[lead] = x
-                        break
-                    x ^= p
-                    counts["xor"] += 1
-            return pivots
+        def lane_level(columns, *args):
+            counts["columns"] += len(columns)
+            return real_level(columns, *args)
 
-        monkeypatch.setattr(linalg, "pivots_f2_packed", counting)
+        def reduce_lanes(*args):
+            counts["reduced"] += 1
+            return real_reduce(*args)
+
+        monkeypatch.setattr(morse, "_lane_level", lane_level)
+        monkeypatch.setattr(morse, "_reduce_lanes", reduce_lanes)
+        cells = 0
         for I, _, C in builtin_resolutions["example-4-1"]:
             assert check_exactness(I, _fresh(C), 2)
-        assert counts["xor"] <= 100
-        assert counts["rows"] <= 40_000  # 89,872 columns without clearing
+            cells += sum(C.ranks()[1:])
+        assert counts["columns"] == cells == 2649
+        assert 0 < counts["reduced"] <= 20
+
+    def test_unit_pass_over_example_4_1(self, builtin_resolutions, monkeypatch):
+        # The unit pass hands its kernel 37,173 columns over the three
+        # methods; bottom level first, clearing would never fire, and it
+        # would hand over 74,241.
+        counts = {"rows": 0}
+        real = linalg.pivots_unit
+
+        def counting(rows, pivots=None):
+            def reading():
+                for row in rows:
+                    counts["rows"] += 1
+                    yield row
+
+            return real(reading(), pivots)
+
+        monkeypatch.setattr(linalg, "pivots_unit", counting)
+        for I, _, C in builtin_resolutions["example-4-1"]:
+            assert check_exactness(I, _fresh(C), 3)
+        assert counts["rows"] <= 40_000
+
+
+def _taylor_in_order(I, levels):
+    """The Taylor resolution of the squarefree ideal I generated by its
+    variables, with the cells of each level (masks over the variables) in
+    the order given: each d_i is the simplicial boundary with the signs of
+    `taylor`, which leaves its top row to the order."""
+    n = len(I.variables)
+
+    def degree(mask):
+        return tuple(mask >> k & 1 for k in range(n))
+
+    diffs = []
+    for below, here in pairwise(levels):
+        row_of = {mask: row for row, mask in enumerate(below)}
+        diffs.append({
+            (row_of[sigma ^ (1 << k)], col): (
+                -1 if t & 1 else 1,
+                tuple(a - b for a, b in zip(degree(sigma), degree(sigma ^ (1 << k)))),
+            )
+            for col, sigma in enumerate(here)
+            for t, k in enumerate(k for k in range(n) if sigma >> k & 1)
+        })
+    degrees = [[degree(mask) for mask in level] for level in levels]
+    return ChainComplex(I.variables, levels, degrees, diffs)
+
+
+class TestLanePass:
+    """The lane pass over F_2 on fixed inputs that drive each of its paths:
+    a column reduced in the lanes where its top row already has a pivot,
+    to zero or to a pivot further down, against the pivot group of its own
+    lane, and the count of level-0 cells.  Each is compared, lane by lane,
+    with the ranks of the strand loop (`_traced`)."""
+
+    @staticmethod
+    def _reduced(monkeypatch, I, C, char=2):
+        """The verdict, checked against the strand loop, and the lanes
+        handed to `_reduce_lanes`, in order."""
+        handed = []
+        real = morse._reduce_lanes
+
+        def reduce_lanes(lanes, *args):
+            handed.append(lanes)
+            return real(lanes, *args)
+
+        monkeypatch.setattr(morse, "_reduce_lanes", reduce_lanes)
+        verdict = TestExactnessAgainstStrandLoop()._same(monkeypatch, I, C, char)
+        return verdict, handed
+
+    def test_two_columns_of_one_strand_share_a_top_row(self, monkeypatch):
+        # F0 = {e}, F1 = {a, b}, both of degree x, d1 = (x, x): on the
+        # strand at x, b becomes the pivot at e and a reduces to zero, so
+        # its homology in degree 1 is F_2 and the complex is no resolution.
+        I = parse_ideal("ring x; gens x")
+        C = ChainComplex(
+            ("x",), ((0,), (1, 2)), (((0,),), ((1,), (1,))),
+            ({(0, 0): (1, (1,)), (0, 1): (1, (1,))},),
+        )
+        verdict, handed = self._reduced(monkeypatch, I, C)
+        assert not verdict and handed == [0b10]  # lane 1, the strand at x
+        for char in (0, 3, 5):
+            assert not reference.exactness(I, C, char)
+            assert not check_exactness(I, _fresh(C), char), char
+
+    def test_reduced_column_becomes_a_pivot_lower_down(self, monkeypatch):
+        # The Taylor resolution of (x, y, z) with level 2 in the order yz,
+        # xz, xy.  The top row of xyz is then xy, so xy is cleared at xyz;
+        # xz becomes the pivot at z there, and yz, whose top row is z too,
+        # reduces to yz + xz, the pivot at y.
+        I = parse_ideal("ring x y z; gens x, y, z")
+        x, y, z = 1, 2, 4
+        C = _taylor_in_order(I, [[0], [x, y, z], [y | z, x | z, x | y], [x | y | z]])
+        verdict, handed = self._reduced(monkeypatch, I, C)
+        xyz = [alpha for alpha, _ in _strand_degrees(I, [])].index((1, 1, 1))
+        assert verdict and handed == [1 << xyz]
+        assert self._reduced(monkeypatch, I, C, 0)[0]
+
+    def test_reduced_against_the_group_of_its_own_lane(self, monkeypatch):
+        # The Taylor resolution of (w, x, y, z) in an order where a column
+        # is reduced at a row whose pivot differs from lane to lane: XORed
+        # with the group of another lane, it would reduce to zero in a
+        # strand that is exact.
+        I = parse_ideal("ring w x y z; gens w, x, y, z")
+        C = _taylor_in_order(
+            I, [[0], [2, 1, 4, 8], [9, 10, 12, 5, 3, 6], [7, 13, 11, 14], [15]]
+        )
+        verdict, handed = self._reduced(monkeypatch, I, C)
+        assert verdict and handed
+        assert self._reduced(monkeypatch, I, C, 0)[0]
+
+    def test_level_0_counts(self, monkeypatch):
+        # Level 0 leaves no cell that is no lead where x^alpha lies in I,
+        # and one where it does not: F0 alone resolves S/(x) at 1 but not
+        # at x, and two cells at level 0 leave two at 1.
+        I = parse_ideal("ring x; gens x")
+        alone = ChainComplex(("x",), ((0,),), (((0,),),), ())
+        two = ChainComplex(
+            ("x",), ((0, 1), (2,)), (((0,), (0,)), ((1,),)), ({(0, 0): (1, (1,))},)
+        )
+        for C in (alone, two):
+            assert not self._reduced(monkeypatch, I, C)[0]
+        # the unit ideal: every strand lies in I, and its complex has no
+        # cell, so none is left
+        U = ideal(("x", "y"), [(0, 0), (1, 1)])
+        C = morse_differential(U, prune_taylor(U))
+        assert C.ranks() == (0,)
+        assert self._reduced(monkeypatch, U, C)[0]
+        # and the resolution of S/(x) by d1 = x covers the strand at x
+        one = ChainComplex(("x",), ((0,), (1,)), (((0,),), ((1,),)), ({(0, 0): (1, (1,))},))
+        assert self._reduced(monkeypatch, I, one)[0]
 
 
 def _verdict(I, C, char):
@@ -1739,20 +1931,27 @@ class TestStoredAnswers:
             I = cycle_ideal(5)
             C = morse_differential(I, prune_taylor(I))
         full = []
-        real = morse._StrandIndex.verdicts
+        real_verdicts = morse._StrandIndex.verdicts
+        real_lane_pass = morse._StrandIndex.lane_pass
 
         def verdicts(index, char, positions):
             if positions == range(len(index.strands)):
                 full.append((index, char))
-            return real(index, char, positions)
+            return real_verdicts(index, char, positions)
+
+        def lane_pass(index):
+            full.append((index, 2))
+            return real_lane_pass(index)
 
         monkeypatch.setattr(morse._StrandIndex, "verdicts", verdicts)
+        monkeypatch.setattr(morse._StrandIndex, "lane_pass", lane_pass)
         expected = {c: reference.exactness(I, C, c) for c in (0, 2, 3, 5, 7)}
         for order in ((0, 2, 3, 5, 7), (7, 5, 3, 2, 0)):
             B = _fresh(C)
             full.clear()
             assert {c: check_exactness(I, B, c) for c in order} == expected, order
-            # one pass over every strand by packed F_2, one by unit pivots
+            # one lane pass over F_2, one pass over every strand by unit
+            # pivots
             assert sorted(full, key=lambda f: f[1] is None) == [
                 (B._index, 2), (B._index, None)
             ], order

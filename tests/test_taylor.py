@@ -365,6 +365,43 @@ class TestOneTablePerIdeal:
     def test_used_ideal_pickles_and_copies(self):
         I = _unheld_cycle(5, "copied")
         TaylorComplex(I).degree(0)
-        for J in (pickle.loads(pickle.dumps(I)), copy.deepcopy(I)):
+        for J in (pickle.loads(pickle.dumps(I)), copy.deepcopy(I), copy.copy(I)):
+            # the hash kept on I stays behind: str hashes differ from one
+            # process to the next
+            assert "_hash" not in vars(J)
             assert J == I and hash(J) == hash(I) and repr(J) == repr(I)
             assert TaylorComplex(J) is TaylorComplex(I)
+
+    def test_hash_computed_once_per_ideal(self, monkeypatch):
+        # Equal ideals hash and compare equal, the hash is that of the
+        # fields, and it is computed once: a lookup after the first hashes
+        # no generator.
+        I, J = _unheld_cycle(7, "hashed"), _unheld_cycle(7, "hashed")
+        assert I is not J and I == J
+        assert hash(I) == hash(J) == hash((I.variables, I.generators))
+        assert {I: 1}[J] == 1
+        assert I != _unheld_cycle(7, "other") and I != _unheld_cycle(6, "hashed")
+        hashed = []
+        real = Monomial.__hash__
+        monkeypatch.setattr(Monomial, "__hash__", lambda g: hashed.append(g) or real(g))
+        K = _unheld_cycle(7, "hashed")
+        assert TaylorComplex(K) is TaylorComplex(I) and len(hashed) == 7
+        for _ in range(3):
+            assert TaylorComplex(K) is TaylorComplex(I)
+        assert len(hashed) == 7
+        # the hash is no field: equality, repr and the fields ignore it
+        assert repr(K) == repr(MonomialIdeal(K.variables, K.generators))
+        assert [f for f in vars(K) if not f.startswith("_")] == ["variables", "generators"]
+
+    def test_table_dies_with_a_hashed_ideal(self):
+        I = _unheld_cycle(9, "hashed dies")
+        hash(I)
+        tc = TaylorComplex(I)
+        table, ref = weakref.ref(tc), weakref.ref(I)
+        gc.disable()
+        try:
+            del tc, I
+            assert ref() is None
+            assert table() is None
+        finally:
+            gc.enable()
