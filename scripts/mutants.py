@@ -659,7 +659,7 @@ MUTANTS = [
             "            zero |= _reduce_lanes(entering & held, x, groups, pivots)\n"
         ),
         "new": "",
-        "recorded": "this change",
+        "recorded": "31c57db",
         "nodes": [
             T_MORSE + "TestLanePass::test_two_columns_of_one_strand_share_a_top_row"
         ],
@@ -669,7 +669,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "enumerate(strands) if not in_ideal)",
         "new": "enumerate(strands) if in_ideal)",
-        "recorded": "this change",
+        "recorded": "31c57db",
         "nodes": [T_MORSE + "TestLanePass::test_level_0_counts"],
     },
     {
@@ -677,7 +677,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "            part = lanes & held\n",
         "new": "            part = lanes\n",
-        "recorded": "this change",
+        "recorded": "31c57db",
         "nodes": [
             T_MORSE + "TestLanePass::test_reduced_against_the_group_of_its_own_lane"
         ],
@@ -687,7 +687,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "                j = bisect_left(vals, e)\n",
         "new": "                j = bisect_left(vals, e + 1)\n",
-        "recorded": "this change",
+        "recorded": "31c57db",
         "nodes": [
             T_MORSE + "TestLanePass::test_reduced_column_becomes_a_pivot_lower_down"
         ],
@@ -697,7 +697,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "points = {tc.decode(d): d != 0 or unit for d in tc.lattice()}",
         "new": "points = {tc.decode(d): True for d in tc.lattice()}",
-        "recorded": "this change",
+        "recorded": "31c57db",
         "nodes": [T_MORSE + "TestStrandDegrees::test_corpus40_and_builtins"],
     },
     {
@@ -705,7 +705,7 @@ MUTANTS = [
         "file": MORSE,
         "old": "points = {tc.decode(d): d != 0 or unit for d in tc.lattice()}",
         "new": "points = {tc.decode(d): d != 0 for d in tc.lattice()}",
-        "recorded": "this change",
+        "recorded": "31c57db",
         "nodes": [T_MORSE + "TestStrandDegrees::test_unit_ideal"],
     },
     {
@@ -828,7 +828,7 @@ MUTANTS = [
         "file": MONOMIALS,
         "old": "        h = self._hash\n",
         "new": "        h = None\n",
-        "recorded": "this change",
+        "recorded": "31c57db",
         "nodes": [T_TAYLOR + "TestOneTablePerIdeal::test_hash_computed_once_per_ideal"],
     },
     {
@@ -836,7 +836,7 @@ MUTANTS = [
         "file": MONOMIALS,
         "old": "        state.pop(\"_hash\", None)\n",
         "new": "",
-        "recorded": "this change",
+        "recorded": "31c57db",
         "nodes": [T_TAYLOR + "TestOneTablePerIdeal::test_used_ideal_pickles_and_copies"],
     },
     {
